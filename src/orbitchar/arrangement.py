@@ -100,21 +100,23 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
     base = _chamber_rows(rs)
     found: list[tuple[str, Point]] = []
 
-    def descend(depth: int, rows: list[IneqRow], signs: str, witness: Point) -> None:
-        if depth == len(hyperplanes):
-            found.append((signs, witness))
-            return
-        for sign in ("-", "+"):
-            row = _sign_row(hyperplanes[depth], sign)
-            cand = rows + [row]
-            w = ratlp.strict_interior(cand, rs.rank)
-            if w is not None:
-                descend(depth + 1, cand, signs + sign, w)
-
     start = ratlp.strict_interior(base, rs.rank)
     if start is None:
         raise RuntimeError("the open dominant chamber has no interior point")
-    descend(0, base, "", start)
+    # An explicit stack, with no closure that refers to itself, so that rows
+    # and witnesses are freed by reference counting, not by a gc cycle pass.
+    stack = [(base, "", start)]
+    while stack:
+        rows, signs, witness = stack.pop()
+        depth = len(signs)
+        if depth == len(hyperplanes):
+            found.append((signs, witness))
+            continue
+        for sign in ("+", "-"):
+            cand = rows + [_sign_row(hyperplanes[depth], sign)]
+            w = ratlp.strict_interior(cand, rs.rank)
+            if w is not None:
+                stack.append((cand, signs + sign, w))
     found.sort(key=lambda sw: tuple(0 if ch == "-" else 1 for ch in sw[0]))
 
     regions = []

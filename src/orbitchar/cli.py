@@ -16,6 +16,7 @@ Exit codes: 0 success; 1 error; 2 characteristic undefined in dense mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -382,8 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: each build leaves about 50 KB in reference cycles
+# that only a full gc pass frees, and main() may run many times in-process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except CliError as e:

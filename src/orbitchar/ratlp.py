@@ -3,12 +3,23 @@
 Problems are stated as: maximize c.x subject to normal.x >= bound rows,
 with x free.  Internally x is split into a difference of nonnegative
 variables and surplus variables are added; Bland's rule keeps the exact
-pivoting finite.  Sizes here are tiny (tens of rows), so a dense tableau
-over Fraction is entirely adequate.
+pivoting finite.
+
+The tableau is fraction-free: each row, the objective row included, is a
+list of ints equal to the true rational row times an unknown positive
+factor.  Input rows are scaled by the LCM of their denominators; a pivot row
+with a negative pivot entry is negated, and every other row r becomes
+pivot[col]*r - r[col]*pivot over the gcd of its entries.  A positive factor
+changes neither signs nor the ratios rhs/entry within a row, so Bland's rule
+(the first negative objective entry enters, the least ratio by
+cross-multiplication leaves, ties to the least basis index) makes exactly
+the pivots of the same simplex over Fraction.  Values are read at the end
+as rhs over the basic coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q = Fraction
@@ -18,14 +29,28 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
+def _integral(values):
+    """The rationals scaled by the LCM of their denominators, as ints, and the LCM."""
+    qs = [Q(v) for v in values]
+    scale = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
+def _eliminate(r, piv, col):
+    """r with its col entry cleared by the pivot row piv (piv[col] > 0)."""
+    p, f = piv[col], r[col]
+    r = [p * x - f * y for x, y in zip(r, piv)]
+    g = math.gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
 def _pivot(tab, basis, row, col):
-    inv = Q(1) / tab[row][col]
-    tab[row] = [x * inv for x in tab[row]]
+    if tab[row][col] < 0:
+        tab[row] = [-x for x in tab[row]]
+    piv = tab[row]
     for i, r in enumerate(tab):
         if i != row and r[col]:
-            f = r[col]
-            piv = tab[row]
-            tab[i] = [x - f * y for x, y in zip(r, piv)]
+            tab[i] = _eliminate(r, piv, col)
     basis[row] = col
 
 
@@ -33,28 +58,25 @@ def _run_simplex(tab, basis, cost, ncols):
     """Minimize cost over the tableau; returns status.  cost is priced out
     into a working objective row appended to the tableau."""
     m = len(tab)
-    obj = list(cost) + [Q(0)]
+    obj = list(cost) + [0]
     for i, b in enumerate(basis):
         if obj[b]:
-            f = obj[b]
-            obj = [x - f * y for x, y in zip(obj, tab[i])]
+            obj = _eliminate(obj, tab[i], b)
     while True:
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
             return OPTIMAL, obj, tab, basis
-        best = None
-        for i in range(m):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+        rows = [i for i in range(m) if tab[i][col] > 0]
+        if not rows:
             return UNBOUNDED, obj, tab, basis
-        row = best[1]
-        _pivot(tab, basis, row, col)
-        f = obj[col]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, tab[row])]
+        best = rows[0]
+        for i in rows[1:]:
+            lhs, rhs = tab[i][-1] * tab[best][col], tab[best][-1] * tab[i][col]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best = i
+        _pivot(tab, basis, best, col)
+        if obj[col]:
+            obj = _eliminate(obj, tab[best], col)
 
 
 def solve_max(objective, rows, nvars):
@@ -69,19 +91,17 @@ def solve_max(objective, rows, nvars):
     for i, (normal, bound) in enumerate(rows):
         if len(normal) != nvars:
             raise ValueError("dimension mismatch")
-        row = [Q(v) for v in normal] + [-Q(v) for v in normal] + [Q(0)] * m + [Q(bound)]
-        row[2 * nvars + i] = Q(-1)
-        if row[-1] < 0:
-            row = [-x for x in row]
+        ints, scale = _integral((*normal, bound))
+        sign = -1 if ints[-1] < 0 else 1
+        a = [sign * v for v in ints[:-1]]
+        row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
+        row[2 * nvars + i] = -sign * scale
+        # phase 1: artificial basis
+        row[ncols + i] = scale
         tab.append(row)
-
-    # phase 1: artificial basis
     art = ncols
-    for i in range(m):
-        for j in range(m):
-            tab[i].insert(ncols + j, Q(1) if i == j else Q(0))
     basis = [art + i for i in range(m)]
-    cost1 = [Q(0)] * ncols + [Q(1)] * m
+    cost1 = [0] * ncols + [1] * m
     status, obj, tab, basis = _run_simplex(tab, basis, cost1, ncols + m)
     if status != OPTIMAL or obj[-1] != 0:
         # phase-1 objective is bounded below by 0, so status is 'optimal';
@@ -97,16 +117,18 @@ def solve_max(objective, rows, nvars):
     basis = [basis[i] for i in keep]
 
     # phase 2
-    cost2 = [-Q(v) for v in objective] + [Q(v) for v in objective] + [Q(0)] * m
+    c, _ = _integral(objective)
+    cost2 = [-v for v in c] + c + [0] * m
     status, obj, tab, basis = _run_simplex(tab, basis, cost2, ncols)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [Q(0)] * (2 * nvars)
     for i, b in enumerate(basis):
         if b < 2 * nvars:
-            x[b] = tab[i][-1]
+            x[b] = Q(tab[i][-1], tab[i][b])
     point = tuple(x[j] - x[nvars + j] for j in range(nvars))
-    return OPTIMAL, obj[-1], point
+    value = sum((Q(v) * p for v, p in zip(objective, point)), Q(0))
+    return OPTIMAL, value, point
 
 
 def max_uniform_slack(rows, nvars):

@@ -1,5 +1,6 @@
 """Chamber hyperplanes, region enumeration, and region weight supports."""
 
+import gc
 import random
 from fractions import Fraction as Q
 
@@ -113,6 +114,18 @@ def test_enumeration_limit():
     assert len(hps) == 15
     with pytest.raises(ValueError):
         arr.enumerate_regions(ws.root_system, hps, max_hyperplanes=10)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    ws = _adjoint_ws([("A", 3)])
+    hps = arr.chamber_hyperplanes(ws)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(arr.enumerate_regions(ws.root_system, hps)) == 14
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_level_must_be_positive():
