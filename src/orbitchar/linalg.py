@@ -1,7 +1,20 @@
-"""Small dense exact linear algebra over Fraction."""
+"""Small dense exact linear algebra on fraction-free integer rows.
+
+Every exact elimination in the package (rank, solve and inverse here, the
+simplex tableau in ratlp) runs on rows of Python ints with one invariant:
+each row equals its true rational row times an unknown positive factor.  A
+rational row enters through `integral`, scaled by the LCM of its
+denominators; `eliminate` clears one entry by a pivot row with a positive
+pivot and divides the result by the gcd of its entries (Bareiss, Math.
+Comp. 22, 1968).  A positive factor changes neither the signs of the
+entries nor the ratios within a row, so every pivot choice is the one the
+same elimination over Fraction would make, and values are read at the end
+as an entry over its row's pivot.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q = Fraction
@@ -10,13 +23,19 @@ Vector = tuple[Q, ...]
 Matrix = list[list[Q]]
 
 
-def to_matrix(rows) -> Matrix:
-    """Copy rows into a mutable Fraction matrix."""
-    return [[Q(x) for x in row] for row in rows]
+def integral(values):
+    """The rationals scaled by the LCM of their denominators, as ints, and the LCM."""
+    qs = [Q(v) for v in values]
+    scale = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
-def identity(n: int) -> Matrix:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+def eliminate(r, piv, col):
+    """r with its col entry cleared by the pivot row piv (piv[col] > 0)."""
+    p, f = piv[col], r[col]
+    r = [p * x - f * y for x, y in zip(r, piv)]
+    g = math.gcd(*r)
+    return [x // g for x in r] if g > 1 else r
 
 
 def matvec(a, v) -> Vector:
@@ -42,74 +61,54 @@ def transpose(a) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rank(rows) -> int:
-    """Rank of a matrix by exact Gaussian elimination."""
-    a = to_matrix(rows)
-    if not a or not a[0]:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
+def _reduce(rows, ncols) -> list[int]:
+    """Bring integer rows to reduced echelon form in their first ncols
+    columns, in place, with positive pivots.  Each column's pivot is its
+    first nonzero entry at or below the next pivot row.  Returns the pivot
+    columns; row k holds the k-th."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Q(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if rows[r][col] < 0:
+            rows[r] = [-x for x in rows[r]]
+        p = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = eliminate(row, p, col)
+        pivots.append(col)
+    return pivots
+
+
+def rank(rows) -> int:
+    """Rank of a matrix by exact elimination."""
+    ints = [integral(row)[0] for row in rows]
+    return len(_reduce(ints, len(ints[0]) if ints else 0))
 
 
 def solve(a, b) -> list[Q] | None:
     """One exact solution of a x = b (free variables set to 0), or None if inconsistent."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [list(map(Q, row)) + [Q(bi)] for row, bi in zip(a, b)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Q(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
+    n = len(a[0]) if a else 0
+    aug = [integral((*row, bi))[0] for row, bi in zip(a, b)]
+    pivots = _reduce(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [Q(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
+    for row, col in zip(aug, pivots):
+        x[col] = Q(row[n], row[col])
     return x
 
 
 def inverse(a) -> Matrix:
     """Exact inverse; raises ValueError on a singular matrix."""
     n = len(a)
-    aug = [list(map(Q, row)) + ident_row for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Q(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    aug = []
+    for i, row in enumerate(a):
+        ints, scale = integral(row)
+        aug.append(ints + [scale if j == i else 0 for j in range(n)])
+    if len(_reduce(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return [[Q(x, row[k]) for x in row[n:]] for k, row in enumerate(aug)]

@@ -130,20 +130,10 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     lam: list[Q] = []
 
     def kkt_solve(p_normal):
-        m = len(active)
-        size = n + m
-        mat = [[Q(0)] * size for _ in range(size)]
-        rhs = [Q(0)] * size
-        for i in range(n):
-            for j in range(n):
-                mat[i][j] = q[i][j]
-            for t, pos in enumerate(active):
-                mat[i][n + t] = Q(rows[pos][1][i])
-            rhs[i] = Q(p_normal[i])
-        for t, pos in enumerate(active):
-            for j in range(n):
-                mat[n + t][j] = Q(rows[pos][1][j])
-        sol = linalg.solve(mat, rhs)
+        normals = [rows[pos][1] for pos in active]
+        mat = [q[i] + [normal[i] for normal in normals] for i in range(n)]
+        mat += [list(normal) + [0] * len(normals) for normal in normals]
+        sol = linalg.solve(mat, list(p_normal) + [0] * len(normals))
         assert sol is not None, "singular working-set system"
         return sol[:n], sol[n:]
 
@@ -220,18 +210,9 @@ def min_norm_point_enumerate(
             normals = [rows[t][1] for t in subset]
             if independent_only and linalg.rank(normals) < size:
                 continue
-            m = len(subset)
-            mat = [[Q(0)] * (n + m) for _ in range(n + m)]
-            rhs = [Q(0)] * (n + m)
-            for i in range(n):
-                for j in range(n):
-                    mat[i][j] = q[i][j]
-                for t in range(m):
-                    mat[i][n + t] = -Q(normals[t][i])
-            for t in range(m):
-                for j in range(n):
-                    mat[n + t][j] = Q(normals[t][j])
-                rhs[n + t] = Q(rows[subset[t]][2])
+            mat = [q[i] + [-normal[i] for normal in normals] for i in range(n)]
+            mat += [list(normal) + [0] * size for normal in normals]
+            rhs = [0] * n + [rows[t][2] for t in subset]
             sol = linalg.solve(mat, rhs)
             if sol is None:
                 continue

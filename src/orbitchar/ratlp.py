@@ -6,12 +6,10 @@ variables and surplus variables are added; Bland's rule keeps the exact
 pivoting finite.
 
 The tableau is fraction-free: each row, the objective row included, is a
-list of ints equal to the true rational row times an unknown positive
-factor.  Input rows are scaled by the LCM of their denominators; a pivot row
-with a negative pivot entry is negated, and every other row r becomes
-pivot[col]*r - r[col]*pivot over the gcd of its entries.  A positive factor
-changes neither signs nor the ratios rhs/entry within a row, so Bland's rule
-(the first negative objective entry enters, the least ratio by
+list of ints kept by linalg's `integral` and `eliminate` under the invariant
+stated in linalg (the true row times an unknown positive factor).  A pivot
+row with a negative pivot entry is negated first.  So Bland's rule (the
+first negative objective entry enters, the least ratio by
 cross-multiplication leaves, ties to the least basis index) makes exactly
 the pivots of the same simplex over Fraction.  Values are read at the end
 as rhs over the basic coefficient.
@@ -19,8 +17,9 @@ as rhs over the basic coefficient.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .linalg import eliminate, integral
 
 Q = Fraction
 
@@ -29,28 +28,13 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-def _integral(values):
-    """The rationals scaled by the LCM of their denominators, as ints, and the LCM."""
-    qs = [Q(v) for v in values]
-    scale = math.lcm(*[q.denominator for q in qs])
-    return [q.numerator * (scale // q.denominator) for q in qs], scale
-
-
-def _eliminate(r, piv, col):
-    """r with its col entry cleared by the pivot row piv (piv[col] > 0)."""
-    p, f = piv[col], r[col]
-    r = [p * x - f * y for x, y in zip(r, piv)]
-    g = math.gcd(*r)
-    return [x // g for x in r] if g > 1 else r
-
-
 def _pivot(tab, basis, row, col):
     if tab[row][col] < 0:
         tab[row] = [-x for x in tab[row]]
     piv = tab[row]
     for i, r in enumerate(tab):
         if i != row and r[col]:
-            tab[i] = _eliminate(r, piv, col)
+            tab[i] = eliminate(r, piv, col)
     basis[row] = col
 
 
@@ -61,7 +45,7 @@ def _run_simplex(tab, basis, cost, ncols):
     obj = list(cost) + [0]
     for i, b in enumerate(basis):
         if obj[b]:
-            obj = _eliminate(obj, tab[i], b)
+            obj = eliminate(obj, tab[i], b)
     while True:
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
@@ -76,7 +60,7 @@ def _run_simplex(tab, basis, cost, ncols):
                 best = i
         _pivot(tab, basis, best, col)
         if obj[col]:
-            obj = _eliminate(obj, tab[best], col)
+            obj = eliminate(obj, tab[best], col)
 
 
 def solve_max(objective, rows, nvars):
@@ -91,7 +75,7 @@ def solve_max(objective, rows, nvars):
     for i, (normal, bound) in enumerate(rows):
         if len(normal) != nvars:
             raise ValueError("dimension mismatch")
-        ints, scale = _integral((*normal, bound))
+        ints, scale = integral((*normal, bound))
         sign = -1 if ints[-1] < 0 else 1
         a = [sign * v for v in ints[:-1]]
         row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
@@ -117,7 +101,7 @@ def solve_max(objective, rows, nvars):
     basis = [basis[i] for i in keep]
 
     # phase 2
-    c, _ = _integral(objective)
+    c, _ = integral(objective)
     cost2 = [-v for v in c] + c + [0] * m
     status, obj, tab, basis = _run_simplex(tab, basis, cost2, ncols)
     if status == UNBOUNDED:

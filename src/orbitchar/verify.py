@@ -21,6 +21,7 @@ All randomness is seeded, so every battery is deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from .liecore import (
     build_root_system,
     highest_roots,
     highest_short_root,
-    norm_sq,
     pairing,
     weight_system,
     weyl_dim,
@@ -228,7 +228,7 @@ def run_sampling(points: int = 10000, seed: int = DEFAULT_SEED) -> list[VerifyRo
         rejected = 0
         while tested < points and not problems:
             labels = [Q(rng.randint(1, 400), 100) for _ in range(rs.rank)]
-            h = linalg.solve([list(row) for row in rs.cartan], labels)
+            h = linalg.solve(rs.cartan, labels)
             assert h is not None
             h = tuple(h)
             pairings = [pairing(hp.weight, h) for hp in hps]
@@ -283,20 +283,51 @@ def _random_instance(rng):
     return dim, interior, Polyhedron.from_rows(rows, dim), _random_spd_form(rng, dim)
 
 
-def _feasible_sample(rng, dim, interior, poly):
-    """An exactly feasible point: step from the interior point toward a
-    random target until the first constraint boundary."""
-    target = tuple(Q(rng.randint(-600, 600), 100) for _ in range(dim))
-    t_max = Q(1)
+def _feasible_sampler(interior, poly):
+    """A draw(rng) of exactly feasible points: step from the interior point
+    toward a random target k/100 until the first constraint boundary.
+
+    A draw runs on integers.  Rows are scaled by linalg.integral, which
+    changes no ratio gap/drop, and each row's value at the interior point is
+    computed once.  draw returns (nums, den, (g, d)): the point nums/den and
+    the step g/d, at most 1."""
+    inner, scale = linalg.integral(interior)
+    lcm = math.lcm(scale, 100)
+    inner = [p * (lcm // scale) for p in inner]
+    rows = []
     for normal, bound in poly.rows:
-        at_interior = sum(Q(a) * b for a, b in zip(normal, interior)) - bound
-        at_target = sum(Q(a) * b for a, b in zip(normal, target)) - bound
-        drop = at_interior - at_target
-        if drop > 0:
-            t_max = min(t_max, at_interior / drop)
-    return tuple(
-        p + t_max * (q - p) for p, q in zip(interior, target)
-    )
+        *normal, bound = linalg.integral((*normal, bound))[0]
+        at_interior = sum(a * p for a, p in zip(normal, inner))
+        rows.append((normal, at_interior, at_interior - bound * lcm))
+
+    def draw(rng):
+        target = [rng.randint(-600, 600) * (lcm // 100) for _ in inner]
+        g, d = 1, 1
+        for normal, at_interior, gap in rows:
+            drop = at_interior - sum(a * q for a, q in zip(normal, target))
+            if drop > 0 and gap * d < g * drop:
+                g, d = gap, drop
+        nums = [p * d + g * (q - p) for p, q in zip(inner, target)]
+        return nums, lcm * d, (g, d)
+
+    return draw
+
+
+def _norm_below(form, value):
+    """A test whether the point nums/den has squared norm below value, made
+    on integers: the Gram matrix is scaled by linalg.integral."""
+    dim = len(form.gram)
+    flat, scale = linalg.integral([x for row in form.gram for x in row])
+    gram = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
+    value = Q(value) * scale
+
+    def below(nums, den):
+        quad = sum(
+            x * sum(g * y for g, y in zip(row, nums)) for x, row in zip(nums, gram)
+        )
+        return quad * value.denominator < value.numerator * den * den
+
+    return below
 
 
 def _float_reference(poly, form, interior):
@@ -356,9 +387,11 @@ def run_minnorm(
         dim, interior, poly, form = _random_instance(rng)
         res = min_norm_point(poly, form)
         verify_kkt(poly, form, res)
+        draw = _feasible_sampler(interior, poly)
+        below = _norm_below(form, res.norm_sq)
         for _ in range(samples):
-            sample = _feasible_sample(rng, dim, interior, poly)
-            if norm_sq(form, sample) < res.norm_sq:
+            nums, den, _ = draw(rng)
+            if below(nums, den):
                 problems.append(f"instance {k}: sampled point beats the minimizer")
                 break
         reference = _float_reference(poly, form, interior)
@@ -494,11 +527,10 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     stable_checks = 0
     nilpotent_checks = 0
     rng = random.Random(seed)
+    by_name = {name: (ws, regions, subs) for name, ws, _, regions, subs in arrangements}
     for n in (3, 4):
-        rs = build_root_system([("A", n - 1)])
-        ws = weight_system(rs, highest_roots(rs))
-        hps = chamber_hyperplanes(ws)
-        regions = enumerate_regions(rs, hps)
+        ws, regions, subs = by_name[f"A{n - 1} adjoint"]
+        rs = ws.root_system
         positions = _sl_root_positions(n, rs)
         by_position = {pos: w for w, pos in positions.items()}
         positive = list(rs.positive_roots)
@@ -508,7 +540,7 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
             return mat
 
         for r in regions:
-            i_r = region_weights(ws, r).i_r
+            i_r = subs[r.id].i_r
             support = {positions[w] for w in i_r}
             # b-stability: bracketing with any positive root vector stays inside
             for mu in i_r:
@@ -535,7 +567,7 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
             mat = [[0] * n for _ in range(n)]
             for (i, j) in sorted(support):
                 mat[i][j] = rng.randint(1, 100)
-            power = [[Q(x) for x in row] for row in mat]
+            power = mat
             for _ in range(n - 1):
                 power = linalg.matmul(power, mat)
             if any(any(row) for row in power):

@@ -1,0 +1,169 @@
+"""The exact elimination kernel against a plain Gauss-Jordan over Fraction."""
+
+import math
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from orbitchar import linalg
+
+
+def _rref(rows, ncols):
+    """Reference: reduced row echelon form over Fraction, the first nonzero
+    entry of each column as pivot.  Returns the rows and the pivot columns."""
+    a = [[Q(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _ref_solve(a, b, n):
+    red, pivots = _rref([list(row) + [bi] for row, bi in zip(a, b)], n)
+    if any(row[n] for row in red[len(pivots):]):
+        return None
+    x = [Q(0)] * n
+    for row, col in zip(red, pivots):
+        x[col] = row[n]
+    return x
+
+
+def _entry(rng):
+    return Q(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _matrix(rng, m, n, rank):
+    """An m x n rational matrix of rank at most `rank`: rows are rational
+    combinations of `rank` random rows, with some rows zeroed."""
+    base = [[_entry(rng) for _ in range(n)] for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.15:
+            rows.append([Q(0)] * n)
+            continue
+        coeffs = [_entry(rng) for _ in base]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, base)), Q(0)) for j in range(n)])
+    return rows
+
+
+def _cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        yield rng, _matrix(rng, m, n, rng.randint(0, min(m, n)))
+
+
+def test_rank_matches_reference():
+    ranks = set()
+    for _, a in _cases(300, 11):
+        want = len(_rref(a, len(a[0]))[1])
+        assert linalg.rank(a) == want
+        ranks.add((want, want < min(len(a), len(a[0]))))
+    assert (0, True) in ranks and any(deficient and r > 0 for r, deficient in ranks)
+
+
+def test_reduce_gives_positive_multiples_of_the_reduced_echelon_rows():
+    for _, a in _cases(200, 15):
+        n = len(a[0])
+        rows = [linalg.integral(row)[0] for row in a]
+        red, pivots = _rref(a, n)
+        assert linalg._reduce(rows, n) == pivots
+        for k, col in enumerate(pivots):
+            assert rows[k][col] > 0
+            assert [Q(x, rows[k][col]) for x in rows[k]] == red[k]
+        assert not any(any(row) for row in rows[len(pivots):])
+
+
+def test_solve_matches_reference_consistent_and_inconsistent():
+    seen = {"solved": 0, "inconsistent": 0, "free": 0}
+    for rng, a in _cases(300, 12):
+        n = len(a[0])
+        if rng.random() < 0.5:
+            x0 = [_entry(rng) for _ in range(n)]
+            b = [sum((v * x for v, x in zip(row, x0)), Q(0)) for row in a]
+        else:
+            b = [_entry(rng) for _ in a]
+        got = linalg.solve(a, b)
+        assert got == _ref_solve(a, b, n)
+        if got is None:
+            seen["inconsistent"] += 1
+            continue
+        seen["solved"] += 1
+        assert all(type(x) is Q for x in got)
+        assert [sum((v * x for v, x in zip(row, got)), Q(0)) for row in a] == b
+        pivots = _rref(a, n)[1]
+        free = [col for col in range(n) if col not in pivots]
+        assert all(got[col] == 0 for col in free)
+        seen["free"] += bool(free)
+    assert all(count > 20 for count in seen.values()), seen
+
+
+def test_solve_accepts_int_rows_and_negative_pivots():
+    a = ((0, -2, 1), (-3, 1, 0), (0, 4, -2))
+    b = (1, 2, -2)
+    assert linalg.solve(a, b) == _ref_solve(a, b, 3) == [Q(-5, 6), Q(-1, 2), Q(0)]
+    assert linalg.solve(a, (1, 2, 0)) is None
+    assert linalg.rank(a) == 2
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
+
+
+def test_inverse_matches_reference_and_rejects_singular():
+    singular = 0
+    for _, a in _cases(300, 13):
+        n = len(a)
+        a = [row[:n] + [Q(0)] * (n - len(row)) for row in a]
+        red, pivots = _rref([row + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)], n)
+        if len(pivots) < n:
+            singular += 1
+            with pytest.raises(ValueError):
+                linalg.inverse(a)
+            continue
+        inv = linalg.inverse(a)
+        assert inv == [row[n:] for row in red]
+        assert all(type(x) is Q for row in inv for x in row)
+        assert linalg.matmul(a, inv) == [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    assert singular > 20
+    assert linalg.inverse(((0, -1), (2, 0))) == [[0, Q(1, 2)], [-1, 0]]
+
+
+def test_integral_scales_by_denominator_lcm():
+    ints, scale = linalg.integral((Q(1, 2), Q(-2, 3), 4, Q(0)))
+    assert (ints, scale) == ([3, -4, 24, 0], 6)
+    assert linalg.integral(()) == ([], 1)
+
+
+def test_eliminate_returns_primitive_positive_multiple():
+    rng = random.Random(14)
+    zero_rows = 0
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        col = rng.randrange(n)
+        piv = [rng.randint(-6, 6) for _ in range(n)]
+        piv[col] = rng.randint(1, 6)
+        r = [rng.randint(-6, 6) for _ in range(n)]
+        if rng.random() < 0.2:
+            r = [2 * x for x in piv]
+        got = linalg.eliminate(r, piv, col)
+        want = [Q(x) - Q(r[col], piv[col]) * y for x, y in zip(r, piv)]
+        assert got[col] == 0
+        if not any(want):
+            zero_rows += 1
+            assert not any(got)
+            continue
+        assert math.gcd(*got) == 1
+        j = next(k for k, w in enumerate(want) if w)
+        factor = got[j] / want[j]
+        assert factor > 0
+        assert [factor * w for w in want] == got
+    assert zero_rows > 20
