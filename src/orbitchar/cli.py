@@ -205,6 +205,12 @@ def _region_label_map(cfg: RunConfig, subs):
     return None
 
 
+def _require_rank_2(cfg: RunConfig, what: str):
+    """Reject a figure request before any work when the rank is not 2."""
+    if sum(n for _, n in cfg.factors) != 2:
+        raise CliError(f"{what} requires a rank-2 root system")
+
+
 def _write(path: str, text: str, what: str):
     Path(path).write_text(text)
     print(f"wrote {what} to {path}")
@@ -212,13 +218,13 @@ def _write(path: str, text: str, what: str):
 
 def cmd_regions(args) -> int:
     cfg = _resolve_config(args)
+    if args.svg:
+        _require_rank_2(cfg, "--svg")
     rs, ws, form, hps, regions, subs = _arrangement_parts(cfg)
     doc = jsonio.regions_doc(ws, cfg.level, hps, regions, subs)
     out = args.out or "regions.json"
     _write(out, jsonio.dump_doc(doc), f"{len(hps)} hyperplanes / {len(regions)} regions")
     if args.svg:
-        if rs.rank != 2:
-            raise CliError("--svg requires a rank-2 root system")
         text = svg.render_arrangement(
             rs, form, hps, regions, region_labels=_region_label_map(cfg, subs)
         )
@@ -228,6 +234,8 @@ def cmd_regions(args) -> int:
 
 def cmd_characteristic(args) -> int:
     cfg = _resolve_config(args)
+    if args.svg:
+        _require_rank_2(cfg, "--svg")
     model = _require_model(cfg)
     orbit = parse_orbit(model, args.orbit)
     analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
@@ -244,8 +252,6 @@ def cmd_characteristic(args) -> int:
     labels = ",".join(str(v) for v in ch.labels)
     _write(out, jsonio.dump_doc(doc), f"characteristic with labels ({labels})")
     if args.svg:
-        if model.root_system.rank != 2:
-            raise CliError("--svg requires a rank-2 root system")
         marks = [(ch.point, model.descriptor(orbit))]
         text = svg.render_arrangement(
             model.root_system,
@@ -261,6 +267,7 @@ def cmd_characteristic(args) -> int:
 
 def cmd_plot(args) -> int:
     cfg = _resolve_config(args)
+    _require_rank_2(cfg, "plot")
     model = _resolve_model(cfg)
     out = args.out or "figure.svg"
     if model is not None:
@@ -268,8 +275,6 @@ def cmd_plot(args) -> int:
         rs, form = model.root_system, analysis.form
         hps, regions = analysis.hyperplanes, analysis.regions
         subs = analysis.subspaces
-        if rs.rank != 2:
-            raise CliError("plot requires a rank-2 root system")
         by_point = {}
         for orbit in model.orbit_ids():
             if orbit == model.zero_orbit:
@@ -284,8 +289,6 @@ def cmd_plot(args) -> int:
         ]
     else:
         rs, ws, form, hps, regions, subs = _arrangement_parts(cfg)
-        if rs.rank != 2:
-            raise CliError("plot requires a rank-2 root system")
         marks = []
     text = svg.render_arrangement(
         rs,

@@ -20,7 +20,6 @@ scale per factor rescales the factor's block.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -133,8 +132,12 @@ class RootSystem:
     root_lengths: tuple[Q, ...]
 
     @cached_property
-    def _cartan_t_inv(self) -> list[list[Q]]:
-        return linalg.inverse(linalg.transpose(self.cartan))
+    def _form_matrix(self) -> tuple[list[list[int]], int]:
+        """(G, d) with G / d = diag(root_lengths / 2) C^-T: the invariant form
+        on fundamental-weight coordinates is (mu, nu) = mu . G nu / d."""
+        m = linalg.inverse(linalg.transpose(self.cartan))
+        ints, d = linalg.integral([l / 2 * x for l, row in zip(self.root_lengths, m) for x in row])
+        return [ints[i : i + self.rank] for i in range(0, len(ints), self.rank)], d
 
     @cached_property
     def factor_of_node(self) -> tuple[int, ...]:
@@ -145,13 +148,17 @@ class RootSystem:
 
     def root_coords(self, mu) -> tuple[Q, ...]:
         """Simple-root coordinates of a weight (solves C^T b = fw)."""
-        return linalg.matvec(self._cartan_t_inv, mu)
+        g, d = self._form_matrix
+        return tuple(
+            2 * sum(x * m for x, m in zip(row, mu)) / (d * l)
+            for row, l in zip(g, self.root_lengths)
+        )
 
     def weight_form(self, mu, nu) -> Q:
         """Invariant form on weight space, long roots of squared length 2."""
-        rc = self.root_coords(nu)
-        half = [l / 2 for l in self.root_lengths]
-        return sum((Q(m) * d * b for m, d, b in zip(mu, half, rc)), Q(0))
+        g, d = self._form_matrix
+        gnu = (sum(x * n for x, n in zip(row, nu)) for row in g)
+        return Q(sum(m * y for m, y in zip(mu, gnu)), d)
 
     def reflect_weight(self, mu: Weight, i: int) -> Weight:
         return tuple(m - mu[i] * c for m, c in zip(mu, self.cartan[i]))
@@ -165,15 +172,6 @@ class RootSystem:
                 return cur
             cur = self.reflect_weight(cur, i)
         raise RuntimeError("reflection loop failed to reach the dominant chamber")
-
-    def antidominant_rep(self, mu) -> Weight:
-        cur = tuple(mu)
-        for _ in range(100000):
-            i = next((k for k, m in enumerate(cur) if m > 0), None)
-            if i is None:
-                return cur
-            cur = self.reflect_weight(cur, i)
-        raise RuntimeError("reflection loop failed to reach the antidominant chamber")
 
     def weyl_orbit(self, mu) -> tuple[Weight, ...]:
         start = tuple(mu)
@@ -375,23 +373,23 @@ class WeightSystem:
 
 def _dominant_weights_below(rs: RootSystem, lam: Weight) -> list[tuple[int, Weight]]:
     """(height of lam - mu, mu) for every dominant mu with lam - mu in the
-    nonnegative root lattice, sorted by height."""
-    low = rs.antidominant_rep(lam)
-    span = tuple(m - l for m, l in zip(lam, low))
-    cmax = rs.root_coords(span)
-    if any(c.denominator != 1 or c < 0 for c in cmax):
-        raise RuntimeError("weight span is not in the root lattice")
-    out = []
-    for c in itertools.product(*(range(int(ci) + 1) for ci in cmax)):
-        mu = list(lam)
-        for i, ci in enumerate(c):
-            if ci:
-                for j, entry in enumerate(rs.cartan[i]):
-                    mu[j] -= ci * entry
-        if all(m >= 0 for m in mu):
-            out.append((sum(c), tuple(mu)))
-    out.sort()
-    return out
+    nonnegative root lattice, sorted by height.
+
+    Every such mu is reached from lam by a chain of dominant weights whose
+    steps are positive roots (Stembridge, The partial order of dominant
+    weights, Adv. Math. 136, 1998), so a walk down those steps finds them all.
+    """
+    steps = [(gamma, sum(rc)) for gamma, rc in zip(rs.positive_roots, rs.positive_root_coords)]
+    height = {lam: 0}
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for gamma, ht in steps:
+            nu = tuple(m - g for m, g in zip(mu, gamma))
+            if nu not in height and rs.is_dominant_weight(nu):
+                height[nu] = height[mu] + ht
+                stack.append(nu)
+    return sorted((ht, mu) for mu, ht in height.items())
 
 
 def _irreducible_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:

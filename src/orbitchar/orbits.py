@@ -436,8 +436,11 @@ class RegionAnalysis:
 
     def region_minimum(self, region_id: int) -> MinNormResult:
         if region_id not in self._minima:
-            region = next(r for r in self.regions if r.id == region_id)
-            poly = Polyhedron.from_region(region, self.model.root_system.rank)
+            # enumerate_regions numbers the regions 1..N in list order
+            k = region_id - 1
+            if not (0 <= k < len(self.regions) and self.regions[k].id == region_id):
+                raise ValueError(f"no region with id {region_id}")
+            poly = Polyhedron.from_region(self.regions[k], self.model.root_system.rank)
             self._minima[region_id] = min_norm_point(poly, self.form)
         return self._minima[region_id]
 

@@ -40,7 +40,6 @@ from .liecore import (
     build_root_system,
     highest_roots,
     highest_short_root,
-    pairing,
     weight_system,
     weyl_dim,
 )
@@ -223,20 +222,23 @@ def run_sampling(points: int = 10000, seed: int = DEFAULT_SEED) -> list[VerifyRo
         if len(sign_to_id) != len(regions):
             problems.append("duplicate sign vectors across regions")
         rng = random.Random(seed)
-        level = Q(2)
+        # The point with labels k/100 is h = C^-1 k / 100, and mu(h) is
+        # root_coords(mu) . k / 100.  Each hyperplane becomes one integer row
+        # (root_coords(mu), level) scaled by linalg.integral, and a draw
+        # compares row . k with 100 * level on the numerators k.
+        planes = [linalg.integral((*rs.root_coords(hp.weight), hp.level))[0] for hp in hps]
         tested = 0
         rejected = 0
         while tested < points and not problems:
-            labels = [Q(rng.randint(1, 400), 100) for _ in range(rs.rank)]
-            h = linalg.solve(rs.cartan, labels)
-            assert h is not None
-            h = tuple(h)
-            pairings = [pairing(hp.weight, h) for hp in hps]
-            if any(p == level for p in pairings):
+            k = [rng.randint(1, 400) for _ in range(rs.rank)]
+            # zip stops at the rank, so the level column is left out of the dot product
+            gaps = [sum(a * b for a, b in zip(row, k)) - 100 * row[-1] for row in planes]
+            if 0 in gaps:
                 rejected += 1
                 continue
-            signs = "".join("+" if p > level else "-" for p in pairings)
+            signs = "".join("+" if g > 0 else "-" for g in gaps)
             if signs not in sign_to_id:
+                h = tuple(linalg.solve(rs.cartan, [Q(x, 100) for x in k]))
                 problems.append(f"point {h} has unlisted sign vector {signs}")
                 break
             tested += 1

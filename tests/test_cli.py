@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from orbitchar import jsonio
+from orbitchar import cli, jsonio
 from orbitchar.cli import main, parse_factors, parse_orbit
 from orbitchar.orbits import AdjointSlModel, Example2x3Model
 
@@ -208,27 +208,44 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
-def test_error_exits(tmp_path, capsys):
+def _no_work(*args, **kwargs):
+    raise AssertionError("the arrangement was built before the rank check")
+
+
+def test_error_exits(tmp_path, capsys, monkeypatch):
     assert main(["regions", "--type", "Z9"]) == 1
     assert main(["characteristic", "--type", "A2", "--orbit", "4"]) == 1
     assert main(["characteristic", "--type", "B2", "--orbit", "2,1"]) == 1
-    assert (
-        main(
-            [
-                "regions",
-                "--type",
-                "A3",
-                "--svg",
-                str(tmp_path / "no.svg"),
-                "--out",
-                str(tmp_path / "r.json"),
-            ]
+    # figure requests on a type of rank other than 2 fail before any work
+    # and write nothing
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_arrangement_parts", _no_work)
+        m.setattr(cli.RegionAnalysis, "build", _no_work)
+        assert (
+            main(
+                [
+                    "regions",
+                    "--type",
+                    "A3",
+                    "--svg",
+                    str(tmp_path / "no.svg"),
+                    "--out",
+                    str(tmp_path / "r.json"),
+                ]
+            )
+            == 1
         )
-        == 1
-    )
+        assert not (tmp_path / "r.json").exists()
+        svg, out = str(tmp_path / "c.svg"), str(tmp_path / "c.json")
+        argv = ["characteristic", "--type", "A3", "--orbit", "2,2", "--svg", svg, "--out", out]
+        assert main(argv) == 1
+        assert main(["plot", "--type", "A3", "--out", str(tmp_path / "p.svg")]) == 1
+        argv = ["plot", "--type", "B3", "--module", "little-adjoint"]
+        assert main(argv + ["--out", str(tmp_path / "q.svg")]) == 1
+    assert not any(tmp_path.iterdir())
     assert main(["regions", "--type", "A1xA1", "--module", "1,1;2"]) == 1
     assert main(["characteristic", "--module", "example-2x3", "--type", "A2", "--orbit", "O3"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.count("requires a rank-2 root system") == 4
 
 
 def test_help_exits_zero(capsys):

@@ -1,11 +1,14 @@
 """Root system construction, weight systems, and the invariant form."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from orbitchar import liecore as lc
+from orbitchar import linalg
+from orbitchar.verify import _WEIGHT_POOL
 
 
 def test_a2_build():
@@ -288,3 +291,99 @@ def test_highest_roots():
     assert lc.highest_roots(aa) == ((2, 0), (0, 2))
     with pytest.raises(ValueError):
         lc.highest_short_root(rs)
+
+
+def _box_reference(rs, lam):
+    """Dominant weights below lam by walking the whole box of root
+    coordinates of lam - w0 lam: (height of lam - mu, mu), sorted."""
+    low = tuple(lam)
+    while any(m > 0 for m in low):
+        low = rs.reflect_weight(low, next(k for k, m in enumerate(low) if m > 0))
+    span = [m - l for m, l in zip(lam, low)]
+    cmax = linalg.solve(linalg.transpose(rs.cartan), span)
+    assert all(c.denominator == 1 and c >= 0 for c in cmax)
+    out = []
+    for c in itertools.product(*(range(int(ci) + 1) for ci in cmax)):
+        mu = list(lam)
+        for i, ci in enumerate(c):
+            for j, entry in enumerate(rs.cartan[i]):
+                mu[j] -= ci * entry
+        if all(m >= 0 for m in mu):
+            out.append((sum(c), tuple(mu)))
+    return sorted(out)
+
+
+_REFERENCE_TYPES = _WEIGHT_POOL + [[("D", 4)], [("B", 4)], [("C", 4)]]
+
+
+@pytest.mark.parametrize("factors", _REFERENCE_TYPES, ids=str)
+def test_dominant_weight_walk_matches_the_box(factors):
+    rs = lc.build_root_system(factors)
+    rng = random.Random(20261018)
+    # the box grows fast with rank: entries up to 1 keep rank 4 quick
+    cap = 1 if rs.rank >= 4 else 3
+    lams = {tuple(rng.randint(0, cap) for _ in range(rs.rank)) for _ in range(4)}
+    lams |= set(lc.highest_roots(rs))
+    for lam in sorted(lams):
+        assert lc._dominant_weights_below(rs, lam) == _box_reference(rs, lam)
+
+
+def test_dominant_weight_walk_matches_the_box_on_e6():
+    rs = lc.build_root_system([("E", 6)])
+    # the highest root and the fundamental weights off the branch node (the
+    # box of the branch node's weight alone takes about a second)
+    lams = set(lc.highest_roots(rs))
+    lams |= {tuple(int(i == k) for i in range(6)) for k in (0, 1, 3, 4, 5)}
+    for lam in sorted(lams):
+        got = lc._dominant_weights_below(rs, lam)
+        assert got == _box_reference(rs, lam)
+        assert got[0] == (0, lam)
+
+
+@pytest.mark.parametrize("series,rank,dim", [("E", 6, 78), ("E", 7, 133), ("E", 8, 248)])
+def test_exceptional_adjoint_modules(series, rank, dim):
+    rs = lc.build_root_system([(series, rank)])
+    (theta,) = lc.highest_roots(rs)
+    ws = lc.weight_system(rs, [theta])
+    assert ws.dim() == dim == lc.weyl_dim(rs, theta)
+    assert ws.zero_mult == rank
+    roots = set(rs.positive_roots)
+    assert set(ws.entries) == roots | {tuple(-m for m in r) for r in roots}
+    assert all(m == 1 for m in ws.entries.values())
+
+
+def _root_coords_reference(rs, mu):
+    """b with C^T b = fw(mu), by Fraction Gauss-Jordan elimination."""
+    n = rs.rank
+    a = [[Q(rs.cartan[j][i]) for j in range(n)] + [Q(mu[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if a[i][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[col])]
+    return tuple(row[n] for row in a)
+
+
+@pytest.mark.parametrize("factors", _WEIGHT_POOL, ids=str)
+def test_root_coords_and_weight_form_against_fraction_reference(factors):
+    rs = lc.build_root_system(factors)
+    rng = random.Random(4)
+    weights = [tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(12)]
+    half = [l / 2 for l in rs.root_lengths]
+    for mu in weights:
+        b = rs.root_coords(mu)
+        assert all(type(x) is Q for x in b)
+        assert b == _root_coords_reference(rs, mu)
+        assert tuple(sum(x * row[j] for x, row in zip(b, rs.cartan)) for j in range(rs.rank)) == mu
+        for nu in weights:
+            form = rs.weight_form(mu, nu)
+            assert type(form) is Q and form == rs.weight_form(nu, mu)
+            ref = _root_coords_reference(rs, nu)
+            assert form == sum(m * h * c for m, h, c in zip(mu, half, ref))
+    for fw, rc in zip(rs.positive_roots, rs.positive_root_coords):
+        assert rs.root_coords(fw) == rc
+    # the highest root of every factor is long, of squared length 2
+    assert max(rs.root_length_sq(r) for r in rs.positive_roots) == 2
+    assert all(rs.root_length_sq(theta) == 2 for theta in lc.highest_roots(rs))

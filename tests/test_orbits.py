@@ -352,6 +352,14 @@ def test_example_minimum_caching(example_analysis):
     assert example_analysis.region_minimum(rid) is first
 
 
+def test_region_minimum_rejects_unknown_id(example_analysis):
+    for rid in (0, 7, 99, -1):
+        with pytest.raises(ValueError, match=f"no region with id {rid}"):
+            example_analysis.region_minimum(rid)
+    last = example_analysis.regions[-1]
+    assert example_analysis.region_minimum(last.id) is example_analysis.region_minimum(6)
+
+
 def test_characteristic_rejects_bad_input(example_analysis):
     with pytest.raises(ValueError):
         characteristic(example_analysis, "O9")
