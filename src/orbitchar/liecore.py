@@ -174,19 +174,21 @@ class RootSystem:
         raise RuntimeError("reflection loop failed to reach the dominant chamber")
 
     def weyl_orbit(self, mu) -> tuple[Weight, ...]:
-        start = tuple(mu)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(self.rank):
+        """The Weyl orbit of a weight, sorted.  It is walked down from the
+        dominant representative, reflecting only at positive coordinates:
+        each other weight is reached once, from s_i of itself, where i is its
+        first negative coordinate."""
+        out = []
+        stack = [self.dominant_rep(mu)]
+        while stack:
+            w = stack.pop()
+            out.append(w)
+            for i, m in enumerate(w):
+                if m > 0:
                     r = self.reflect_weight(w, i)
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return tuple(sorted(seen))
+                    if min(r[:i], default=0) >= 0:
+                        stack.append(r)
+        return tuple(sorted(out))
 
     def is_dominant_weight(self, mu) -> bool:
         return all(m >= 0 for m in mu)

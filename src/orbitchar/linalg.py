@@ -25,15 +25,20 @@ Matrix = list[list[Q]]
 
 def integral(values):
     """The rationals scaled by the LCM of their denominators, as ints, and the LCM."""
-    qs = [Q(v) for v in values]
+    qs = [v if isinstance(v, (int, Q)) else Q(v) for v in values]
     scale = math.lcm(*[q.denominator for q in qs])
     return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
-def eliminate(r, piv, col):
-    """r with its col entry cleared by the pivot row piv (piv[col] > 0)."""
+def eliminate(r, piv, col, swap=0):
+    """r with its col entry cleared by the pivot row piv (piv[col] > 0).
+
+    In an exchange, where another column takes col's place, swap is piv's
+    entry in that column and r's is 0; the result's col entry is then
+    that column's entry, -r[col] * swap."""
     p, f = piv[col], r[col]
     r = [p * x - f * y for x, y in zip(r, piv)]
+    r[col] = -f * swap
     g = math.gcd(*r)
     return [x // g for x in r] if g > 1 else r
 

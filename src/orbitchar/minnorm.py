@@ -81,24 +81,28 @@ class MinNormTieError(RuntimeError):
 
 
 def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> None:
-    """Assert the exact optimality certificate; raises AssertionError on failure."""
+    """Check the exact optimality certificate; raises AssertionError on
+    failure, also under python -O."""
     a = res.point
     n = poly.rank
-    assert poly.contains(a), "candidate violates a constraint"
+    if not poly.contains(a):
+        raise AssertionError("candidate violates a constraint")
     grad = [
         sum((2 * form.gram[i][j] * a[j] for j in range(n)), Q(0)) for i in range(n)
     ]
     combo = [Q(0)] * n
     for k, lam in zip(res.active_set, res.multipliers):
-        assert lam >= 0, "negative multiplier"
+        if lam < 0:
+            raise AssertionError("negative multiplier")
         normal, bound = poly.rows[k]
-        assert sum((Q(v) * a[j] for j, v in enumerate(normal)), Q(0)) == bound, (
-            "active row not tight"
-        )
+        if sum((Q(v) * a[j] for j, v in enumerate(normal)), Q(0)) != bound:
+            raise AssertionError("active row not tight")
         for j in range(n):
             combo[j] += lam * normal[j]
-    assert combo == grad, "stationarity fails"
-    assert res.norm_sq == norm_sq(form, a), "norm mismatch"
+    if combo != grad:
+        raise AssertionError("stationarity fails")
+    if res.norm_sq != norm_sq(form, a):
+        raise AssertionError("norm mismatch")
 
 
 def _clean_rows(poly: Polyhedron):
@@ -134,7 +138,8 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
         mat = [q[i] + [normal[i] for normal in normals] for i in range(n)]
         mat += [list(normal) + [0] * len(normals) for normal in normals]
         sol = linalg.solve(mat, list(p_normal) + [0] * len(normals))
-        assert sol is not None, "singular working-set system"
+        if sol is None:
+            raise AssertionError("singular working-set system")
         return sol[:n], sol[n:]
 
     for _ in range(10000):

@@ -23,6 +23,7 @@ labels generalize the classical weighted Dynkin diagram.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -142,15 +143,16 @@ def _sl_root_positions(n: int, rs: RootSystem) -> dict[Weight, tuple[int, int]]:
 
 
 def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
-    """Jordan type of a nilpotent matrix from the ranks of its powers."""
+    """Jordan type of a nilpotent integer matrix from the ranks of its powers."""
     ranks = [n]
-    power = [row[:] for row in mat]
+    power = mat
+    cols = list(zip(*mat))
     while True:
         r = linalg.rank(power)
         ranks.append(r)
         if r == 0:
             break
-        power = linalg.matmul(power, mat)
+        power = [[sum(map(operator.mul, row, col)) for col in cols] for row in power]
         if len(ranks) > n + 1:
             raise ValueError("matrix is not nilpotent")
     conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
@@ -458,7 +460,8 @@ def m_sets(analysis: RegionAnalysis, orbit) -> tuple[frozenset[int], frozenset[i
             meets.add(rid)
         if stratum == orbit:
             dense.add(rid)
-    assert dense <= meets
+    if not dense <= meets:
+        raise AssertionError("a dense region does not meet the orbit")
     return frozenset(meets), frozenset(dense)
 
 
@@ -482,9 +485,10 @@ def characteristic(analysis: RegionAnalysis, orbit, mode: str = "nonempty"):
     )
     point = combined.point
     rs = model.root_system
-    assert is_dominant(rs, point)
-    if orbit == model.zero_orbit:
-        assert not any(point)
+    if not is_dominant(rs, point):
+        raise AssertionError("characteristic is not dominant")
+    if orbit == model.zero_orbit and any(point):
+        raise AssertionError("zero orbit has a nonzero characteristic")
     return Characteristic(
         orbit=orbit,
         mode=mode,

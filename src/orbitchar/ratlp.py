@@ -1,18 +1,23 @@
-"""Exact rational linear programming by a dense two-phase simplex.
+"""Exact rational linear programming by a two-phase simplex on a condensed
+fraction-free dictionary.
 
 Problems are stated as: maximize c.x subject to normal.x >= bound rows,
-with x free.  Internally x is split into a difference of nonnegative
-variables and surplus variables are added; Bland's rule keeps the exact
-pivoting finite.
+with x free.  The simplex runs on x = x+ - x-, a surplus s_i per row and,
+in phase 1, an artificial a_i, each row multiplied by sign_i = +-1 so that
+its rhs is >= 0.  Bland's rule ranks the columns x+, x-, s, a: the first
+with a negative reduced cost enters, the least ratio (by cross-multiplying)
+leaves, ties go to the least basis index.
 
-The tableau is fraction-free: each row, the objective row included, is a
-list of ints kept by linalg's `integral` and `eliminate` under the invariant
-stated in linalg (the true row times an unknown positive factor).  A pivot
-row with a negative pivot entry is negated first.  So Bland's rule (the
-first negative objective entry enters, the least ratio by
-cross-multiplication leaves, ties to the least basis index) makes exactly
-the pivots of the same simplex over Fraction.  Values are read at the end
-as rhs over the basic coefficient.
+Row operations keep x-_j = -x+_j and a_i = -sign_i s_i, so a row stores n + 2
+ints: its entries at the n nonbasic pairs' columns x+_j or s_i (its slots),
+its basic column's positive coefficient d, and its rhs.  The objective row
+holds instead of d the factor alpha of its cost: in phase 1 the reduced
+cost of a_i is alpha - sign_i obj[s_i], that of s_i is sign_i alpha while
+a_i is basic (s_i then replaces a_i in its row alone).  Each row is the true
+row times a positive factor (linalg's invariant); a pivot is an exchange by
+linalg's `eliminate`, with the gcd of the full tableau's row, so each
+constraint row holds the full tableau's ints at its stored columns and the
+pivots are those of the same simplex over Fraction.  Values are rhs over d.
 """
 
 from __future__ import annotations
@@ -28,39 +33,97 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-def _pivot(tab, basis, row, col):
-    if tab[row][col] < 0:
-        tab[row] = [-x for x in tab[row]]
-    piv = tab[row]
-    for i, r in enumerate(tab):
-        if i != row and r[col]:
-            tab[i] = eliminate(r, piv, col)
-    basis[row] = col
+def _stored(col, n, signs):
+    """The stored column of col's pair and s = +-1 with col = s * stored."""
+    m = len(signs)
+    if col < n or 2 * n <= col < 2 * n + m:
+        return col, 1
+    if col < 2 * n:
+        return col - n, -1
+    return col - m, -signs[col - 2 * n - m]
 
 
-def _run_simplex(tab, basis, cost, ncols):
-    """Minimize cost over the tableau; returns status.  cost is priced out
-    into a working objective row appended to the tableau."""
-    m = len(tab)
-    obj = list(cost) + [0]
-    for i, b in enumerate(basis):
-        if obj[b]:
-            obj = eliminate(obj, tab[i], b)
+def _price(obj, row, k):
+    """obj with a column of reduced cost k * alpha cleared by the row in
+    which it is basic; alpha = obj[n] is multiplied by the row's d."""
+    n = len(row) - 2
+    piv = row if k == 1 else [k * x for x in row[:n]] + [row[n], k * row[-1]]
+    return eliminate(obj, piv, n, -row[n])
+
+
+def _entering(obj, slots, basis, signs, phase1):
+    """Bland's entering column: the least column with a negative reduced cost."""
+    n, m = len(slots), len(signs)
+    cols = []
+    for c, j in enumerate(slots):
+        v = obj[c]
+        if v < 0:
+            cols.append(j)
+        elif v > 0 and j < n:
+            cols.append(n + j)
+        elif phase1 and j >= n and signs[j - 2 * n] * v > obj[n]:
+            cols.append(j + m)
+    if phase1:
+        cols += [b - m for b in basis if b >= 2 * n + m and signs[b - 2 * n - m] < 0]
+    return min(cols, default=None)
+
+
+def _pivot(rows, basis, slots, signs, r, col, obj):
+    """Bring col into the basis at row r; returns the updated objective row."""
+    n = len(slots)
+    row, out = rows[r], basis[r]
+    basis[r] = col
+    j, s = _stored(col, n, signs)
+    if j not in slots:
+        # s_k replaces a_k; its reduced cost is sign_k * alpha
+        sign = signs[j - 2 * n]
+        if sign > 0:
+            rows[r] = row = [-x for x in row[:n]] + [row[n], -row[-1]]
+        return _price(obj, row, sign)
+    c = slots.index(j)
+    piv = [x if row[c] > 0 else -x for x in row]
+    lead, piv[n] = piv[n], 0
+    # the leaving column takes slot c, read at its stored column
+    slots[c], t = _stored(out, n, signs)
+    for i, other in enumerate(rows):
+        if i != r and other[c]:
+            rows[i] = eliminate(other, piv, c, t * lead)
+    # the objective's a_k entry is alpha - sign_k times its s_k entry
+    a = 2 * n + len(signs)
+    if col >= a:
+        obj[c] -= signs[col - a] * obj[n]
+    obj = eliminate(obj, piv, c, t * lead)
+    if out >= a:
+        obj[c] += signs[out - a] * obj[n]
+    new = piv if s > 0 else [-x for x in piv]
+    new[n], new[c] = piv[c], s * t * lead
+    rows[r] = new
+    return obj
+
+
+def _run_simplex(rows, basis, slots, signs, obj, phase1):
+    """Minimize the objective row's cost; returns status and the row."""
+    n, m = len(slots), len(rows)
     while True:
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        col = _entering(obj, slots, basis, signs, phase1)
         if col is None:
-            return OPTIMAL, obj, tab, basis
-        rows = [i for i in range(m) if tab[i][col] > 0]
-        if not rows:
-            return UNBOUNDED, obj, tab, basis
-        best = rows[0]
-        for i in rows[1:]:
-            lhs, rhs = tab[i][-1] * tab[best][col], tab[best][-1] * tab[i][col]
+            return OPTIMAL, obj
+        j, s = _stored(col, n, signs)
+        if j not in slots:
+            # s_k while a_k is basic: only a_k's row has an entry, d
+            obj = _pivot(rows, basis, slots, signs, basis.index(j + m), col, obj)
+            continue
+        c = slots.index(j)
+        e = [s * row[c] for row in rows]
+        cands = [i for i in range(m) if e[i] > 0]
+        if not cands:
+            return UNBOUNDED, obj
+        best = cands[0]
+        for i in cands[1:]:
+            lhs, rhs = rows[i][-1] * e[best], rows[best][-1] * e[i]
             if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
                 best = i
-        _pivot(tab, basis, best, col)
-        if obj[col]:
-            obj = eliminate(obj, tab[best], col)
+        obj = _pivot(rows, basis, slots, signs, best, col, obj)
 
 
 def solve_max(objective, rows, nvars):
@@ -69,48 +132,48 @@ def solve_max(objective, rows, nvars):
     Returns (status, value, x) where status is one of 'optimal', 'unbounded',
     'infeasible'; value and x are None unless optimal.
     """
-    m = len(rows)
-    ncols = 2 * nvars + m
-    tab = []
-    for i, (normal, bound) in enumerate(rows):
-        if len(normal) != nvars:
+    n, m = nvars, len(rows)
+    signs, tab = [], []
+    for normal, bound in rows:
+        if len(normal) != n:
             raise ValueError("dimension mismatch")
         ints, scale = integral((*normal, bound))
         sign = -1 if ints[-1] < 0 else 1
-        a = [sign * v for v in ints[:-1]]
-        row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
-        row[2 * nvars + i] = -sign * scale
-        # phase 1: artificial basis
-        row[ncols + i] = scale
-        tab.append(row)
-    art = ncols
+        signs.append(sign)
+        tab.append([sign * v for v in ints[:-1]] + [scale, sign * ints[-1]])
+    # phase 1: artificial basis, cost 1 on every artificial
+    art = 2 * n + m
     basis = [art + i for i in range(m)]
-    cost1 = [0] * ncols + [1] * m
-    status, obj, tab, basis = _run_simplex(tab, basis, cost1, ncols + m)
-    if status != OPTIMAL or obj[-1] != 0:
+    slots = list(range(n))
+    obj = [0] * n + [1, 0]
+    for row in tab:
+        obj = _price(obj, row, 1)
+    _, obj = _run_simplex(tab, basis, slots, signs, obj, True)
+    if obj[-1] != 0:
         # phase-1 objective is bounded below by 0, so status is 'optimal';
         # a positive residual means the constraints are inconsistent
         return INFEASIBLE, None, None
-    for i in range(m):
-        if basis[i] >= art:
-            col = next((j for j in range(ncols) if tab[i][j]), None)
-            if col is not None:
-                _pivot(tab, basis, i, col)
-    keep = [i for i in range(m) if basis[i] < art]
-    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+    for i, b in enumerate(basis):
+        if b >= art:
+            # the first column with a nonzero entry; a_k's own s_k is one
+            col = min([j for c, j in enumerate(slots) if tab[i][c]] + [b - m])
+            obj = _pivot(tab, basis, slots, signs, i, col, obj)
 
     # phase 2
     c, _ = integral(objective)
-    cost2 = [-v for v in c] + c + [0] * m
-    status, obj, tab, basis = _run_simplex(tab, basis, cost2, ncols)
+    cost = [-v for v in c] + c + [0] * m
+    obj = [cost[j] for j in slots] + [1, 0]
+    for row, b in zip(tab, basis):
+        if cost[b]:
+            obj = _price(obj, row, cost[b])
+    status, _ = _run_simplex(tab, basis, slots, signs, obj, False)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
-    x = [Q(0)] * (2 * nvars)
-    for i, b in enumerate(basis):
-        if b < 2 * nvars:
-            x[b] = Q(tab[i][-1], tab[i][b])
-    point = tuple(x[j] - x[nvars + j] for j in range(nvars))
+    x = [Q(0)] * (2 * n)
+    for row, b in zip(tab, basis):
+        if b < 2 * n:
+            x[b] = Q(row[-1], row[n])
+    point = tuple(x[j] - x[n + j] for j in range(n))
     value = sum((Q(v) * p for v, p in zip(objective, point)), Q(0))
     return OPTIMAL, value, point
 

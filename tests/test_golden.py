@@ -16,6 +16,12 @@ DATA = Path(__file__).parent / "data"
 CASES = [
     (["regions", "--type", "A3"], "regions_A3.json", None),
     (["regions", "--type", "A3", "--level", "3/2"], "regions_A3_level3-2.json", None),
+    (["regions", "--type", "B3"], "regions_B3.json", None),
+    (
+        ["regions", "--type", "G2", "--module", "little-adjoint"],
+        "regions_G2_little-adjoint.json",
+        "regions_G2_little-adjoint.svg",
+    ),
     (
         ["regions", "--module", "example-2x3"],
         "regions_example-2x3.json",

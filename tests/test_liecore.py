@@ -340,6 +340,36 @@ def test_dominant_weight_walk_matches_the_box_on_e6():
         assert got[0] == (0, lam)
 
 
+def _bfs_orbit_reference(rs, mu):
+    """The Weyl orbit by breadth-first search over all simple reflections."""
+    seen = {tuple(mu)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(rs.rank):
+                r = rs.reflect_weight(w, i)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize("factors", _WEIGHT_POOL + [[("E", 6)]], ids=str)
+def test_weyl_orbit_walk_matches_the_search(factors):
+    rs = lc.build_root_system(factors)
+    rng = random.Random(7)
+    # dominant weights, the highest roots, and non-dominant starting points
+    mus = {tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(3)}
+    mus |= {tuple(rng.randint(-2, 2) for _ in range(rs.rank)) for _ in range(3)}
+    mus |= set(lc.highest_roots(rs))
+    for mu in sorted(mus):
+        got = rs.weyl_orbit(mu)
+        assert got == _bfs_orbit_reference(rs, mu)
+        assert len(set(got)) == len(got)
+
+
 @pytest.mark.parametrize("series,rank,dim", [("E", 6, 78), ("E", 7, 133), ("E", 8, 248)])
 def test_exceptional_adjoint_modules(series, rank, dim):
     rs = lc.build_root_system([(series, rank)])

@@ -1,7 +1,11 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,46 @@ def test_corner_point():
     assert res.point == (2, 4)
     assert res.norm_sq == 40
     mn.verify_kkt(poly, _diag_form(), res)
+
+
+def test_certificate_check_runs_under_optimize():
+    # under python -O assert statements vanish; verify_kkt must still refuse
+    # every tampered certificate, with its own message
+    script = """
+import dataclasses
+from fractions import Fraction as Q
+from orbitchar import liecore as lc, minnorm as mn
+assert False  # stripped by -O
+form = lc.invariant_form(lc.build_root_system([("A", 1), ("A", 1)]))
+poly = mn.Polyhedron.from_rows([((1, 0), 2), ((-1, 1), 2)], 2)
+res = mn.min_norm_point(poly, form)
+mn.verify_kkt(poly, form, res)
+for change in (
+    {"point": (Q(1), Q(4))},
+    {"multipliers": tuple(-m for m in res.multipliers)},
+    {"point": (Q(3), Q(6))},
+    {"multipliers": tuple(2 * m for m in res.multipliers)},
+    {"norm_sq": res.norm_sq + 1},
+):
+    try:
+        mn.verify_kkt(poly, form, dataclasses.replace(res, **change))
+    except AssertionError as exc:
+        print(exc)
+    else:
+        print("accepted")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+    assert out[:5] == [
+        "candidate violates a constraint",
+        "negative multiplier",
+        "active row not tight",
+        "stationarity fails",
+        "norm mismatch",
+    ]
 
 
 def test_diagonal_touch():

@@ -1,12 +1,15 @@
-"""Exact simplex against hand cases and a floating-point reference."""
+"""Exact simplex against hand cases, a floating-point reference and the
+full-tableau simplex it condenses."""
 
 import random
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
-from orbitchar import ratlp
+from orbitchar import arrangement, liecore, ratlp
+from orbitchar.linalg import eliminate, integral
 
 
 def test_simple_max():
@@ -153,3 +156,163 @@ def test_degenerate_ties_break_on_basis_index():
     status, value, x = ratlp.solve_max((0, 0, 0), rows, 3)
     assert (status, value, x) == (ratlp.OPTIMAL, 0, (0, -1, 1))
     assert type(value) is Q and all(type(xi) is Q for xi in x)
+
+
+def _full_tableau_reference(objective, rows, nvars):
+    """The dense two-phase simplex that ratlp condenses: every column x+,
+    x-, s and a is stored, under the same Bland rule and the same
+    fraction-free row invariant."""
+
+    def pivot(tab, basis, row, col):
+        if tab[row][col] < 0:
+            tab[row] = [-x for x in tab[row]]
+        piv = tab[row]
+        for i, r in enumerate(tab):
+            if i != row and r[col]:
+                tab[i] = eliminate(r, piv, col)
+        basis[row] = col
+
+    def run(tab, basis, cost, ncols):
+        obj = list(cost) + [0]
+        for i, b in enumerate(basis):
+            if obj[b]:
+                obj = eliminate(obj, tab[i], b)
+        while True:
+            col = next((j for j in range(ncols) if obj[j] < 0), None)
+            if col is None:
+                return ratlp.OPTIMAL, obj
+            cand = [i for i in range(len(tab)) if tab[i][col] > 0]
+            if not cand:
+                return ratlp.UNBOUNDED, obj
+            best = cand[0]
+            for i in cand[1:]:
+                lhs, rhs = tab[i][-1] * tab[best][col], tab[best][-1] * tab[i][col]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
+            pivot(tab, basis, best, col)
+            if obj[col]:
+                obj = eliminate(obj, tab[best], col)
+
+    m = len(rows)
+    ncols = 2 * nvars + m
+    tab = []
+    for i, (normal, bound) in enumerate(rows):
+        ints, scale = integral((*normal, bound))
+        sign = -1 if ints[-1] < 0 else 1
+        a = [sign * v for v in ints[:-1]]
+        row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
+        row[2 * nvars + i] = -sign * scale
+        row[ncols + i] = scale
+        tab.append(row)
+    art = ncols
+    basis = [art + i for i in range(m)]
+    status, obj = run(tab, basis, [0] * ncols + [1] * m, ncols + m)
+    if status != ratlp.OPTIMAL or obj[-1] != 0:
+        return ratlp.INFEASIBLE, None, None
+    for i in range(m):
+        if basis[i] >= art:
+            col = next((j for j in range(ncols) if tab[i][j]), None)
+            if col is not None:
+                pivot(tab, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < art]
+    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    c, _ = integral(objective)
+    status, _ = run(tab, basis, [-v for v in c] + c + [0] * m, ncols)
+    if status == ratlp.UNBOUNDED:
+        return ratlp.UNBOUNDED, None, None
+    x = [Q(0)] * (2 * nvars)
+    for i, b in enumerate(basis):
+        if b < 2 * nvars:
+            x[b] = Q(tab[i][-1], tab[i][b])
+    point = tuple(x[j] - x[nvars + j] for j in range(nvars))
+    value = sum((Q(v) * p for v, p in zip(objective, point)), Q(0))
+    return ratlp.OPTIMAL, value, point
+
+
+def _seeded_lp(rng):
+    """n 1-6, m 1-16 rational rows with zero rows, duplicates, equality
+    pairs and negative bounds; a box on every variable in one of three."""
+
+    def q(zero=0.0):
+        return Q(0) if rng.random() < zero else Q(rng.randint(-6, 6), rng.randint(1, 4))
+
+    n, m = rng.randint(1, 6), rng.randint(1, 16)
+    rows = []
+    while len(rows) < m:
+        kind = rng.random()
+        if kind < 0.06:
+            rows.append(((0,) * n, q()))
+        elif kind < 0.16 and rows:
+            rows.append(rng.choice(rows))
+        elif kind < 0.3 and rows:
+            normal, bound = rng.choice(rows)
+            rows.append((tuple(-v for v in normal), -bound))
+        else:
+            rows.append((tuple(q(0.3) for _ in range(n)), q()))
+    if rng.random() < 1 / 3:
+        for j in range(n):
+            e = tuple(int(k == j) for k in range(n))
+            rows += [(e, -10), (tuple(-v for v in e), -10)]
+    return [q(0.2) for _ in range(n)], rows, n
+
+
+def _swap_counts(monkeypatch):
+    """Count the phase-1 pivots in which s_k replaces a basic a_k, and the
+    pivots that drive a basic artificial out after phase 1."""
+    counts = {"swap": 0, "drive_out": 0, "phase1_done": False}
+    pivot, run = ratlp._pivot, ratlp._run_simplex
+
+    def counting_pivot(rows, basis, slots, signs, r, col, obj):
+        n, m = len(slots), len(signs)
+        if basis[r] >= 2 * n + m:
+            if counts["phase1_done"]:
+                counts["drive_out"] += 1
+            elif col == basis[r] - m:
+                counts["swap"] += 1
+        return pivot(rows, basis, slots, signs, r, col, obj)
+
+    def tracking_run(rows, basis, slots, signs, obj, phase1):
+        counts["phase1_done"] = False
+        out = run(rows, basis, slots, signs, obj, phase1)
+        counts["phase1_done"] = phase1
+        return out
+
+    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
+    monkeypatch.setattr(ratlp, "_run_simplex", tracking_run)
+    return counts
+
+
+def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
+    counts = _swap_counts(monkeypatch)
+    rng = random.Random(20261018)
+    seen = {ratlp.OPTIMAL: 0, ratlp.INFEASIBLE: 0, ratlp.UNBOUNDED: 0}
+    for _ in range(2000):
+        c, rows, n = _seeded_lp(rng)
+        got = ratlp.solve_max(c, rows, n)
+        assert got == _full_tableau_reference(c, rows, n), (c, rows)
+        if got[0] == ratlp.OPTIMAL:
+            assert type(got[1]) is Q and all(type(x) is Q for x in got[2])
+        seen[got[0]] += 1
+    assert min(seen.values()) >= 200, seen
+    assert counts["swap"] >= 100 and counts["drive_out"] >= 100, counts
+
+
+@pytest.mark.parametrize("factors", [[("A", 3)], [("B", 3)], [("G", 2)]], ids=str)
+def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch, factors):
+    solve = ratlp.solve_max
+    lps = []
+
+    def recording(objective, rows, nvars):
+        got = solve(objective, rows, nvars)
+        lps.append((objective, list(rows), nvars, got))
+        return got
+
+    monkeypatch.setattr(ratlp, "solve_max", recording)
+    rs = liecore.build_root_system(factors)
+    ws = liecore.weight_system(rs, liecore.highest_roots(rs))
+    regions = arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
+    assert len(regions) == {"A": 14, "B": 20, "G": 8}[factors[0][0]]
+    assert len(lps) > len(regions)
+    for objective, rows, nvars, got in lps:
+        assert got == _full_tableau_reference(objective, rows, nvars)
