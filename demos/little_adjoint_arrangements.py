@@ -5,18 +5,11 @@ In a multiply-laced type the module generated by the highest short root has
 the short roots as its nonzero weights.  Cutting the dominant chamber at
 level 2 along those weights gives a smaller arrangement than the adjoint
 one.  This script counts the pieces, prints each region's witness and
-spanned weight set, and renders the two rank-2 pictures.
+spanned weight set, and renders the two rank-2 pictures.  No orbit model is
+needed: RegionAnalysis.build takes the plain Module.
 """
 
-from orbitchar import (
-    build_root_system,
-    chamber_hyperplanes,
-    enumerate_regions,
-    highest_short_root,
-    invariant_form,
-    region_weights,
-    weight_system,
-)
+from orbitchar import Module, RegionAnalysis, build_root_system, highest_short_root
 from orbitchar.svg import render_arrangement
 
 
@@ -26,21 +19,19 @@ def pt(values):
 
 for letter, rank in (("B", 2), ("C", 3), ("G", 2)):
     rs = build_root_system([(letter, rank)])
-    ws = weight_system(rs, (highest_short_root(rs),))
-    form = invariant_form(rs)
-    hyperplanes = chamber_hyperplanes(ws)
-    regions = enumerate_regions(rs, hyperplanes)
+    analysis = RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
 
-    print(f"{letter}{rank}: {len(ws.weights())} short-root weights,"
-          f" {len(hyperplanes)} dominant-side hyperplanes, {len(regions)} regions")
-    for region in regions:
-        sub = region_weights(ws, region)
+    print(f"{letter}{rank}: {len(analysis.ws.weights())} short-root weights,"
+          f" {len(analysis.hyperplanes)} dominant-side hyperplanes,"
+          f" {len(analysis.regions)} regions")
+    for region in analysis.regions:
+        sub = analysis.subspaces[region.id]
         print(f"  R{region.id:<2} signs {region.signs}  witness {pt(region.witness)}"
               f"  spans {len(sub.i_r)} weights")
     print()
 
     if rs.rank == 2:
-        figure = render_arrangement(rs, form, hyperplanes, regions)
+        figure = render_arrangement(rs, analysis.form, analysis.hyperplanes, analysis.regions)
         name = f"little_adjoint_{letter.lower()}{rank}.svg"
         with open(name, "w") as fh:
             fh.write(figure)

@@ -49,6 +49,7 @@ from .orbits import (
     AdjointSlModel,
     Characteristic,
     Example2x3Model,
+    Module,
     OrbitModel,
     RegionAnalysis,
     characteristic,
@@ -70,6 +71,7 @@ __all__ = [
     "InvariantForm",
     "MinNormResult",
     "MinNormTieError",
+    "Module",
     "OrbitModel",
     "Polyhedron",
     "Region",

@@ -34,6 +34,8 @@ from .liecore import (
 from .orbits import (
     AdjointSlModel,
     Example2x3Model,
+    Module,
+    OrbitModel,
     RegionAnalysis,
     characteristic,
     check_partition,
@@ -153,23 +155,14 @@ def _module_spec(cfg: RunConfig, rs):
     return parse_weight_list(cfg.module, rs.rank)
 
 
-def _resolve_model(cfg: RunConfig):
-    """Orbit model for the configuration, or None when no model applies."""
+def _resolve_model(cfg: RunConfig) -> Module:
+    """Orbit model for the configuration, or the plain module when no model applies."""
     if cfg.module == "example-2x3":
         return Example2x3Model()
     if cfg.module == "adjoint" and len(cfg.factors) == 1 and cfg.factors[0][0] == "A":
         return AdjointSlModel(cfg.factors[0][1] + 1, seed=cfg.seed)
-    return None
-
-
-def _require_model(cfg: RunConfig):
-    model = _resolve_model(cfg)
-    if model is None:
-        raise CliError(
-            "no orbit model for this configuration; supported models: "
-            "--module adjoint with --type A<n> (sl_{n+1}), or --module example-2x3"
-        )
-    return model
+    rs = build_root_system(cfg.factors)
+    return Module(rs, _module_spec(cfg, rs))
 
 
 def parse_orbit(model, text: str):
@@ -189,20 +182,31 @@ def parse_orbit(model, text: str):
         raise CliError(str(e)) from None
 
 
-def _arrangement_parts(cfg: RunConfig):
+def _arrangement_parts(cfg: RunConfig) -> RegionAnalysis:
+    # perfbench pins this builder: a plant at cli.enumerate_regions, spans on vars(cli).
     rs = build_root_system(cfg.factors)
     ws = weight_system(rs, _module_spec(cfg, rs))
     form = invariant_form(rs, cfg.scales)
     hps = chamber_hyperplanes(ws, cfg.level)
     regions = enumerate_regions(rs, hps)
     subs = {r.id: region_weights(ws, r, cfg.level) for r in regions}
-    return rs, ws, form, hps, regions, subs
+    return RegionAnalysis(
+        Module(rs, ws.module_spec), ws, form, cfg.level, hps, regions, subs, strata=None
+    )
 
 
-def _region_label_map(cfg: RunConfig, subs):
+def _figure(cfg: RunConfig, analysis: RegionAnalysis, marks) -> str:
+    labels = None
     if cfg.module == "example-2x3":
-        return Example2x3Model().region_labels(subs.values())
-    return None
+        labels = Example2x3Model().region_labels(analysis.subspaces.values())
+    return svg.render_arrangement(
+        analysis.model.root_system,
+        analysis.form,
+        analysis.hyperplanes,
+        analysis.regions,
+        region_labels=labels,
+        marks=marks,
+    )
 
 
 def _require_rank_2(cfg: RunConfig, what: str):
@@ -220,15 +224,13 @@ def cmd_regions(args) -> int:
     cfg = _resolve_config(args)
     if args.svg:
         _require_rank_2(cfg, "--svg")
-    rs, ws, form, hps, regions, subs = _arrangement_parts(cfg)
-    doc = jsonio.regions_doc(ws, cfg.level, hps, regions, subs)
+    analysis = _arrangement_parts(cfg)
+    hps, regions = analysis.hyperplanes, analysis.regions
+    doc = jsonio.regions_doc(analysis.ws, cfg.level, hps, regions, analysis.subspaces)
     out = args.out or "regions.json"
     _write(out, jsonio.dump_doc(doc), f"{len(hps)} hyperplanes / {len(regions)} regions")
     if args.svg:
-        text = svg.render_arrangement(
-            rs, form, hps, regions, region_labels=_region_label_map(cfg, subs)
-        )
-        _write(args.svg, text, "arrangement figure")
+        _write(args.svg, _figure(cfg, analysis, ()), "arrangement figure")
     return EXIT_OK
 
 
@@ -236,7 +238,12 @@ def cmd_characteristic(args) -> int:
     cfg = _resolve_config(args)
     if args.svg:
         _require_rank_2(cfg, "--svg")
-    model = _require_model(cfg)
+    model = _resolve_model(cfg)
+    if not isinstance(model, OrbitModel):
+        raise CliError(
+            "no orbit model for this configuration; supported models: "
+            "--module adjoint with --type A<n> (sl_{n+1}), or --module example-2x3"
+        )
     orbit = parse_orbit(model, args.orbit)
     analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
     ch = characteristic(analysis, orbit, mode=cfg.mode)
@@ -253,15 +260,7 @@ def cmd_characteristic(args) -> int:
     _write(out, jsonio.dump_doc(doc), f"characteristic with labels ({labels})")
     if args.svg:
         marks = [(ch.point, model.descriptor(orbit))]
-        text = svg.render_arrangement(
-            model.root_system,
-            analysis.form,
-            analysis.hyperplanes,
-            analysis.regions,
-            region_labels=_region_label_map(cfg, analysis.subspaces),
-            marks=marks,
-        )
-        _write(args.svg, text, "arrangement figure")
+        _write(args.svg, _figure(cfg, analysis, marks), "arrangement figure")
     return EXIT_OK
 
 
@@ -269,13 +268,9 @@ def cmd_plot(args) -> int:
     cfg = _resolve_config(args)
     _require_rank_2(cfg, "plot")
     model = _resolve_model(cfg)
-    out = args.out or "figure.svg"
-    if model is not None:
-        analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
-        rs, form = model.root_system, analysis.form
-        hps, regions = analysis.hyperplanes, analysis.regions
-        subs = analysis.subspaces
-        by_point = {}
+    analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
+    by_point = {}
+    if isinstance(model, OrbitModel):
         for orbit in model.orbit_ids():
             if orbit == model.zero_orbit:
                 continue
@@ -284,21 +279,9 @@ def cmd_plot(args) -> int:
                 continue
             caption = orbit if isinstance(orbit, str) else model.descriptor(orbit)
             by_point.setdefault(ch.point, []).append(caption)
-        marks = [
-            (point, "=".join(names)) for point, names in sorted(by_point.items())
-        ]
-    else:
-        rs, ws, form, hps, regions, subs = _arrangement_parts(cfg)
-        marks = []
-    text = svg.render_arrangement(
-        rs,
-        form,
-        hps,
-        regions,
-        region_labels=_region_label_map(cfg, subs),
-        marks=marks,
-    )
-    _write(out, text, f"figure with {len(hps)} hyperplanes and {len(marks)} markers")
+    marks = [(point, "=".join(names)) for point, names in sorted(by_point.items())]
+    what = f"figure with {len(analysis.hyperplanes)} hyperplanes and {len(marks)} markers"
+    _write(args.out or "figure.svg", _figure(cfg, analysis, marks), what)
     return EXIT_OK
 
 

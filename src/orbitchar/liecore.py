@@ -161,7 +161,7 @@ class RootSystem:
         return Q(sum(m * y for m, y in zip(mu, gnu)), d)
 
     def reflect_weight(self, mu: Weight, i: int) -> Weight:
-        return tuple(m - mu[i] * c for m, c in zip(mu, self.cartan[i]))
+        return tuple([m - mu[i] * c for m, c in zip(mu, self.cartan[i])])
 
     def dominant_rep(self, mu) -> Weight:
         """The dominant Weyl-orbit representative of a weight."""

@@ -15,6 +15,7 @@ as an entry over its row's pivot.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Q = Fraction
@@ -49,17 +50,9 @@ def matvec(a, v) -> Vector:
 
 
 def matmul(a, b) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Q(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            x = Q(a[i][t])
-            if x:
-                row = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += x * Q(row[j])
-    return out
+    """Matrix product in the entries' own arithmetic: ints stay ints."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def transpose(a) -> Matrix:

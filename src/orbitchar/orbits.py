@@ -1,9 +1,10 @@
 """Nilpotent orbit models and region-based computation of characteristics.
 
-An orbit model names the orbits of a group acting on a module, designates
-the zero orbit, orders orbits by closure, and answers which orbit is dense
-in the span of a saturated weight set (the generic stratum).  Two models are
-provided:
+A Module (a root system and the highest weights of the module) is all the
+arrangement needs.  An orbit model extends it: it names the orbits of a group
+acting on the module, designates the zero orbit, orders orbits by closure,
+and answers which orbit is dense in the span of a saturated weight set (the
+generic stratum).  Two models are provided:
 
 * AdjointSlModel: the adjoint module of sl_n.  Orbits are partitions of n
   ordered by dominance; the generic stratum of a weight support is measured
@@ -23,7 +24,6 @@ labels generalize the classical weighted Dynkin diagram.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -146,13 +146,12 @@ def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
     """Jordan type of a nilpotent integer matrix from the ranks of its powers."""
     ranks = [n]
     power = mat
-    cols = list(zip(*mat))
     while True:
         r = linalg.rank(power)
         ranks.append(r)
         if r == 0:
             break
-        power = [[sum(map(operator.mul, row, col)) for col in cols] for row in power]
+        power = linalg.matmul(power, mat)
         if len(ranks) > n + 1:
             raise ValueError("matrix is not nilpotent")
     conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
@@ -187,11 +186,17 @@ def generic_jordan_partition(i_r, n: int, seed: int = 1) -> Partition:
     )
 
 
-class OrbitModel(ABC):
+class Module:
+    """A module of a root system, given by its highest weights."""
+
+    def __init__(self, root_system: RootSystem, module_spec):
+        self.root_system = root_system
+        self.module_spec: tuple[Weight, ...] = tuple(module_spec)
+
+
+class OrbitModel(Module, ABC):
     """Orbits of a group module with closure order and generic strata."""
 
-    root_system: RootSystem
-    module_spec: tuple[Weight, ...]
     name: str
 
     @property
@@ -225,8 +230,8 @@ class AdjointSlModel(OrbitModel):
         self.n = n
         self.seed = seed
         self.name = f"sl{n}-adjoint"
-        self.root_system = build_root_system([("A", n - 1)])
-        self.module_spec = highest_roots(self.root_system)
+        rs = build_root_system([("A", n - 1)])
+        super().__init__(rs, highest_roots(rs))
 
     @property
     def zero_orbit(self) -> Partition:
@@ -301,8 +306,7 @@ class Example2x3Model(OrbitModel):
 
     def __init__(self):
         self.name = "example-2x3"
-        self.root_system = build_root_system([("A", 1), ("A", 1)])
-        self.module_spec = ((1, 1), (1, 0))
+        super().__init__(build_root_system([("A", 1), ("A", 1)]), ((1, 1), (1, 0)))
 
     @property
     def zero_orbit(self) -> str:
@@ -401,20 +405,21 @@ class Characteristic:
 
 @dataclass
 class RegionAnalysis:
-    """Arrangement, strata, and cached minimizers for one orbit model."""
+    """Arrangement of one module and cached minimizers; for an orbit model
+    also the generic stratum of each region (strata is None otherwise)."""
 
-    model: OrbitModel
+    model: Module
     ws: WeightSystem
     form: InvariantForm
     level: Q
     hyperplanes: list[Hyperplane]
     regions: list[Region]
     subspaces: dict[int, RegionSubspace]
-    strata: dict[int, object]
+    strata: dict[int, object] | None
     _minima: dict[int, MinNormResult] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, model: OrbitModel, level=Q(2), factor_scales=None) -> "RegionAnalysis":
+    def build(cls, model: Module, level=Q(2), factor_scales=None) -> "RegionAnalysis":
         level = Q(level)
         rs = model.root_system
         ws = weight_system(rs, model.module_spec)
@@ -422,9 +427,9 @@ class RegionAnalysis:
         hps = chamber_hyperplanes(ws, level)
         regions = enumerate_regions(rs, hps)
         subspaces = {r.id: region_weights(ws, r, level) for r in regions}
-        strata = {
-            r.id: model.generic_stratum(sorted(subspaces[r.id].i_r)) for r in regions
-        }
+        strata = None
+        if isinstance(model, OrbitModel):
+            strata = {r.id: model.generic_stratum(sorted(subspaces[r.id].i_r)) for r in regions}
         return cls(
             model=model,
             ws=ws,
@@ -452,6 +457,8 @@ def m_sets(analysis: RegionAnalysis, orbit) -> tuple[frozenset[int], frozenset[i
     filled by it: the pair (m_set, tilde_m_set), with the second always
     contained in the first."""
     model = analysis.model
+    if not isinstance(model, OrbitModel):
+        raise ValueError("the analysis has no orbit model, so it has no orbits")
     model.check_orbit(orbit)
     meets = set()
     dense = set()
@@ -474,9 +481,8 @@ def characteristic(analysis: RegionAnalysis, orbit, mode: str = "nonempty"):
     """
     if mode not in ("nonempty", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
-    model = analysis.model
-    model.check_orbit(orbit)
     meets, dense = m_sets(analysis, orbit)
+    model = analysis.model
     chosen = sorted(meets if mode == "nonempty" else dense)
     if not chosen:
         return None

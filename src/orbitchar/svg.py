@@ -18,12 +18,14 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from . import linalg
-from .arrangement import Hyperplane, Region
 from .liecore import InvariantForm, RootSystem
 
 Q = Fraction
 
 SVG_NS = "http://www.w3.org/2000/svg"
+
+WIDTH = HEIGHT = 560
+MARGIN = 30
 
 _STYLE = """
   .wall { stroke: #222222; stroke-width: 2.5; fill: none; }
@@ -50,11 +52,8 @@ def _cholesky2(form: InvariantForm):
 class _Frame:
     """World-plane geometry plus the world-to-screen mapping."""
 
-    def __init__(self, rs: RootSystem, form: InvariantForm, width, height, margin):
+    def __init__(self, rs: RootSystem, form: InvariantForm):
         self.l11, self.l21, self.l22 = _cholesky2(form)
-        self.width = width
-        self.height = height
-        self.margin = margin
         inv_cartan = linalg.inverse(rs.cartan)
         self.wall_dirs = [
             self.to_world((inv_cartan[0][j], inv_cartan[1][j])) for j in range(2)
@@ -88,14 +87,14 @@ class _Frame:
         pad = 0.40 * span
         self.x0, self.x1 = min(xs) - pad, max(xs) + pad
         self.y0, self.y1 = min(ys) - pad, max(ys) + pad
-        usable_w = self.width - 2 * self.margin
-        usable_h = self.height - 2 * self.margin
+        usable_w = WIDTH - 2 * MARGIN
+        usable_h = HEIGHT - 2 * MARGIN
         self.scale = min(usable_w / (self.x1 - self.x0), usable_h / (self.y1 - self.y0))
 
     def to_screen(self, world_pt) -> tuple[float, float]:
         x, y = world_pt
-        sx = self.margin + (x - self.x0) * self.scale
-        sy = self.height - self.margin - (y - self.y0) * self.scale
+        sx = MARGIN + (x - self.x0) * self.scale
+        sy = HEIGHT - MARGIN - (y - self.y0) * self.scale
         return sx, sy
 
     def clip_line(self, weight, level):
@@ -153,8 +152,6 @@ def render_arrangement(
     regions,
     region_labels=None,
     marks=(),
-    width: int = 560,
-    height: int = 560,
 ) -> str:
     """SVG text for a rank-2 arrangement figure.
 
@@ -166,8 +163,7 @@ def render_arrangement(
     hyperplanes = list(hyperplanes)
     regions = list(regions)
     marks = list(marks)
-    margin = 30
-    frame = _Frame(rs, form, width, height, margin)
+    frame = _Frame(rs, form)
     for r in regions:
         frame.add_anchor(frame.to_world(r.witness))
     for point, _ in marks:
@@ -180,9 +176,9 @@ def render_arrangement(
         "svg",
         {
             "xmlns": SVG_NS,
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "width": str(WIDTH),
+            "height": str(HEIGHT),
+            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
         },
     )
     title = ET.SubElement(root, "title")

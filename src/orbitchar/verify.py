@@ -29,12 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .arrangement import (
-    chamber_hyperplanes,
-    enumerate_regions,
-    is_saturated,
-    region_weights,
-)
+from .arrangement import is_saturated
 from .liecore import (
     InvariantForm,
     build_root_system,
@@ -47,6 +42,7 @@ from .minnorm import Polyhedron, min_norm_point, verify_kkt
 from .orbits import (
     AdjointSlModel,
     Example2x3Model,
+    Module,
     RegionAnalysis,
     _sl_root_positions,
     characteristic,
@@ -187,36 +183,29 @@ def run_theorem(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
 # ----------------------------------------------------------------- sampling
 
 
-def _named_arrangements():
+def _named_arrangements() -> dict[str, RegionAnalysis]:
     """The five arrangements exercised by the sampling and lemma batteries."""
-    out = []
 
-    def add(name, factors, spec=None, little=False):
+    def module(factors, little=False):
         rs = build_root_system(factors)
-        if spec is None:
-            spec = (
-                (highest_short_root(rs),) if little else highest_roots(rs)
-            )
-        ws = weight_system(rs, spec)
-        hps = chamber_hyperplanes(ws)
-        regions = enumerate_regions(rs, hps)
-        subs = {r.id: region_weights(ws, r) for r in regions}
-        out.append((name, ws, hps, regions, subs))
+        return Module(rs, (highest_short_root(rs),) if little else highest_roots(rs))
 
-    add("example-2x3", [("A", 1), ("A", 1)], spec=((1, 1), (1, 0)))
-    add("A2 adjoint", [("A", 2)])
-    add("A3 adjoint", [("A", 3)])
-    add("B2 little-adjoint", [("B", 2)], little=True)
-    add("G2 little-adjoint", [("G", 2)], little=True)
-    return out
+    modules = {
+        "example-2x3": Module(build_root_system([("A", 1), ("A", 1)]), ((1, 1), (1, 0))),
+        "A2 adjoint": module([("A", 2)]),
+        "A3 adjoint": module([("A", 3)]),
+        "B2 little-adjoint": module([("B", 2)], little=True),
+        "G2 little-adjoint": module([("G", 2)], little=True),
+    }
+    return {name: RegionAnalysis.build(m) for name, m in modules.items()}
 
 
 def run_sampling(points: int = 10000, seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     """Random chamber points must match exactly one enumerated region each."""
     rows = []
-    for name, ws, hps, regions, _subs in _named_arrangements():
+    for name, analysis in _named_arrangements().items():
         started = time.perf_counter()
-        rs = ws.root_system
+        rs, hps, regions = analysis.model.root_system, analysis.hyperplanes, analysis.regions
         sign_to_id = {r.signs: r.id for r in regions}
         problems = []
         if len(sign_to_id) != len(regions):
@@ -507,11 +496,11 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     problems = []
     region_count = 0
     arrangements = _named_arrangements()
-    for name, ws, _hps, regions, subs in arrangements:
-        for r in regions:
+    for name, analysis in arrangements.items():
+        for sub in analysis.subspaces.values():
             region_count += 1
-            if not is_saturated(ws, subs[r.id].i_r):
-                problems.append(f"{name} region {r.id}: support not saturated")
+            if not is_saturated(analysis.ws, sub.i_r):
+                problems.append(f"{name} region {sub.region_id}: support not saturated")
     saturation_row = _row(
         "lemma saturation",
         started,
@@ -529,10 +518,9 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     stable_checks = 0
     nilpotent_checks = 0
     rng = random.Random(seed)
-    by_name = {name: (ws, regions, subs) for name, ws, _, regions, subs in arrangements}
     for n in (3, 4):
-        ws, regions, subs = by_name[f"A{n - 1} adjoint"]
-        rs = ws.root_system
+        analysis = arrangements[f"A{n - 1} adjoint"]
+        rs = analysis.model.root_system
         positions = _sl_root_positions(n, rs)
         by_position = {pos: w for w, pos in positions.items()}
         positive = list(rs.positive_roots)
@@ -541,8 +529,8 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
             mat[pos[0]][pos[1]] = 1
             return mat
 
-        for r in regions:
-            i_r = subs[r.id].i_r
+        for r in analysis.regions:
+            i_r = analysis.subspaces[r.id].i_r
             support = {positions[w] for w in i_r}
             # b-stability: bracketing with any positive root vector stays inside
             for mu in i_r:

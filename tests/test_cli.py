@@ -216,6 +216,8 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert main(["regions", "--type", "Z9"]) == 1
     assert main(["characteristic", "--type", "A2", "--orbit", "4"]) == 1
     assert main(["characteristic", "--type", "B2", "--orbit", "2,1"]) == 1
+    argv = ["characteristic", "--type", "B2", "--module", "little-adjoint", "--orbit", "2,1"]
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 1
     # figure requests on a type of rank other than 2 fail before any work
     # and write nothing
     with monkeypatch.context() as m:
@@ -245,7 +247,9 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
     assert main(["regions", "--type", "A1xA1", "--module", "1,1;2"]) == 1
     assert main(["characteristic", "--module", "example-2x3", "--type", "A2", "--orbit", "O3"]) == 1
-    assert capsys.readouterr().err.count("requires a rank-2 root system") == 4
+    err = capsys.readouterr().err
+    assert err.count("requires a rank-2 root system") == 4
+    assert err.count("no orbit model") == 2
 
 
 def test_help_exits_zero(capsys):

@@ -28,6 +28,13 @@ CASES = [
         "regions_example-2x3.svg",
     ),
     (
+        ["characteristic", "--module", "example-2x3", "--orbit", "O5"],
+        "characteristic_example-2x3_O5.json",
+        "characteristic_example-2x3_O5.svg",
+    ),
+    (["plot", "--module", "example-2x3"], "plot_example-2x3.svg", None),
+    (["plot", "--type", "B2", "--module", "little-adjoint"], "plot_B2_little-adjoint.svg", None),
+    (
         ["characteristic", "--type", "A3", "--orbit", "2,2"],
         "characteristic_A3_2-2_nonempty.json",
         None,

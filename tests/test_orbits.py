@@ -1,15 +1,18 @@
 """Tests for orbit models and the characteristic computation."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from orbitchar import linalg
-from orbitchar.liecore import build_root_system, invariant_form, norm_sq
+from orbitchar import jsonio, linalg
+from orbitchar.liecore import build_root_system, highest_short_root, invariant_form, norm_sq
 from orbitchar.minnorm import MinNormTieError
 from orbitchar.orbits import (
     AdjointSlModel,
     Example2x3Model,
+    Module,
     RegionAnalysis,
     characteristic,
     check_partition,
@@ -441,3 +444,30 @@ def test_union_minimum_never_below_member_minima(example_analysis):
             example_analysis.region_minimum(rid).norm_sq == ch.norm_sq
             for rid in ch.achieving
         )
+
+
+# ------------------------------------------------------- module without model
+
+
+@pytest.fixture(scope="module")
+def g2_little_analysis():
+    rs = build_root_system([("G", 2)])
+    return RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
+
+
+def test_module_analysis_matches_recorded_regions(g2_little_analysis):
+    path = Path(__file__).parent / "data" / "regions_G2_little-adjoint.json"
+    recorded = jsonio.parse_regions_doc(json.loads(path.read_text()))
+    assert tuple(g2_little_analysis.hyperplanes) == recorded.hyperplanes
+    assert tuple(g2_little_analysis.regions) == recorded.regions
+    assert g2_little_analysis.subspaces == recorded.subspaces
+    assert g2_little_analysis.strata is None
+
+
+def test_module_analysis_has_no_orbits(g2_little_analysis):
+    with pytest.raises(ValueError, match="no orbit model"):
+        m_sets(g2_little_analysis, (1, 1))
+    with pytest.raises(ValueError, match="no orbit model"):
+        characteristic(g2_little_analysis, (1, 1))
+    # the arrangement itself still answers region minima
+    assert g2_little_analysis.region_minimum(1).point == (0, 0)
