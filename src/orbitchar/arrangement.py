@@ -98,7 +98,7 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
             f"{max_hyperplanes}; raise max_hyperplanes to proceed"
         )
     base = _chamber_rows(rs)
-    found: list[tuple[str, Point]] = []
+    found: list[tuple[str, Point, tuple[IneqRow, ...]]] = []
 
     start = ratlp.strict_interior(base, rs.rank)
     if start is None:
@@ -110,7 +110,7 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
         rows, signs, witness = stack.pop()
         depth = len(signs)
         if depth == len(hyperplanes):
-            found.append((signs, witness))
+            found.append((signs, witness, tuple(rows)))
             continue
         for sign in ("+", "-"):
             cand = rows + [_sign_row(hyperplanes[depth], sign)]
@@ -119,15 +119,10 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
                 stack.append((cand, signs + sign, w))
     found.sort(key=lambda sw: tuple(0 if ch == "-" else 1 for ch in sw[0]))
 
-    regions = []
-    for k, (signs, witness) in enumerate(found, start=1):
-        rows = tuple(base) + tuple(
-            _sign_row(hp, s) for hp, s in zip(hyperplanes, signs)
-        )
-        regions.append(
-            Region(id=k, signs=signs, witness=witness, closure_ineqs=rows)
-        )
-    return regions
+    return [
+        Region(id=k, signs=signs, witness=witness, closure_ineqs=rows)
+        for k, (signs, witness, rows) in enumerate(found, start=1)
+    ]
 
 
 def region_weights(ws: WeightSystem, region: Region, level=Q(2)) -> RegionSubspace:

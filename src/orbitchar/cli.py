@@ -124,7 +124,6 @@ class RunConfig:
     level: Q
     scales: tuple | None
     seed: int
-    mode: str
 
 
 def _resolve_config(args) -> RunConfig:
@@ -141,7 +140,6 @@ def _resolve_config(args) -> RunConfig:
         level=parse_rational(args.level, "--level"),
         scales=parse_scales(args.scales),
         seed=args.seed,
-        mode=args.mode,
     )
 
 
@@ -246,7 +244,7 @@ def cmd_characteristic(args) -> int:
         )
     orbit = parse_orbit(model, args.orbit)
     analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
-    ch = characteristic(analysis, orbit, mode=cfg.mode)
+    ch = characteristic(analysis, orbit, mode=args.mode)
     if ch is None:
         print(
             f"orbit {model.descriptor(orbit)} fills no region densely; "
@@ -274,7 +272,7 @@ def cmd_plot(args) -> int:
         for orbit in model.orbit_ids():
             if orbit == model.zero_orbit:
                 continue
-            ch = characteristic(analysis, orbit, mode=cfg.mode)
+            ch = characteristic(analysis, orbit, mode=args.mode)
             if ch is None:
                 continue
             caption = orbit if isinstance(orbit, str) else model.descriptor(orbit)
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=True):
+    def common(p):
         p.add_argument("--type", help="root system, e.g. A2, B2, A1xA1, or a bare letter with --rank")
         p.add_argument("--rank", type=int, help="rank for a bare series letter")
         p.add_argument(
@@ -321,14 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--level", default="2", help="hyperplane level (rational, default 2)")
         p.add_argument("--scales", help="per-factor form scales, e.g. '1,3/2'")
+        # regions reads no seed, but perfbench/workloads.py passes it --seed.
         p.add_argument("--seed", type=int, default=1, help="seed for generic sampling")
-        if mode:
-            p.add_argument(
-                "--mode",
-                choices=["nonempty", "dense"],
-                default="nonempty",
-                help="orbit membership mode for characteristics",
-            )
 
     p_regions = sub.add_parser("regions", help="enumerate regions, write regions.json")
     common(p_regions)
@@ -353,6 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_plot)
     p_plot.add_argument("--out", help="output path (default figure.svg)")
     p_plot.set_defaults(func=cmd_plot)
+
+    for p in (p_char, p_plot):
+        p.add_argument(
+            "--mode",
+            choices=["nonempty", "dense"],
+            default="nonempty",
+            help="orbit membership mode for characteristics",
+        )
 
     p_verify = sub.add_parser("verify", help="run verification batteries")
     p_verify.add_argument(

@@ -5,10 +5,14 @@ characterized by an active row set A and nonnegative multipliers lam with
 
     2 G a = N_A^T lam,   N_A a = b_A,   N a >= b.
 
-min_norm_point finds it by a dual active-set iteration: start from the
-unconstrained minimum 0 and add one violated row at a time, keeping dual
-feasibility, dropping blocking rows as needed.  Every step is exact over
-Fraction and the returned certificate is re-verified before returning.
+min_norm_point finds it by a dual active-set iteration (Goldfarb & Idnani
+1983): start from the unconstrained minimum 0 and bring in the first
+violated row p.  Each step solves Q z + N_A^T s = p, N_A z = 0 and takes
+the smaller of the full step gap / p.z, which makes p active, and the least
+ratio lam_t / s_t over s_t > 0, which drops row t.  As p.z = z^T Q z, a
+zero z leaves only the drop; with neither step the polyhedron is empty.
+Every step is exact over Fraction and the returned certificate is
+re-verified before returning.
 
 min_norm_point_enumerate solves the same problem by enumerating candidate
 active sets; it is kept as an independent cross-check oracle.
@@ -124,67 +128,57 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     n = poly.rank
     if len(form.gram) != n:
         raise ValueError("dimension mismatch")
+    # perfbench/test_smoke.py pins this precheck LP through its (53, 14) counts.
     if poly.is_empty():
         raise ValueError("empty polyhedron")
-    rows = _clean_rows(poly)
+    # Rows are read as given: a duplicate of an active row or a zero row with
+    # bound <= 0 is never violated; a zero row with bound > 0 is never
+    # satisfied and ends in the empty exit.
+    rows = poly.rows
     q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
 
-    x = [Q(0)] * n
-    active: list[int] = []  # positions into rows
-    lam: list[Q] = []
+    def dot(normal, vec):
+        return sum((v * xi for v, xi in zip(normal, vec)), Q(0))
 
-    def kkt_solve(p_normal):
-        normals = [rows[pos][1] for pos in active]
+    x = [Q(0)] * n
+    active: list[int] = []  # row indices into poly.rows
+    lam: list[Q] = []
+    entering = None
+    for _ in range(10000):
+        if entering is None:
+            entering = next(
+                (k for k, (normal, bound) in enumerate(rows) if dot(normal, x) < bound),
+                None,
+            )
+            if entering is None:
+                break
+            u = Q(0)
+        p_normal, p_bound = rows[entering]
+        normals = [rows[k][0] for k in active]
         mat = [q[i] + [normal[i] for normal in normals] for i in range(n)]
         mat += [list(normal) + [0] * len(normals) for normal in normals]
         sol = linalg.solve(mat, list(p_normal) + [0] * len(normals))
         if sol is None:
             raise AssertionError("singular working-set system")
-        return sol[:n], sol[n:]
-
-    for _ in range(10000):
-        viol = None
-        for t, (_, normal, bound) in enumerate(rows):
-            if sum((Q(v) * xi for v, xi in zip(normal, x)), Q(0)) < bound:
-                viol = t
-                break
-        if viol is None:
-            break
-        p_normal, p_bound = rows[viol][1], rows[viol][2]
-        u = Q(0)
-        for _ in range(10000):
-            z, s = kkt_solve(p_normal)
-            if any(z):
-                gap = p_bound - sum(
-                    (Q(v) * xi for v, xi in zip(p_normal, x)), Q(0)
-                )
-                t2 = gap / sum((Q(v) * zi for v, zi in zip(p_normal, z)), Q(0))
-                drops = [
-                    (lam[t] / s[t], t) for t in range(len(active)) if s[t] > 0
-                ]
-                t1 = min(drops)[0] if drops else None
-                step = t2 if t1 is None or t2 <= t1 else t1
-                x = [xi + step * zi for xi, zi in zip(x, z)]
-                lam = [l - step * si for l, si in zip(lam, s)]
-                u += step
-                if t1 is None or t2 <= t1:
-                    active.append(viol)
-                    lam.append(u)
-                    break
-                k = min(drops)[1]
-            else:
-                if all(si <= 0 for si in s):
-                    raise ValueError("empty polyhedron")
-                drops = [
-                    (lam[t] / s[t], t) for t in range(len(active)) if s[t] > 0
-                ]
-                t1, k = min(drops)
-                lam = [l - t1 * si for l, si in zip(lam, s)]
-                u += t1
+        z, s = sol[:n], sol[n:]
+        pz = dot(p_normal, z)
+        t2 = (p_bound - dot(p_normal, x)) / pz if pz else None
+        drops = [(lam[t] / s[t], t) for t in range(len(active)) if s[t] > 0]
+        t1, k = min(drops) if drops else (None, None)
+        if t1 is None and t2 is None:
+            raise ValueError("empty polyhedron")
+        full = t2 is not None and (t1 is None or t2 <= t1)
+        step = t2 if full else t1
+        x = [xi + step * zi for xi, zi in zip(x, z)]
+        lam = [l - step * si for l, si in zip(lam, s)]
+        u += step
+        if full:
+            active.append(entering)
+            lam.append(u)
+            entering = None
+        else:
             active.pop(k)
             lam.pop(k)
-        else:
-            raise RuntimeError("active-set inner loop failed to settle")
     else:
         raise RuntimeError("active-set iteration failed to settle")
 
@@ -192,7 +186,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     res = MinNormResult(
         point=point,
         norm_sq=norm_sq(form, point),
-        active_set=tuple(rows[t][0] for t in active),
+        active_set=tuple(active),
         multipliers=tuple(lam),
     )
     verify_kkt(poly, form, res)

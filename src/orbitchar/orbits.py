@@ -23,7 +23,6 @@ labels generalize the classical weighted Dynkin diagram.
 
 from __future__ import annotations
 
-import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -281,20 +280,6 @@ _EXAMPLE_LABELS = {
 }
 
 
-def _generic_rank(positions, nrows, ncols) -> int:
-    """Rank of a matrix with independent free entries on the given support."""
-    best = 0
-    cells = sorted(positions)
-    for size in range(1, min(nrows, ncols) + 1):
-        for subset in itertools.combinations(cells, size):
-            rows = {i for i, _ in subset}
-            cols = {j for _, j in subset}
-            if len(rows) == size and len(cols) == size:
-                best = size
-                break
-    return best
-
-
 class Example2x3Model(OrbitModel):
     """Five orbits on 2 x 3 matrices under the two rank-2 special linear groups.
 
@@ -337,17 +322,11 @@ class Example2x3Model(OrbitModel):
             if mu not in _EXAMPLE_POSITIONS:
                 raise ValueError(f"{mu} is not a weight of the module")
             support.add(_EXAMPLE_POSITIONS[mu])
-        m_cells = {(i, j) for i, j in support if j < 2}
-        c_cells = {(i, j) for i, j in support if j == 2}
-        rank_m = _generic_rank(m_cells, 2, 2)
-        if rank_m == 2:
-            raise ValueError("support spans a non-nilpotent subspace")
-        if rank_m == 0:
-            return "O2" if c_cells else "0"
-        if not c_cells:
-            return "O3"
-        rank_aug = _generic_rank(m_cells | c_cells, 2, 3)
-        return "O4" if rank_aug == 1 else "O5"
+        # Distinct primes make every 2 x 2 minor ad - bc nonzero exactly when
+        # it is nonzero for generic entries on the support.
+        primes = ((2, 3, 5), (7, 11, 13))
+        mat = [[primes[i][j] if (i, j) in support else 0 for j in range(3)] for i in range(2)]
+        return self.classify_element(mat)
 
     def classify_element(self, mat) -> str:
         """Orbit of a concrete 2 x 3 matrix with exact rational entries."""

@@ -70,8 +70,14 @@ class VerifyRow:
         return f"{flag}  {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
-def _row(name: str, started: float, ok: bool, detail: str) -> VerifyRow:
-    return VerifyRow(name=name, ok=ok, detail=detail, seconds=time.perf_counter() - started)
+def _row(name: str, started: float, problems: list[str], passed: str) -> VerifyRow:
+    """A row that passes with the given text when there are no problems."""
+    return VerifyRow(
+        name=name,
+        ok=not problems,
+        detail="; ".join(problems) if problems else passed,
+        seconds=time.perf_counter() - started,
+    )
 
 
 # ------------------------------------------------------------------ example
@@ -108,12 +114,8 @@ def run_example() -> list[VerifyRow]:
         ch = characteristic(analysis, orbit, mode="nonempty")
         if ch.point != want:
             problems.append(f"characteristic of {orbit}: {ch.point} != {want}")
-    detail = (
-        "4 hyperplanes, 6 regions, membership sets and characteristics match"
-        if not problems
-        else "; ".join(problems)
-    )
-    return [_row("example", started, not problems, detail)]
+    passed = "4 hyperplanes, 6 regions, membership sets and characteristics match"
+    return [_row("example", started, problems, passed)]
 
 
 # ------------------------------------------------------------------- dynkin
@@ -146,12 +148,8 @@ def run_dynkin(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
             if dense is None or dense.labels != want:
                 got = None if dense is None else dense.labels
                 problems.append(f"{p}: dense labels {got} != {want}")
-        detail = (
-            f"{len(table)} partitions of {n} match the classical diagrams"
-            if not problems
-            else "; ".join(problems)
-        )
-        rows.append(_row(f"dynkin sl{n}", started, not problems, detail))
+        passed = f"{len(table)} partitions of {n} match the classical diagrams"
+        rows.append(_row(f"dynkin sl{n}", started, problems, passed))
     return rows
 
 
@@ -172,12 +170,8 @@ def run_theorem(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
             points[loose.point] = p
             if dense is None or dense.point != loose.point:
                 problems.append(f"sl{n}: modes disagree at {p}")
-    detail = (
-        f"characteristics injective and mode-independent over {checked} orbits"
-        if not problems
-        else "; ".join(problems)
-    )
-    return [_row("theorem sl_n", started, not problems, detail)]
+    passed = f"characteristics injective and mode-independent over {checked} orbits"
+    return [_row("theorem sl_n", started, problems, passed)]
 
 
 # ----------------------------------------------------------------- sampling
@@ -200,7 +194,7 @@ def _named_arrangements() -> dict[str, RegionAnalysis]:
     return {name: RegionAnalysis.build(m) for name, m in modules.items()}
 
 
-def run_sampling(points: int = 10000, seed: int = DEFAULT_SEED) -> list[VerifyRow]:
+def run_sampling(points: int = 10000) -> list[VerifyRow]:
     """Random chamber points must match exactly one enumerated region each."""
     rows = []
     for name, analysis in _named_arrangements().items():
@@ -210,7 +204,7 @@ def run_sampling(points: int = 10000, seed: int = DEFAULT_SEED) -> list[VerifyRo
         problems = []
         if len(sign_to_id) != len(regions):
             problems.append("duplicate sign vectors across regions")
-        rng = random.Random(seed)
+        rng = random.Random(DEFAULT_SEED)
         # The point with labels k/100 is h = C^-1 k / 100, and mu(h) is
         # root_coords(mu) . k / 100.  Each hyperplane becomes one integer row
         # (root_coords(mu), level) scaled by linalg.integral, and a draw
@@ -231,13 +225,11 @@ def run_sampling(points: int = 10000, seed: int = DEFAULT_SEED) -> list[VerifyRo
                 problems.append(f"point {h} has unlisted sign vector {signs}")
                 break
             tested += 1
-        detail = (
+        passed = (
             f"{tested} chamber points each matched exactly one of "
             f"{len(regions)} regions ({rejected} on-hyperplane draws rejected)"
-            if not problems
-            else "; ".join(problems)
         )
-        rows.append(_row(f"sampling {name}", started, not problems, detail))
+        rows.append(_row(f"sampling {name}", started, problems, passed))
     return rows
 
 
@@ -364,14 +356,12 @@ def _float_reference(poly, form, interior):
     return best
 
 
-def run_minnorm(
-    instances: int = 100, samples: int = 1000, seed: int = DEFAULT_SEED
-) -> list[VerifyRow]:
+def run_minnorm(instances: int = 100, samples: int = 1000) -> list[VerifyRow]:
     """Exact minimizers vs feasible sampling and a float reference solver."""
     import numpy as np
 
     started = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     problems = []
     worst_gap = 0.0
     for k in range(instances):
@@ -395,13 +385,11 @@ def run_minnorm(
             problems.append(
                 f"instance {k}: reference point differs by {gap:.2e} > 1e-6"
             )
-    detail = (
+    passed = (
         f"{instances} polyhedra: KKT certified, {samples} feasible samples each "
         f"never beat the minimizer, float reference within {worst_gap:.1e}"
-        if not problems
-        else "; ".join(problems[:4])
     )
-    return [_row("minnorm", started, not problems, detail)]
+    return [_row("minnorm", started, problems[:4], passed)]
 
 
 # ------------------------------------------------------------------ weights
@@ -424,10 +412,10 @@ _WEIGHT_POOL = [
 ]
 
 
-def run_weights(count: int = 20, seed: int = DEFAULT_SEED) -> list[VerifyRow]:
+def run_weights(count: int = 20) -> list[VerifyRow]:
     """Multiplicity sums vs the Weyl dimension formula; little adjoint support."""
     started = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     problems = []
     checked = []
     for _ in range(count):
@@ -446,13 +434,9 @@ def run_weights(count: int = 20, seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     sum_row = _row(
         "weights dimension-sum",
         started,
-        not problems,
-        (
-            f"{count} random modules, multiplicity sums equal Weyl dimensions "
-            f"(largest dim {max(checked)})"
-            if not problems
-            else "; ".join(problems)
-        ),
+        problems,
+        f"{count} random modules, multiplicity sums equal Weyl dimensions "
+        f"(largest dim {max(checked)})",
     )
 
     started = time.perf_counter()
@@ -471,12 +455,8 @@ def run_weights(count: int = 20, seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     little_row = _row(
         "weights little-adjoint",
         started,
-        not problems,
-        (
-            "nonzero weights equal the short roots for B2, C3, F4, G2"
-            if not problems
-            else "; ".join(problems)
-        ),
+        problems,
+        "nonzero weights equal the short roots for B2, C3, F4, G2",
     )
     return [sum_row, little_row]
 
@@ -490,7 +470,7 @@ def _all_root_weights(rs):
 # -------------------------------------------------------------------- lemma
 
 
-def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
+def run_lemma() -> list[VerifyRow]:
     """Saturation of region supports; b-stability and nilpotency in type A."""
     started = time.perf_counter()
     problems = []
@@ -504,20 +484,16 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     saturation_row = _row(
         "lemma saturation",
         started,
-        not problems,
-        (
-            f"all {region_count} region supports saturated across "
-            f"{len(arrangements)} arrangements"
-            if not problems
-            else "; ".join(problems)
-        ),
+        problems,
+        f"all {region_count} region supports saturated across "
+        f"{len(arrangements)} arrangements",
     )
 
     started = time.perf_counter()
     problems = []
     stable_checks = 0
     nilpotent_checks = 0
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for n in (3, 4):
         analysis = arrangements[f"A{n - 1} adjoint"]
         rs = analysis.model.root_system
@@ -566,13 +542,9 @@ def run_lemma(seed: int = DEFAULT_SEED) -> list[VerifyRow]:
     stability_row = _row(
         "lemma b-stability",
         started,
-        not problems,
-        (
-            f"{stable_checks} bracket checks stayed inside their subspaces; "
-            f"{nilpotent_checks} sampled elements nilpotent"
-            if not problems
-            else "; ".join(problems[:4])
-        ),
+        problems[:4],
+        f"{stable_checks} bracket checks stayed inside their subspaces; "
+        f"{nilpotent_checks} sampled elements nilpotent",
     )
     return [saturation_row, stability_row]
 
@@ -590,7 +562,7 @@ SUITES = {
     "lemma": lambda opts: run_lemma(),
 }
 
-SUITE_ORDER = ["example", "dynkin", "theorem", "sampling", "minnorm", "weights", "lemma"]
+SUITE_ORDER = list(SUITES)
 
 
 def run_suites(names, **opts) -> list[VerifyRow]:

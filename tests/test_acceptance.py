@@ -1,8 +1,9 @@
 """Acceptance battery: the seven headline checks, one pass/fail line each.
 
 Every check runs the full pipeline against an independent oracle at its
-stated tolerance.  The sl6 case of the Dynkin check is slow (~1 minute) and
-runs only when the environment variable ORBITCHAR_SL6=1 is set.
+stated tolerance, and its PASS line must read as recorded below.  The sl6
+case of the Dynkin check (about 3 s) runs only when the environment variable
+ORBITCHAR_SL6=1 is set.
 """
 
 import os
@@ -10,12 +11,13 @@ import os
 from orbitchar import verify
 
 
-def _report(criterion: str, rows) -> None:
+def _report(criterion: str, rows, details) -> None:
     ok = all(r.ok for r in rows)
     flag = "PASS" if ok else "FAIL"
     detail = "; ".join(f"{r.name}: {r.detail}" for r in rows)
     print(f"[{flag}] criterion {criterion}: {detail}")
     assert ok, detail
+    assert [r.detail for r in rows] == details
 
 
 def _dynkin_ns():
@@ -25,39 +27,73 @@ def _dynkin_ns():
     return tuple(ns)
 
 
+_PARTITION_COUNTS = {2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
+
+
 def test_criterion_1_example_end_to_end():
     rows = verify.run_example()
-    _report("1 (paper example end-to-end)", rows)
+    _report(
+        "1 (paper example end-to-end)",
+        rows,
+        ["4 hyperplanes, 6 regions, membership sets and characteristics match"],
+    )
     assert rows[0].seconds < 1.0, f"example took {rows[0].seconds:.2f}s (limit 1s)"
 
 
 def test_criterion_2_dynkin_oracle_equivalence():
-    rows = verify.run_dynkin(_dynkin_ns())
-    _report("2 (weighted-Dynkin oracle equivalence)", rows)
+    ns = _dynkin_ns()
+    rows = verify.run_dynkin(ns)
+    details = [
+        f"{_PARTITION_COUNTS[n]} partitions of {n} match the classical diagrams" for n in ns
+    ]
+    _report("2 (weighted-Dynkin oracle equivalence)", rows, details)
     sl5 = next(r for r in rows if r.name == "dynkin sl5")
     assert sl5.seconds < 60.0, f"sl5 took {sl5.seconds:.2f}s (limit 60s)"
 
 
 def test_criterion_3_injectivity_and_mode_agreement():
-    rows = verify.run_theorem(_dynkin_ns())
-    _report("3 (injectivity and dense/nonempty agreement)", rows)
+    ns = _dynkin_ns()
+    rows = verify.run_theorem(ns)
+    orbits = sum(_PARTITION_COUNTS[n] for n in ns)
+    details = [f"characteristics injective and mode-independent over {orbits} orbits"]
+    _report("3 (injectivity and dense/nonempty agreement)", rows, details)
 
 
 def test_criterion_4_region_sampling_oracle():
     rows = verify.run_sampling(points=10000)
-    _report("4 (region enumeration vs chamber sampling)", rows)
+    details = [
+        f"10000 chamber points each matched exactly one of {regions} regions "
+        f"({rejected} on-hyperplane draws rejected)"
+        for regions, rejected in ((6, 50), (5, 54), (14, 91), (3, 37), (4, 36))
+    ]
+    _report("4 (region enumeration vs chamber sampling)", rows, details)
 
 
 def test_criterion_5_minnorm_oracle():
     rows = verify.run_minnorm(instances=100, samples=1000)
-    _report("5 (min-norm vs sampling and float reference)", rows)
+    # the float reference's last digits (3.7e-14 on one host) depend on the
+    # floating-point build, so the gap is read back, not compared
+    gap = rows[0].detail.rpartition(" ")[2]
+    details = [
+        "100 polyhedra: KKT certified, 1000 feasible samples each never beat "
+        f"the minimizer, float reference within {gap}"
+    ]
+    _report("5 (min-norm vs sampling and float reference)", rows, details)
 
 
 def test_criterion_6_weight_system_cross_check():
     rows = verify.run_weights(count=20)
-    _report("6 (multiplicity sums and little-adjoint support)", rows)
+    details = [
+        "20 random modules, multiplicity sums equal Weyl dimensions (largest dim 362121760)",
+        "nonzero weights equal the short roots for B2, C3, F4, G2",
+    ]
+    _report("6 (multiplicity sums and little-adjoint support)", rows, details)
 
 
 def test_criterion_7_structural_lemma():
     rows = verify.run_lemma()
-    _report("7 (saturation, b-stability, nilpotency)", rows)
+    details = [
+        "all 32 region supports saturated across 5 arrangements",
+        "306 bracket checks stayed inside their subspaces; 19 sampled elements nilpotent",
+    ]
+    _report("7 (saturation, b-stability, nilpotency)", rows, details)

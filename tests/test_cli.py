@@ -244,12 +244,16 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
         assert main(["plot", "--type", "A3", "--out", str(tmp_path / "p.svg")]) == 1
         argv = ["plot", "--type", "B3", "--module", "little-adjoint"]
         assert main(argv + ["--out", str(tmp_path / "q.svg")]) == 1
+        # the membership mode belongs to characteristic and plot only
+        argv = ["regions", "--type", "A2", "--mode", "dense"]
+        assert main(argv + ["--out", str(tmp_path / "m.json")]) == 1
     assert not any(tmp_path.iterdir())
     assert main(["regions", "--type", "A1xA1", "--module", "1,1;2"]) == 1
     assert main(["characteristic", "--module", "example-2x3", "--type", "A2", "--orbit", "O3"]) == 1
     err = capsys.readouterr().err
     assert err.count("requires a rank-2 root system") == 4
     assert err.count("no orbit model") == 2
+    assert err.count("unrecognized arguments: --mode dense") == 1
 
 
 def test_help_exits_zero(capsys):

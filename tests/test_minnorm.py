@@ -110,6 +110,56 @@ def test_zero_normal_rows():
         )
 
 
+def test_duplicate_and_vacuous_rows_change_nothing():
+    # rows are read as given: a repeated row is never violated again and a
+    # zero row with bound <= 0 never is; the certificate names first occurrences
+    plain = mn.Polyhedron.from_rows([((1, 0), 2), ((-1, 1), 2)], 2)
+    padded = mn.Polyhedron.from_rows(
+        [((1, 0), 2), ((0, 0), -1), ((1, 0), 2), ((-1, 1), 2), ((0, 0), 0), ((-1, 1), 2)], 2
+    )
+    a = mn.min_norm_point(plain, _diag_form())
+    b = mn.min_norm_point(padded, _diag_form())
+    assert (b.point, b.norm_sq) == (a.point, a.norm_sq) == ((2, 4), 40)
+    first = {0: 0, 1: 3}
+    assert sorted(zip(b.active_set, b.multipliers)) == sorted(
+        (first[k], m) for k, m in zip(a.active_set, a.multipliers)
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([((1, 0), 1), ((0, 0), 1)], 2),  # a zero row with a positive bound
+        ([((1,), 1), ((-1,), 0)], 1),  # the entering normal is minus an active one
+    ],
+)
+def test_dual_iteration_reports_an_empty_polyhedron(rows, rank, monkeypatch):
+    # with the precheck LP bypassed, the iteration itself finds no step
+    poly = mn.Polyhedron.from_rows(rows, rank)
+    form = lc.invariant_form(lc.build_root_system([("A", 1)] * rank))
+    monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
+    with pytest.raises(ValueError, match="empty polyhedron"):
+        mn.min_norm_point(poly, form)
+
+
+def test_blocking_row_is_dropped():
+    # row 0 is the first row violated at the origin, so it enters first;
+    # row 1 then blocks it with z != 0, and the solution drops it
+    poly = mn.Polyhedron.from_rows([((1, 0), 1), ((1, 2), 10)], 2)
+    res = mn.min_norm_point(poly, _diag_form())
+    assert res.point == (2, 4)
+    assert res.active_set == (1,)
+
+
+def test_dependent_entering_row_drops_the_active_one():
+    # row 1 = 2 * row 0 with a larger bound: its step direction z is 0, so
+    # the only step drops row 0, and row 1 enters alone
+    poly = mn.Polyhedron.from_rows([((1, 0), 1), ((2, 0), 3)], 2)
+    res = mn.min_norm_point(poly, _diag_form())
+    assert res.point == (Q(3, 2), 0)
+    assert res.active_set == (1,)
+
+
 def _random_spd_form(rng, n):
     while True:
         l = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]

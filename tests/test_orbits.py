@@ -1,5 +1,6 @@
 """Tests for orbit models and the characteristic computation."""
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from orbitchar import jsonio, linalg
 from orbitchar.liecore import build_root_system, highest_short_root, invariant_form, norm_sq
 from orbitchar.minnorm import MinNormTieError
 from orbitchar.orbits import (
+    _EXAMPLE_POSITIONS,
     AdjointSlModel,
     Example2x3Model,
     Module,
@@ -201,6 +203,51 @@ def test_example_generic_strata(example_model):
         example_model.generic_stratum([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     with pytest.raises(ValueError):
         example_model.generic_stratum([(2, 0)])
+
+
+def _generic_rank_reference(positions, nrows, ncols) -> int:
+    """Rank of a matrix with independent free entries on the given support."""
+    best = 0
+    cells = sorted(positions)
+    for size in range(1, min(nrows, ncols) + 1):
+        for subset in itertools.combinations(cells, size):
+            rows = {i for i, _ in subset}
+            cols = {j for _, j in subset}
+            if len(rows) == size and len(cols) == size:
+                best = size
+                break
+    return best
+
+
+def _generic_stratum_reference(support):
+    """The orbit decision tree on generic ranks; None for a generically
+    invertible left block."""
+    m_cells = {(i, j) for i, j in support if j < 2}
+    c_cells = {(i, j) for i, j in support if j == 2}
+    rank_m = _generic_rank_reference(m_cells, 2, 2)
+    if rank_m == 2:
+        return None
+    if rank_m == 0:
+        return "O2" if c_cells else "0"
+    if not c_cells:
+        return "O3"
+    return "O4" if _generic_rank_reference(support, 2, 3) == 1 else "O5"
+
+
+def test_example_generic_stratum_matches_the_generic_rank_rule(example_model):
+    # the prime-filled matrix agrees with the rank rule on all 64 supports
+    weights = sorted(_EXAMPLE_POSITIONS)
+    rejected = 0
+    for size in range(len(weights) + 1):
+        for subset in itertools.combinations(weights, size):
+            want = _generic_stratum_reference({_EXAMPLE_POSITIONS[w] for w in subset})
+            if want is None:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    example_model.generic_stratum(subset)
+            else:
+                assert example_model.generic_stratum(subset) == want, subset
+    assert rejected == 28
 
 
 def test_example_closure_is_a_partial_order(example_model):
