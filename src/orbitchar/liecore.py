@@ -20,6 +20,7 @@ scale per factor rescales the factor's block.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -302,6 +303,13 @@ class InvariantForm:
     gram: tuple[tuple[Q, ...], ...]
     factor_scales: tuple[Q, ...]
 
+    @cached_property
+    def integral_gram(self) -> tuple[list[list[int]], int]:
+        """(G, d) with G / d = gram, G of ints (linalg.integral of all entries)."""
+        n = len(self.gram)
+        ints, d = linalg.integral([v for row in self.gram for v in row])
+        return [ints[i : i + n] for i in range(0, len(ints), n)], d
+
 
 def invariant_form(rs: RootSystem, factor_scales=None) -> InvariantForm:
     if factor_scales is None:
@@ -321,11 +329,10 @@ def invariant_form(rs: RootSystem, factor_scales=None) -> InvariantForm:
 
 def norm_sq(form: InvariantForm, h) -> Q:
     """Squared length of a point under the invariant form."""
-    g = form.gram
-    return sum(
-        (Q(h[i]) * g[i][j] * Q(h[j]) for i in range(len(g)) for j in range(len(g))),
-        Q(0),
-    )
+    g, d = form.integral_gram
+    x, scale = linalg.integral(h)
+    total = sum(xi * sum(map(operator.mul, row, x)) for xi, row in zip(x, g))
+    return Q(total, d * scale * scale)
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:

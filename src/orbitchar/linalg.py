@@ -9,7 +9,9 @@ pivot and divides the result by the gcd of its entries (Bareiss, Math.
 Comp. 22, 1968).  A positive factor changes neither the signs of the
 entries nor the ratios within a row, so every pivot choice is the one the
 same elimination over Fraction would make, and values are read at the end
-as an entry over its row's pivot.
+as an entry over its row's pivot.  `solve_integral` returns a solution as
+ints over the LCM of the pivots, for callers that stay on integers (the
+min-norm iteration); `solve` is its Fraction form.
 """
 
 from __future__ import annotations
@@ -87,17 +89,30 @@ def rank(rows) -> int:
     return len(_reduce(ints, len(ints[0]) if ints else 0))
 
 
-def solve(a, b) -> list[Q] | None:
-    """One exact solution of a x = b (free variables set to 0), or None if inconsistent."""
+def solve_integral(a, b) -> tuple[list[int], int] | None:
+    """One exact solution of a x = b for a and b of ints (free variables
+    set to 0) as (ints, den) with x = ints / den and den > 0, or None if
+    inconsistent."""
     n = len(a[0]) if a else 0
-    aug = [integral((*row, bi))[0] for row, bi in zip(a, b)]
+    aug = [[*row, bi] for row, bi in zip(a, b)]
     pivots = _reduce(aug, n)
     if any(row[n] for row in aug[len(pivots):]):
         return None
-    x = [Q(0)] * n
+    den = math.lcm(*[row[col] for row, col in zip(aug, pivots)])
+    x = [0] * n
     for row, col in zip(aug, pivots):
-        x[col] = Q(row[n], row[col])
-    return x
+        x[col] = row[n] * (den // row[col])
+    return x, den
+
+
+def solve(a, b) -> list[Q] | None:
+    """One exact solution of a x = b (free variables set to 0), or None if inconsistent."""
+    aug = [integral((*row, bi))[0] for row, bi in zip(a, b)]
+    sol = solve_integral([row[:-1] for row in aug], [row[-1] for row in aug])
+    if sol is None:
+        return None
+    ints, den = sol
+    return [Q(v, den) for v in ints]
 
 
 def inverse(a) -> Matrix:

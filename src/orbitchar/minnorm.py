@@ -11,8 +11,20 @@ violated row p.  Each step solves Q z + N_A^T s = p, N_A z = 0 and takes
 the smaller of the full step gap / p.z, which makes p active, and the least
 ratio lam_t / s_t over s_t > 0, which drops row t.  As p.z = z^T Q z, a
 zero z leaves only the drop; with neither step the polyhedron is empty.
-Every step is exact over Fraction and the returned certificate is
-re-verified before returning.
+
+The iteration is fraction-free.  Each row (normal, bound) is scaled once to
+ints by linalg.integral, and Q = 2 G to an integer Hessian H over its
+denominator h.  A positive scale of a row or of Q scales the steps
+gap / p.z and lam_t / s_t of one iteration by one common factor, so every
+decision and every iterate a is the one the same iteration over Fraction
+makes; a multiplier of the scaled problem is lam * h / c for a row of scale
+c.  The iterate and the multipliers share one positive denominator,
+a = X / D and lam = L / D, with X and L integer vectors: row k is violated
+when N_k . X < b_k D, the working system gives its solution as ints over
+one denominator, steps are compared by cross-multiplying, and after each
+step X, L, the entering multiplier and D are divided by their gcd.  Only
+the result is read back as Fraction, and its certificate is re-verified,
+on the same integer rows, before returning.
 
 min_norm_point_enumerate solves the same problem by enumerating candidate
 active sets; it is kept as an independent cross-check oracle.
@@ -25,6 +37,8 @@ attain the minimal norm, but at the same point.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +46,10 @@ from . import linalg, ratlp
 from .liecore import InvariantForm, Point, norm_sq
 
 Q = Fraction
+
+
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -59,10 +77,23 @@ class Polyhedron:
         return not ratlp.closed_feasible(list(self.rows), self.rank)
 
     def contains(self, point) -> bool:
-        return all(
-            sum((Q(v) * Q(x) for v, x in zip(normal, point)), Q(0)) >= bound
-            for normal, bound in self.rows
-        )
+        x, d = linalg.integral(point)
+        return _contains(_integral_rows(self), x, d)
+
+
+def _integral_rows(poly: Polyhedron) -> list[tuple[list[int], int, int]]:
+    """Each row as (c * normal, c * bound, c), scaled to ints by the row's c
+    from linalg.integral."""
+    out = []
+    for normal, bound in poly.rows:
+        ints, c = linalg.integral((*normal, bound))
+        out.append((ints[:-1], ints[-1], c))
+    return out
+
+
+def _contains(rows, x, d) -> bool:
+    """Whether the point x / d (d > 0) satisfies every integral row."""
+    return all(_dot(normal, x) >= bound * d for normal, bound, _ in rows)
 
 
 @dataclass(frozen=True)
@@ -84,28 +115,38 @@ class MinNormTieError(RuntimeError):
         super().__init__(f"minimum attained at distinct points: {points}")
 
 
+def _hessian(form: InvariantForm) -> tuple[list[list[int]], int]:
+    """(H, h) with H / h = 2 G, H of ints."""
+    g, h = form.integral_gram
+    return [[2 * v for v in row] for row in g], h
+
+
 def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> None:
     """Check the exact optimality certificate; raises AssertionError on
-    failure, also under python -O."""
-    a = res.point
-    n = poly.rank
-    if not poly.contains(a):
+    failure, also under python -O.
+
+    The check runs on the integral rows and Hessian: the point becomes
+    X / D and the multipliers, lam * h / c per row, become L / E, once."""
+    rows = _integral_rows(poly)
+    x, d = linalg.integral(res.point)
+    if not _contains(rows, x, d):
         raise AssertionError("candidate violates a constraint")
-    grad = [
-        sum((2 * form.gram[i][j] * a[j] for j in range(n)), Q(0)) for i in range(n)
-    ]
-    combo = [Q(0)] * n
-    for k, lam in zip(res.active_set, res.multipliers):
+    hess, h = _hessian(form)
+    lams, e = linalg.integral(
+        [Q(lam) * h / rows[k][2] for k, lam in zip(res.active_set, res.multipliers)]
+    )
+    combo = [0] * poly.rank
+    for k, lam in zip(res.active_set, lams):
         if lam < 0:
             raise AssertionError("negative multiplier")
-        normal, bound = poly.rows[k]
-        if sum((Q(v) * a[j] for j, v in enumerate(normal)), Q(0)) != bound:
+        normal, bound, _ = rows[k]
+        if _dot(normal, x) != bound * d:
             raise AssertionError("active row not tight")
-        for j in range(n):
-            combo[j] += lam * normal[j]
-    if combo != grad:
+        combo = [c + lam * v for c, v in zip(combo, normal)]
+    # H X / D == combo / E
+    if any(_dot(row, x) * e != c * d for row, c in zip(hess, combo)):
         raise AssertionError("stationarity fails")
-    if res.norm_sq != norm_sq(form, a):
+    if res.norm_sq != norm_sq(form, res.point):
         raise AssertionError("norm mismatch")
 
 
@@ -134,44 +175,55 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     # Rows are read as given: a duplicate of an active row or a zero row with
     # bound <= 0 is never violated; a zero row with bound > 0 is never
     # satisfied and ends in the empty exit.
-    rows = poly.rows
-    q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
+    rows = _integral_rows(poly)
+    hess, h = _hessian(form)
 
-    def dot(normal, vec):
-        return sum((v * xi for v, xi in zip(normal, vec)), Q(0))
-
-    x = [Q(0)] * n
+    x, d = [0] * n, 1  # the iterate x / d
     active: list[int] = []  # row indices into poly.rows
-    lam: list[Q] = []
+    lam: list[int] = []  # multipliers lam / d of the integral rows and hess
     entering = None
     for _ in range(10000):
         if entering is None:
             entering = next(
-                (k for k, (normal, bound) in enumerate(rows) if dot(normal, x) < bound),
+                (k for k, (normal, bound, _) in enumerate(rows) if _dot(normal, x) < bound * d),
                 None,
             )
             if entering is None:
                 break
-            u = Q(0)
-        p_normal, p_bound = rows[entering]
+            u = 0  # its multiplier u / d
+        p_normal, p_bound, _ = rows[entering]
         normals = [rows[k][0] for k in active]
-        mat = [q[i] + [normal[i] for normal in normals] for i in range(n)]
-        mat += [list(normal) + [0] * len(normals) for normal in normals]
-        sol = linalg.solve(mat, list(p_normal) + [0] * len(normals))
+        mat = [hess[i] + [normal[i] for normal in normals] for i in range(n)]
+        mat += [normal + [0] * len(normals) for normal in normals]
+        sol = linalg.solve_integral(mat, p_normal + [0] * len(normals))
         if sol is None:
             raise AssertionError("singular working-set system")
-        z, s = sol[:n], sol[n:]
-        pz = dot(p_normal, z)
-        t2 = (p_bound - dot(p_normal, x)) / pz if pz else None
-        drops = [(lam[t] / s[t], t) for t in range(len(active)) if s[t] > 0]
-        t1, k = min(drops) if drops else (None, None)
-        if t1 is None and t2 is None:
+        ints, e = sol
+        z, s = ints[:n], ints[n:]
+        # z / e and s / e: the full step (gap / d) / (pz / e) and each drop
+        # ratio (lam_t / d) / (s_t / e) share the factor e / d, so the
+        # least of them is found by cross-multiplying gap / pz and lam_t / s_t
+        pz = _dot(p_normal, z)
+        k = None
+        for t, st in enumerate(s):
+            if st > 0 and (k is None or lam[t] * s[k] < lam[k] * st):
+                k = t
+        if k is None and not pz:
             raise ValueError("empty polyhedron")
-        full = t2 is not None and (t1 is None or t2 <= t1)
-        step = t2 if full else t1
-        x = [xi + step * zi for xi, zi in zip(x, z)]
-        lam = [l - step * si for l, si in zip(lam, s)]
-        u += step
+        gap = p_bound * d - _dot(p_normal, x)
+        full = pz != 0 and (k is None or gap * s[k] <= lam[k] * pz)
+        num, den = (gap, pz) if full else (lam[k], s[k])
+        # take the step (num / den) * (e / d) over the new denominator d * den
+        x = [xi * den + num * zi for xi, zi in zip(x, z)]
+        lam = [l * den - num * si for l, si in zip(lam, s)]
+        u = u * den + num * e
+        d *= den
+        g = math.gcd(d, u, *x, *lam)
+        if g > 1:
+            x = [xi // g for xi in x]
+            lam = [l // g for l in lam]
+            u //= g
+            d //= g
         if full:
             active.append(entering)
             lam.append(u)
@@ -182,12 +234,13 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     else:
         raise RuntimeError("active-set iteration failed to settle")
 
-    point = tuple(x)
+    point = tuple(Q(xi, d) for xi in x)
     res = MinNormResult(
         point=point,
         norm_sq=norm_sq(form, point),
         active_set=tuple(active),
-        multipliers=tuple(lam),
+        # lam / d was lam * h / c for a row of scale c
+        multipliers=tuple(Q(l * rows[t][2], h * d) for t, l in zip(active, lam)),
     )
     verify_kkt(poly, form, res)
     return res

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .arrangement import (
@@ -420,14 +421,46 @@ class RegionAnalysis:
             strata=strata,
         )
 
+    @cached_property
+    def _sign_strings(self) -> frozenset[str]:
+        return frozenset(r.signs for r in self.regions)
+
+    def _walls(self, region: Region) -> list[int]:
+        """Indices into region.closure_ineqs of the chamber rows and of the
+        sign rows that are facets of the region.
+
+        Sign row k is a facet exactly when flipping sign k names another
+        region: the segment between the two witnesses stays in the open
+        chamber and crosses hyperplane k alone."""
+        rank = self.model.root_system.rank
+        signs = region.signs
+        flip = {"+": "-", "-": "+"}
+        return list(range(rank)) + [
+            rank + k
+            for k, sign in enumerate(signs)
+            if signs[:k] + flip[sign] + signs[k + 1 :] in self._sign_strings
+        ]
+
     def region_minimum(self, region_id: int) -> MinNormResult:
+        """The minimizer over a region's closure, with its certificate
+        (active_set indexes closure_ineqs)."""
         if region_id not in self._minima:
             # enumerate_regions numbers the regions 1..N in list order
             k = region_id - 1
             if not (0 <= k < len(self.regions) and self.regions[k].id == region_id):
                 raise ValueError(f"no region with id {region_id}")
-            poly = Polyhedron.from_region(self.regions[k], self.model.root_system.rank)
-            self._minima[region_id] = min_norm_point(poly, self.form)
+            region = self.regions[k]
+            rank = self.model.root_system.rank
+            walls = self._walls(region)
+            rows = [region.closure_ineqs[w] for w in walls]
+            res = min_norm_point(Polyhedron.from_rows(rows, rank), self.form)
+            # The walls cut out a superset of the closure, so their minimizer
+            # is the closure's exactly when it lies in the closure.
+            if not Polyhedron.from_region(region, rank).contains(res.point):
+                raise AssertionError(
+                    f"the minimizer over the walls of region {region_id} leaves its closure"
+                )
+            self._minima[region_id] = replace(res, active_set=tuple(walls[t] for t in res.active_set))
         return self._minima[region_id]
 
 

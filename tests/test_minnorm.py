@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from orbitchar import arrangement as ar
 from orbitchar import liecore as lc
+from orbitchar import linalg
 from orbitchar import minnorm as mn
+from orbitchar import verify
 
 
 def _diag_form():
@@ -269,3 +272,156 @@ def test_min_over_union_tie_detection():
 def test_min_over_union_requires_input():
     with pytest.raises(ValueError):
         mn.min_over_union([], _diag_form())
+
+
+def _fraction_reference(poly, form):
+    """The dual active-set iteration that min_norm_point runs on integer
+    rows, step for step over Fraction: the same precheck, entering rule,
+    step rule and empty exit."""
+    n = poly.rank
+    if poly.is_empty():
+        raise ValueError("empty polyhedron")
+    rows = poly.rows
+    q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
+
+    def dot(normal, vec):
+        return sum((v * xi for v, xi in zip(normal, vec)), Q(0))
+
+    x = [Q(0)] * n
+    active, lam = [], []
+    entering = None
+    for _ in range(10000):
+        if entering is None:
+            entering = next(
+                (k for k, (normal, bound) in enumerate(rows) if dot(normal, x) < bound),
+                None,
+            )
+            if entering is None:
+                break
+            u = Q(0)
+        p_normal, p_bound = rows[entering]
+        normals = [rows[k][0] for k in active]
+        mat = [q[i] + [normal[i] for normal in normals] for i in range(n)]
+        mat += [list(normal) + [0] * len(normals) for normal in normals]
+        sol = linalg.solve(mat, list(p_normal) + [0] * len(normals))
+        if sol is None:
+            raise AssertionError("singular working-set system")
+        z, s = sol[:n], sol[n:]
+        pz = dot(p_normal, z)
+        t2 = (p_bound - dot(p_normal, x)) / pz if pz else None
+        drops = [(lam[t] / s[t], t) for t in range(len(active)) if s[t] > 0]
+        t1, k = min(drops) if drops else (None, None)
+        if t1 is None and t2 is None:
+            raise ValueError("empty polyhedron")
+        full = t2 is not None and (t1 is None or t2 <= t1)
+        step = t2 if full else t1
+        x = [xi + step * zi for xi, zi in zip(x, z)]
+        lam = [l - step * si for l, si in zip(lam, s)]
+        u += step
+        if full:
+            active.append(entering)
+            lam.append(u)
+            entering = None
+        else:
+            active.pop(k)
+            lam.pop(k)
+    else:
+        raise RuntimeError("active-set iteration failed to settle")
+    g = form.gram
+    norm = sum((x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)), Q(0))
+    return mn.MinNormResult(tuple(x), norm, tuple(active), tuple(lam))
+
+
+def _outcome(solve, poly, form):
+    """A result with the types of all its entries, or the error raised."""
+    try:
+        res = solve(poly, form)
+    except (ValueError, AssertionError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    kinds = [type(v) for v in (*res.point, res.norm_sq, *res.multipliers, *res.active_set)]
+    return res, kinds
+
+
+def _assert_matches_reference(poly, form):
+    got = _outcome(mn.min_norm_point, poly, form)
+    assert got == _outcome(_fraction_reference, poly, form), poly
+    return got
+
+
+def _regions(factors, scales=None, level=Q(2)):
+    rs = lc.build_root_system(factors)
+    ws = lc.weight_system(rs, lc.highest_roots(rs))
+    hps = ar.chamber_hyperplanes(ws, level)
+    regions = ar.enumerate_regions(rs, hps)
+    form = lc.invariant_form(rs, scales)
+    return [(mn.Polyhedron.from_region(r, rs.rank), form) for r in regions]
+
+
+@pytest.mark.parametrize(
+    "factors, scales, level",
+    [
+        ([("A", 3)], None, Q(2)),
+        ([("A", 4)], None, Q(2)),
+        ([("A", 5)], None, Q(2)),
+        ([("B", 3)], None, Q(2)),
+        ([("C", 3)], None, Q(2)),
+        ([("D", 4)], None, Q(2)),
+        ([("G", 2)], None, Q(2)),
+        ([("A", 1), ("B", 2)], None, Q(2)),
+        # rational bounds and a gram with denominators
+        ([("G", 2)], (Q(2, 7),), Q(7, 3)),
+        ([("A", 1), ("B", 2)], (Q(1, 3), Q(5, 2)), Q(5, 3)),
+    ],
+)
+def test_integer_iteration_matches_the_fraction_reference_on_regions(factors, scales, level):
+    for poly, form in _regions(factors, scales, level):
+        _assert_matches_reference(poly, form)
+
+
+def _rational_rows(rng, poly, form):
+    """The same polyhedron with every row scaled by its own positive
+    rational, under the form D G D for a positive rational diagonal D."""
+    rows = [
+        (tuple(c * v for v in normal), c * bound)
+        for normal, bound in poly.rows
+        for c in [Q(rng.randint(1, 9), rng.randint(1, 9))]
+    ]
+    d = [Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(poly.rank)]
+    gram = tuple(
+        tuple(d[i] * v * d[j] for j, v in enumerate(row)) for i, row in enumerate(form.gram)
+    )
+    return mn.Polyhedron.from_rows(rows, poly.rank), lc.InvariantForm(gram, form.factor_scales)
+
+
+def test_integer_iteration_matches_the_fraction_reference_on_random_instances():
+    rng = random.Random(8)
+    scaled = 0
+    for _ in range(320):
+        _, _, poly, form = verify._random_instance(rng)
+        _assert_matches_reference(poly, form)
+        if rng.random() < 0.5:
+            poly, form = _rational_rows(rng, poly, form)
+            _assert_matches_reference(poly, form)
+            scaled += any(v.denominator > 1 for row in form.gram for v in row)
+    assert scaled >= 100
+
+
+def test_integer_iteration_matches_the_fraction_reference_on_empty_instances(monkeypatch):
+    # a feasible instance plus the contradictory rows mu.a >= b, mu.a <= b - 1;
+    # the second pass bypasses the precheck LP, so the iteration's own empty
+    # exit answers
+    rng = random.Random(21)
+    cases = []
+    for _ in range(60):
+        _, _, poly, form = verify._random_instance(rng)
+        mu = tuple(rng.randint(-3, 3) for _ in range(poly.rank))
+        b = Q(rng.randint(-300, 300), 100)
+        rows = list(poly.rows)
+        for row in ((mu, b), (tuple(-m for m in mu), 1 - b)):
+            rows.insert(rng.randint(0, len(rows)), row)
+        cases.append((mn.Polyhedron.from_rows(rows, poly.rank), form))
+    for poly, form in cases:
+        assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")
+    monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
+    for poly, form in cases:
+        assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")

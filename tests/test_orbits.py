@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from orbitchar import jsonio, linalg
+from orbitchar import jsonio, linalg, ratlp
 from orbitchar.liecore import build_root_system, highest_short_root, invariant_form, norm_sq
-from orbitchar.minnorm import MinNormTieError
+from orbitchar.minnorm import MinNormTieError, Polyhedron, min_norm_point, verify_kkt
 from orbitchar.orbits import (
     _EXAMPLE_POSITIONS,
     AdjointSlModel,
@@ -408,6 +408,64 @@ def test_region_minimum_rejects_unknown_id(example_analysis):
             example_analysis.region_minimum(rid)
     last = example_analysis.regions[-1]
     assert example_analysis.region_minimum(last.id) is example_analysis.region_minimum(6)
+
+
+@pytest.fixture(scope="module")
+def sl4_analysis():
+    return RegionAnalysis.build(AdjointSlModel(4))
+
+
+@pytest.mark.parametrize("name", ["sl4_analysis", "example_analysis", "g2_little_analysis"])
+def test_walls_are_the_irredundant_sign_rows(name, request):
+    # oracle: sign row k is a facet exactly when the other rows and the
+    # reversed row k still have a strict interior point (an exact LP each)
+    analysis = request.getfixturevalue(name)
+    rank = analysis.model.root_system.rank
+    for region in analysis.regions:
+        rows = list(region.closure_ineqs)
+        facets = [
+            k
+            for k in range(rank, len(rows))
+            if ratlp.strict_interior(
+                rows[:k] + rows[k + 1 :] + [(tuple(-v for v in rows[k][0]), -rows[k][1])], rank
+            )
+            is not None
+        ]
+        assert analysis._walls(region) == list(range(rank)) + facets
+
+
+@pytest.mark.parametrize("name", ["sl4_analysis", "example_analysis", "g2_little_analysis"])
+def test_minimum_over_the_walls_is_certified_on_the_whole_closure(name, request):
+    analysis = request.getfixturevalue(name)
+    rank = analysis.model.root_system.rank
+    for region in analysis.regions:
+        res = analysis.region_minimum(region.id)
+        closure = Polyhedron.from_region(region, rank)
+        verify_kkt(closure, analysis.form, res)
+        full = min_norm_point(closure, analysis.form)
+        assert (res.point, res.norm_sq) == (full.point, full.norm_sq)
+
+
+def test_a_dropped_wall_is_caught(sl4_analysis, monkeypatch):
+    # drop a sign row that carries a positive multiplier at the minimizer:
+    # the walls left have a shorter minimizer, which leaves the closure
+    rank = sl4_analysis.model.root_system.rank
+    region, wall = next(
+        (region, k)
+        for region in sl4_analysis.regions
+        for res in [sl4_analysis.region_minimum(region.id)]
+        for k, lam in zip(res.active_set, res.multipliers)
+        if k >= rank and lam > 0
+    )
+    fresh = RegionAnalysis.build(AdjointSlModel(4))
+    honest = RegionAnalysis._walls
+    monkeypatch.setattr(
+        RegionAnalysis,
+        "_walls",
+        lambda self, r: [w for w in honest(self, r) if (r.id, w) != (region.id, wall)],
+    )
+    with pytest.raises(AssertionError, match=f"region {region.id} leaves its closure"):
+        fresh.region_minimum(region.id)
 
 
 def test_characteristic_rejects_bad_input(example_analysis):
