@@ -7,24 +7,29 @@ characterized by an active row set A and nonnegative multipliers lam with
 
 min_norm_point finds it by a dual active-set iteration (Goldfarb & Idnani
 1983): start from the unconstrained minimum 0 and bring in the first
-violated row p.  Each step solves Q z + N_A^T s = p, N_A z = 0 and takes
-the smaller of the full step gap / p.z, which makes p active, and the least
+violated row p.  Each step finds the direction z and the multiplier change
+s of the working system Q z + N_A^T s = p, N_A z = 0 through its Schur
+complement in the active normals: (N_A Q^-1 N_A^T) s = N_A Q^-1 p, then
+z = Q^-1 (p - N_A^T s).  Q^-1 is formed once per call, so a step solves an
+|A|-square system only.  The active normals stay independent (a row enters
+only when p.z != 0), so the system has one solution.  The step is the
+smaller of the full step gap / p.z, which makes p active, and the least
 ratio lam_t / s_t over s_t > 0, which drops row t.  As p.z = z^T Q z, a
 zero z leaves only the drop; with neither step the polyhedron is empty.
 
 The iteration is fraction-free.  Each row (normal, bound) is scaled once to
-ints by linalg.integral, and Q = 2 G to an integer Hessian H over its
-denominator h.  A positive scale of a row or of Q scales the steps
-gap / p.z and lam_t / s_t of one iteration by one common factor, so every
-decision and every iterate a is the one the same iteration over Fraction
-makes; a multiplier of the scaled problem is lam * h / c for a row of scale
-c.  The iterate and the multipliers share one positive denominator,
-a = X / D and lam = L / D, with X and L integer vectors: row k is violated
-when N_k . X < b_k D, the working system gives its solution as ints over
-one denominator, steps are compared by cross-multiplying, and after each
-step X, L, the entering multiplier and D are divided by their gcd.  Only
-the result is read back as Fraction, and its certificate is re-verified,
-on the same integer rows, before returning.
+ints by linalg.integral, Q = 2 G to an integer Hessian H over its
+denominator h, and H^-1 to ints K over one denominator.  A positive scale
+of a row or of Q scales the steps gap / p.z and lam_t / s_t of one
+iteration by one common factor, so every decision and every iterate a is
+the one the same iteration over Fraction makes; a multiplier of the scaled
+problem is lam * h / c for a row of scale c.  The iterate and the
+multipliers share one positive denominator, a = X / D and lam = L / D, with
+X and L integer vectors: row k is violated when N_k . X < b_k D, each step
+gives z and s as ints over one denominator, steps are compared by
+cross-multiplying, and after each step X, L, the entering multiplier and D
+are divided by their gcd.  Only the result is read back as Fraction, and
+its certificate is re-verified, on the same integer rows, before returning.
 
 min_norm_point_enumerate solves the same problem by enumerating candidate
 active sets; it is kept as an independent cross-check oracle.
@@ -177,10 +182,14 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     # satisfied and ends in the empty exit.
     rows = _integral_rows(poly)
     hess, h = _hessian(form)
+    # K / kden = H^-1, K of ints
+    ints, kden = linalg.integral([v for row in linalg.inverse(hess) for v in row])
+    kinv = [ints[i : i + n] for i in range(0, n * n, n)]
 
     x, d = [0] * n, 1  # the iterate x / d
     active: list[int] = []  # row indices into poly.rows
     lam: list[int] = []  # multipliers lam / d of the integral rows and hess
+    kn: list[list[int]] = []  # K N_t for each active row t
     entering = None
     for _ in range(10000):
         if entering is None:
@@ -191,15 +200,29 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
             if entering is None:
                 break
             u = 0  # its multiplier u / d
-        p_normal, p_bound, _ = rows[entering]
-        normals = [rows[k][0] for k in active]
-        mat = [hess[i] + [normal[i] for normal in normals] for i in range(n)]
-        mat += [normal + [0] * len(normals) for normal in normals]
-        sol = linalg.solve_integral(mat, p_normal + [0] * len(normals))
+            p_normal, p_bound, _ = rows[entering]
+            kp = [_dot(row, p_normal) for row in kinv]
+        # the working system H z + N_A^T s = p, N_A z = 0 through its Schur
+        # complement: (N_A K N_A^T) s = N_A K p, then z = K (p - N_A^T s) / kden
+        sol = linalg.solve_integral(
+            [[_dot(rows[t][0], kb) for kb in kn] for t in active],
+            [_dot(kb, p_normal) for kb in kn],
+        )
         if sol is None:
             raise AssertionError("singular working-set system")
-        ints, e = sol
-        z, s = ints[:n], ints[n:]
+        s, e = sol
+        # z and s as ints over the one denominator kden * e
+        z = [e * v for v in kp]
+        for st, kb in zip(s, kn):
+            if st:
+                z = [zi - st * v for zi, v in zip(z, kb)]
+        s = [kden * st for st in s]
+        e *= kden
+        g = math.gcd(e, *z, *s)
+        if g > 1:
+            z = [zi // g for zi in z]
+            s = [st // g for st in s]
+            e //= g
         # z / e and s / e: the full step (gap / d) / (pz / e) and each drop
         # ratio (lam_t / d) / (s_t / e) share the factor e / d, so the
         # least of them is found by cross-multiplying gap / pz and lam_t / s_t
@@ -227,10 +250,12 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
         if full:
             active.append(entering)
             lam.append(u)
+            kn.append(kp)
             entering = None
         else:
             active.pop(k)
             lam.pop(k)
+            kn.pop(k)
     else:
         raise RuntimeError("active-set iteration failed to settle")
 

@@ -18,10 +18,18 @@ row times a positive factor (linalg's invariant); a pivot is an exchange by
 linalg's `eliminate`, with the gcd of the full tableau's row, so each
 constraint row holds the full tableau's ints at its stored columns and the
 pivots are those of the same simplex over Fraction.  Values are rhs over d.
+
+Phase 1 alone answers closed feasibility (`closed_feasible`), and either
+answer carries a certificate checked in ints: a zero residual gives the
+basic point X / D, checked against every row; a positive one gives a Farkas
+vector y >= 0, y != 0 with y.N = 0 and y.b > 0, read from the final
+objective row.  `solve_max` continues from the same phase-1 dictionary.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .linalg import eliminate, integral
@@ -126,6 +134,88 @@ def _run_simplex(rows, basis, slots, signs, obj, phase1):
         obj = _pivot(rows, basis, slots, signs, best, col, obj)
 
 
+def _integral_rows(rows, n):
+    """Each row (normal, bound) as linalg.integral's (ints, scale)."""
+    out = []
+    for normal, bound in rows:
+        if len(normal) != n:
+            raise ValueError("dimension mismatch")
+        out.append(integral((*normal, bound)))
+    return out
+
+
+def _phase1(rows, n):
+    """Phase 1 on rows as `_integral_rows` gives them: the dictionary (tab,
+    basis, slots, signs, obj) it ends with, or None when its residual is
+    positive, which the Farkas vector of `_farkas` then certifies."""
+    m = len(rows)
+    signs, tab = [], []
+    for ints, scale in rows:
+        sign = -1 if ints[-1] < 0 else 1
+        signs.append(sign)
+        tab.append([sign * v for v in ints[:-1]] + [scale, sign * ints[-1]])
+    # artificial basis, cost 1 on every artificial
+    basis = [2 * n + m + i for i in range(m)]
+    slots = list(range(n))
+    obj = [0] * n + [1, 0]
+    for row in tab:
+        obj = _price(obj, row, 1)
+    # the phase-1 objective is bounded below by 0, so the run is optimal
+    _, obj = _run_simplex(tab, basis, slots, signs, obj, True)
+    if obj[-1] != 0:
+        _check_farkas(rows, _farkas(obj, basis, slots, signs, rows))
+        return None
+    return tab, basis, slots, signs, obj
+
+
+def _farkas(obj, basis, slots, signs, rows):
+    """y >= 0 with y.N = 0 and y.b > 0 on the integral rows, read from an
+    optimal phase-1 objective row with a positive residual, as ints times
+    one positive factor.
+
+    Row i's multiplier is the reduced cost of s_i over its scale c_i: the
+    slot entry while s_i is nonbasic, sign_i alpha while a_i is basic, 0
+    while s_i is basic."""
+    n, m = len(slots), len(signs)
+    cost = [0] * m
+    for c, j in enumerate(slots):
+        if j >= n:
+            cost[j - 2 * n] = obj[c]
+    for b in basis:
+        if b >= 2 * n + m:
+            i = b - 2 * n - m
+            cost[i] = signs[i] * obj[n]
+    scales = [scale for _, scale in rows]
+    lcm = math.lcm(*scales)
+    return [r * (lcm // c) for r, c in zip(cost, scales)]
+
+
+def _check_farkas(rows, y) -> None:
+    """Raise AssertionError unless y certifies that the rows have no
+    common point (checked also under python -O)."""
+    if any(v < 0 for v in y) or not any(y):
+        raise AssertionError("Farkas multipliers not nonnegative and nonzero")
+    combo = [sum(v * ints[j] for v, (ints, _) in zip(y, rows)) for j in range(len(rows[0][0]))]
+    if any(combo[:-1]):
+        raise AssertionError("Farkas combination of the normals is not zero")
+    if combo[-1] <= 0:
+        raise AssertionError("Farkas combination of the bounds is not positive")
+
+
+def _phase1_point(tab, basis, n):
+    """The basic point of a dictionary as ints X over one denominator D."""
+    den = math.lcm(*[row[n] for row, b in zip(tab, basis) if b < 2 * n])
+    x = [0] * n
+    for row, b in zip(tab, basis):
+        if b < 2 * n:
+            v = row[-1] * (den // row[n])
+            if b < n:
+                x[b] += v
+            else:
+                x[b - n] -= v
+    return x, den
+
+
 def solve_max(objective, rows, nvars):
     """Maximize objective.x over {x : normal.x >= bound for (normal, bound) in rows}.
 
@@ -133,26 +223,11 @@ def solve_max(objective, rows, nvars):
     'infeasible'; value and x are None unless optimal.
     """
     n, m = nvars, len(rows)
-    signs, tab = [], []
-    for normal, bound in rows:
-        if len(normal) != n:
-            raise ValueError("dimension mismatch")
-        ints, scale = integral((*normal, bound))
-        sign = -1 if ints[-1] < 0 else 1
-        signs.append(sign)
-        tab.append([sign * v for v in ints[:-1]] + [scale, sign * ints[-1]])
-    # phase 1: artificial basis, cost 1 on every artificial
-    art = 2 * n + m
-    basis = [art + i for i in range(m)]
-    slots = list(range(n))
-    obj = [0] * n + [1, 0]
-    for row in tab:
-        obj = _price(obj, row, 1)
-    _, obj = _run_simplex(tab, basis, slots, signs, obj, True)
-    if obj[-1] != 0:
-        # phase-1 objective is bounded below by 0, so status is 'optimal';
-        # a positive residual means the constraints are inconsistent
+    start = _phase1(_integral_rows(rows, n), n)
+    if start is None:
         return INFEASIBLE, None, None
+    tab, basis, slots, signs, obj = start
+    art = 2 * n + m
     for i, b in enumerate(basis):
         if b >= art:
             # the first column with a nonzero entry; a_k's own s_k is one
@@ -178,28 +253,31 @@ def solve_max(objective, rows, nvars):
     return OPTIMAL, value, point
 
 
-def max_uniform_slack(rows, nvars):
-    """Maximize t (capped at 1) such that normal.x - t >= bound for all rows.
+def strict_interior(rows, nvars):
+    """A point satisfying every row strictly, or None.
 
-    The optimum is > 0 exactly when the strict system normal.x > bound is
-    feasible, and >= 0 exactly when the closed system is feasible.  Returns
-    (t, x).
-    """
+    It maximizes t (capped at 1) such that normal.x - t >= bound for all
+    rows; the optimum is > 0 exactly when the strict system is feasible."""
     ext = [(tuple(normal) + (-1,), bound) for normal, bound in rows]
     ext.append(((0,) * nvars + (-1,), Q(-1)))
     objective = (0,) * nvars + (1,)
-    status, value, point = solve_max(objective, ext, nvars + 1)
+    status, t, point = solve_max(objective, ext, nvars + 1)
     if status != OPTIMAL:
         raise RuntimeError(f"slack program ended {status}")
-    return value, point[:nvars]
-
-
-def strict_interior(rows, nvars):
-    """A point satisfying every row strictly, or None."""
-    t, x = max_uniform_slack(rows, nvars)
-    return x if t > 0 else None
+    return point[:nvars] if t > 0 else None
 
 
 def closed_feasible(rows, nvars) -> bool:
-    t, _ = max_uniform_slack(rows, nvars)
-    return t >= 0
+    """Whether the closed system normal.x >= bound has a point, decided by
+    phase 1 alone; either answer is checked by its certificate, the phase-1
+    point or a Farkas vector, and AssertionError raised if it fails."""
+    irows = _integral_rows(rows, nvars)
+    start = _phase1(irows, nvars)
+    if start is None:
+        return False
+    tab, basis, _, _, _ = start
+    x, d = _phase1_point(tab, basis, nvars)
+    for ints, _ in irows:
+        if sum(map(operator.mul, ints[:-1], x)) < ints[-1] * d:
+            raise AssertionError("phase-1 point violates a row")
+    return True

@@ -371,11 +371,21 @@ def _regions(factors, scales=None, level=Q(2)):
         # rational bounds and a gram with denominators
         ([("G", 2)], (Q(2, 7),), Q(7, 3)),
         ([("A", 1), ("B", 2)], (Q(1, 3), Q(5, 2)), Q(5, 3)),
+        # non-simply-laced products whose H^-1 has a denominator
+        ([("A", 1), ("G", 2)], (Q(1), Q(3, 2)), Q(2)),
+        ([("B", 2), ("G", 2)], (Q(1), Q(3, 2)), Q(2)),
     ],
 )
 def test_integer_iteration_matches_the_fraction_reference_on_regions(factors, scales, level):
     for poly, form in _regions(factors, scales, level):
         _assert_matches_reference(poly, form)
+
+
+@pytest.mark.parametrize("factors", [[("A", 1), ("G", 2)], [("B", 2), ("G", 2)]], ids=str)
+def test_inverse_hessian_of_a_scaled_product_has_a_denominator(factors):
+    form = lc.invariant_form(lc.build_root_system(factors), (Q(1), Q(3, 2)))
+    hess, _ = mn._hessian(form)
+    assert linalg.integral([v for row in linalg.inverse(hess) for v in row])[1] > 1
 
 
 def _rational_rows(rng, poly, form):
@@ -425,3 +435,45 @@ def test_integer_iteration_matches_the_fraction_reference_on_empty_instances(mon
     monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
     for poly, form in cases:
         assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")
+
+
+def _rational_spd_form(rng, n):
+    """L L^T for a lower-triangular L with rational entries and a positive
+    diagonal."""
+    l = [
+        [Q(rng.randint(1 if i == j else -4, 4), rng.randint(1, 5)) if j <= i else Q(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    gram = linalg.matmul(l, linalg.transpose(l))
+    return lc.InvariantForm(gram=tuple(map(tuple, gram)), factor_scales=(Q(1),))
+
+
+def test_integer_iteration_matches_the_fraction_reference_under_rational_forms():
+    rng = random.Random(96)
+    for _ in range(200):
+        _, _, poly, _ = verify._random_instance(rng)
+        _assert_matches_reference(poly, _rational_spd_form(rng, poly.rank))
+
+
+def _sl8_cell(rng, rs, cartan_inv, nrows):
+    """The closure of a cell of a random dominant point under the level-2
+    hyperplanes of nrows - rank positive roots, inside the dominant chamber."""
+    labels = [Q(rng.randint(1, 8), 4) for _ in range(rs.rank)]
+    point = tuple(sum(a * b for a, b in zip(row, labels)) for row in cartan_inv)
+    rows = [(tuple(row), Q(0)) for row in rs.cartan]
+    for mu in rng.sample(rs.positive_roots, nrows - rs.rank):
+        if sum(m * x for m, x in zip(mu, point)) >= 2:
+            rows.append((mu, Q(2)))
+        else:
+            rows.append((tuple(-m for m in mu), Q(-2)))
+    return mn.Polyhedron.from_rows(rows, rs.rank)
+
+
+def test_integer_iteration_matches_the_fraction_reference_at_rank_7():
+    rs = lc.build_root_system([("A", 7)])
+    form, cartan_inv = lc.invariant_form(rs), linalg.inverse(rs.cartan)
+    rng = random.Random(7)
+    for nrows in (8, 14, 20, 20):
+        res, _ = _assert_matches_reference(_sl8_cell(rng, rs, cartan_inv, nrows), form)
+        assert res.norm_sq > 0

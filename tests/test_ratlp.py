@@ -1,8 +1,12 @@
 """Exact simplex against hand cases, a floating-point reference and the
 full-tableau simplex it condenses."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,3 +320,125 @@ def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch,
     assert len(lps) > len(regions)
     for objective, rows, nvars, got in lps:
         assert got == _full_tableau_reference(objective, rows, nvars)
+
+
+def _slack_reference(rows, n):
+    """Closed feasibility as the uniform-slack LP decides it: the largest t
+    (capped at 1) with normal.x - t >= bound on every row is >= 0."""
+    ext = [(tuple(normal) + (-1,), bound) for normal, bound in rows]
+    ext.append(((0,) * n + (-1,), Q(-1)))
+    status, t, _ = ratlp.solve_max((0,) * n + (1,), ext, n + 1)
+    assert status == ratlp.OPTIMAL
+    return t >= 0
+
+
+def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
+    # every positive residual passes its Farkas check (closed_feasible would
+    # raise otherwise); count the read-offs that use a still-basic a_i
+    farkas, kinds = ratlp._farkas, {"infeasible": 0, "basic_artificial": 0}
+
+    def counting(obj, basis, slots, signs, rows):
+        kinds["infeasible"] += 1
+        kinds["basic_artificial"] += any(b >= 2 * len(slots) + len(signs) for b in basis)
+        return farkas(obj, basis, slots, signs, rows)
+
+    monkeypatch.setattr(ratlp, "_farkas", counting)
+    rng = random.Random(20261018)
+    feasible = 0
+    for _ in range(2000):
+        _, rows, n = _seeded_lp(rng)
+        got = ratlp.closed_feasible(rows, n)
+        assert got == _slack_reference(rows, n), rows
+        feasible += got
+    assert ratlp.closed_feasible([], 3) and _slack_reference([], 3)
+    assert kinds["infeasible"] == 2000 - feasible >= 500, kinds
+    assert kinds["basic_artificial"] >= 100, kinds
+
+
+def _adjoint_closures(factors):
+    rs = liecore.build_root_system(factors)
+    ws = liecore.weight_system(rs, liecore.highest_roots(rs))
+    regions = arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
+    return [list(r.closure_ineqs) for r in regions], rs.rank
+
+
+@pytest.mark.parametrize(
+    "factors", [[("A", 3)], [("A", 4)], [("A", 5)], [("B", 3)], [("G", 2)]], ids=str
+)
+def test_phase1_feasibility_matches_the_slack_lp_on_region_closures(factors):
+    # each closure is nonempty; the union of the rows of two closures is
+    # empty unless they share a face
+    closures, n = _adjoint_closures(factors)
+    empty = 0
+    for k, rows in enumerate(closures):
+        assert ratlp.closed_feasible(rows, n) and _slack_reference(rows, n)
+        both = rows + closures[(7 * k + 1) % len(closures)]
+        got = ratlp.closed_feasible(both, n)
+        assert got == _slack_reference(both, n)
+        empty += not got
+    assert 0 < empty < len(closures)
+
+
+# x >= 1 and x <= 0, plus the slack rows x >= -5 and x <= 5
+_EMPTY_ROWS = [((1,), 1), ((-1,), 0), ((1,), -5), ((-1,), -5)]
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        ([-1, -1, 0, 0], "Farkas multipliers not nonnegative and nonzero"),
+        ([0, 0, 0, 0], "Farkas multipliers not nonnegative and nonzero"),
+        ([2, 1, 0, 0], "Farkas combination of the normals is not zero"),
+        ([0, 0, 1, 1], "Farkas combination of the bounds is not positive"),
+    ],
+)
+def test_a_tampered_farkas_vector_is_refused(monkeypatch, y, message):
+    assert not ratlp.closed_feasible(_EMPTY_ROWS, 1)
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
+    with pytest.raises(AssertionError, match=message):
+        ratlp.closed_feasible(_EMPTY_ROWS, 1)
+    with pytest.raises(AssertionError, match=message):
+        ratlp.solve_max((1,), _EMPTY_ROWS, 1)
+
+
+def test_a_tampered_phase1_point_is_refused(monkeypatch):
+    rows = [((1, 0), 1), ((0, 1), Q(1, 2))]
+    point, read = ratlp._phase1_point, []
+    monkeypatch.setattr(ratlp, "_phase1_point", lambda *args: read.append(point(*args)) or read[-1])
+    assert ratlp.closed_feasible(rows, 2)
+    assert read == [([2, 1], 2)]  # the vertex (1, 1/2)
+    monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: ([0] * n, 1))
+    with pytest.raises(AssertionError, match="phase-1 point violates a row"):
+        ratlp.closed_feasible(rows, 2)
+
+
+def test_certificate_checks_run_under_optimize():
+    script = """
+from orbitchar import ratlp
+assert False  # stripped by -O
+rows = [((1,), 1), ((-1,), 0), ((1,), -5), ((-1,), -5)]
+farkas = ratlp._farkas
+for y in ([-1, -1, 0, 0], [2, 1, 0, 0], [0, 0, 1, 1]):
+    ratlp._farkas = lambda *args: y
+    try:
+        ratlp.closed_feasible(rows, 1)
+    except AssertionError as exc:
+        print(exc)
+ratlp._farkas = farkas
+ratlp._phase1_point = lambda tab, basis, n: ([0] * n, 1)
+try:
+    ratlp.closed_feasible([((1,), 1)], 1)
+except AssertionError as exc:
+    print(exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+    assert out[:4] == [
+        "Farkas multipliers not nonnegative and nonzero",
+        "Farkas combination of the normals is not zero",
+        "Farkas combination of the bounds is not positive",
+        "phase-1 point violates a row",
+    ]
