@@ -284,6 +284,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 2:
+        raise CliError(f"--n {args.n}: the largest sl_n must be at least 2")
+    if args.points < 1:
+        raise CliError(f"--points {args.points}: the sample count must be at least 1")
     names = args.suite or ["all"]
     if "all" in names:
         names = SUITE_ORDER

@@ -310,6 +310,16 @@ class InvariantForm:
         ints, d = linalg.integral([v for row in self.gram for v in row])
         return [ints[i : i + n] for i in range(0, len(ints), n)], d
 
+    @cached_property
+    def integral_inverse_hessian(self) -> tuple[list[list[int]], int]:
+        """(K, k) with K / k the inverse of the integer Hessian H = 2 G of
+        (G, d) = integral_gram, K of ints; H / d = 2 gram."""
+        g, _ = self.integral_gram
+        n = len(g)
+        inv = linalg.inverse([[2 * v for v in row] for row in g])
+        ints, k = linalg.integral([v for row in inv for v in row])
+        return [ints[i : i + n] for i in range(0, len(ints), n)], k
+
 
 def invariant_form(rs: RootSystem, factor_scales=None) -> InvariantForm:
     if factor_scales is None:

@@ -1,29 +1,36 @@
-"""Exact rational linear programming by a two-phase simplex on a condensed
+"""Exact rational feasibility by phase 1 of the simplex on a condensed
 fraction-free dictionary.
 
-Problems are stated as: maximize c.x subject to normal.x >= bound rows,
-with x free.  The simplex runs on x = x+ - x-, a surplus s_i per row and,
-in phase 1, an artificial a_i, each row multiplied by sign_i = +-1 so that
-its rhs is >= 0.  Bland's rule ranks the columns x+, x-, s, a: the first
+Systems are stated as rows normal.x >= bound with x free.  Phase 1 runs on
+x = x+ - x-, a surplus s_i and an artificial a_i per row, each row
+multiplied by sign_i = +-1 so that its rhs is >= 0, and minimizes the sum
+of the artificials.  Bland's rule ranks the columns x+, x-, s, a: the first
 with a negative reduced cost enters, the least ratio (by cross-multiplying)
 leaves, ties go to the least basis index.
 
 Row operations keep x-_j = -x+_j and a_i = -sign_i s_i, so a row stores n + 2
 ints: its entries at the n nonbasic pairs' columns x+_j or s_i (its slots),
 its basic column's positive coefficient d, and its rhs.  The objective row
-holds instead of d the factor alpha of its cost: in phase 1 the reduced
-cost of a_i is alpha - sign_i obj[s_i], that of s_i is sign_i alpha while
-a_i is basic (s_i then replaces a_i in its row alone).  Each row is the true
-row times a positive factor (linalg's invariant); a pivot is an exchange by
-linalg's `eliminate`, with the gcd of the full tableau's row, so each
-constraint row holds the full tableau's ints at its stored columns and the
-pivots are those of the same simplex over Fraction.  Values are rhs over d.
+holds instead of d the factor alpha of its cost: the reduced cost of a_i is
+alpha - sign_i obj[s_i], that of s_i is sign_i alpha while a_i is basic
+(s_i then replaces a_i in its row alone).  Each row is the true row times a
+positive factor (linalg's invariant); a pivot is an exchange by linalg's
+`eliminate`, with the gcd of the full tableau's row, so each constraint row
+holds the full tableau's ints at its stored columns and the pivots are those
+of the same simplex over Fraction.  Values are rhs over d.
 
-Phase 1 alone answers closed feasibility (`closed_feasible`), and either
-answer carries a certificate checked in ints: a zero residual gives the
-basic point X / D, checked against every row; a positive one gives a Farkas
-vector y >= 0, y != 0 with y.N = 0 and y.b > 0, read from the final
-objective row.  `solve_max` continues from the same phase-1 dictionary.
+The objective is bounded below by 0, so the run ends optimal, and either
+answer carries a certificate checked on ints, also under python -O: a zero
+residual gives the basic point X / D, checked against every row; a positive
+one gives a Farkas vector y >= 0, y != 0 with y.N = 0 and y.b > 0, read from
+the final objective row.
+
+`closed_feasible` asks this of the rows themselves, `strict_interior` of
+their homogenization: N x > b has a point exactly when N y - b s >= 1,
+s >= 1 has one (Motzkin's transposition theorem), and then x = y / s.  A
+point of the homogenized rows satisfies every row of N x > b with slack at
+least 1 / s, and a Farkas vector of them is a Motzkin certificate that
+N x > b has no point.
 """
 
 from __future__ import annotations
@@ -35,10 +42,6 @@ from fractions import Fraction
 from .linalg import eliminate, integral
 
 Q = Fraction
-
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 
 def _stored(col, n, signs):
@@ -59,7 +62,7 @@ def _price(obj, row, k):
     return eliminate(obj, piv, n, -row[n])
 
 
-def _entering(obj, slots, basis, signs, phase1):
+def _entering(obj, slots, basis, signs):
     """Bland's entering column: the least column with a negative reduced cost."""
     n, m = len(slots), len(signs)
     cols = []
@@ -69,10 +72,9 @@ def _entering(obj, slots, basis, signs, phase1):
             cols.append(j)
         elif v > 0 and j < n:
             cols.append(n + j)
-        elif phase1 and j >= n and signs[j - 2 * n] * v > obj[n]:
+        elif j >= n and signs[j - 2 * n] * v > obj[n]:
             cols.append(j + m)
-    if phase1:
-        cols += [b - m for b in basis if b >= 2 * n + m and signs[b - 2 * n - m] < 0]
+    cols += [b - m for b in basis if b >= 2 * n + m and signs[b - 2 * n - m] < 0]
     return min(cols, default=None)
 
 
@@ -109,13 +111,14 @@ def _pivot(rows, basis, slots, signs, r, col, obj):
     return obj
 
 
-def _run_simplex(rows, basis, slots, signs, obj, phase1):
-    """Minimize the objective row's cost; returns status and the row."""
+def _run_simplex(rows, basis, slots, signs, obj):
+    """Minimize the objective row's cost; returns the optimal row.  The
+    cost is bounded below by 0, so every entering column has a leaving row."""
     n, m = len(slots), len(rows)
     while True:
-        col = _entering(obj, slots, basis, signs, phase1)
+        col = _entering(obj, slots, basis, signs)
         if col is None:
-            return OPTIMAL, obj
+            return obj
         j, s = _stored(col, n, signs)
         if j not in slots:
             # s_k while a_k is basic: only a_k's row has an entry, d
@@ -124,8 +127,6 @@ def _run_simplex(rows, basis, slots, signs, obj, phase1):
         c = slots.index(j)
         e = [s * row[c] for row in rows]
         cands = [i for i in range(m) if e[i] > 0]
-        if not cands:
-            return UNBOUNDED, obj
         best = cands[0]
         for i in cands[1:]:
             lhs, rhs = rows[i][-1] * e[best], rows[best][-1] * e[i]
@@ -144,10 +145,10 @@ def _integral_rows(rows, n):
     return out
 
 
-def _phase1(rows, n):
-    """Phase 1 on rows as `_integral_rows` gives them: the dictionary (tab,
-    basis, slots, signs, obj) it ends with, or None when its residual is
-    positive, which the Farkas vector of `_farkas` then certifies."""
+def _feasible_point(rows, n):
+    """Phase 1 on rows as `_integral_rows` gives them: a point X / D with
+    D > 0 checked against every row, or None once the Farkas vector of
+    `_farkas` is checked."""
     m = len(rows)
     signs, tab = [], []
     for ints, scale in rows:
@@ -160,12 +161,15 @@ def _phase1(rows, n):
     obj = [0] * n + [1, 0]
     for row in tab:
         obj = _price(obj, row, 1)
-    # the phase-1 objective is bounded below by 0, so the run is optimal
-    _, obj = _run_simplex(tab, basis, slots, signs, obj, True)
+    obj = _run_simplex(tab, basis, slots, signs, obj)
     if obj[-1] != 0:
         _check_farkas(rows, _farkas(obj, basis, slots, signs, rows))
         return None
-    return tab, basis, slots, signs, obj
+    x, d = _phase1_point(tab, basis, n)
+    for ints, _ in rows:
+        if sum(map(operator.mul, ints[:-1], x)) < ints[-1] * d:
+            raise AssertionError("phase-1 point violates a row")
+    return x, d
 
 
 def _farkas(obj, basis, slots, signs, rows):
@@ -216,68 +220,22 @@ def _phase1_point(tab, basis, n):
     return x, den
 
 
-def solve_max(objective, rows, nvars):
-    """Maximize objective.x over {x : normal.x >= bound for (normal, bound) in rows}.
-
-    Returns (status, value, x) where status is one of 'optimal', 'unbounded',
-    'infeasible'; value and x are None unless optimal.
-    """
-    n, m = nvars, len(rows)
-    start = _phase1(_integral_rows(rows, n), n)
-    if start is None:
-        return INFEASIBLE, None, None
-    tab, basis, slots, signs, obj = start
-    art = 2 * n + m
-    for i, b in enumerate(basis):
-        if b >= art:
-            # the first column with a nonzero entry; a_k's own s_k is one
-            col = min([j for c, j in enumerate(slots) if tab[i][c]] + [b - m])
-            obj = _pivot(tab, basis, slots, signs, i, col, obj)
-
-    # phase 2
-    c, _ = integral(objective)
-    cost = [-v for v in c] + c + [0] * m
-    obj = [cost[j] for j in slots] + [1, 0]
-    for row, b in zip(tab, basis):
-        if cost[b]:
-            obj = _price(obj, row, cost[b])
-    status, _ = _run_simplex(tab, basis, slots, signs, obj, False)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-    x = [Q(0)] * (2 * n)
-    for row, b in zip(tab, basis):
-        if b < 2 * n:
-            x[b] = Q(row[-1], row[n])
-    point = tuple(x[j] - x[n + j] for j in range(n))
-    value = sum((Q(v) * p for v, p in zip(objective, point)), Q(0))
-    return OPTIMAL, value, point
-
-
 def strict_interior(rows, nvars):
-    """A point satisfying every row strictly, or None.
-
-    It maximizes t (capped at 1) such that normal.x - t >= bound for all
-    rows; the optimum is > 0 exactly when the strict system is feasible."""
-    ext = [(tuple(normal) + (-1,), bound) for normal, bound in rows]
-    ext.append(((0,) * nvars + (-1,), Q(-1)))
-    objective = (0,) * nvars + (1,)
-    status, t, point = solve_max(objective, ext, nvars + 1)
-    if status != OPTIMAL:
-        raise RuntimeError(f"slack program ended {status}")
-    return point[:nvars] if t > 0 else None
+    """A point satisfying every row strictly, or None: phase 1 on the
+    homogenized rows c (normal, -bound | 1) and s >= 1, for each row's
+    integral scale c, read back as x = y / s.  Either answer is checked by
+    its certificate, and AssertionError raised if it fails."""
+    irows = [([*ints[:-1], -ints[-1], c], c) for ints, c in _integral_rows(rows, nvars)]
+    irows.append(([0] * nvars + [1, 1], 1))
+    found = _feasible_point(irows, nvars + 1)
+    if found is None:
+        return None
+    x, _ = found
+    return tuple(Q(v, x[-1]) for v in x[:-1])
 
 
 def closed_feasible(rows, nvars) -> bool:
-    """Whether the closed system normal.x >= bound has a point, decided by
-    phase 1 alone; either answer is checked by its certificate, the phase-1
-    point or a Farkas vector, and AssertionError raised if it fails."""
-    irows = _integral_rows(rows, nvars)
-    start = _phase1(irows, nvars)
-    if start is None:
-        return False
-    tab, basis, _, _, _ = start
-    x, d = _phase1_point(tab, basis, nvars)
-    for ints, _ in irows:
-        if sum(map(operator.mul, ints[:-1], x)) < ints[-1] * d:
-            raise AssertionError("phase-1 point violates a row")
-    return True
+    """Whether the closed system normal.x >= bound has a point; either
+    answer is checked by its certificate, and AssertionError raised if it
+    fails."""
+    return _feasible_point(_integral_rows(rows, nvars), nvars) is not None

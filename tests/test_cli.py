@@ -250,7 +250,17 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
     assert main(["regions", "--type", "A1xA1", "--module", "1,1;2"]) == 1
     assert main(["characteristic", "--module", "example-2x3", "--type", "A2", "--orbit", "O3"]) == 1
-    err = capsys.readouterr().err
+    # verify refuses empty batteries before running any
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("a battery ran"))
+        assert main(["verify", "--suite", "dynkin", "--n", "1"]) == 1
+        assert main(["verify", "--suite", "sampling", "--points", "-3"]) == 1
+        assert main(["verify", "--suite", "theorem", "--n", "0"]) == 1
+        assert main(["verify", "--suite", "sampling", "--points", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert "checks passed" not in out
+    assert err.count("the largest sl_n must be at least 2") == 2
+    assert err.count("the sample count must be at least 1") == 2
     assert err.count("requires a rank-2 root system") == 4
     assert err.count("no orbit model") == 2
     assert err.count("unrecognized arguments: --mode dense") == 1

@@ -1,7 +1,8 @@
 """CLI outputs compared byte for byte with the files recorded in tests/data.
 
-Region witnesses are the slack LP's optimal vertices, so a solver change
-that moves a witness shows up here.  The files are a fixed reference:
+Region witnesses are the phase-1 vertices of the homogenized strict
+systems, read back as points, so a solver change that moves a witness
+shows up here.  The files are a fixed reference:
 rewrite them only with a documented change of output.
 """
 

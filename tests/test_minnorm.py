@@ -384,8 +384,29 @@ def test_integer_iteration_matches_the_fraction_reference_on_regions(factors, sc
 @pytest.mark.parametrize("factors", [[("A", 1), ("G", 2)], [("B", 2), ("G", 2)]], ids=str)
 def test_inverse_hessian_of_a_scaled_product_has_a_denominator(factors):
     form = lc.invariant_form(lc.build_root_system(factors), (Q(1), Q(3, 2)))
-    hess, _ = mn._hessian(form)
-    assert linalg.integral([v for row in linalg.inverse(hess) for v in row])[1] > 1
+    (g, _), (kinv, kden) = form.integral_gram, form.integral_inverse_hessian
+    assert kden > 1
+    # (2 G) K = kden I
+    assert linalg.matmul([[2 * v for v in row] for row in g], kinv) == [
+        [kden * (i == j) for j in range(len(g))] for i in range(len(g))
+    ]
+
+
+def test_inverse_hessian_and_integral_rows_are_formed_once(monkeypatch):
+    # one H^-1 per form; one pass of the rows to ints per polyhedron, shared
+    # by min_norm_point, verify_kkt and contains
+    cases = _regions([("A", 3)])
+    form = cases[0][1]
+    inverse, integral, calls = linalg.inverse, linalg.integral, []
+    monkeypatch.setattr(linalg, "inverse", lambda a: calls.append("inverse") or inverse(a))
+    monkeypatch.setattr(linalg, "integral", lambda v: calls.append(len(v)) or integral(v))
+    for poly, _ in cases:
+        res = mn.min_norm_point(poly, form)
+        mn.verify_kkt(poly, form, res)
+        assert poly.contains(res.point)
+    assert calls.count("inverse") == 1
+    # rank 3: only a row (normal, bound) has four entries
+    assert calls.count(4) == sum(len(poly.rows) for poly, _ in cases) > 0
 
 
 def _rational_rows(rng, poly, form):

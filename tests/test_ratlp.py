@@ -1,5 +1,5 @@
-"""Exact simplex against hand cases, a floating-point reference and the
-full-tableau simplex it condenses."""
+"""The exact phase-1 simplex against hand cases, a floating-point
+reference, the full-tableau simplex it condenses and the slack LP."""
 
 import os
 import random
@@ -16,40 +16,34 @@ from orbitchar import arrangement, liecore, ratlp
 from orbitchar.linalg import eliminate, integral
 
 
-def test_simple_max():
-    # maximize x1 + x2 over x1 <= 2, x2 <= 3 (rewritten as >= rows)
-    rows = [((-1, 0), -2), ((0, -1), -3)]
-    status, value, x = ratlp.solve_max((1, 1), rows, 2)
-    assert status == ratlp.OPTIMAL
-    assert value == 5 and x == (2, 3)
+def _closed_point(rows, n):
+    """The phase-1 point of the closed system as Fractions, or None."""
+    found = ratlp._feasible_point(ratlp._integral_rows(rows, n), n)
+    return None if found is None else tuple(Q(v, found[1]) for v in found[0])
 
 
 def test_infeasible():
+    # x >= 1 and x <= 0: the homogenized system has no point either
     rows = [((1,), 1), ((-1,), 0)]
-    status, value, x = ratlp.solve_max((1,), rows, 1)
-    assert status == ratlp.INFEASIBLE
-
-
-def test_unbounded():
-    rows = [((1,), 0)]
-    status, _, _ = ratlp.solve_max((1,), rows, 1)
-    assert status == ratlp.UNBOUNDED
+    assert _closed_point(rows, 1) is None
+    assert ratlp.strict_interior(rows, 1) is None
 
 
 def test_free_variables():
-    # minimum of x at x >= -7/2 reached exactly
+    # x >= -7/2: phase 1 meets the bound through x-; the strict point is
+    # read back as y / s from the homogenized rows
     rows = [((1,), Q(-7, 2))]
-    status, value, x = ratlp.solve_max((-1,), rows, 1)
-    assert status == ratlp.OPTIMAL
-    assert x == (Q(-7, 2),)
+    assert _closed_point(rows, 1) == (Q(-7, 2),)
+    assert ratlp.strict_interior(rows, 1) == (Q(-5, 2),)
 
 
 def test_equality_pair():
-    # x >= 2 and x <= 2 leave an artificial basic at zero after phase 1; in
-    # one of the two row orders driving it out pivots on a negative entry
+    # x >= 2 and x <= 2: in one of the two row orders phase 1 ends with an
+    # artificial basic at zero; the closed system is the point 2, the
+    # strict one is empty
     for rows in ([((1,), 2), ((-1,), -2)], [((-1,), -2), ((1,), 2)]):
-        for c in (1, -1):
-            assert ratlp.solve_max((c,), rows, 1) == (ratlp.OPTIMAL, 2 * c, (2,))
+        assert _closed_point(rows, 1) == (2,)
+        assert ratlp.strict_interior(rows, 1) is None
 
 
 def test_strict_interior_quadrant():
@@ -73,9 +67,32 @@ def test_no_rows():
     assert ratlp.strict_interior([], 2) is not None
 
 
+def _scipy_answers(rows, n):
+    """Closed feasibility by linprog, and the largest t (capped at 1) with
+    normal.x - t >= bound on every row."""
+    a_ub = np.array([[-float(v) for v in normal] for normal, _ in rows])
+    b_ub = np.array([-float(b) for _, b in rows])
+    closed = linprog(c=[0.0] * n, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n)
+    assert closed.status in (0, 2)
+    slack = linprog(
+        c=[0.0] * n + [-1.0],
+        A_ub=np.hstack([a_ub, np.ones((len(rows), 1))]),
+        b_ub=b_ub,
+        bounds=[(None, None)] * n + [(None, 1)],
+    )
+    assert slack.status == 0
+    return closed.status == 0, -slack.fun
+
+
+def _assert_strictly_inside(x, rows):
+    assert type(x) is tuple and all(type(xi) is Q for xi in x)
+    for normal, bound in rows:
+        assert sum(Q(v) * xi for v, xi in zip(normal, x)) > bound
+
+
 def test_against_scipy_on_random_instances():
     rng = random.Random(917)
-    checked = 0
+    strict = 0
     for _ in range(60):
         n = rng.randint(1, 4)
         m = rng.randint(1, 8)
@@ -83,41 +100,32 @@ def test_against_scipy_on_random_instances():
             (tuple(rng.randint(-4, 4) for _ in range(n)), rng.randint(-4, 4))
             for _ in range(m)
         ]
-        # box rows keep the value bounded
+        # box rows keep every system bounded
         for j in range(n):
             e = [0] * n
             e[j] = 1
             rows.append((tuple(e), -10))
             rows.append((tuple(-v for v in e), -10))
-        c = [rng.randint(-3, 3) for _ in range(n)]
-        status, value, x = ratlp.solve_max(c, rows, n)
-        a_ub = np.array([[-float(v) for v in normal] for normal, _ in rows])
-        b_ub = np.array([-float(b) for _, b in rows])
-        ref = linprog(
-            c=[-float(v) for v in c], A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n
-        )
-        if status == ratlp.INFEASIBLE:
-            assert not ref.success
-            continue
-        assert status == ratlp.OPTIMAL
-        assert ref.success
-        assert abs(float(value) + ref.fun) < 1e-7
-        # exact feasibility of the exact optimum
-        for normal, bound in rows:
-            assert sum(Q(v) * xi for v, xi in zip(normal, x)) >= bound
-        checked += 1
-    assert checked > 20
+        closed, t = _scipy_answers(rows, n)
+        assert ratlp.closed_feasible(rows, n) == closed
+        x = ratlp.strict_interior(rows, n)
+        # an exact positive t has a denominator of a few digits at most
+        assert (x is not None) == (closed and t > 1e-7)
+        if x is not None:
+            _assert_strictly_inside(x, rows)
+            strict += 1
+    assert strict > 20
 
 
 def test_against_scipy_on_rational_instances():
-    # denominators 1-4 in normals, bounds and objective; half the instances
-    # drop the box so that all three statuses occur
+    # denominators 1-4 in normals and bounds; half the instances drop the
+    # box, so that unbounded systems occur
     rng = random.Random(4021)
 
     def rand_q():
         return Q(rng.randint(-6, 6), rng.randint(1, 4))
 
-    seen = {ratlp.OPTIMAL: 0, ratlp.INFEASIBLE: 0, ratlp.UNBOUNDED: 0}
+    seen = {True: 0, False: 0}
     for k in range(80):
         n = rng.randint(1, 4)
         m = rng.randint(1, 8)
@@ -128,75 +136,70 @@ def test_against_scipy_on_rational_instances():
                 e[j] = 1
                 rows.append((tuple(e), -10))
                 rows.append((tuple(-v for v in e), -10))
-        c = [rand_q() for _ in range(n)]
-        status, value, x = ratlp.solve_max(c, rows, n)
-        ref = linprog(
-            c=[-float(v) for v in c],
-            A_ub=np.array([[-float(v) for v in normal] for normal, _ in rows]),
-            b_ub=np.array([-float(b) for _, b in rows]),
-            bounds=[(None, None)] * n,
-        )
-        seen[status] += 1
-        assert ref.status == {ratlp.OPTIMAL: 0, ratlp.INFEASIBLE: 2, ratlp.UNBOUNDED: 3}[status]
-        if status != ratlp.OPTIMAL:
-            assert value is None and x is None
-            continue
-        assert type(value) is Q and all(type(xi) is Q for xi in x)
-        assert value == sum(v * xi for v, xi in zip(c, x))
-        assert abs(float(value) + ref.fun) < 1e-7
-        for normal, bound in rows:
-            assert sum(v * xi for v, xi in zip(normal, x)) >= bound
+        closed, t = _scipy_answers(rows, n)
+        assert ratlp.closed_feasible(rows, n) == closed
+        x = ratlp.strict_interior(rows, n)
+        assert (x is not None) == (closed and t > 1e-7)
+        if x is not None:
+            _assert_strictly_inside(x, rows)
+        seen[closed] += 1
     assert min(seen.values()) >= 5, seen
 
 
 def test_degenerate_ties_break_on_basis_index():
-    # y <= 1 stated twice, as 2y <= 2 and y <= 1, ties the ratio test; the
-    # optimum x - y = 2 is attained on a whole edge, and the least basis
-    # index picks its end (0, -2) rather than (3, 1)
+    # y <= 1 stated twice, as 2y <= 2 and y <= 1, ties the ratio test of
+    # phase 1 on the rows and on their homogenization; the least basis
+    # index decides the vertex
     rows = [((0, -2), -2), ((-1, 1), -2), ((1, 1), -2), ((0, -1), -1)]
-    assert ratlp.solve_max((1, -1), rows, 2) == (ratlp.OPTIMAL, 2, (0, -2))
-    # a zero objective returns the phase-1 vertex, which a tie also decides
+    assert _closed_point(rows, 2) == (-3, 1) == _reference_closed_point(rows, 2)
+    assert ratlp.strict_interior(rows, 2) == (-1, 0) == _reference_strict_point(rows, 2)
     rows = [((0, 2, 2), -2), ((0, 1, 1), 0), ((2, 1, 0), -1)]
-    status, value, x = ratlp.solve_max((0, 0, 0), rows, 3)
-    assert (status, value, x) == (ratlp.OPTIMAL, 0, (0, -1, 1))
-    assert type(value) is Q and all(type(xi) is Q for xi in x)
+    assert _closed_point(rows, 3) == (0, -1, 1) == _reference_closed_point(rows, 3)
+    x = ratlp.strict_interior(rows, 3)
+    assert x == (0, 0, 1) == _reference_strict_point(rows, 3)
+    assert all(type(xi) is Q for xi in x)
 
 
-def _full_tableau_reference(objective, rows, nvars):
-    """The dense two-phase simplex that ratlp condenses: every column x+,
+OPTIMAL, UNBOUNDED, INFEASIBLE = "optimal", "unbounded", "infeasible"
+
+
+def _pivot(tab, basis, row, col):
+    if tab[row][col] < 0:
+        tab[row] = [-x for x in tab[row]]
+    piv = tab[row]
+    for i, r in enumerate(tab):
+        if i != row and r[col]:
+            tab[i] = eliminate(r, piv, col)
+    basis[row] = col
+
+
+def _run(tab, basis, cost, ncols):
+    obj = list(cost) + [0]
+    for i, b in enumerate(basis):
+        if obj[b]:
+            obj = eliminate(obj, tab[i], b)
+    while True:
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return OPTIMAL, obj
+        cand = [i for i in range(len(tab)) if tab[i][col] > 0]
+        if not cand:
+            return UNBOUNDED, obj
+        best = cand[0]
+        for i in cand[1:]:
+            lhs, rhs = tab[i][-1] * tab[best][col], tab[best][-1] * tab[i][col]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best = i
+        _pivot(tab, basis, best, col)
+        if obj[col]:
+            obj = eliminate(obj, tab[best], col)
+
+
+def _full_tableau_phase1(rows, nvars):
+    """Phase 1 of the dense simplex that ratlp condenses: every column x+,
     x-, s and a is stored, under the same Bland rule and the same
-    fraction-free row invariant."""
-
-    def pivot(tab, basis, row, col):
-        if tab[row][col] < 0:
-            tab[row] = [-x for x in tab[row]]
-        piv = tab[row]
-        for i, r in enumerate(tab):
-            if i != row and r[col]:
-                tab[i] = eliminate(r, piv, col)
-        basis[row] = col
-
-    def run(tab, basis, cost, ncols):
-        obj = list(cost) + [0]
-        for i, b in enumerate(basis):
-            if obj[b]:
-                obj = eliminate(obj, tab[i], b)
-        while True:
-            col = next((j for j in range(ncols) if obj[j] < 0), None)
-            if col is None:
-                return ratlp.OPTIMAL, obj
-            cand = [i for i in range(len(tab)) if tab[i][col] > 0]
-            if not cand:
-                return ratlp.UNBOUNDED, obj
-            best = cand[0]
-            for i in cand[1:]:
-                lhs, rhs = tab[i][-1] * tab[best][col], tab[best][-1] * tab[i][col]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
-                    best = i
-            pivot(tab, basis, best, col)
-            if obj[col]:
-                obj = eliminate(obj, tab[best], col)
-
+    fraction-free row invariant.  Returns the final (tab, basis) at a zero
+    residual, else None."""
     m = len(rows)
     ncols = 2 * nvars + m
     tab = []
@@ -208,30 +211,60 @@ def _full_tableau_reference(objective, rows, nvars):
         row[2 * nvars + i] = -sign * scale
         row[ncols + i] = scale
         tab.append(row)
-    art = ncols
-    basis = [art + i for i in range(m)]
-    status, obj = run(tab, basis, [0] * ncols + [1] * m, ncols + m)
-    if status != ratlp.OPTIMAL or obj[-1] != 0:
-        return ratlp.INFEASIBLE, None, None
-    for i in range(m):
-        if basis[i] >= art:
-            col = next((j for j in range(ncols) if tab[i][j]), None)
-            if col is not None:
-                pivot(tab, basis, i, col)
-    keep = [i for i in range(m) if basis[i] < art]
-    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    c, _ = integral(objective)
-    status, _ = run(tab, basis, [-v for v in c] + c + [0] * m, ncols)
-    if status == ratlp.UNBOUNDED:
-        return ratlp.UNBOUNDED, None, None
+    basis = [ncols + i for i in range(m)]
+    status, obj = _run(tab, basis, [0] * ncols + [1] * m, ncols + m)
+    assert status == OPTIMAL
+    return (tab, basis) if obj[-1] == 0 else None
+
+
+def _basic_point(tab, basis, nvars):
     x = [Q(0)] * (2 * nvars)
     for i, b in enumerate(basis):
         if b < 2 * nvars:
             x[b] = Q(tab[i][-1], tab[i][b])
-    point = tuple(x[j] - x[nvars + j] for j in range(nvars))
+    return tuple(x[j] - x[nvars + j] for j in range(nvars))
+
+
+def _reference_closed_point(rows, nvars):
+    found = _full_tableau_phase1(rows, nvars)
+    return None if found is None else _basic_point(*found, nvars)
+
+
+def _homogenized(rows, nvars):
+    """normal.y - bound.s >= 1 for every row, and s >= 1."""
+    out = [((*normal, -Q(bound)), 1) for normal, bound in rows]
+    return out + [((0,) * nvars + (1,), 1)]
+
+
+def _reference_strict_point(rows, nvars):
+    y = _reference_closed_point(_homogenized(rows, nvars), nvars + 1)
+    return None if y is None else tuple(v / y[-1] for v in y[:-1])
+
+
+def _full_tableau_reference(objective, rows, nvars):
+    """The dense two-phase simplex: phase 1, the basic artificials driven
+    out, then phase 2 on the objective."""
+    found = _full_tableau_phase1(rows, nvars)
+    if found is None:
+        return INFEASIBLE, None, None
+    tab, basis = found
+    m = len(rows)
+    ncols = art = 2 * nvars + m
+    for i in range(m):
+        if basis[i] >= art:
+            col = next((j for j in range(ncols) if tab[i][j]), None)
+            if col is not None:
+                _pivot(tab, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < art]
+    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    c, _ = integral(objective)
+    status, _ = _run(tab, basis, [-v for v in c] + c + [0] * m, ncols)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    point = _basic_point(tab, basis, nvars)
     value = sum((Q(v) * p for v, p in zip(objective, point)), Q(0))
-    return ratlp.OPTIMAL, value, point
+    return OPTIMAL, value, point
 
 
 def _seeded_lp(rng):
@@ -258,78 +291,76 @@ def _seeded_lp(rng):
         for j in range(n):
             e = tuple(int(k == j) for k in range(n))
             rows += [(e, -10), (tuple(-v for v in e), -10)]
-    return [q(0.2) for _ in range(n)], rows, n
+    return rows, n
 
 
 def _swap_counts(monkeypatch):
-    """Count the phase-1 pivots in which s_k replaces a basic a_k, and the
-    pivots that drive a basic artificial out after phase 1."""
-    counts = {"swap": 0, "drive_out": 0, "phase1_done": False}
-    pivot, run = ratlp._pivot, ratlp._run_simplex
+    """Count the phase-1 pivots in which s_k replaces a basic a_k."""
+    counts = {"swap": 0}
+    pivot = ratlp._pivot
 
     def counting_pivot(rows, basis, slots, signs, r, col, obj):
-        n, m = len(slots), len(signs)
-        if basis[r] >= 2 * n + m:
-            if counts["phase1_done"]:
-                counts["drive_out"] += 1
-            elif col == basis[r] - m:
-                counts["swap"] += 1
+        if basis[r] >= 2 * len(slots) + len(signs) and col == basis[r] - len(signs):
+            counts["swap"] += 1
         return pivot(rows, basis, slots, signs, r, col, obj)
 
-    def tracking_run(rows, basis, slots, signs, obj, phase1):
-        counts["phase1_done"] = False
-        out = run(rows, basis, slots, signs, obj, phase1)
-        counts["phase1_done"] = phase1
-        return out
-
     monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
-    monkeypatch.setattr(ratlp, "_run_simplex", tracking_run)
     return counts
 
 
 def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
+    # the phase-1 answer and point on the rows and on their homogenization
     counts = _swap_counts(monkeypatch)
     rng = random.Random(20261018)
-    seen = {ratlp.OPTIMAL: 0, ratlp.INFEASIBLE: 0, ratlp.UNBOUNDED: 0}
+    seen = {"closed": 0, "strict": 0, "empty": 0}
     for _ in range(2000):
-        c, rows, n = _seeded_lp(rng)
-        got = ratlp.solve_max(c, rows, n)
-        assert got == _full_tableau_reference(c, rows, n), (c, rows)
-        if got[0] == ratlp.OPTIMAL:
-            assert type(got[1]) is Q and all(type(x) is Q for x in got[2])
-        seen[got[0]] += 1
+        rows, n = _seeded_lp(rng)
+        got = _closed_point(rows, n)
+        assert got == _reference_closed_point(rows, n), rows
+        x = ratlp.strict_interior(rows, n)
+        assert x == _reference_strict_point(rows, n), rows
+        if x is not None:
+            assert all(type(xi) is Q for xi in x)
+        seen["strict" if x else "closed" if got else "empty"] += 1
     assert min(seen.values()) >= 200, seen
-    assert counts["swap"] >= 100 and counts["drive_out"] >= 100, counts
-
-
-@pytest.mark.parametrize("factors", [[("A", 3)], [("B", 3)], [("G", 2)]], ids=str)
-def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch, factors):
-    solve = ratlp.solve_max
-    lps = []
-
-    def recording(objective, rows, nvars):
-        got = solve(objective, rows, nvars)
-        lps.append((objective, list(rows), nvars, got))
-        return got
-
-    monkeypatch.setattr(ratlp, "solve_max", recording)
-    rs = liecore.build_root_system(factors)
-    ws = liecore.weight_system(rs, liecore.highest_roots(rs))
-    regions = arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
-    assert len(regions) == {"A": 14, "B": 20, "G": 8}[factors[0][0]]
-    assert len(lps) > len(regions)
-    for objective, rows, nvars, got in lps:
-        assert got == _full_tableau_reference(objective, rows, nvars)
+    assert counts["swap"] >= 100, counts
 
 
 def _slack_reference(rows, n):
-    """Closed feasibility as the uniform-slack LP decides it: the largest t
-    (capped at 1) with normal.x - t >= bound on every row is >= 0."""
+    """The uniform-slack LP: the largest t (capped at 1) with normal.x - t
+    >= bound on every row, by the dense two-phase simplex; t >= 0 decides
+    the closed system, t > 0 the strict one."""
     ext = [(tuple(normal) + (-1,), bound) for normal, bound in rows]
     ext.append(((0,) * n + (-1,), Q(-1)))
-    status, t, _ = ratlp.solve_max((0,) * n + (1,), ext, n + 1)
-    assert status == ratlp.OPTIMAL
-    return t >= 0
+    status, t, _ = _full_tableau_reference((0,) * n + (1,), ext, n + 1)
+    assert status == OPTIMAL
+    return t
+
+
+# adjoint regions (W-Catalan numbers) by simple type
+_REGIONS = {("A", 3): 14, ("A", 4): 42, ("B", 3): 20, ("C", 3): 20, ("D", 4): 50, ("G", 2): 8}
+
+
+@pytest.mark.parametrize("factors", [[t] for t in _REGIONS], ids=str)
+def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch, factors):
+    # every node LP: the point of the dense phase 1, and the yes or no of
+    # the slack LP
+    solve, lps = ratlp.strict_interior, []
+
+    def recording(rows, nvars):
+        got = solve(rows, nvars)
+        lps.append((list(rows), nvars, got))
+        return got
+
+    monkeypatch.setattr(ratlp, "strict_interior", recording)
+    rs = liecore.build_root_system(factors)
+    ws = liecore.weight_system(rs, liecore.highest_roots(rs))
+    regions = arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
+    assert len(regions) == _REGIONS[factors[0]]
+    assert len(lps) > len(regions) and any(got is None for _, _, got in lps)
+    for rows, nvars, got in lps:
+        assert got == _reference_strict_point(rows, nvars)
+        assert (got is not None) == (_slack_reference(rows, nvars) > 0)
 
 
 def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
@@ -346,11 +377,11 @@ def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
     rng = random.Random(20261018)
     feasible = 0
     for _ in range(2000):
-        _, rows, n = _seeded_lp(rng)
+        rows, n = _seeded_lp(rng)
         got = ratlp.closed_feasible(rows, n)
-        assert got == _slack_reference(rows, n), rows
+        assert got == (_slack_reference(rows, n) >= 0), rows
         feasible += got
-    assert ratlp.closed_feasible([], 3) and _slack_reference([], 3)
+    assert ratlp.closed_feasible([], 3) and _slack_reference([], 3) >= 0
     assert kinds["infeasible"] == 2000 - feasible >= 500, kinds
     assert kinds["basic_artificial"] >= 100, kinds
 
@@ -371,10 +402,10 @@ def test_phase1_feasibility_matches_the_slack_lp_on_region_closures(factors):
     closures, n = _adjoint_closures(factors)
     empty = 0
     for k, rows in enumerate(closures):
-        assert ratlp.closed_feasible(rows, n) and _slack_reference(rows, n)
+        assert ratlp.closed_feasible(rows, n) and _slack_reference(rows, n) >= 0
         both = rows + closures[(7 * k + 1) % len(closures)]
         got = ratlp.closed_feasible(both, n)
-        assert got == _slack_reference(both, n)
+        assert got == (_slack_reference(both, n) >= 0)
         empty += not got
     assert 0 < empty < len(closures)
 
@@ -394,11 +425,18 @@ _EMPTY_ROWS = [((1,), 1), ((-1,), 0), ((1,), -5), ((-1,), -5)]
 )
 def test_a_tampered_farkas_vector_is_refused(monkeypatch, y, message):
     assert not ratlp.closed_feasible(_EMPTY_ROWS, 1)
+    assert ratlp.strict_interior(_EMPTY_ROWS, 1) is None
     monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
     with pytest.raises(AssertionError, match=message):
         ratlp.closed_feasible(_EMPTY_ROWS, 1)
+    # the Motzkin vector of the homogenized rows has one more entry, for
+    # s >= 1; their bounds are the rows' positive scales, so a vector that
+    # cancels the normals but not the bounds fails on the s column there
+    if "bounds" in message:
+        message = "Farkas combination of the normals is not zero"
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: y + [0])
     with pytest.raises(AssertionError, match=message):
-        ratlp.solve_max((1,), _EMPTY_ROWS, 1)
+        ratlp.strict_interior(_EMPTY_ROWS, 1)
 
 
 def test_a_tampered_phase1_point_is_refused(monkeypatch):
@@ -410,6 +448,20 @@ def test_a_tampered_phase1_point_is_refused(monkeypatch):
     monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: ([0] * n, 1))
     with pytest.raises(AssertionError, match="phase-1 point violates a row"):
         ratlp.closed_feasible(rows, 2)
+
+
+def test_a_tampered_homogenized_point_is_refused(monkeypatch):
+    # x > 1 read as (y, s) = (2, 1) / 1: x = 2
+    rows = [((1,), 1)]
+    point, read = ratlp._phase1_point, []
+    monkeypatch.setattr(ratlp, "_phase1_point", lambda *args: read.append(point(*args)) or read[-1])
+    assert ratlp.strict_interior(rows, 1) == (2,)
+    assert read == [([2, 1], 1)]
+    # (1, 1) / 1 meets x >= 1 but not x > 1; (0, 0) / 1 breaks s >= 1
+    for x in ([1, 1], [0, 0]):
+        monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: (x, 1))
+        with pytest.raises(AssertionError, match="phase-1 point violates a row"):
+            ratlp.strict_interior(rows, 1)
 
 
 def test_certificate_checks_run_under_optimize():
@@ -424,10 +476,20 @@ for y in ([-1, -1, 0, 0], [2, 1, 0, 0], [0, 0, 1, 1]):
         ratlp.closed_feasible(rows, 1)
     except AssertionError as exc:
         print(exc)
+ratlp._farkas = lambda *args: [2, 1, 0, 0, 0]
+try:
+    ratlp.strict_interior(rows, 1)
+except AssertionError as exc:
+    print(exc)
 ratlp._farkas = farkas
 ratlp._phase1_point = lambda tab, basis, n: ([0] * n, 1)
 try:
     ratlp.closed_feasible([((1,), 1)], 1)
+except AssertionError as exc:
+    print(exc)
+ratlp._phase1_point = lambda tab, basis, n: ([1, 1], 1)
+try:
+    ratlp.strict_interior([((1,), 1)], 1)
 except AssertionError as exc:
     print(exc)
 """
@@ -436,9 +498,11 @@ except AssertionError as exc:
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
-    assert out[:4] == [
+    assert out[:6] == [
         "Farkas multipliers not nonnegative and nonzero",
         "Farkas combination of the normals is not zero",
         "Farkas combination of the bounds is not positive",
+        "Farkas combination of the normals is not zero",
+        "phase-1 point violates a row",
         "phase-1 point violates a row",
     ]
