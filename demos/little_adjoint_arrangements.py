@@ -21,7 +21,7 @@ for letter, rank in (("B", 2), ("C", 3), ("G", 2)):
     rs = build_root_system([(letter, rank)])
     analysis = RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
 
-    print(f"{letter}{rank}: {len(analysis.ws.weights())} short-root weights,"
+    print(f"{letter}{rank}: {len(analysis.ws.entries)} short-root weights,"
           f" {len(analysis.hyperplanes)} dominant-side hyperplanes,"
           f" {len(analysis.regions)} regions")
     for region in analysis.regions:

@@ -10,13 +10,11 @@ diagram.
 """
 
 from .arrangement import (
-    GradedWeights,
     Hyperplane,
     Region,
     RegionSubspace,
     chamber_hyperplanes,
     enumerate_regions,
-    grade_module,
     is_saturated,
     region_weights,
 )
@@ -41,8 +39,6 @@ from .minnorm import (
     Polyhedron,
     UnionMinResult,
     min_norm_point,
-    min_norm_point_enumerate,
-    min_over_union,
     verify_kkt,
 )
 from .orbits import (
@@ -66,7 +62,6 @@ __all__ = [
     "AdjointSlModel",
     "Characteristic",
     "Example2x3Model",
-    "GradedWeights",
     "Hyperplane",
     "InvariantForm",
     "MinNormResult",
@@ -87,7 +82,6 @@ __all__ = [
     "dynkin_labels",
     "enumerate_regions",
     "generic_jordan_partition",
-    "grade_module",
     "highest_roots",
     "highest_short_root",
     "invariant_form",
@@ -95,8 +89,6 @@ __all__ = [
     "is_saturated",
     "m_sets",
     "min_norm_point",
-    "min_norm_point_enumerate",
-    "min_over_union",
     "norm_sq",
     "pairing",
     "partitions_of",

@@ -135,32 +135,6 @@ def region_weights(ws: WeightSystem, region: Region, level=Q(2)) -> RegionSubspa
     return RegionSubspace(region_id=region.id, i_r=i_r, dimension=dim)
 
 
-@dataclass(frozen=True)
-class GradedWeights:
-    """Weight supports of the level sets of a grading point."""
-
-    at: frozenset[Weight]
-    at_least: frozenset[Weight]
-    above: frozenset[Weight]
-
-
-def grade_module(ws: WeightSystem, h, c) -> GradedWeights:
-    """Partition the nonzero module weights by pairing against c at h."""
-    c = Q(c)
-    at, at_least, above = set(), set(), set()
-    for mu in ws.entries:
-        v = pairing(mu, h)
-        if v == c:
-            at.add(mu)
-            at_least.add(mu)
-        elif v > c:
-            above.add(mu)
-            at_least.add(mu)
-    return GradedWeights(
-        at=frozenset(at), at_least=frozenset(at_least), above=frozenset(above)
-    )
-
-
 def is_saturated(ws: WeightSystem, weights) -> bool:
     """Whether a weight set absorbs addition of positive roots inside the module."""
     rs = ws.root_system

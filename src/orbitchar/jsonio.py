@@ -1,9 +1,10 @@
-"""Exact JSON serialization of arrangements and characteristics.
+"""Deterministic JSON writers for arrangements and characteristics.
 
 All rational numbers are serialized as lowest-terms strings ("p/q", or just
 "p" for integers); weights are integer arrays; region ids are integers.
 Documents are dumped deterministically (sorted keys, fixed indentation), so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files.  The package writes these
+documents and does not read them back.
 
 Document shapes:
 
@@ -17,10 +18,8 @@ Document shapes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Hyperplane, Region, RegionSubspace
 from .liecore import RootSystem, WeightSystem
 from .orbits import Characteristic, RegionAnalysis, m_sets
 
@@ -32,16 +31,8 @@ def rat(x) -> str:
     return str(Q(x))
 
 
-def parse_rat(s) -> Q:
-    return Q(s)
-
-
 def rat_vec(v) -> list[str]:
     return [rat(x) for x in v]
-
-
-def parse_rat_vec(v) -> tuple[Q, ...]:
-    return tuple(Q(x) for x in v)
 
 
 def dump_doc(doc) -> str:
@@ -53,26 +44,6 @@ def root_system_doc(rs: RootSystem) -> dict:
     return {
         "factors": [[series, rank] for series, rank in rs.factors],
         "rank": rs.rank,
-    }
-
-
-def parse_root_system_doc(doc) -> list[tuple[str, int]]:
-    factors = [(str(series), int(rank)) for series, rank in doc["factors"]]
-    if doc["rank"] != sum(rank for _, rank in factors):
-        raise ValueError("rank does not match factors")
-    return factors
-
-
-def weight_system_doc(ws: WeightSystem) -> dict:
-    return {
-        "root_system": root_system_doc(ws.root_system),
-        "module_spec": [list(w) for w in ws.module_spec],
-        "weights": [
-            {"weight": list(w), "multiplicity": m}
-            for w, m in sorted(ws.entries.items())
-        ],
-        "zero_multiplicity": ws.zero_mult,
-        "dim": ws.dim(),
     }
 
 
@@ -109,65 +80,11 @@ def regions_doc(ws: WeightSystem, level, hyperplanes, regions, subspaces) -> dic
     }
 
 
-@dataclass(frozen=True)
-class RegionsData:
-    """Parsed form of a regions document."""
-
-    factors: tuple[tuple[str, int], ...]
-    module_spec: tuple[tuple[int, ...], ...]
-    level: Q
-    hyperplanes: tuple[Hyperplane, ...]
-    regions: tuple[Region, ...]
-    subspaces: dict[int, RegionSubspace]
-
-
-def parse_regions_doc(doc) -> RegionsData:
-    factors = tuple(parse_root_system_doc(doc["root_system"]))
-    hyperplanes = tuple(
-        Hyperplane(tuple(int(x) for x in h["weight_fw"]), Q(h["level"]))
-        for h in doc["hyperplanes"]
-    )
-    regions = []
-    subspaces = {}
-    for row in doc["regions"]:
-        rid = int(row["id"])
-        regions.append(
-            Region(
-                id=rid,
-                signs=str(row["signs"]),
-                witness=parse_rat_vec(row["witness"]),
-                closure_ineqs=tuple(
-                    (tuple(int(x) for x in ineq["normal"]), Q(ineq["bound"]))
-                    for ineq in row["closure_ineqs"]
-                ),
-            )
-        )
-        subspaces[rid] = RegionSubspace(
-            region_id=rid,
-            i_r=frozenset(tuple(int(x) for x in w) for w in row["i_r"]),
-            dimension=int(row["dim"]),
-        )
-    return RegionsData(
-        factors=factors,
-        module_spec=tuple(tuple(int(x) for x in w) for w in doc["module_spec"]),
-        level=Q(doc["level"]),
-        hyperplanes=hyperplanes,
-        regions=tuple(regions),
-        subspaces=subspaces,
-    )
-
-
 def orbit_json(orbit):
     """JSON form of an orbit id: partitions as arrays, names as strings."""
     if isinstance(orbit, tuple):
         return [int(x) for x in orbit]
     return str(orbit)
-
-
-def parse_orbit_json(value):
-    if isinstance(value, list):
-        return tuple(int(x) for x in value)
-    return str(value)
 
 
 def characteristics_doc(analysis: RegionAnalysis, ch: Characteristic) -> dict:
@@ -183,30 +100,3 @@ def characteristics_doc(analysis: RegionAnalysis, ch: Characteristic) -> dict:
         "m_set": sorted(meets),
         "tilde_m_set": sorted(dense),
     }
-
-
-@dataclass(frozen=True)
-class CharacteristicData:
-    """Parsed form of a characteristics document."""
-
-    model: str
-    orbit: object
-    mode: str
-    point: tuple[Q, ...]
-    labels: tuple[Q, ...]
-    norm_sq: Q
-    m_set: tuple[int, ...]
-    tilde_m_set: tuple[int, ...]
-
-
-def parse_characteristics_doc(doc) -> CharacteristicData:
-    return CharacteristicData(
-        model=str(doc["model"]),
-        orbit=parse_orbit_json(doc["orbit"]),
-        mode=str(doc["mode"]),
-        point=parse_rat_vec(doc["point"]),
-        labels=parse_rat_vec(doc["labels"]),
-        norm_sq=Q(doc["norm_sq"]),
-        m_set=tuple(int(x) for x in doc["m_set"]),
-        tilde_m_set=tuple(int(x) for x in doc["tilde_m_set"]),
-    )

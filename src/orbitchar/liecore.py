@@ -386,9 +386,6 @@ class WeightSystem:
     def dim(self) -> int:
         return self.zero_mult + sum(self.entries.values())
 
-    def weights(self) -> tuple[Weight, ...]:
-        return tuple(sorted(self.entries))
-
 
 def _dominant_weights_below(rs: RootSystem, lam: Weight) -> list[tuple[int, Weight]]:
     """(height of lam - mu, mu) for every dominant mu with lam - mu in the

@@ -31,17 +31,13 @@ steps are compared by cross-multiplying, and after each step X, L, the
 entering multiplier and D are divided by their gcd.  Only the result is read back as Fraction, and
 its certificate is re-verified, on the same integer rows, before returning.
 
-min_norm_point_enumerate solves the same problem by enumerating candidate
-active sets; it is kept as an independent cross-check oracle.
-
-min_over_union takes the minimum over a union of polyhedra and requires the
-minimizing point to be unique across all of them: several polyhedra may
-attain the minimal norm, but at the same point.
+combine_union_minima takes the least of per-polyhedron minima over a union
+and requires the minimizing point to be unique across all of them: several
+polyhedra may attain the minimal norm, but at the same point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -148,20 +144,6 @@ def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> Non
         raise AssertionError("norm mismatch")
 
 
-def _clean_rows(poly: Polyhedron):
-    """Deduplicate rows, dropping vacuous ones; detect trivial emptiness."""
-    seen = {}
-    for k, (normal, bound) in enumerate(poly.rows):
-        if not any(normal):
-            if bound > 0:
-                raise ValueError("empty polyhedron")
-            continue
-        key = (normal, bound)
-        if key not in seen:
-            seen[key] = k
-    return [(k, normal, bound) for (normal, bound), k in seen.items()]
-
-
 def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     """The unique point of least squared norm in a nonempty polyhedron."""
     n = poly.rank
@@ -262,48 +244,6 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     return res
 
 
-def min_norm_point_enumerate(
-    poly: Polyhedron, form: InvariantForm, max_size=None, independent_only=True
-) -> MinNormResult:
-    """Oracle solver: try candidate active subsets of rows and keep the best
-    point passing the exact certificate."""
-    n = poly.rank
-    rows = _clean_rows(poly)
-    if max_size is None:
-        max_size = n
-    q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
-    best: MinNormResult | None = None
-    for size in range(0, min(max_size, len(rows)) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
-            normals = [rows[t][1] for t in subset]
-            if independent_only and linalg.rank(normals) < size:
-                continue
-            mat = [q[i] + [-normal[i] for normal in normals] for i in range(n)]
-            mat += [list(normal) + [0] * size for normal in normals]
-            rhs = [0] * n + [rows[t][2] for t in subset]
-            sol = linalg.solve(mat, rhs)
-            if sol is None:
-                continue
-            a, mult = sol[:n], sol[n:]
-            if any(l < 0 for l in mult):
-                continue
-            cand = MinNormResult(
-                point=tuple(a),
-                norm_sq=norm_sq(form, tuple(a)),
-                active_set=tuple(rows[t][0] for t in subset),
-                multipliers=tuple(mult),
-            )
-            try:
-                verify_kkt(poly, form, cand)
-            except AssertionError:
-                continue
-            if best is None or cand.norm_sq < best.norm_sq:
-                best = cand
-    if best is None:
-        raise ValueError("no certified point; polyhedron may be empty")
-    return best
-
-
 @dataclass(frozen=True)
 class UnionMinResult:
     point: Point
@@ -330,11 +270,3 @@ def combine_union_minima(results) -> UnionMinResult:
         norm_sq=least,
         achieving=tuple(achieving),
     )
-
-
-def min_over_union(polyhedra, form: InvariantForm) -> UnionMinResult:
-    """Minimum-norm point over a union of polyhedra (see combine_union_minima)."""
-    polyhedra = list(polyhedra)
-    if not polyhedra:
-        raise ValueError("empty union")
-    return combine_union_minima(min_norm_point(p, form) for p in polyhedra)

@@ -206,27 +206,3 @@ def test_little_adjoint_hyperplanes_are_positive_short_roots():
         hps = arr.chamber_hyperplanes(ws)
         shorts = sorted(r for r in rs.positive_roots if rs.is_short_root(r))
         assert [h.weight for h in hps] == shorts
-
-
-def test_grade_module():
-    ws = _example_ws()
-    h = lc.as_point((1, 1))
-    g = arr.grade_module(ws, h, 2)
-    assert g.at == {(1, 1)}
-    assert g.above == frozenset()
-    assert g.at_least == {(1, 1)}
-    g0 = arr.grade_module(ws, h, 0)
-    assert g0.at == {(1, -1), (-1, 1)}
-    assert g0.above == {(1, 1), (1, 0)}
-    h5 = lc.as_point((2, 4))
-    g5 = arr.grade_module(ws, h5, 2)
-    assert g5.at == {(1, 0), (-1, 1)}
-    assert g5.above == {(1, 1)}
-
-
-def test_grade_partition_is_consistent():
-    ws = _adjoint_ws([("A", 3)])
-    h = lc.as_point((1, Q(3, 2), 1))
-    g = arr.grade_module(ws, h, Q(2))
-    assert g.at_least == g.at | g.above
-    assert not g.at & g.above

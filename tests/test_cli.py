@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from orbitchar import cli, jsonio
+from orbitchar import cli
 from orbitchar.cli import main, parse_factors, parse_orbit
 from orbitchar.orbits import AdjointSlModel, Example2x3Model
 
@@ -65,8 +65,7 @@ def test_regions_command(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["hyperplanes"]) == 4
     assert len(doc["regions"]) == 6
-    parsed = jsonio.parse_regions_doc(doc)
-    assert parsed.factors == (("A", 1), ("A", 1))
+    assert doc["root_system"] == {"factors": [["A", 1], ["A", 1]], "rank": 2}
     root = ET.fromstring(fig.read_text())
     assert len(root.findall(f".//{NS}line")) == 4
     # the example preset labels regions by Roman numerals

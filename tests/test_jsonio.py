@@ -3,8 +3,6 @@
 import json
 from fractions import Fraction
 
-import pytest
-
 from orbitchar import jsonio
 from orbitchar.arrangement import chamber_hyperplanes, enumerate_regions, region_weights
 from orbitchar.liecore import build_root_system, weight_system
@@ -26,7 +24,7 @@ def test_rational_strings():
     assert jsonio.rat(2) == "2"
     assert jsonio.rat(0) == "0"
     for text in ("3/4", "-7/2", "2", "0", "-1/3"):
-        assert jsonio.rat(jsonio.parse_rat(text)) == text
+        assert jsonio.rat(Q(text)) == text
 
 
 def _example_arrangement():
@@ -40,15 +38,22 @@ def _example_arrangement():
 
 def test_regions_doc_round_trip():
     ws, hps, regions, subs = _example_arrangement()
-    doc = jsonio.regions_doc(ws, Q(2), hps, regions, subs)
-    text = jsonio.dump_doc(doc)
-    parsed = jsonio.parse_regions_doc(json.loads(text))
-    assert parsed.factors == (("A", 1), ("A", 1))
-    assert parsed.module_spec == ((1, 1), (1, 0))
-    assert parsed.level == 2
-    assert parsed.hyperplanes == tuple(hps)
-    assert parsed.regions == tuple(regions)
-    assert parsed.subspaces == subs
+    doc = json.loads(jsonio.dump_doc(jsonio.regions_doc(ws, Q(2), hps, regions, subs)))
+    assert doc["root_system"] == {"factors": [["A", 1], ["A", 1]], "rank": 2}
+    assert [tuple(w) for w in doc["module_spec"]] == [(1, 1), (1, 0)]
+    assert Q(doc["level"]) == 2
+    assert [(tuple(h["weight_fw"]), Q(h["level"])) for h in doc["hyperplanes"]] == [
+        (h.weight, h.level) for h in hps
+    ]
+    assert [row["id"] for row in doc["regions"]] == [r.id for r in regions]
+    for row, r in zip(doc["regions"], regions):
+        assert row["signs"] == r.signs
+        assert tuple(Q(x) for x in row["witness"]) == r.witness
+        assert tuple(
+            (tuple(ineq["normal"]), Q(ineq["bound"])) for ineq in row["closure_ineqs"]
+        ) == r.closure_ineqs
+        assert frozenset(tuple(w) for w in row["i_r"]) == subs[r.id].i_r
+        assert row["dim"] == subs[r.id].dimension
 
 
 def test_dump_is_deterministic_and_canonical():
@@ -67,42 +72,23 @@ def test_dump_is_deterministic_and_canonical():
 def test_characteristics_doc_round_trip_example():
     analysis = RegionAnalysis.build(Example2x3Model())
     ch = characteristic(analysis, "O4", mode="dense")
-    doc = jsonio.characteristics_doc(analysis, ch)
-    parsed = jsonio.parse_characteristics_doc(json.loads(jsonio.dump_doc(doc)))
-    assert parsed.model == "example-2x3"
-    assert parsed.orbit == "O4"
-    assert parsed.mode == "dense"
-    assert parsed.point == (2, 0)
-    assert parsed.labels == (4, 0)
-    assert parsed.norm_sq == 8
+    doc = json.loads(jsonio.dump_doc(jsonio.characteristics_doc(analysis, ch)))
+    assert doc["model"] == "example-2x3"
+    assert doc["orbit"] == "O4"
+    assert doc["mode"] == "dense"
+    assert tuple(Q(x) for x in doc["point"]) == ch.point == (2, 0)
+    assert tuple(Q(x) for x in doc["labels"]) == ch.labels == (4, 0)
+    assert Q(doc["norm_sq"]) == ch.norm_sq == 8
     meets, dense = m_sets(analysis, "O4")
-    assert parsed.m_set == tuple(sorted(meets))
-    assert parsed.tilde_m_set == tuple(sorted(dense))
+    assert doc["m_set"] == sorted(meets)
+    assert doc["tilde_m_set"] == sorted(dense)
 
 
 def test_characteristics_doc_round_trip_partition():
     analysis = RegionAnalysis.build(AdjointSlModel(4))
     ch = characteristic(analysis, (2, 2))
-    doc = jsonio.characteristics_doc(analysis, ch)
-    parsed = jsonio.parse_characteristics_doc(json.loads(jsonio.dump_doc(doc)))
-    assert parsed.model == "sl4-adjoint"
-    assert parsed.orbit == (2, 2)
-    assert parsed.labels == (0, 2, 0)
-    assert set(parsed.tilde_m_set) <= set(parsed.m_set)
-
-
-def test_weight_system_doc():
-    rs = build_root_system([("A", 2)])
-    ws = weight_system(rs, ((1, 1),))
-    doc = jsonio.weight_system_doc(ws)
-    assert doc["dim"] == 8
-    assert doc["zero_multiplicity"] == 2
-    weights = [tuple(row["weight"]) for row in doc["weights"]]
-    assert weights == sorted(weights)
-    assert sum(row["multiplicity"] for row in doc["weights"]) + 2 == 8
-
-
-def test_root_system_doc_rejects_bad_rank():
-    doc = {"factors": [["A", 2]], "rank": 3}
-    with pytest.raises(ValueError):
-        jsonio.parse_root_system_doc(doc)
+    doc = json.loads(jsonio.dump_doc(jsonio.characteristics_doc(analysis, ch)))
+    assert doc["model"] == "sl4-adjoint"
+    assert tuple(doc["orbit"]) == ch.orbit == (2, 2)
+    assert tuple(Q(x) for x in doc["labels"]) == ch.labels == (0, 2, 0)
+    assert set(doc["tilde_m_set"]) <= set(doc["m_set"])

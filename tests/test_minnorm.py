@@ -1,5 +1,6 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -197,7 +198,7 @@ def test_dual_matches_enumeration_on_random_instances():
             continue
         form = _random_spd_form(rng, n)
         fast = mn.min_norm_point(poly, form)
-        slow = mn.min_norm_point_enumerate(poly, form)
+        slow = _enumeration_reference(poly, form)
         assert fast.point == slow.point
         assert fast.norm_sq == slow.norm_sq
         done += 1
@@ -213,8 +214,8 @@ def test_rank_bounded_enumeration_loses_nothing():
         if poly.is_empty():
             continue
         form = _random_spd_form(rng, n)
-        bounded = mn.min_norm_point_enumerate(poly, form)
-        unbounded = mn.min_norm_point_enumerate(
+        bounded = _enumeration_reference(poly, form)
+        unbounded = _enumeration_reference(
             poly, form, max_size=len(poly.rows), independent_only=False
         )
         assert bounded.point == unbounded.point
@@ -255,7 +256,10 @@ def test_min_over_union_frozen_example():
     region_vi = mn.Polyhedron.from_rows(
         walls + [((1, 1), 2), ((-1, 1), 2), ((1, 0), 2)], 2
     )
-    out = mn.min_over_union([region_iv, region_v, region_vi], _diag_form())
+    form = _diag_form()
+    out = mn.combine_union_minima(
+        mn.min_norm_point(p, form) for p in (region_iv, region_v, region_vi)
+    )
     assert out.point == (2, 0)
     assert out.norm_sq == 8
     assert out.achieving == (0, 1)
@@ -266,12 +270,68 @@ def test_min_over_union_tie_detection():
     a = mn.Polyhedron.from_rows([((1, 0), 1)], 2)
     b = mn.Polyhedron.from_rows([((0, 1), 1)], 2)
     with pytest.raises(mn.MinNormTieError):
-        mn.min_over_union([a, b], _diag_form())
+        mn.combine_union_minima(mn.min_norm_point(p, _diag_form()) for p in (a, b))
 
 
 def test_min_over_union_requires_input():
     with pytest.raises(ValueError):
-        mn.min_over_union([], _diag_form())
+        mn.combine_union_minima(mn.min_norm_point(p, _diag_form()) for p in [])
+
+
+def _clean_rows(poly):
+    """Deduplicate rows, dropping vacuous ones; detect trivial emptiness."""
+    seen = {}
+    for k, (normal, bound) in enumerate(poly.rows):
+        if not any(normal):
+            if bound > 0:
+                raise ValueError("empty polyhedron")
+            continue
+        key = (normal, bound)
+        if key not in seen:
+            seen[key] = k
+    return [(k, normal, bound) for (normal, bound), k in seen.items()]
+
+
+def _enumeration_reference(poly, form, max_size=None, independent_only=True):
+    """An independent solver for cross-checks: try candidate active subsets
+    of rows and keep the best point passing the exact certificate.  Subsets
+    go up to max_size rows (the rank by default); independent_only skips
+    subsets with dependent normals."""
+    n = poly.rank
+    rows = _clean_rows(poly)
+    if max_size is None:
+        max_size = n
+    q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
+    best = None
+    for size in range(0, min(max_size, len(rows)) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            normals = [rows[t][1] for t in subset]
+            if independent_only and linalg.rank(normals) < size:
+                continue
+            mat = [q[i] + [-normal[i] for normal in normals] for i in range(n)]
+            mat += [list(normal) + [0] * size for normal in normals]
+            rhs = [0] * n + [rows[t][2] for t in subset]
+            sol = linalg.solve(mat, rhs)
+            if sol is None:
+                continue
+            a, mult = sol[:n], sol[n:]
+            if any(l < 0 for l in mult):
+                continue
+            cand = mn.MinNormResult(
+                point=tuple(a),
+                norm_sq=lc.norm_sq(form, tuple(a)),
+                active_set=tuple(rows[t][0] for t in subset),
+                multipliers=tuple(mult),
+            )
+            try:
+                mn.verify_kkt(poly, form, cand)
+            except AssertionError:
+                continue
+            if best is None or cand.norm_sq < best.norm_sq:
+                best = cand
+    if best is None:
+        raise ValueError("no certified point; polyhedron may be empty")
+    return best
 
 
 def _fraction_reference(poly, form):
