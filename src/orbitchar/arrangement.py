@@ -9,7 +9,8 @@ inequality rows of its closure.
 
 A cell's sign vector states, per hyperplane in canonical order, whether the
 cell lies above ('+', pairing > level) or below ('-').  Cells are sorted by
-sign vector, below before above, and numbered from 1.
+sign vector, below before above, and numbered from 1.  A cell's subspace,
+the weights above the level across it, is read off its '+' signs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlp
-from .liecore import Point, RootSystem, Weight, WeightSystem, pairing
+from .liecore import Point, RootSystem, Weight, WeightSystem
 
 Q = Fraction
 
@@ -125,12 +126,16 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
     ]
 
 
-def region_weights(ws: WeightSystem, region: Region, level=Q(2)) -> RegionSubspace:
-    """Module weights lying strictly above the level on the region."""
-    level = Q(level)
-    i_r = frozenset(
-        mu for mu in ws.entries if pairing(mu, region.witness) > level
-    )
+def region_weights(ws: WeightSystem, hyperplanes, region: Region) -> RegionSubspace:
+    """Module weights lying strictly above the level on the region.
+
+    These are the weights of the hyperplanes signed '+' in region.signs.  A
+    weight with no hyperplane has no positive simple-root coordinate, so it
+    pairs to at most 0 < level on the chamber.
+    """
+    if len(hyperplanes) != len(region.signs):
+        raise ValueError(f"{len(hyperplanes)} hyperplanes for {len(region.signs)} signs")
+    i_r = frozenset(hp.weight for hp, sign in zip(hyperplanes, region.signs) if sign == "+")
     dim = sum(ws.entries[mu] for mu in i_r)
     return RegionSubspace(region_id=region.id, i_r=i_r, dimension=dim)
 

@@ -187,7 +187,7 @@ def _arrangement_parts(cfg: RunConfig) -> RegionAnalysis:
     form = invariant_form(rs, cfg.scales)
     hps = chamber_hyperplanes(ws, cfg.level)
     regions = enumerate_regions(rs, hps)
-    subs = {r.id: region_weights(ws, r, cfg.level) for r in regions}
+    subs = {r.id: region_weights(ws, hps, r) for r in regions}
     return RegionAnalysis(
         Module(rs, ws.module_spec), ws, form, cfg.level, hps, regions, subs, strata=None
     )
@@ -224,7 +224,7 @@ def cmd_regions(args) -> int:
         _require_rank_2(cfg, "--svg")
     analysis = _arrangement_parts(cfg)
     hps, regions = analysis.hyperplanes, analysis.regions
-    doc = jsonio.regions_doc(analysis.ws, cfg.level, hps, regions, analysis.subspaces)
+    doc = jsonio.regions_doc(analysis)
     out = args.out or "regions.json"
     _write(out, jsonio.dump_doc(doc), f"{len(hps)} hyperplanes / {len(regions)} regions")
     if args.svg:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .liecore import RootSystem, WeightSystem
+from .liecore import RootSystem
 from .orbits import Characteristic, RegionAnalysis, m_sets
 
 Q = Fraction
@@ -47,14 +47,11 @@ def root_system_doc(rs: RootSystem) -> dict:
     }
 
 
-def regions_doc(ws: WeightSystem, level, hyperplanes, regions, subspaces) -> dict:
-    """Arrangement document: hyperplanes and regions with their subspaces.
-
-    subspaces maps region id -> RegionSubspace.
-    """
+def regions_doc(analysis: RegionAnalysis) -> dict:
+    """Arrangement document: hyperplanes and regions with their subspaces."""
     region_rows = []
-    for r in regions:
-        sub = subspaces[r.id]
+    for r in analysis.regions:
+        sub = analysis.subspaces[r.id]
         region_rows.append(
             {
                 "id": r.id,
@@ -69,12 +66,12 @@ def regions_doc(ws: WeightSystem, level, hyperplanes, regions, subspaces) -> dic
             }
         )
     return {
-        "root_system": root_system_doc(ws.root_system),
-        "module_spec": [list(w) for w in ws.module_spec],
-        "level": rat(level),
+        "root_system": root_system_doc(analysis.ws.root_system),
+        "module_spec": [list(w) for w in analysis.ws.module_spec],
+        "level": rat(analysis.level),
         "hyperplanes": [
             {"weight_fw": list(h.weight), "level": rat(h.level)}
-            for h in hyperplanes
+            for h in analysis.hyperplanes
         ],
         "regions": region_rows,
     }

@@ -125,21 +125,22 @@ def weighted_dynkin_from_partition(parts) -> tuple[int, ...]:
     return tuple(h[i] - h[i + 1] for i in range(n - 1))
 
 
-def _sl_root_positions(n: int, rs: RootSystem) -> dict[Weight, tuple[int, int]]:
-    """Map each root weight of sl_n to its matrix position (i, j)."""
-    out: dict[Weight, tuple[int, int]] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            fw = [0] * (n - 1)
-            for k in range(lo, hi):
-                for t in range(n - 1):
-                    fw[t] += rs.cartan[k][t]
-            w = tuple(fw) if i < j else tuple(-v for v in fw)
-            out[w] = (i, j)
-    return out
+def _sl_position(mu, n: int) -> tuple[int, int]:
+    """Matrix position of the sl_n root space of weight mu.
+
+    For i < j, e_i - e_j = alpha_i + ... + alpha_{j-1} is +1 at nodes i and
+    j-1 and -1 at nodes i-1 and j, where those exist, in fundamental-weight
+    coordinates; it sits at (i, j), its negative at (j, i).
+    """
+    mu = tuple(mu)
+    for s in (1, -1):
+        up = [k for k, c in enumerate(mu) if s * c > 0]
+        if up:
+            i, j = up[0], up[-1] + 1
+            fw = [(k == i) + (k == j - 1) - (k == i - 1) - (k == j) for k in range(n - 1)]
+            if tuple(s * c for c in fw) == mu:
+                return (i, j) if s > 0 else (j, i)
+    raise ValueError(f"{mu} is not a root of sl_{n}")
 
 
 def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
@@ -161,16 +162,12 @@ def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
 def generic_jordan_partition(i_r, n: int, seed: int = 1) -> Partition:
     """Jordan type of a generic element of the span of the given sl_n roots.
 
-    Draws three random integer elements supported on i_r (coefficients in
-    1..100, seeds seed, seed+1, seed+2) and returns the dominance-largest
-    Jordan type; the three draws must be pairwise comparable.
+    Each root's matrix position is read off its weight.  Draws three random
+    integer elements supported on i_r (coefficients in 1..100, seeds seed,
+    seed+1, seed+2) and returns the dominance-largest Jordan type; the three
+    draws must be pairwise comparable.
     """
-    rs = build_root_system([("A", n - 1)])
-    positions = _sl_root_positions(n, rs)
-    try:
-        support = [positions[tuple(mu)] for mu in i_r]
-    except KeyError as e:
-        raise ValueError(f"{e.args[0]} is not a root of sl_{n}") from None
+    support = [_sl_position(mu, n) for mu in i_r]
     results = []
     for s in (seed, seed + 1, seed + 2):
         rng = random.Random(s)
@@ -406,7 +403,7 @@ class RegionAnalysis:
         form = invariant_form(rs, factor_scales)
         hps = chamber_hyperplanes(ws, level)
         regions = enumerate_regions(rs, hps)
-        subspaces = {r.id: region_weights(ws, r, level) for r in regions}
+        subspaces = {r.id: region_weights(ws, hps, r) for r in regions}
         strata = None
         if isinstance(model, OrbitModel):
             strata = {r.id: model.generic_stratum(sorted(subspaces[r.id].i_r)) for r in regions}

@@ -44,7 +44,7 @@ from .orbits import (
     Example2x3Model,
     Module,
     RegionAnalysis,
-    _sl_root_positions,
+    _sl_position,
     characteristic,
     m_sets,
     partitions_of,
@@ -497,7 +497,7 @@ def run_lemma() -> list[VerifyRow]:
     for n in (3, 4):
         analysis = arrangements[f"A{n - 1} adjoint"]
         rs = analysis.model.root_system
-        positions = _sl_root_positions(n, rs)
+        positions = {w: _sl_position(w, n) for w in _all_root_weights(rs)}
         by_position = {pos: w for w, pos in positions.items()}
         positive = list(rs.positive_roots)
         def unit(pos):

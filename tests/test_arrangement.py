@@ -135,9 +135,10 @@ def test_level_must_be_positive():
 
 def test_example_region_weight_supports():
     ws = _example_ws()
-    regions = arr.enumerate_regions(ws.root_system, arr.chamber_hyperplanes(ws))
+    hps = arr.chamber_hyperplanes(ws)
+    regions = arr.enumerate_regions(ws.root_system, hps)
     by_signs = {r.signs: r for r in regions}
-    subs = {s: arr.region_weights(ws, r) for s, r in by_signs.items()}
+    subs = {s: arr.region_weights(ws, hps, r) for s, r in by_signs.items()}
     assert subs["----"].i_r == frozenset()
     assert subs["---+"].i_r == {(1, 1)}
     assert subs["+--+"].i_r == {(1, 1), (-1, 1)}
@@ -152,7 +153,8 @@ def test_witness_independence_of_i_r():
     # a second strict interior point of each region gives the same support
     for ws in [_example_ws(), _adjoint_ws([("A", 3)])]:
         rs = ws.root_system
-        regions = arr.enumerate_regions(rs, arr.chamber_hyperplanes(ws))
+        hps = arr.chamber_hyperplanes(ws)
+        regions = arr.enumerate_regions(rs, hps)
         rng = random.Random(5)
         for r in regions:
             w = r.witness
@@ -168,11 +170,65 @@ def test_witness_independence_of_i_r():
             for normal, bound in r.closure_ineqs:
                 assert lc.pairing(normal, w2) > bound
             assert (
-                arr.region_weights(ws, r).i_r
+                arr.region_weights(ws, hps, r).i_r
                 == frozenset(
                     mu for mu in ws.entries if lc.pairing(mu, w2) > 2
                 )
             )
+
+
+def _pairing_reference(ws, region, level):
+    """The weights above the level at the region's witness, with their total
+    multiplicity: the rule that paired every module weight with the witness
+    before subspaces were read off the sign vector."""
+    i_r = frozenset(mu for mu in ws.entries if lc.pairing(mu, region.witness) > level)
+    return i_r, sum(ws.entries[mu] for mu in i_r)
+
+
+@pytest.mark.parametrize(
+    "factors,module,level",
+    [
+        pytest.param([("A", 2)], "adjoint", Q(2), id="A2-adjoint"),
+        pytest.param([("A", 3)], "adjoint", Q(2), id="A3-adjoint"),
+        pytest.param([("A", 4)], "adjoint", Q(2), id="A4-adjoint"),
+        pytest.param([("A", 5)], "adjoint", Q(2), id="A5-adjoint"),
+        pytest.param([("B", 3)], "adjoint", Q(2), id="B3-adjoint"),
+        pytest.param([("C", 3)], "adjoint", Q(2), id="C3-adjoint"),
+        pytest.param([("D", 4)], "adjoint", Q(2), id="D4-adjoint"),
+        pytest.param([("G", 2)], "adjoint", Q(2), id="G2-adjoint"),
+        pytest.param([("B", 2)], "little", Q(2), id="B2-little"),
+        pytest.param([("G", 2)], "little", Q(2), id="G2-little"),
+        pytest.param([("F", 4)], "little", Q(2), id="F4-little"),
+        pytest.param([("A", 1), ("A", 1)], [(1, 1), (1, 0)], Q(2), id="example-2x3"),
+        pytest.param([("A", 2)], "adjoint", Q(3, 2), id="A2-adjoint-level3-2"),
+        # weights of multiplicity 2 lie above the level on some regions
+        pytest.param([("A", 2)], [(2, 1)], Q(2), id="A2-V21"),
+    ],
+)
+def test_region_weights_match_the_witness_pairing(factors, module, level):
+    rs = lc.build_root_system(factors)
+    if module == "adjoint":
+        module = lc.highest_roots(rs)
+    elif module == "little":
+        module = [lc.highest_short_root(rs)]
+    ws = lc.weight_system(rs, module)
+    hps = arr.chamber_hyperplanes(ws, level)
+    regions = arr.enumerate_regions(rs, hps)
+    for r in regions:
+        sub = arr.region_weights(ws, hps, r)
+        assert sub.region_id == r.id
+        assert (sub.i_r, sub.dimension) == _pairing_reference(ws, r, level)
+    # some module weights have no hyperplane, so the comparison covers them too
+    assert any(mu not in {h.weight for h in hps} for mu in ws.entries)
+
+
+def test_region_weights_refuse_a_mismatched_hyperplane_list():
+    ws = _example_ws()
+    hps = arr.chamber_hyperplanes(ws)
+    region = arr.enumerate_regions(ws.root_system, hps)[0]
+    for wrong in (hps[:-1], hps + hps[:1], []):
+        with pytest.raises(ValueError, match="hyperplanes for 4 signs"):
+            arr.region_weights(ws, wrong, region)
 
 
 @pytest.mark.parametrize(
@@ -193,9 +249,10 @@ def test_region_supports_saturated(factors, module):
         ws = lc.weight_system(rs, list(lc.highest_roots(rs)))
     else:
         ws = lc.weight_system(rs, [lc.highest_short_root(rs)])
-    regions = arr.enumerate_regions(rs, arr.chamber_hyperplanes(ws))
+    hps = arr.chamber_hyperplanes(ws)
+    regions = arr.enumerate_regions(rs, hps)
     for r in regions:
-        sub = arr.region_weights(ws, r)
+        sub = arr.region_weights(ws, hps, r)
         assert arr.is_saturated(ws, sub.i_r)
 
 

@@ -1,10 +1,16 @@
 """Tests for the command-line interface (run in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import orbitchar
 from orbitchar import cli
 from orbitchar.cli import main, parse_factors, parse_orbit
 from orbitchar.orbits import AdjointSlModel, Example2x3Model
@@ -268,3 +274,31 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "regions" in capsys.readouterr().out
+
+
+def test_exact_pipeline_imports_neither_numpy_nor_scipy(tmp_path):
+    # Importing scipy.optimize alone costs about 60 MB of RSS and 0.6 s of
+    # setup; only the float cross-check of the minnorm battery may pay for it.
+    script = textwrap.dedent(
+        """
+        import sys
+        from orbitchar.cli import main
+        for argv in (
+            ["regions", "--type", "A3", "--out", "r.json"],
+            ["characteristic", "--type", "A3", "--orbit", "2,2", "--out", "c.json"],
+            ["characteristic", "--module", "example-2x3", "--orbit", "O5", "--svg", "c.svg"],
+            ["plot", "--type", "B2", "--module", "little-adjoint", "--out", "p.svg"],
+            ["verify", "--suite", "example"],
+        ):
+            assert main(argv) == 0, argv
+        print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+        """
+    )
+    src = str(Path(orbitchar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

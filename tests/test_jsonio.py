@@ -4,11 +4,11 @@ import json
 from fractions import Fraction
 
 from orbitchar import jsonio
-from orbitchar.arrangement import chamber_hyperplanes, enumerate_regions, region_weights
-from orbitchar.liecore import build_root_system, weight_system
+from orbitchar.liecore import build_root_system
 from orbitchar.orbits import (
     AdjointSlModel,
     Example2x3Model,
+    Module,
     RegionAnalysis,
     characteristic,
     m_sets,
@@ -28,17 +28,13 @@ def test_rational_strings():
 
 
 def _example_arrangement():
-    rs = build_root_system([("A", 1), ("A", 1)])
-    ws = weight_system(rs, ((1, 1), (1, 0)))
-    hps = chamber_hyperplanes(ws)
-    regions = enumerate_regions(rs, hps)
-    subs = {r.id: region_weights(ws, r) for r in regions}
-    return ws, hps, regions, subs
+    return RegionAnalysis.build(Module(build_root_system([("A", 1), ("A", 1)]), ((1, 1), (1, 0))))
 
 
 def test_regions_doc_round_trip():
-    ws, hps, regions, subs = _example_arrangement()
-    doc = json.loads(jsonio.dump_doc(jsonio.regions_doc(ws, Q(2), hps, regions, subs)))
+    analysis = _example_arrangement()
+    hps, regions, subs = analysis.hyperplanes, analysis.regions, analysis.subspaces
+    doc = json.loads(jsonio.dump_doc(jsonio.regions_doc(analysis)))
     assert doc["root_system"] == {"factors": [["A", 1], ["A", 1]], "rank": 2}
     assert [tuple(w) for w in doc["module_spec"]] == [(1, 1), (1, 0)]
     assert Q(doc["level"]) == 2
@@ -57,13 +53,11 @@ def test_regions_doc_round_trip():
 
 
 def test_dump_is_deterministic_and_canonical():
-    ws, hps, regions, subs = _example_arrangement()
-    doc = jsonio.regions_doc(ws, Q(2), hps, regions, subs)
+    doc = jsonio.regions_doc(_example_arrangement())
     text = jsonio.dump_doc(doc)
     assert text == jsonio.dump_doc(doc)
     # a fresh computation serializes to identical bytes
-    ws2, hps2, regions2, subs2 = _example_arrangement()
-    assert jsonio.dump_doc(jsonio.regions_doc(ws2, Q(2), hps2, regions2, subs2)) == text
+    assert jsonio.dump_doc(jsonio.regions_doc(_example_arrangement())) == text
     # dumping the parsed JSON value reproduces the text exactly
     assert jsonio.dump_doc(json.loads(text)) == text
     assert text.endswith("\n")

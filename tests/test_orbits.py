@@ -17,6 +17,7 @@ from orbitchar.liecore import (
 from orbitchar.minnorm import MinNormTieError, Polyhedron, min_norm_point, verify_kkt
 from orbitchar.orbits import (
     _EXAMPLE_POSITIONS,
+    _sl_position,
     AdjointSlModel,
     Example2x3Model,
     Module,
@@ -160,6 +161,53 @@ def test_generic_jordan_rejects_non_roots():
         generic_jordan_partition([(1, 0)], 3)
     with pytest.raises(ValueError):
         generic_jordan_partition([(0, 0)], 3)
+
+
+def _sl_root_positions(n: int, rs) -> dict:
+    """Each root weight of sl_n and its matrix position (i, j), from sums of
+    Cartan rows: the map the library built before reading positions off the
+    weight."""
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            fw = [0] * (n - 1)
+            for k in range(lo, hi):
+                for t in range(n - 1):
+                    fw[t] += rs.cartan[k][t]
+            w = tuple(fw) if i < j else tuple(-v for v in fw)
+            out[w] = (i, j)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sl_position_matches_the_cartan_row_map(n):
+    positions = _sl_root_positions(n, build_root_system([("A", n - 1)]))
+    assert len(positions) == n * (n - 1)
+    for w, pos in positions.items():
+        assert _sl_position(w, n) == pos
+        assert _sl_position(list(w), n) == pos
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sl_position_refuses_exactly_the_non_roots(n):
+    roots = _sl_root_positions(n, build_root_system([("A", n - 1)]))
+    refused = 0
+    for mu in itertools.product(range(-3, 4), repeat=n - 1):
+        if mu in roots:
+            continue
+        with pytest.raises(ValueError, match=f"is not a root of sl_{n}"):
+            _sl_position(mu, n)
+        refused += 1
+    assert refused == 7 ** (n - 1) - n * (n - 1)
+
+
+def test_sl_position_refuses_wrong_lengths():
+    for mu, n in [((2,), 3), ((2, -1, 0), 3), ((), 2), ((1, 1), 2), ((2, -1), 4)]:
+        with pytest.raises(ValueError, match=f"is not a root of sl_{n}"):
+            _sl_position(mu, n)
 
 
 def test_generic_jordan_seed_determinism():
@@ -567,7 +615,7 @@ def g2_little_analysis():
 def test_module_analysis_matches_recorded_regions(g2_little_analysis):
     path = Path(__file__).parent / "data" / "regions_G2_little-adjoint.json"
     a = g2_little_analysis
-    doc = jsonio.regions_doc(a.ws, a.level, a.hyperplanes, a.regions, a.subspaces)
+    doc = jsonio.regions_doc(a)
     assert jsonio.dump_doc(doc).encode() == path.read_bytes()
     assert a.strata is None
 
