@@ -25,6 +25,23 @@ residual gives the basic point X / D, checked against every row; a positive
 one gives a Farkas vector y >= 0, y != 0 with y.N = 0 and y.b > 0, read from
 the final objective row.
 
+A run starts from a dictionary.  The cold start is the artificial basis on
+every row.  A warm start adds rows to a dictionary of other rows, as a
+constraint is added to an optimal dictionary (Chvatal, Linear Programming,
+1983): each new row is taken at the nonbasic columns, with every basic
+x+-_j substituted by its row, multiplied by the sign of its rhs and given
+its artificial as basic column, priced into the objective; the artificial
+indices shift by one per row.  The cold start is this on the dictionary of
+no rows.  Either way the result is a dictionary of the phase-1 problem of
+all the rows, in the order they were added, with every basic value >= 0, so
+phase 1 runs from it unchanged; from a warm start it usually ends at
+another vertex than from the cold one.  The certificates do not depend on
+the start: at the end the objective row is the reduced-cost row of the
+final basis, whatever the path, so at a positive residual its entries at
+the surplus columns are >= 0 and at the free x pairs 0, which is what makes
+them a Farkas vector; and both certificates are checked against the rows
+of the dictionary itself.
+
 `closed_feasible` asks this of the rows themselves, `strict_interior` of
 their homogenization: N x > b has a point exactly when N y - b s >= 1,
 s >= 1 has one (Motzkin's transposition theorem), and then x = y / s.  A
@@ -37,6 +54,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import eliminate, integral
@@ -145,31 +163,80 @@ def _integral_rows(rows, n):
     return out
 
 
-def _feasible_point(rows, n):
-    """Phase 1 on rows as `_integral_rows` gives them: a point X / D with
-    D > 0 checked against every row, or None once the Farkas vector of
-    `_farkas` is checked."""
-    m = len(rows)
-    signs, tab = [], []
-    for ints, scale in rows:
-        sign = -1 if ints[-1] < 0 else 1
+@dataclass(eq=False)
+class Dictionary:
+    """A phase-1 dictionary: the integral rows (ints, scale) in tableau
+    order, the condensed tableau with its basis, slots and signs, and the
+    objective row.  `rows` are the (normal, bound) rows whose homogenization
+    it holds, for `strict_interior` to match against its own."""
+
+    irows: list
+    tab: list
+    basis: list
+    slots: list
+    signs: list
+    obj: list
+    rows: list | None = None
+
+
+def _add_rows(dic, irows):
+    """A new dictionary: dic's rows and then irows, each with its artificial
+    basic.  A new row is taken at dic's nonbasic columns, with every x+-_j
+    basic in dic substituted by its row, and multiplied by the sign of its
+    rhs; its artificial is priced into the objective.  The artificial
+    indices of dic shift by len(irows)."""
+    n, m, k = len(dic.slots), len(dic.tab), len(irows)
+    basis = [b + k if b >= 2 * n + m else b for b in dic.basis]
+    xrows = [(row, b) for row, b in zip(dic.tab, dic.basis) if b < 2 * n]
+    lcm = math.lcm(*[row[n] for row, _ in xrows])
+    tab, signs, obj = list(dic.tab), list(dic.signs), dic.obj
+    for i, (ints, scale) in enumerate(irows):
+        row = [lcm * ints[j] if j < n else 0 for j in dic.slots] + [lcm * scale, lcm * ints[-1]]
+        for other, b in xrows:
+            # x_j = +-(rhs - other . slots) / d with d = other[n]
+            f = ints[b % n] * (lcm // other[n]) * (1 if b < n else -1)
+            if f:
+                for c in range(n):
+                    row[c] -= f * other[c]
+                row[-1] -= f * other[-1]
+        if xrows:
+            g = math.gcd(*row)
+            row = [v // g for v in row]
+        sign = -1 if row[-1] < 0 else 1
+        if sign < 0:
+            row = [-v for v in row[:n]] + [row[n], -row[-1]]
+        tab.append(row)
         signs.append(sign)
-        tab.append([sign * v for v in ints[:-1]] + [scale, sign * ints[-1]])
-    # artificial basis, cost 1 on every artificial
-    basis = [2 * n + m + i for i in range(m)]
-    slots = list(range(n))
-    obj = [0] * n + [1, 0]
-    for row in tab:
+        basis.append(2 * n + 2 * m + k + i)
         obj = _price(obj, row, 1)
-    obj = _run_simplex(tab, basis, slots, signs, obj)
-    if obj[-1] != 0:
-        _check_farkas(rows, _farkas(obj, basis, slots, signs, rows))
+    return Dictionary(dic.irows + irows, tab, basis, list(dic.slots), signs, obj)
+
+
+def _phase1(dic):
+    """Run phase 1 on dic in place: a point X / D with D > 0 checked
+    against every row, or None once the Farkas vector of `_farkas` is
+    checked."""
+    n = len(dic.slots)
+    dic.obj = _run_simplex(dic.tab, dic.basis, dic.slots, dic.signs, dic.obj)
+    if dic.obj[-1] != 0:
+        _check_farkas(dic.irows, _farkas(dic.obj, dic.basis, dic.slots, dic.signs, dic.irows))
         return None
-    x, d = _phase1_point(tab, basis, n)
-    for ints, _ in rows:
+    x, d = _phase1_point(dic.tab, dic.basis, n)
+    for ints, _ in dic.irows:
         if sum(map(operator.mul, ints[:-1], x)) < ints[-1] * d:
             raise AssertionError("phase-1 point violates a row")
     return x, d
+
+
+def _empty(n):
+    """The dictionary of no rows in n free variables."""
+    return Dictionary([], [], [], list(range(n)), [], [0] * n + [1, 0])
+
+
+def _feasible_point(rows, n):
+    """Phase 1 from the artificial basis on rows as `_integral_rows` gives
+    them, as `_phase1` answers it."""
+    return _phase1(_add_rows(_empty(n), rows))
 
 
 def _farkas(obj, basis, slots, signs, rows):
@@ -220,14 +287,42 @@ def _phase1_point(tab, basis, n):
     return x, den
 
 
-def strict_interior(rows, nvars):
+def _homogenized(rows, nvars):
+    """The integral rows c (normal, -bound | 1) for each row's integral
+    scale c, as (ints, scale)."""
+    return [([*ints[:-1], -ints[-1], c], c) for ints, c in _integral_rows(rows, nvars)]
+
+
+def cold_start(rows, nvars) -> Dictionary:
+    """The artificial basis on the homogenized rows and s >= 1."""
+    irows = _homogenized(rows, nvars) + [([0] * nvars + [1, 1], 1)]
+    dic = _add_rows(_empty(nvars + 1), irows)
+    dic.rows = list(rows)
+    return dic
+
+
+def warm_start(parent, row) -> Dictionary:
+    """The start for parent's rows and then row: parent, a start of
+    `cold_start` or `warm_start` (in region enumeration one that
+    `strict_interior` ran to a zero residual), with the homogenized row
+    added."""
+    dic = _add_rows(parent, _homogenized([row], len(parent.slots) - 1))
+    dic.rows = parent.rows + [row]
+    return dic
+
+
+def strict_interior(rows, nvars, start=None):
     """A point satisfying every row strictly, or None: phase 1 on the
     homogenized rows c (normal, -bound | 1) and s >= 1, for each row's
-    integral scale c, read back as x = y / s.  Either answer is checked by
-    its certificate, and AssertionError raised if it fails."""
-    irows = [([*ints[:-1], -ints[-1], c], c) for ints, c in _integral_rows(rows, nvars)]
-    irows.append(([0] * nvars + [1, 1], 1))
-    found = _feasible_point(irows, nvars + 1)
+    integral scale c, read back as x = y / s.  Phase 1 runs from `start` in
+    place if given (from `cold_start` or `warm_start` of these rows, else
+    ValueError), from `cold_start(rows, nvars)` otherwise.  Either answer is
+    checked by its certificate, and AssertionError raised if it fails."""
+    if start is None:
+        start = cold_start(rows, nvars)
+    elif start.rows != list(rows) or len(start.slots) != nvars + 1:
+        raise ValueError("the start holds other rows than the ones asked about")
+    found = _phase1(start)
     if found is None:
         return None
     x, _ = found

@@ -8,6 +8,7 @@ import pytest
 
 from orbitchar import arrangement as arr
 from orbitchar import liecore as lc
+from orbitchar import ratlp
 
 
 def _example_ws():
@@ -220,6 +221,68 @@ def test_region_weights_match_the_witness_pairing(factors, module, level):
         assert (sub.i_r, sub.dimension) == _pairing_reference(ws, r, level)
     # some module weights have no hyperplane, so the comparison covers them too
     assert any(mu not in {h.weight for h in hps} for mu in ws.entries)
+
+
+def _cold_enumeration_reference(rs, hyperplanes):
+    """The depth-first enumeration with every LP solved from the artificial
+    basis, as before inner nodes started from their parent's dictionary."""
+    base = arr._chamber_rows(rs)
+    found = []
+    stack = [(base, "", ratlp.strict_interior(base, rs.rank))]
+    while stack:
+        rows, signs, witness = stack.pop()
+        if len(signs) == len(hyperplanes):
+            found.append((signs, witness, tuple(rows)))
+            continue
+        for sign in ("+", "-"):
+            cand = rows + [arr._sign_row(hyperplanes[len(signs)], sign)]
+            w = ratlp.strict_interior(cand, rs.rank)
+            if w is not None:
+                stack.append((cand, signs + sign, w))
+    found.sort(key=lambda sw: tuple(0 if ch == "-" else 1 for ch in sw[0]))
+    return [
+        arr.Region(id=k, signs=signs, witness=witness, closure_ineqs=rows)
+        for k, (signs, witness, rows) in enumerate(found, start=1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "factors,module,level",
+    [
+        pytest.param([("A", 2)], "adjoint", Q(2), id="A2-adjoint"),
+        pytest.param([("A", 3)], "adjoint", Q(2), id="A3-adjoint"),
+        pytest.param([("A", 4)], "adjoint", Q(2), id="A4-adjoint"),
+        pytest.param([("A", 5)], "adjoint", Q(2), id="A5-adjoint"),
+        pytest.param([("B", 3)], "adjoint", Q(2), id="B3-adjoint"),
+        pytest.param([("C", 3)], "adjoint", Q(2), id="C3-adjoint"),
+        pytest.param([("D", 4)], "adjoint", Q(2), id="D4-adjoint"),
+        pytest.param([("G", 2)], "adjoint", Q(2), id="G2-adjoint"),
+        pytest.param([("B", 2)], "little", Q(2), id="B2-little"),
+        pytest.param([("G", 2)], "little", Q(2), id="G2-little"),
+        pytest.param([("F", 4)], "little", Q(2), id="F4-little"),
+        pytest.param([("A", 1), ("A", 1)], [(1, 1), (1, 0)], Q(2), id="example-2x3"),
+        pytest.param([("A", 3)], "adjoint", Q(3, 2), id="A3-adjoint-level3-2"),
+        pytest.param([("A", 2)], [(2, 1)], Q(2), id="A2-V21"),
+    ],
+)
+def test_warm_inner_nodes_keep_the_cold_enumeration(factors, module, level):
+    # inner nodes start from their parent's dictionary and reach other
+    # vertices; the leaves stay cold, so the regions, witnesses included,
+    # are those of the all-cold enumeration
+    rs = lc.build_root_system(factors)
+    if module == "adjoint":
+        module = lc.highest_roots(rs)
+    elif module == "little":
+        module = [lc.highest_short_root(rs)]
+    hps = arr.chamber_hyperplanes(lc.weight_system(rs, module), level)
+    assert arr.enumerate_regions(rs, hps) == _cold_enumeration_reference(rs, hps)
+
+
+def test_no_hyperplanes_one_region_at_the_chamber_witness():
+    rs = lc.build_root_system([("B", 2)])
+    (region,) = arr.enumerate_regions(rs, [])
+    assert region == _cold_enumeration_reference(rs, [])[0]
+    assert region.signs == "" and region.closure_ineqs == tuple(arr._chamber_rows(rs))
 
 
 def test_region_weights_refuse_a_mismatched_hyperplane_list():

@@ -302,3 +302,32 @@ def test_exact_pipeline_imports_neither_numpy_nor_scipy(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("module", ["numpy", "scipy"])
+def test_minnorm_suite_without_its_float_reference_is_a_cli_error(tmp_path, module):
+    # numpy and scipy are the optional extra `verify`; without them the
+    # minnorm battery stops before any battery runs, the exact ones work
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules[{module!r}] = None
+        from orbitchar.cli import main
+        print(main(["verify", "--suite", "minnorm"]), main(["verify", "--suite", "all"]))
+        print(main(["verify", "--suite", "example"]))
+        """
+    )
+    src = str(Path(orbitchar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "1 1"
+    assert run.stdout.splitlines()[-1] == "0"
+    message = (
+        f"error: the minnorm suite needs {module}, which is not installed; "
+        "install it with: pip install -e .[verify]"
+    )
+    assert run.stderr.splitlines() == [message, message]

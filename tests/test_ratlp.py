@@ -343,13 +343,18 @@ _REGIONS = {("A", 3): 14, ("A", 4): 42, ("B", 3): 20, ("C", 3): 20, ("D", 4): 50
 
 @pytest.mark.parametrize("factors", [[t] for t in _REGIONS], ids=str)
 def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch, factors):
-    # every node LP: the point of the dense phase 1, and the yes or no of
-    # the slack LP
+    # every node LP: the yes or no of the slack LP; a cold LP (from the
+    # artificial basis: the root and the last level) also has the point of
+    # the dense phase 1, a warm one (from its parent's dictionary) a point
+    # strictly inside its rows
     solve, lps = ratlp.strict_interior, []
 
-    def recording(rows, nvars):
-        got = solve(rows, nvars)
-        lps.append((list(rows), nvars, got))
+    def recording(rows, nvars, start=None):
+        cold = start is None or all(
+            b >= 2 * len(start.slots) + len(start.tab) for b in start.basis
+        )
+        got = solve(rows, nvars, start)
+        lps.append((list(rows), nvars, got, cold))
         return got
 
     monkeypatch.setattr(ratlp, "strict_interior", recording)
@@ -357,9 +362,13 @@ def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch,
     ws = liecore.weight_system(rs, liecore.highest_roots(rs))
     regions = arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
     assert len(regions) == _REGIONS[factors[0]]
-    assert len(lps) > len(regions) and any(got is None for _, _, got in lps)
-    for rows, nvars, got in lps:
-        assert got == _reference_strict_point(rows, nvars)
+    assert len(lps) > len(regions) and any(got is None for _, _, got, _ in lps)
+    assert sum(cold for *_, cold in lps) < len(lps)
+    for rows, nvars, got, cold in lps:
+        if cold:
+            assert got == _reference_strict_point(rows, nvars)
+        elif got is not None:
+            _assert_strictly_inside(got, rows)
         assert (got is not None) == (_slack_reference(rows, nvars) > 0)
 
 
@@ -504,5 +513,150 @@ except AssertionError as exc:
         "Farkas combination of the bounds is not positive",
         "Farkas combination of the normals is not zero",
         "phase-1 point violates a row",
+        "phase-1 point violates a row",
+    ]
+
+
+# the positive quadrant; its cold vertex is (1, 1)
+_QUADRANT = [((1, 0), 0), ((0, 1), 0)]
+
+
+def _solved_quadrant():
+    root = ratlp.cold_start(_QUADRANT, 2)
+    assert ratlp.strict_interior(_QUADRANT, 2, root) == (1, 1)
+    return root
+
+
+def test_a_warm_child_on_its_parent_vertex_takes_only_the_swap(monkeypatch):
+    root = _solved_quadrant()
+    swaps = _swap_counts(monkeypatch)
+    pivot, pivots = ratlp._pivot, []
+    monkeypatch.setattr(ratlp, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+    # x + y > 0 holds at (1, 1): the new row's surplus replaces its
+    # artificial, and the parent's vertex is the answer
+    row = ((1, 1), 0)
+    assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row)) == (1, 1)
+    assert (len(pivots), swaps["swap"]) == (1, 1)
+    # x + y > 1 is tight at (1, 1) in the homogenized rows: a degenerate
+    # pivot, and the parent's vertex again
+    row = ((1, 1), 1)
+    assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row)) == (1, 1)
+    assert (len(pivots), swaps["swap"]) == (2, 1)
+
+
+def test_an_infeasible_warm_child_is_certified(monkeypatch):
+    root = _solved_quadrant()
+    farkas, read = ratlp._farkas, []
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: read.append(farkas(*args)) or read[-1])
+    # x + y < 0: the start is optimal with a positive residual; the Motzkin
+    # vector is in tableau order (the quadrant, s >= 1, the new row)
+    row = ((-1, -1), 0)
+    start = ratlp.warm_start(root, row)
+    assert ratlp.strict_interior(_QUADRANT + [row], 2, start) is None
+    assert read == [[1, 1, 0, 1]]
+    assert [ints for ints, _ in start.irows] == [
+        [1, 0, 0, 1],
+        [0, 1, 0, 1],
+        [0, 0, 1, 1],
+        [-1, -1, 0, 1],
+    ]
+    # the same answer from the artificial basis
+    assert ratlp.strict_interior(_QUADRANT + [row], 2) is None
+
+
+def test_warm_answers_match_the_cold_ones_on_random_children():
+    # a random parent, solved cold, and random children of it: the same yes
+    # or no as from the artificial basis, and a yes point strictly inside
+    rng = random.Random(1318)
+
+    def rand_row(n):
+        return tuple(rng.randint(-3, 3) for _ in range(n)), Q(rng.randint(-4, 4), rng.randint(1, 3))
+
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [rand_row(n) for _ in range(rng.randint(0, 6))]
+        parent = ratlp.cold_start(rows, n)
+        if ratlp.strict_interior(rows, n, parent) is None:
+            continue
+        for _ in range(3):
+            row = rand_row(n)
+            got = ratlp.strict_interior(rows + [row], n, ratlp.warm_start(parent, row))
+            assert (got is not None) == (ratlp.strict_interior(rows + [row], n) is not None)
+            if got is not None:
+                _assert_strictly_inside(got, rows + [row])
+            seen[got is not None] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_a_start_of_other_rows_is_refused():
+    root = _solved_quadrant()
+    row = ((1, 1), 0)
+    for rows in (
+        _QUADRANT,
+        _QUADRANT + [((1, 1), 1)],
+        _QUADRANT + [row, row],
+        [_QUADRANT[1], _QUADRANT[0], row],
+    ):
+        with pytest.raises(ValueError, match="other rows"):
+            ratlp.strict_interior(rows, 2, ratlp.warm_start(root, row))
+    with pytest.raises(ValueError, match="other rows"):
+        ratlp.strict_interior(_QUADRANT[:1], 2, root)
+    with pytest.raises(ValueError, match="other rows"):
+        ratlp.strict_interior(_QUADRANT, 3, root)
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        ([-1, -1, 0, -1], "Farkas multipliers not nonnegative and nonzero"),
+        ([0, 0, 0, 0], "Farkas multipliers not nonnegative and nonzero"),
+        ([1, 0, 0, 1], "Farkas combination of the normals is not zero"),
+    ],
+)
+def test_a_tampered_farkas_vector_from_a_warm_start_is_refused(monkeypatch, y, message):
+    root, row = _solved_quadrant(), ((-1, -1), 0)
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
+    with pytest.raises(AssertionError, match=message):
+        ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row))
+
+
+def test_a_tampered_point_from_a_warm_start_is_refused(monkeypatch):
+    # (y, s) = (1, 0, 1) breaks y2 >= 1, and (0, 0, 0) breaks s >= 1
+    root, row = _solved_quadrant(), ((1, 1), 0)
+    for x in ([1, 0, 1], [0, 0, 0]):
+        monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: (x, 1))
+        with pytest.raises(AssertionError, match="phase-1 point violates a row"):
+            ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row))
+
+
+def test_warm_certificate_checks_run_under_optimize():
+    script = """
+from orbitchar import ratlp
+assert False  # stripped by -O
+quadrant = [((1, 0), 0), ((0, 1), 0)]
+root = ratlp.cold_start(quadrant, 2)
+ratlp.strict_interior(quadrant, 2, root)
+
+def warm(row):
+    try:
+        ratlp.strict_interior(quadrant + [row], 2, ratlp.warm_start(root, row))
+    except AssertionError as exc:
+        print(exc)
+
+for y in ([-1, -1, 0, -1], [1, 0, 0, 1]):
+    ratlp._farkas = lambda *args: y
+    warm(((-1, -1), 0))
+ratlp._phase1_point = lambda tab, basis, n: ([1, 0, 1], 1)
+warm(((1, 1), 0))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+    assert out[:3] == [
+        "Farkas multipliers not nonnegative and nonzero",
+        "Farkas combination of the normals is not zero",
         "phase-1 point violates a row",
     ]
