@@ -92,13 +92,12 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
     system still has an interior point, certified by exact linear
     programming; complete sign vectors yield cells together with witnesses.
 
-    A candidate short of the last level is solved warm: phase 1 starts from
-    its parent's optimal dictionary with the one new sign row added (sl5:
-    1,086 pivots in all instead of 2,869 with every LP cold), and its
-    point is never output.  The root and the complete sign vectors are
-    solved cold, from the artificial basis.  So a cell's witness is the
-    Bland vertex of its own row list, whatever the LPs above it did, and the
-    regions do not depend on the warm starts.
+    The root is solved cold, from the artificial basis; every candidate
+    below it warm: phase 1 starts from its parent's optimal dictionary with
+    the one new sign row added (sl5: 171 pivots in all instead of 2,869
+    with every LP cold).  A complete sign vector keeps the point of its own
+    warm LP as its witness, the vertex that phase 1 reaches from the
+    parent's dictionary; the depth-first order and Bland's rule fix it.
     """
     hyperplanes = list(hyperplanes)
     if len(hyperplanes) > max_hyperplanes:
@@ -111,27 +110,22 @@ def enumerate_regions(rs: RootSystem, hyperplanes, max_hyperplanes: int = 20) ->
     start = ratlp.strict_interior(base, rs.rank, root)
     if start is None:
         raise RuntimeError("the open dominant chamber has no interior point")
-    if not hyperplanes:
-        return [Region(id=1, signs="", witness=start, closure_ineqs=tuple(base))]
     found: list[tuple[str, Point, tuple[IneqRow, ...]]] = []
-    last = len(hyperplanes) - 1
     # An explicit stack, with no closure that refers to itself, so that rows
     # and dictionaries are freed by reference counting, not by a gc cycle pass.
-    stack = [(base, "", root)]
+    stack = [(base, "", root, start)]
     while stack:
-        rows, signs, dic = stack.pop()
-        depth = len(signs)
+        rows, signs, dic, witness = stack.pop()
+        if len(signs) == len(hyperplanes):
+            found.append((signs, witness, tuple(rows)))
+            continue
         for sign in ("+", "-"):
-            row = _sign_row(hyperplanes[depth], sign)
+            row = _sign_row(hyperplanes[len(signs)], sign)
             cand = rows + [row]
-            if depth < last:
-                child = ratlp.warm_start(dic, row)
-                if ratlp.strict_interior(cand, rs.rank, child) is not None:
-                    stack.append((cand, signs + sign, child))
-            else:
-                w = ratlp.strict_interior(cand, rs.rank)
-                if w is not None:
-                    found.append((signs + sign, w, tuple(cand)))
+            child = ratlp.warm_start(dic, row)
+            w = ratlp.strict_interior(cand, rs.rank, child)
+            if w is not None:
+                stack.append((cand, signs + sign, child, w))
     found.sort(key=lambda sw: tuple(0 if ch == "-" else 1 for ch in sw[0]))
 
     return [

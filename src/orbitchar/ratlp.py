@@ -34,8 +34,10 @@ its artificial as basic column, priced into the objective; the artificial
 indices shift by one per row.  The cold start is this on the dictionary of
 no rows.  Either way the result is a dictionary of the phase-1 problem of
 all the rows, in the order they were added, with every basic value >= 0, so
-phase 1 runs from it unchanged; from a warm start it usually ends at
-another vertex than from the cold one.  The certificates do not depend on
+phase 1 runs from it unchanged.  From a warm start it can end at another
+vertex than from the cold one; of the warm LPs with a point in the region
+enumeration of the adjoint module, 2 of 143 do on A4, 330 of 1,871 on A6,
+117 of 1,413 on B5 and 22 of 763 on F4.  The certificates do not depend on
 the start: at the end the objective row is the reduced-cost row of the
 final basis, whatever the path, so at a positive residual its entries at
 the surplus columns are >= 0 and at the free x pairs 0, which is what makes

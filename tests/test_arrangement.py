@@ -266,16 +266,68 @@ def _cold_enumeration_reference(rs, hyperplanes):
     ],
 )
 def test_warm_inner_nodes_keep_the_cold_enumeration(factors, module, level):
-    # inner nodes start from their parent's dictionary and reach other
-    # vertices; the leaves stay cold, so the regions, witnesses included,
-    # are those of the all-cold enumeration
+    # every LP below the root starts from its parent's dictionary, so a
+    # cell's witness is the vertex that phase 1 reaches from there: the ids,
+    # sign vectors and closure rows are those of the all-cold enumeration,
+    # and so are the witnesses except on A5 (13 of its 132 move)
     rs = lc.build_root_system(factors)
     if module == "adjoint":
         module = lc.highest_roots(rs)
     elif module == "little":
         module = [lc.highest_short_root(rs)]
     hps = arr.chamber_hyperplanes(lc.weight_system(rs, module), level)
-    assert arr.enumerate_regions(rs, hps) == _cold_enumeration_reference(rs, hps)
+    got = arr.enumerate_regions(rs, hps)
+    cold = _cold_enumeration_reference(rs, hps)
+    assert [(r.id, r.signs, r.closure_ineqs) for r in got] == [
+        (r.id, r.signs, r.closure_ineqs) for r in cold
+    ]
+    if factors != [("A", 5)]:
+        assert got == cold
+    for r in got:
+        assert all(type(x) is Q for x in r.witness)
+        for normal, bound in r.closure_ineqs:
+            assert sum(Q(v) * x for v, x in zip(normal, r.witness)) > bound
+        for hp, sign in zip(hps, r.signs):
+            value = lc.pairing(hp.weight, r.witness)
+            assert value > hp.level if sign == "+" else value < hp.level
+
+
+@pytest.mark.parametrize(
+    "factors,module,lps",
+    [
+        pytest.param([("A", 4)], "adjoint", 205, id="A4-adjoint"),
+        pytest.param([("F", 4)], "little", 199, id="F4-little"),
+    ],
+)
+def test_only_the_root_lp_starts_cold(monkeypatch, factors, module, lps):
+    colds, starts = [], []
+    cold_start, strict_interior = ratlp.cold_start, ratlp.strict_interior
+
+    def counting_cold_start(rows, nvars):
+        colds.append(cold_start(rows, nvars))
+        return colds[-1]
+
+    def recording_strict_interior(rows, nvars, start=None):
+        starts.append(start)
+        return strict_interior(rows, nvars, start)
+
+    # strict_interior looks cold_start up in ratlp, so a cold solve
+    # without a start is counted too
+    monkeypatch.setattr(ratlp, "cold_start", counting_cold_start)
+    monkeypatch.setattr(ratlp, "strict_interior", recording_strict_interior)
+    rs = lc.build_root_system(factors)
+    module = lc.highest_roots(rs) if module == "adjoint" else [lc.highest_short_root(rs)]
+    arr.enumerate_regions(rs, arr.chamber_hyperplanes(lc.weight_system(rs, module)))
+    assert len(starts) == lps
+    assert len(colds) == 1 and starts[0] is colds[0]
+    assert all(s is not None and s is not colds[0] for s in starts[1:])
+
+
+def test_warm_witnesses_are_the_same_on_every_run():
+    # the depth-first order and Bland's rule fix the path of every LP
+    rs = lc.build_root_system([("A", 5)])
+    hps = arr.chamber_hyperplanes(_adjoint_ws([("A", 5)]))
+    assert arr.enumerate_regions(rs, hps) == arr.enumerate_regions(rs, hps)
 
 
 def test_no_hyperplanes_one_region_at_the_chamber_witness():

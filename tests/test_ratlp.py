@@ -8,9 +8,7 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from orbitchar import arrangement, liecore, ratlp
 from orbitchar.linalg import eliminate, integral
@@ -69,7 +67,11 @@ def test_no_rows():
 
 def _scipy_answers(rows, n):
     """Closed feasibility by linprog, and the largest t (capped at 1) with
-    normal.x - t >= bound on every row."""
+    normal.x - t >= bound on every row; numpy and scipy are the optional
+    extra `verify`, so its callers skip without them."""
+    import numpy as np
+    from scipy.optimize import linprog
+
     a_ub = np.array([[-float(v) for v in normal] for normal, _ in rows])
     b_ub = np.array([-float(b) for _, b in rows])
     closed = linprog(c=[0.0] * n, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n)
@@ -91,6 +93,8 @@ def _assert_strictly_inside(x, rows):
 
 
 def test_against_scipy_on_random_instances():
+    pytest.importorskip("numpy")
+    pytest.importorskip("scipy.optimize")
     rng = random.Random(917)
     strict = 0
     for _ in range(60):
@@ -118,6 +122,8 @@ def test_against_scipy_on_random_instances():
 
 
 def test_against_scipy_on_rational_instances():
+    pytest.importorskip("numpy")
+    pytest.importorskip("scipy.optimize")
     # denominators 1-4 in normals and bounds; half the instances drop the
     # box, so that unbounded systems occur
     rng = random.Random(4021)
