@@ -223,6 +223,10 @@ def test_region_weights_match_the_witness_pairing(factors, module, level):
     assert any(mu not in {h.weight for h in hps} for mu in ws.entries)
 
 
+# the cases of the test below on which some warm witness is not the cold one
+_WARM_WITNESSES_MOVE = [([("A", 4)], "adjoint"), ([("A", 5)], "adjoint"), ([("A", 2)], [(2, 1)])]
+
+
 def _cold_enumeration_reference(rs, hyperplanes):
     """The depth-first enumeration with every LP solved from the artificial
     basis, as before inner nodes started from their parent's dictionary."""
@@ -269,7 +273,8 @@ def test_warm_inner_nodes_keep_the_cold_enumeration(factors, module, level):
     # every LP below the root starts from its parent's dictionary, so a
     # cell's witness is the vertex that phase 1 reaches from there: the ids,
     # sign vectors and closure rows are those of the all-cold enumeration,
-    # and so are the witnesses except on A5 (13 of its 132 move)
+    # and so are the witnesses except on A4, A5 and the A2 module (2,1)
+    witnesses_move = (factors, module) in _WARM_WITNESSES_MOVE
     rs = lc.build_root_system(factors)
     if module == "adjoint":
         module = lc.highest_roots(rs)
@@ -281,7 +286,7 @@ def test_warm_inner_nodes_keep_the_cold_enumeration(factors, module, level):
     assert [(r.id, r.signs, r.closure_ineqs) for r in got] == [
         (r.id, r.signs, r.closure_ineqs) for r in cold
     ]
-    if factors != [("A", 5)]:
+    if not witnesses_move:
         assert got == cold
     for r in got:
         assert all(type(x) is Q for x in r.witness)
@@ -321,6 +326,31 @@ def test_only_the_root_lp_starts_cold(monkeypatch, factors, module, lps):
     assert len(starts) == lps
     assert len(colds) == 1 and starts[0] is colds[0]
     assert all(s is not None and s is not colds[0] for s in starts[1:])
+
+
+@pytest.mark.parametrize(
+    "factors,module,pivots",
+    [
+        pytest.param([("A", 4)], "adjoint", 77, id="A4-adjoint"),
+        pytest.param([("F", 4)], "little", 47, id="F4-little"),
+    ],
+)
+def test_enumeration_pivots_and_no_artificial_enters(monkeypatch, factors, module, pivots):
+    # a sign row that holds at its parent's vertex enters with its surplus
+    # basic and costs no pivot, and no pivot brings in an artificial column
+    entering = []
+    pivot = ratlp._pivot
+
+    def recording_pivot(rows, basis, slots, r, col, obj):
+        entering.append((col, 2 * len(slots) + len(rows)))
+        return pivot(rows, basis, slots, r, col, obj)
+
+    monkeypatch.setattr(ratlp, "_pivot", recording_pivot)
+    rs = lc.build_root_system(factors)
+    module = lc.highest_roots(rs) if module == "adjoint" else [lc.highest_short_root(rs)]
+    arr.enumerate_regions(rs, arr.chamber_hyperplanes(lc.weight_system(rs, module)))
+    assert len(entering) == pivots
+    assert all(col < first_artificial for col, first_artificial in entering)
 
 
 def test_warm_witnesses_are_the_same_on_every_run():

@@ -575,6 +575,34 @@ def test_adjoint_labels_match_classical_diagrams(n):
         assert dense is not None and dense.labels == expected, (n, p)
 
 
+def test_sl5_table_precheck_pivots(monkeypatch):
+    # the feasibility precheck before each of the 42 region minima of the
+    # sl5 table: a closure row that holds at the origin, such as a chamber
+    # row, enters with its surplus basic and costs no pivot
+    closed_feasible, pivot = ratlp.closed_feasible, ratlp._pivot
+    calls, pivots, inside = [], [], [False]
+
+    def recording_closed_feasible(rows, nvars):
+        calls.append(rows)
+        inside[0] = True
+        try:
+            return closed_feasible(rows, nvars)
+        finally:
+            inside[0] = False
+
+    def counting_pivot(*args):
+        pivots.append(inside[0])
+        return pivot(*args)
+
+    monkeypatch.setattr(ratlp, "closed_feasible", recording_closed_feasible)
+    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
+    analysis = RegionAnalysis.build(AdjointSlModel(5))
+    for p in partitions_of(5):
+        characteristic(analysis, p, mode="nonempty")
+        characteristic(analysis, p, mode="dense")
+    assert (len(calls), sum(pivots)) == (42, 238)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_adjoint_characteristic_supports_the_orbit(n):
     # the weights graded >= 2 by the characteristic span a subspace whose

@@ -28,11 +28,15 @@ def test_infeasible():
 
 
 def test_free_variables():
-    # x >= -7/2: phase 1 meets the bound through x-; the strict point is
+    # x >= -7/2 holds at the origin, which phase 1 keeps; x <= -7/2 does
+    # not, and phase 1 meets its bound through x-; the strict points are
     # read back as y / s from the homogenized rows
     rows = [((1,), Q(-7, 2))]
-    assert _closed_point(rows, 1) == (Q(-7, 2),)
+    assert _closed_point(rows, 1) == (0,)
     assert ratlp.strict_interior(rows, 1) == (Q(-5, 2),)
+    rows = [((-1,), Q(7, 2))]
+    assert _closed_point(rows, 1) == (Q(-7, 2),)
+    assert ratlp.strict_interior(rows, 1) == (Q(-9, 2),)
 
 
 def test_equality_pair():
@@ -153,16 +157,17 @@ def test_against_scipy_on_rational_instances():
 
 
 def test_degenerate_ties_break_on_basis_index():
-    # y <= 1 stated twice, as 2y <= 2 and y <= 1, ties the ratio test of
-    # phase 1 on the rows and on their homogenization; the least basis
-    # index decides the vertex
-    rows = [((0, -2), -2), ((-1, 1), -2), ((1, 1), -2), ((0, -1), -1)]
-    assert _closed_point(rows, 2) == (-3, 1) == _reference_closed_point(rows, 2)
-    assert ratlp.strict_interior(rows, 2) == (-1, 0) == _reference_strict_point(rows, 2)
-    rows = [((0, 2, 2), -2), ((0, 1, 1), 0), ((2, 1, 0), -1)]
-    assert _closed_point(rows, 3) == (0, -1, 1) == _reference_closed_point(rows, 3)
+    # y >= 1 stated twice, as 2y >= 2 and y >= 1, ties the ratio test of
+    # phase 1 on the rows and on their homogenization; every row is
+    # violated at the origin, so each starts with its artificial basic;
+    # the least basis index decides the vertex
+    rows = [((0, 2), 2), ((1, 1), 2), ((-1, 1), 2), ((0, 1), 1)]
+    assert _closed_point(rows, 2) == (0, 2) == _reference_closed_point(rows, 2)
+    assert ratlp.strict_interior(rows, 2) == (0, 3) == _reference_strict_point(rows, 2)
+    rows = [((0, 2, 2), 2), ((0, 1, 1), 1), ((2, 1, 0), 1)]
+    assert _closed_point(rows, 3) == (0, 1, 0) == _reference_closed_point(rows, 3)
     x = ratlp.strict_interior(rows, 3)
-    assert x == (0, 0, 1) == _reference_strict_point(rows, 3)
+    assert x == (0, 2, 0) == _reference_strict_point(rows, 3)
     assert all(type(xi) is Q for xi in x)
 
 
@@ -204,21 +209,23 @@ def _run(tab, basis, cost, ncols):
 def _full_tableau_phase1(rows, nvars):
     """Phase 1 of the dense simplex that ratlp condenses: every column x+,
     x-, s and a is stored, under the same Bland rule and the same
-    fraction-free row invariant.  Returns the final (tab, basis) at a zero
-    residual, else None."""
+    fraction-free row invariant.  A row that the origin satisfies starts
+    with its surplus basic, any other with its artificial; no artificial
+    column enters.  Returns the final (tab, basis) at a zero residual,
+    else None."""
     m = len(rows)
     ncols = 2 * nvars + m
-    tab = []
+    tab, basis = [], []
     for i, (normal, bound) in enumerate(rows):
         ints, scale = integral((*normal, bound))
-        sign = -1 if ints[-1] < 0 else 1
+        sign = -1 if ints[-1] <= 0 else 1
         a = [sign * v for v in ints[:-1]]
         row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
         row[2 * nvars + i] = -sign * scale
-        row[ncols + i] = scale
+        row[ncols + i] = sign * scale
         tab.append(row)
-    basis = [ncols + i for i in range(m)]
-    status, obj = _run(tab, basis, [0] * ncols + [1] * m, ncols + m)
+        basis.append(2 * nvars + i if sign < 0 else ncols + i)
+    status, obj = _run(tab, basis, [0] * ncols + [1] * m, ncols)
     assert status == OPTIMAL
     return (tab, basis) if obj[-1] == 0 else None
 
@@ -300,23 +307,32 @@ def _seeded_lp(rng):
     return rows, n
 
 
-def _swap_counts(monkeypatch):
-    """Count the phase-1 pivots in which s_k replaces a basic a_k."""
-    counts = {"swap": 0}
-    pivot = ratlp._pivot
+def _entry_counts(monkeypatch):
+    """Count the rows that enter a dictionary with their surplus basic, the
+    phase-1 pivots, and the pivots that bring in an artificial column."""
+    counts = {"surplus": 0, "pivots": 0, "artificial": 0}
+    add_rows, pivot = ratlp._add_rows, ratlp._pivot
 
-    def counting_pivot(rows, basis, slots, signs, r, col, obj):
-        if basis[r] >= 2 * len(slots) + len(signs) and col == basis[r] - len(signs):
-            counts["swap"] += 1
-        return pivot(rows, basis, slots, signs, r, col, obj)
+    def counting_add_rows(dic, irows):
+        new = add_rows(dic, irows)
+        n, m = len(new.slots), len(new.tab)
+        counts["surplus"] += sum(b < 2 * n + m for b in new.basis[m - len(irows) :])
+        return new
 
+    def counting_pivot(rows, basis, slots, r, col, obj):
+        counts["pivots"] += 1
+        counts["artificial"] += col >= 2 * len(slots) + len(rows)
+        return pivot(rows, basis, slots, r, col, obj)
+
+    monkeypatch.setattr(ratlp, "_add_rows", counting_add_rows)
     monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
     return counts
 
 
 def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
-    # the phase-1 answer and point on the rows and on their homogenization
-    counts = _swap_counts(monkeypatch)
+    # the phase-1 answer and point on the rows and on their homogenization;
+    # many rows start with their surplus basic, and no artificial enters
+    counts = _entry_counts(monkeypatch)
     rng = random.Random(20261018)
     seen = {"closed": 0, "strict": 0, "empty": 0}
     for _ in range(2000):
@@ -329,7 +345,7 @@ def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
             assert all(type(xi) is Q for xi in x)
         seen["strict" if x else "closed" if got else "empty"] += 1
     assert min(seen.values()) >= 200, seen
-    assert counts["swap"] >= 100, counts
+    assert counts["surplus"] >= 100 and counts["artificial"] == 0, counts
 
 
 def _slack_reference(rows, n):
@@ -383,10 +399,10 @@ def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
     # raise otherwise); count the read-offs that use a still-basic a_i
     farkas, kinds = ratlp._farkas, {"infeasible": 0, "basic_artificial": 0}
 
-    def counting(obj, basis, slots, signs, rows):
+    def counting(obj, basis, slots, rows):
         kinds["infeasible"] += 1
-        kinds["basic_artificial"] += any(b >= 2 * len(slots) + len(signs) for b in basis)
-        return farkas(obj, basis, slots, signs, rows)
+        kinds["basic_artificial"] += any(b >= 2 * len(slots) + len(rows) for b in basis)
+        return farkas(obj, basis, slots, rows)
 
     monkeypatch.setattr(ratlp, "_farkas", counting)
     rng = random.Random(20261018)
@@ -533,21 +549,15 @@ def _solved_quadrant():
     return root
 
 
-def test_a_warm_child_on_its_parent_vertex_takes_only_the_swap(monkeypatch):
+def test_a_warm_child_satisfied_at_its_parent_vertex_takes_no_pivot(monkeypatch):
     root = _solved_quadrant()
-    swaps = _swap_counts(monkeypatch)
-    pivot, pivots = ratlp._pivot, []
-    monkeypatch.setattr(ratlp, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
-    # x + y > 0 holds at (1, 1): the new row's surplus replaces its
-    # artificial, and the parent's vertex is the answer
-    row = ((1, 1), 0)
-    assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row)) == (1, 1)
-    assert (len(pivots), swaps["swap"]) == (1, 1)
-    # x + y > 1 is tight at (1, 1) in the homogenized rows: a degenerate
-    # pivot, and the parent's vertex again
-    row = ((1, 1), 1)
-    assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row)) == (1, 1)
-    assert (len(pivots), swaps["swap"]) == (2, 1)
+    counts = _entry_counts(monkeypatch)
+    # x + y > 0 holds at (1, 1), and x + y > 1 is tight there in the
+    # homogenized rows: either row enters with its surplus basic, and the
+    # parent's vertex is the answer
+    for row in (((1, 1), 0), ((1, 1), 1)):
+        assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row)) == (1, 1)
+    assert counts == {"surplus": 2, "pivots": 0, "artificial": 0}
 
 
 def test_an_infeasible_warm_child_is_certified(monkeypatch):
