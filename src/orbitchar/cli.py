@@ -123,7 +123,6 @@ class RunConfig:
     module: str
     level: Q
     scales: tuple | None
-    seed: int
 
 
 def _resolve_config(args) -> RunConfig:
@@ -139,7 +138,6 @@ def _resolve_config(args) -> RunConfig:
         module=module,
         level=parse_rational(args.level, "--level"),
         scales=parse_scales(args.scales),
-        seed=args.seed,
     )
 
 
@@ -158,7 +156,7 @@ def _resolve_model(cfg: RunConfig) -> Module:
     if cfg.module == "example-2x3":
         return Example2x3Model()
     if cfg.module == "adjoint" and len(cfg.factors) == 1 and cfg.factors[0][0] == "A":
-        return AdjointSlModel(cfg.factors[0][1] + 1, seed=cfg.seed)
+        return AdjointSlModel(cfg.factors[0][1] + 1)
     rs = build_root_system(cfg.factors)
     return Module(rs, _module_spec(cfg, rs))
 
@@ -334,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--level", default="2", help="hyperplane level (rational, default 2)")
         p.add_argument("--scales", help="per-factor form scales, e.g. '1,3/2'")
-        # regions reads no seed, but perfbench/workloads.py passes it --seed.
-        p.add_argument("--seed", type=int, default=1, help="seed for generic sampling")
 
     p_regions = sub.add_parser("regions", help="enumerate regions, write regions.json")
     common(p_regions)
+    # regions reads no seed, but perfbench/workloads.py passes it --seed.
+    p_regions.add_argument("--seed", type=int, default=1, help="ignored")
     p_regions.add_argument("--out", help="output path (default regions.json)")
     p_regions.add_argument("--svg", help="also render the arrangement (rank 2 only)")
     p_regions.set_defaults(func=cmd_regions)

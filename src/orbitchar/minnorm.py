@@ -58,16 +58,16 @@ def _dot(u, v) -> int:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """{a : normal . a >= bound for every row}, in a fixed ambient rank."""
+    """{a : normal . a >= bound for every row}, in a fixed ambient rank.
+
+    Each row keeps its entries as given, ints or Fractions."""
 
     rank: int
-    rows: tuple[tuple[tuple[Q, ...], Q], ...]
+    rows: tuple[tuple[tuple[int | Q, ...], int | Q], ...]
 
     @classmethod
     def from_rows(cls, rows, rank: int) -> "Polyhedron":
-        tidy = tuple(
-            (tuple(Q(v) for v in normal), Q(bound)) for normal, bound in rows
-        )
+        tidy = tuple((tuple(normal), bound) for normal, bound in rows)
         for normal, _ in tidy:
             if len(normal) != rank:
                 raise ValueError("dimension mismatch")

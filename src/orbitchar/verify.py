@@ -356,7 +356,7 @@ def _float_reference(poly, form, interior):
     return best
 
 
-def run_minnorm(instances: int = 100, samples: int = 1000) -> list[VerifyRow]:
+def run_minnorm() -> list[VerifyRow]:
     """Exact minimizers vs feasible sampling and a float reference solver."""
     import numpy as np
 
@@ -364,13 +364,13 @@ def run_minnorm(instances: int = 100, samples: int = 1000) -> list[VerifyRow]:
     rng = random.Random(DEFAULT_SEED)
     problems = []
     worst_gap = 0.0
-    for k in range(instances):
+    for k in range(100):
         dim, interior, poly, form = _random_instance(rng)
         res = min_norm_point(poly, form)
         verify_kkt(poly, form, res)
         draw = _feasible_sampler(interior, poly)
         below = _norm_below(form, res.norm_sq)
-        for _ in range(samples):
+        for _ in range(1000):
             nums, den, _ = draw(rng)
             if below(nums, den):
                 problems.append(f"instance {k}: sampled point beats the minimizer")
@@ -386,7 +386,7 @@ def run_minnorm(instances: int = 100, samples: int = 1000) -> list[VerifyRow]:
                 f"instance {k}: reference point differs by {gap:.2e} > 1e-6"
             )
     passed = (
-        f"{instances} polyhedra: KKT certified, {samples} feasible samples each "
+        "100 polyhedra: KKT certified, 1000 feasible samples each "
         f"never beat the minimizer, float reference within {worst_gap:.1e}"
     )
     return [_row("minnorm", started, problems[:4], passed)]
@@ -412,13 +412,13 @@ _WEIGHT_POOL = [
 ]
 
 
-def run_weights(count: int = 20) -> list[VerifyRow]:
+def run_weights() -> list[VerifyRow]:
     """Multiplicity sums vs the Weyl dimension formula; little adjoint support."""
     started = time.perf_counter()
     rng = random.Random(DEFAULT_SEED)
     problems = []
     checked = []
-    for _ in range(count):
+    for _ in range(20):
         factors = rng.choice(_WEIGHT_POOL)
         rs = build_root_system(factors)
         cap = 2 if rs.rank >= 4 else 3
@@ -435,7 +435,7 @@ def run_weights(count: int = 20) -> list[VerifyRow]:
         "weights dimension-sum",
         started,
         problems,
-        f"{count} random modules, multiplicity sums equal Weyl dimensions "
+        "20 random modules, multiplicity sums equal Weyl dimensions "
         f"(largest dim {max(checked)})",
     )
 

@@ -1,6 +1,7 @@
 """Chamber hyperplanes, region enumeration, and region weight supports."""
 
 import gc
+import os
 import random
 from fractions import Fraction as Q
 
@@ -109,12 +110,47 @@ def test_sign_vectors_unique_and_match_witness():
             assert recomputed == r.signs
 
 
-def test_enumeration_limit():
-    ws = _adjoint_ws([("A", 5)])
+def _upper_sets(rs):
+    """Every upper set of the positive-root poset (mu >= nu when mu - nu has
+    no negative simple-root coordinate), as a set of roots, with no LP."""
+    coords = rs.positive_root_coords
+    above = [
+        sum(1 << j for j, b in enumerate(coords) if b != a and all(x >= y for x, y in zip(b, a)))
+        for a in coords
+    ]
+    sets = [0]
+    # a root joins a set only after every root above it, and the roots above
+    # come first in order of height
+    for k in sorted(range(len(coords)), key=lambda k: -sum(coords[k])):
+        sets += [s | 1 << k for s in sets if s & above[k] == above[k]]
+    return {
+        frozenset(root for j, root in enumerate(rs.positive_roots) if s >> j & 1) for s in sets
+    }
+
+
+# the W-Catalan number of each type, the count of its ad-nilpotent ideals
+_IDEALS = {
+    "A3": 14, "A5": 132, "A6": 429, "B3": 20, "B4": 70, "B5": 252,
+    "C3": 20, "C4": 70, "D4": 50, "D5": 182, "G2": 8, "F4": 105,
+}
+if os.environ.get("ORBITCHAR_LARGE") == "1":
+    _IDEALS.update({"E6": 833, "A7": 1430})
+
+
+@pytest.mark.parametrize("name", _IDEALS)
+def test_adjoint_regions_are_the_ad_nilpotent_ideals(name):
+    # the '+' set of an adjoint region is an upper set of the positive roots,
+    # and each upper set is one region (Cellini & Papi 2000-02; Shi 1997)
+    ws = _adjoint_ws([(name[0], int(name[1:]))])
+    rs = ws.root_system
     hps = arr.chamber_hyperplanes(ws)
-    assert len(hps) == 15
-    with pytest.raises(ValueError):
-        arr.enumerate_regions(ws.root_system, hps, max_hyperplanes=10)
+    assert sorted(hp.weight for hp in hps) == sorted(rs.positive_roots)
+    ideals = _upper_sets(rs)
+    assert len(ideals) == _IDEALS[name]
+    regions = arr.enumerate_regions(rs, hps)
+    plus = {frozenset(hp.weight for hp, s in zip(hps, r.signs) if s == "+") for r in regions}
+    assert len(plus) == len(regions)
+    assert plus == ideals
 
 
 def test_enumeration_leaves_no_reference_cycles():

@@ -13,7 +13,7 @@ import pytest
 import orbitchar
 from orbitchar import cli
 from orbitchar.cli import main, parse_factors, parse_orbit
-from orbitchar.orbits import AdjointSlModel, Example2x3Model
+from orbitchar.orbits import AdjointSlModel, Example2x3Model, weighted_dynkin_from_partition
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -86,6 +86,17 @@ def test_regions_reruns_are_byte_identical(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # regions accepts --seed and ignores it
+    assert main(argv + ["--seed", "3", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_regions_past_twenty_hyperplanes(tmp_path):
+    out = tmp_path / "regions.json"
+    assert main(["regions", "--type", "F4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["hyperplanes"]) == 24
+    assert len(doc["regions"]) == 105  # the W-Catalan number of F4
 
 
 def test_regions_custom_level(tmp_path):
@@ -138,6 +149,15 @@ def test_characteristic_partition(tmp_path):
     assert doc["labels"] == ["0", "2", "0"]
     assert doc["orbit"] == [2, 2]
     assert doc["model"] == "sl4-adjoint"
+
+
+def test_characteristic_past_twenty_hyperplanes(tmp_path):
+    # sl7 has 21 chamber hyperplanes
+    out = tmp_path / "ch.json"
+    assert main(["characteristic", "--type", "A6", "--orbit", "4,3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["labels"] == ["1"] * 6
+    assert doc["labels"] == [str(v) for v in weighted_dynkin_from_partition((4, 3))]
 
 
 def test_characteristic_zero_orbit(tmp_path):
@@ -252,6 +272,10 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
         # the membership mode belongs to characteristic and plot only
         argv = ["regions", "--type", "A2", "--mode", "dense"]
         assert main(argv + ["--out", str(tmp_path / "m.json")]) == 1
+        # only regions takes --seed, which it ignores
+        argv = ["characteristic", "--type", "A2", "--orbit", "2,1", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "s.json")]) == 1
+        assert main(["plot", "--type", "A2", "--seed", "3", "--out", str(tmp_path / "s.svg")]) == 1
     assert not any(tmp_path.iterdir())
     assert main(["regions", "--type", "A1xA1", "--module", "1,1;2"]) == 1
     assert main(["characteristic", "--module", "example-2x3", "--type", "A2", "--orbit", "O3"]) == 1
@@ -269,6 +293,7 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert err.count("requires a rank-2 root system") == 4
     assert err.count("no orbit model") == 2
     assert err.count("unrecognized arguments: --mode dense") == 1
+    assert err.count("unrecognized arguments: --seed 3") == 2
 
 
 def test_help_exits_zero(capsys):

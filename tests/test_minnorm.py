@@ -104,6 +104,15 @@ def test_empty_rejected():
         mn.min_norm_point(poly, lc.invariant_form(lc.build_root_system([("A", 1)])))
 
 
+def test_from_rows_keeps_the_entries_as_given():
+    poly = mn.Polyhedron.from_rows([([1, 0], 2), ((Q(1, 2), -1), Q(3, 2))], 2)
+    assert poly.rows == (((1, 0), 2), ((Q(1, 2), -1), Q(3, 2)))
+    assert [type(v) for v in (*poly.rows[0][0], poly.rows[0][1])] == [int, int, int]
+    assert poly.integral_rows == [([1, 0, 2], 1), ([1, -2, 3], 2)]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mn.Polyhedron.from_rows([((1, 0, 0), 1)], 2)
+
+
 def test_zero_normal_rows():
     poly = mn.Polyhedron.from_rows([((0, 0), -1), ((1, 0), 1)], 2)
     res = mn.min_norm_point(poly, _diag_form())
