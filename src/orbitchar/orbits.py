@@ -7,8 +7,8 @@ and answers which orbit is dense in the span of a saturated weight set (the
 generic stratum).  Two models are provided:
 
 * AdjointSlModel: the adjoint module of sl_n.  Orbits are partitions of n
-  ordered by dominance; the generic stratum of a weight support is measured
-  by the Jordan type of a random integer element supported there.
+  ordered by dominance; the generic stratum of a weight support is the path
+  partition of its support digraph (Gansner 1981), computed exactly.
 * Example2x3Model: 2 x 3 matrices [[m, n, x], [p, q, y]] under the pair of
   rank-2 special linear groups acting by row operations on the left and on
   the first two columns on the right.  The five orbits are classified by
@@ -23,7 +23,6 @@ labels generalize the classical weighted Dynkin diagram.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -143,44 +142,78 @@ def _sl_position(mu, n: int) -> tuple[int, int]:
     raise ValueError(f"{mu} is not a root of sl_{n}")
 
 
-def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
-    """Jordan type of a nilpotent integer matrix from the ranks of its powers."""
-    ranks = [n]
-    power = mat
-    while True:
-        r = linalg.rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = linalg.matmul(power, mat)
-        if len(ranks) > n + 1:
-            raise ValueError("matrix is not nilpotent")
-    conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
-    return conjugate_partition(conj)
-
-
-def generic_jordan_partition(i_r, n: int, seed: int = 1) -> Partition:
+def generic_jordan_partition(i_r, n: int) -> Partition:
     """Jordan type of a generic element of the span of the given sl_n roots.
 
-    Each root's matrix position is read off its weight.  Draws three random
-    integer elements supported on i_r (coefficients in 1..100, seeds seed,
-    seed+1, seed+2) and returns the dominance-largest Jordan type; the three
-    draws must be pairwise comparable.
+    Each root's matrix position (i, j) is read off its weight and is an arc
+    i -> j of the support digraph on {0, ..., n-1}.  A support with a
+    directed cycle holds non-nilpotent elements and raises ValueError.  For
+    an acyclic one the generic type is its path partition: lambda_1 + ... +
+    lambda_k is the largest number of vertices that k vertex-disjoint
+    directed paths cover (Gansner, SIAM J. Alg. Disc. Meth. 2, 1981).  On a
+    b-stable support paths are chains, and this is the Greene-Kleitman
+    partition.
+
+    The k-th successive shortest augmenting path of the split-vertex network
+    (cost -1 on each vertex arc, 0 elsewhere, every capacity 1) costs
+    -lambda_k; the costs never decrease, so once a path covers one vertex
+    every later part is 1.
     """
-    support = [_sl_position(mu, n) for mu in i_r]
-    results = []
-    for s in (seed, seed + 1, seed + 2):
-        rng = random.Random(s)
-        mat = [[0] * n for _ in range(n)]
-        for i, j in sorted(support):
-            mat[i][j] = rng.randint(1, 100)
-        results.append(_jordan_partition_of(mat, n))
-    for cand in results:
-        if all(dominance_leq(other, cand) for other in results):
-            return cand
-    raise RuntimeError(
-        f"incomparable Jordan types across samples: {sorted(set(results))}"
-    )
+    support = {_sl_position(mu, n) for mu in i_r}
+    # node 0 is the source, 2v + 1 and 2v + 2 the entry and exit of vertex
+    # v, 2n + 1 the sink; arc k and its residual twin k ^ 1 are [head,
+    # capacity, cost]
+    size = 2 * n + 2
+    arcs: list[list[int]] = []
+    out: list[list[int]] = [[] for _ in range(size)]
+
+    def add(u, v, cost):
+        out[u].append(len(arcs))
+        arcs.append([v, 1, cost])
+        out[v].append(len(arcs))
+        arcs.append([u, 0, -cost])
+
+    for v in range(n):
+        add(0, 2 * v + 1, 0)
+        add(2 * v + 1, 2 * v + 2, -1)
+        add(2 * v + 2, size - 1, 0)
+    for i, j in sorted(support):
+        add(2 * i + 2, 2 * j + 1, 0)
+    parts: list[int] = []
+    while True:
+        # Bellman-Ford.  Every cycle of the network is negative and comes
+        # from a cycle of the support, and an augmentation along a shortest
+        # path makes none, so relaxing still after size - 1 passes means
+        # the support has a cycle.  Path costs lie strictly between -size
+        # and size, so size marks a node not reached.
+        unreached = size
+        dist = [0] + [unreached] * (size - 1)
+        via = [0] * size
+        for _ in range(size):
+            changed = False
+            for u in range(size):
+                du = dist[u]
+                if du == unreached:
+                    continue
+                for k in out[u]:
+                    v, cap, cost = arcs[k]
+                    if cap and du + cost < dist[v]:
+                        dist[v] = du + cost
+                        via[v] = k
+                        changed = True
+            if not changed:
+                break
+        else:
+            raise ValueError(f"the support {sorted(support)} has a directed cycle, so it is not nilpotent")
+        if -dist[-1] <= 1:
+            return tuple(parts) + (1,) * (n - sum(parts))
+        parts.append(-dist[-1])
+        v = size - 1
+        while v:
+            k = via[v]
+            arcs[k][1] -= 1
+            arcs[k ^ 1][1] += 1
+            v = arcs[k ^ 1][0]
 
 
 class Module:
@@ -219,13 +252,18 @@ class OrbitModel(Module, ABC):
 
 
 class AdjointSlModel(OrbitModel):
-    """Nilpotent orbits of sl_n acting on itself; orbits are partitions of n."""
+    """Nilpotent orbits of sl_n acting on itself; orbits are partitions of n.
 
+    The generic stratum of a support is its exact path partition
+    (generic_jordan_partition); no random element is drawn.
+    """
+
+    # The strata are exact, so seed is ignored; perfbench/workloads.py
+    # still passes it.
     def __init__(self, n: int, seed: int = 1):
         if n < 2:
             raise ValueError("n must be at least 2")
         self.n = n
-        self.seed = seed
         self.name = f"sl{n}-adjoint"
         rs = build_root_system([("A", n - 1)])
         super().__init__(rs, highest_roots(rs))
@@ -238,7 +276,7 @@ class AdjointSlModel(OrbitModel):
         return tuple(partitions_of(self.n))
 
     def generic_stratum(self, i_r) -> Partition:
-        return generic_jordan_partition(i_r, self.n, self.seed)
+        return generic_jordan_partition(i_r, self.n)
 
     def closure_leq(self, a, b) -> bool:
         return dominance_leq(a, b)

@@ -1,12 +1,15 @@
 """Tests for orbit models and the characteristic computation."""
 
+import inspect
 import itertools
+import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from orbitchar import jsonio, linalg, ratlp
+from orbitchar import jsonio, linalg, orbits, ratlp, verify
 from orbitchar.liecore import (
     build_root_system,
     highest_short_root,
@@ -211,10 +214,80 @@ def test_sl_position_refuses_wrong_lengths():
 
 
 def test_generic_jordan_seed_determinism():
-    pos = [(2, -1), (1, 1)]
-    assert generic_jordan_partition(pos, 3, seed=5) == generic_jordan_partition(
-        pos, 3, seed=5
-    )
+    # the strata are exact: generic_jordan_partition takes no seed, and the
+    # seed that AdjointSlModel still accepts changes no stratum
+    assert "seed" not in inspect.signature(generic_jordan_partition).parameters
+    strata = [RegionAnalysis.build(AdjointSlModel(5, seed=s)).strata for s in (1, 2, 7, 20260817)]
+    assert all(s == strata[0] for s in strata)
+
+
+def _matches_the_sampled_types(i_r, n) -> bool:
+    """Whether the exact type dominates each of three random elements on the
+    support, and one of them attains it."""
+    exact = generic_jordan_partition(i_r, n)
+    samples = verify.sampled_jordan_types(i_r, n)
+    return all(dominance_leq(p, exact) for p in samples) and exact in samples
+
+
+_ORACLE_NS = [2, 3, 4, 5, 6] + ([7, 8] if os.environ.get("ORBITCHAR_LARGE") == "1" else [])
+
+
+@pytest.mark.parametrize("n", _ORACLE_NS)
+def test_generic_jordan_matches_the_sampled_types_on_every_region(n):
+    analysis = RegionAnalysis.build(AdjointSlModel(n))
+    for rid, stratum in analysis.strata.items():
+        i_r = sorted(analysis.subspaces[rid].i_r)
+        assert stratum == generic_jordan_partition(i_r, n)
+        assert _matches_the_sampled_types(i_r, n), rid
+
+
+def test_generic_jordan_matches_the_sampled_types_off_b_stable_supports():
+    # acyclic supports that are not transitively closed, such as [a1, a2] ->
+    # (3,) above: there paths are not chains
+    roots = {
+        n: {pos: w for w, pos in _sl_root_positions(n, build_root_system([("A", n - 1)])).items()}
+        for n in range(2, 7)
+    }
+    # of the 1,024 supports on five vertices with arcs i -> j for i < j, the
+    # only one whose transitive closure has another type: two paths cover
+    # four vertices, and the closure adds the chain 1 < 4 beside 0 < 2 < 3
+    star = [(0, 2), (1, 2), (2, 3), (2, 4)]
+    closure = star + [(0, 3), (0, 4), (1, 3), (1, 4)]
+    assert generic_jordan_partition([roots[5][a] for a in star], 5) == (3, 1, 1)
+    assert generic_jordan_partition([roots[5][a] for a in closure], 5) == (3, 2)
+    assert _matches_the_sampled_types([roots[5][a] for a in star], 5)
+    rng = random.Random(17)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(3, 6)
+        order = rng.sample(range(n), n)
+        arcs = {(order[a], order[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
+        if all((i, k) in arcs for i, j in arcs for j2, k in arcs if j == j2):
+            continue
+        assert _matches_the_sampled_types([roots[n][a] for a in sorted(arcs)], n), (n, arcs)
+        checked += 1
+
+
+def test_generic_jordan_rejects_a_cyclic_support():
+    # (0, 1) and (1, 0) carry [[0, 1], [1, 0]], which is not nilpotent
+    with pytest.raises(ValueError, match="directed cycle"):
+        generic_jordan_partition([(2,), (-2,)], 2)
+    # (0, 1), (1, 2) and (2, 0) in sl3
+    with pytest.raises(ValueError, match="directed cycle"):
+        generic_jordan_partition([(2, -1), (-1, 2), (-1, -1)], 3)
+
+
+def test_the_pipeline_makes_no_random_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline drew a random number")
+
+    for name in ("Random", "random", "randint", "randrange", "choice", "sample", "shuffle", "getrandbits"):
+        monkeypatch.setattr(random, name, refuse)
+    analysis = RegionAnalysis.build(AdjointSlModel(5))
+    for p in partitions_of(5):
+        for mode in ("nonempty", "dense"):
+            assert characteristic(analysis, p, mode).labels == weighted_dynkin_from_partition(p)
+    assert "random" not in vars(orbits)
 
 
 # ------------------------------------------------------------- example model
