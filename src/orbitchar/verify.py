@@ -489,16 +489,16 @@ def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
     return conjugate_partition(conj)
 
 
-def sampled_jordan_types(i_r, n: int, seeds=(1, 2, 3)) -> list[Partition]:
-    """Jordan types of random integer elements of the span of the given sl_n
-    roots, one per seed, with coefficients in 1..100.
+def sampled_jordan_types(i_r, n: int) -> list[Partition]:
+    """Jordan types of three random integer elements of the span of the given
+    sl_n roots, drawn with seeds 1, 2 and 3 and coefficients in 1..100.
 
     Each lies at or below the generic type in dominance order, and equals it
     unless its coefficients are a zero of some minor: the oracle for
     orbits.generic_jordan_partition."""
     support = sorted({_sl_position(mu, n) for mu in i_r})
     types = []
-    for seed in seeds:
+    for seed in (1, 2, 3):
         rng = random.Random(seed)
         mat = [[0] * n for _ in range(n)]
         for i, j in support:
