@@ -284,8 +284,6 @@ def cmd_plot(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 2:
         raise CliError(f"--n {args.n}: the largest sl_n must be at least 2")
-    if args.points < 1:
-        raise CliError(f"--points {args.points}: the sample count must be at least 1")
     names = args.suite or ["all"]
     if "all" in names:
         names = SUITE_ORDER
@@ -300,7 +298,7 @@ def cmd_verify(args) -> int:
                 f"the minnorm suite needs {missing}, which is not installed; "
                 "install it with: pip install -e .[verify]"
             ) from None
-    rows = run_suites(names, max_n=args.n, points=args.points)
+    rows = run_suites(names, max_n=args.n)
     for row in rows:
         print(row.format())
     failed = [row for row in rows if not row.ok]
@@ -375,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="battery to run (repeatable; default all)",
     )
     p_verify.add_argument("--n", type=int, default=5, help="largest sl_n for dynkin/theorem")
-    p_verify.add_argument(
-        "--points", type=int, default=10000, help="sample count for the sampling battery"
-    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -84,36 +84,30 @@ def _factor_cartan(series: str, n: int) -> tuple[list[list[int]], list[Q]]:
     raise ValueError(f"unknown series {series!r}")
 
 
-def _positive_root_coords(cartan: list[list[int]]) -> list[tuple[int, ...]]:
-    """Positive roots in simple-root coordinates, generated by root strings."""
+def _positive_roots(cartan) -> list[tuple[tuple[int, ...], Weight]]:
+    """Positive roots as (simple-root, fundamental-weight) coordinate pairs,
+    sorted by height and then simple-root coordinates.
+
+    Every positive root that is not simple is s_j(gamma) for a lower positive
+    root gamma with c = <gamma, alpha_j^vee> < 0 (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, 10.2), so reflecting upward from
+    the simple roots at every negative entry c reaches them all: rc_j grows
+    by -c and fw loses c times row j of the Cartan matrix.  A root's fw is
+    zero off its own block of a block-diagonal matrix, so each walk stays
+    inside its simple factor.
+    """
     n = len(cartan)
-    known: set[tuple[int, ...]] = set()
-    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known.update(layer)
-    out = list(layer)
-    while layer:
-        nxt = []
-        for b in layer:
-            fw = [sum(b[i] * cartan[i][j] for i in range(n)) for j in range(n)]
-            for i in range(n):
-                p = 0
-                down = list(b)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
-                    p += 1
-                if p - fw[i] > 0:
-                    up = list(b)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-                        out.append(cand)
-        layer = nxt
-    out.sort(key=lambda b: (sum(b), b))
-    return out
+    roots = {tuple(int(i == j) for j in range(n)): tuple(row) for i, row in enumerate(cartan)}
+    stack = list(roots.items())
+    while stack:
+        rc, fw = stack.pop()
+        for j, c in enumerate(fw):
+            if c < 0:
+                up = rc[:j] + (rc[j] - c,) + rc[j + 1 :]
+                if up not in roots:
+                    roots[up] = tuple(f - c * r for f, r in zip(fw, cartan[j]))
+                    stack.append((up, roots[up]))
+    return sorted(roots.items(), key=lambda item: (sum(item[0]), item[0]))
 
 
 @dataclass(frozen=True)
@@ -214,32 +208,20 @@ def build_root_system(factors) -> RootSystem:
     rank = sum(n for _, n in factors)
     cartan = [[0] * rank for _ in range(rank)]
     lengths: list[Q] = []
-    pos_fw: list[Weight] = []
-    pos_rc: list[tuple[int, ...]] = []
     offset = 0
     for s, n in factors:
         c, lens = _factor_cartan(s, n)
-        for i in range(n):
-            for j in range(n):
-                cartan[offset + i][offset + j] = c[i][j]
+        for i, row in enumerate(c):
+            cartan[offset + i][offset : offset + n] = row
         lengths.extend(lens)
-        for b in _positive_root_coords(c):
-            rc = (0,) * offset + b + (0,) * (rank - offset - n)
-            fw = [0] * rank
-            for i in range(n):
-                if b[i]:
-                    for j in range(n):
-                        fw[offset + j] += b[i] * c[i][j]
-            pos_fw.append(tuple(fw))
-            pos_rc.append(rc)
         offset += n
-    order = sorted(range(len(pos_fw)), key=lambda k: (sum(pos_rc[k]), pos_rc[k]))
+    roots = _positive_roots(cartan)
     return RootSystem(
         factors=factors,
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
-        positive_roots=tuple(pos_fw[k] for k in order),
-        positive_root_coords=tuple(pos_rc[k] for k in order),
+        positive_roots=tuple(fw for _, fw in roots),
+        positive_root_coords=tuple(rc for rc, _ in roots),
         root_lengths=tuple(lengths),
     )
 
@@ -281,7 +263,7 @@ def pairing(mu, h) -> Q:
 
 def dynkin_labels(rs: RootSystem, h) -> tuple[Q, ...]:
     """Values of the simple roots on a point, C a."""
-    return linalg.matvec(rs.cartan, h)
+    return tuple(sum(map(operator.mul, row, h), Q(0)) for row in rs.cartan)
 
 
 def is_dominant(rs: RootSystem, h) -> bool:

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 Q = Fraction
 
-Vector = tuple[Q, ...]
 Matrix = list[list[Q]]
 
 
@@ -44,11 +43,6 @@ def eliminate(r, piv, col, swap=0):
     r[col] = -f * swap
     g = math.gcd(*r)
     return [x // g for x in r] if g > 1 else r
-
-
-def matvec(a, v) -> Vector:
-    """Matrix times column vector."""
-    return tuple(sum((Q(x) * Q(y) for x, y in zip(row, v)), Q(0)) for row in a)
 
 
 def matmul(a, b) -> Matrix:

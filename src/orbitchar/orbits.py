@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import linalg
 from .arrangement import (
@@ -47,7 +47,6 @@ from .liecore import (
     dynkin_labels,
     highest_roots,
     invariant_form,
-    is_dominant,
     weight_system,
 )
 from .minnorm import (
@@ -124,22 +123,30 @@ def weighted_dynkin_from_partition(parts) -> tuple[int, ...]:
     return tuple(h[i] - h[i + 1] for i in range(n - 1))
 
 
-def _sl_position(mu, n: int) -> tuple[int, int]:
-    """Matrix position of the sl_n root space of weight mu.
+@cache
+def _sl_positions(n: int) -> dict[Weight, tuple[int, int]]:
+    """Matrix position of every sl_n root space, keyed by its weight.
 
     For i < j, e_i - e_j = alpha_i + ... + alpha_{j-1} is +1 at nodes i and
     j-1 and -1 at nodes i-1 and j, where those exist, in fundamental-weight
     coordinates; it sits at (i, j), its negative at (j, i).
     """
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            fw = tuple((k == i) + (k == j - 1) - (k == i - 1) - (k == j) for k in range(n - 1))
+            out[fw] = (i, j)
+            out[tuple(-c for c in fw)] = (j, i)
+    return out
+
+
+def _sl_position(mu, n: int) -> tuple[int, int]:
+    """Matrix position of the sl_n root space of weight mu."""
     mu = tuple(mu)
-    for s in (1, -1):
-        up = [k for k, c in enumerate(mu) if s * c > 0]
-        if up:
-            i, j = up[0], up[-1] + 1
-            fw = [(k == i) + (k == j - 1) - (k == i - 1) - (k == j) for k in range(n - 1)]
-            if tuple(s * c for c in fw) == mu:
-                return (i, j) if s > 0 else (j, i)
-    raise ValueError(f"{mu} is not a root of sl_{n}")
+    try:
+        return _sl_positions(n)[mu]
+    except KeyError:
+        raise ValueError(f"{mu} is not a root of sl_{n}") from None
 
 
 def generic_jordan_partition(i_r, n: int) -> Partition:
@@ -537,8 +544,8 @@ def characteristic(analysis: RegionAnalysis, orbit, mode: str = "nonempty"):
         analysis.region_minimum(rid) for rid in chosen
     )
     point = combined.point
-    rs = model.root_system
-    if not is_dominant(rs, point):
+    labels = dynkin_labels(model.root_system, point)
+    if any(v < 0 for v in labels):
         raise AssertionError("characteristic is not dominant")
     if orbit == model.zero_orbit and any(point):
         raise AssertionError("zero orbit has a nonzero characteristic")
@@ -546,7 +553,7 @@ def characteristic(analysis: RegionAnalysis, orbit, mode: str = "nonempty"):
         orbit=orbit,
         mode=mode,
         point=point,
-        labels=dynkin_labels(rs, point),
+        labels=labels,
         norm_sq=combined.norm_sq,
         m_set=tuple(chosen),
         achieving=tuple(chosen[k] for k in combined.achieving),

@@ -48,6 +48,7 @@ from .orbits import (
     Partition,
     RegionAnalysis,
     _sl_position,
+    _sl_positions,
     characteristic,
     conjugate_partition,
     dominance_leq,
@@ -199,8 +200,9 @@ def _named_arrangements() -> dict[str, RegionAnalysis]:
     return {name: RegionAnalysis.build(m) for name, m in modules.items()}
 
 
-def run_sampling(points: int = 10000) -> list[VerifyRow]:
-    """Random chamber points must match exactly one enumerated region each."""
+def run_sampling() -> list[VerifyRow]:
+    """10,000 random chamber points per arrangement must match exactly one
+    enumerated region each."""
     rows = []
     for name, analysis in _named_arrangements().items():
         started = time.perf_counter()
@@ -217,7 +219,7 @@ def run_sampling(points: int = 10000) -> list[VerifyRow]:
         planes = [linalg.integral((*rs.root_coords(hp.weight), hp.level))[0] for hp in hps]
         tested = 0
         rejected = 0
-        while tested < points and not problems:
+        while tested < 10000 and not problems:
             k = [rng.randint(1, 400) for _ in range(rs.rank)]
             # zip stops at the rank, so the level column is left out of the dot product
             gaps = [sum(a * b for a, b in zip(row, k)) - 100 * row[-1] for row in planes]
@@ -535,7 +537,7 @@ def run_lemma() -> list[VerifyRow]:
     for n in (3, 4):
         analysis = arrangements[f"A{n - 1} adjoint"]
         rs = analysis.model.root_system
-        positions = {w: _sl_position(w, n) for w in _all_root_weights(rs)}
+        positions = _sl_positions(n)
         by_position = {pos: w for w, pos in positions.items()}
         positive = list(rs.positive_roots)
         def unit(pos):
@@ -614,7 +616,7 @@ SUITES = {
     "example": lambda opts: run_example(),
     "dynkin": lambda opts: run_dynkin(tuple(range(2, opts.get("max_n", 5) + 1))),
     "theorem": lambda opts: run_theorem(tuple(range(2, opts.get("max_n", 5) + 1))),
-    "sampling": lambda opts: run_sampling(points=opts.get("points", 10000)),
+    "sampling": lambda opts: run_sampling(),
     "minnorm": lambda opts: run_minnorm(),
     "weights": lambda opts: run_weights(),
     "lemma": lambda opts: run_lemma(),

@@ -62,7 +62,7 @@ def test_criterion_3_injectivity_and_mode_agreement():
 
 
 def test_criterion_4_region_sampling_oracle():
-    rows = verify.run_sampling(points=10000)
+    rows = verify.run_sampling()
     details = [
         f"10000 chamber points each matched exactly one of {regions} regions "
         f"({rejected} on-hyperplane draws rejected)"

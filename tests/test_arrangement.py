@@ -71,9 +71,9 @@ def test_a2_adjoint_three_hyperplanes_five_regions():
 
 def _random_chamber_point(rs, rng, spread=4):
     labels = [Q(rng.randint(1, 100 * spread), 100) for _ in range(rs.rank)]
-    from orbitchar.linalg import inverse, matvec
+    from orbitchar.linalg import inverse
 
-    return matvec(inverse([list(r) for r in rs.cartan]), labels)
+    return tuple(sum(x * y for x, y in zip(row, labels)) for row in inverse(rs.cartan))
 
 
 def test_a2_adjoint_region_count_matches_sampling_oracle():

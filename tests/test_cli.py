@@ -283,16 +283,15 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("a battery ran"))
         assert main(["verify", "--suite", "dynkin", "--n", "1"]) == 1
-        assert main(["verify", "--suite", "sampling", "--points", "-3"]) == 1
         assert main(["verify", "--suite", "theorem", "--n", "0"]) == 1
-        assert main(["verify", "--suite", "sampling", "--points", "0"]) == 1
+        assert main(["verify", "--points", "5"]) == 1
     out, err = capsys.readouterr()
     assert "checks passed" not in out
     assert err.count("the largest sl_n must be at least 2") == 2
-    assert err.count("the sample count must be at least 1") == 2
     assert err.count("requires a rank-2 root system") == 4
     assert err.count("no orbit model") == 2
     assert err.count("unrecognized arguments: --mode dense") == 1
+    assert err.count("unrecognized arguments: --points 5") == 1
     assert err.count("unrecognized arguments: --seed 3") == 2
 
 

@@ -1,12 +1,17 @@
-"""The README's API table and orbitchar.__all__ name only what exists."""
+"""The README's API table and orbitchar.__all__ name only what exists, and
+the demos run and write the figures the README names."""
 
 import functools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import orbitchar
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _entry_point_names():
@@ -40,3 +45,17 @@ def test_readme_entry_points_resolve():
 
 def test_all_names_resolve():
     assert [name for name in orbitchar.__all__ if not _resolves(name)] == []
+
+
+def test_demos_run_and_write_their_figures(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert len(demos) == 3
+    for demo in demos:
+        run = subprocess.run(
+            [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, f"{demo.name}: {run.stderr}"
+    figures = {"example_module_regions.svg", "little_adjoint_b2.svg", "little_adjoint_g2.svg"}
+    assert figures <= {path.name for path in tmp_path.iterdir()}
+    assert all(figure in README.read_text() for figure in figures)

@@ -93,6 +93,35 @@ def test_root_fw_coords_are_cartan_rows():
         assert tuple(acc) == fw
 
 
+_WALK_TYPES = _WEIGHT_POOL + [
+    [("D", 4)],
+    [("D", 5)],
+    [("D", 6)],
+    [("E", 6)],
+    [("E", 7)],
+    [("E", 8)],
+    [("B", 2), ("G", 2)],
+    [("G", 2), ("A", 3), ("C", 2)],
+]
+
+
+@pytest.mark.parametrize("factors", _WALK_TYPES, ids=str)
+def test_positive_roots_against_the_weyl_orbits_of_the_simple_roots(factors):
+    # every root is Weyl-conjugate to a simple root, whose weight is a Cartan row
+    rs = lc.build_root_system(factors)
+    roots = set()
+    for row in rs.cartan:
+        roots.update(rs.weyl_orbit(row))
+    positive = set(rs.positive_roots)
+    assert len(positive) == len(rs.positive_roots)
+    assert positive | {tuple(-m for m in r) for r in positive} == roots
+    for fw, rc in zip(rs.positive_roots, rs.positive_root_coords):
+        assert min(rc) >= 0
+        assert tuple(sum(b * row[j] for b, row in zip(rc, rs.cartan)) for j in range(rs.rank)) == fw
+    keys = [(sum(rc), rc) for rc in rs.positive_root_coords]
+    assert keys == sorted(set(keys))
+
+
 def test_weyl_dim_frozen_values():
     a2 = lc.build_root_system([("A", 2)])
     assert lc.weyl_dim(a2, (1, 1)) == 8
