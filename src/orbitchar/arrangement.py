@@ -95,8 +95,7 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     The root is solved cold, from the artificial basis; every candidate
     below it warm: phase 1 starts from its parent's optimal dictionary with
     the one new sign row added, and a sign row that holds at the parent's
-    vertex costs no pivot (sl5: 77 pivots in all instead of 2,867 with
-    every LP cold).  A complete sign vector keeps the point of its own
+    vertex costs no pivot.  A complete sign vector keeps the point of its own
     warm LP as its witness, the vertex that phase 1 reaches from the
     parent's dictionary; the depth-first order and Bland's rule fix it.
 

@@ -38,7 +38,6 @@ from .orbits import (
     OrbitModel,
     RegionAnalysis,
     characteristic,
-    check_partition,
 )
 from .verify import SUITE_ORDER, run_suites
 
@@ -129,7 +128,7 @@ def _resolve_config(args) -> RunConfig:
     module = args.module
     if module == "example-2x3":
         factors = parse_factors(args.type or "A1xA1", args.rank)
-        if factors != [("A", 1), ("A", 1)]:
+        if tuple(factors) != Example2x3Model.factors:
             raise CliError("the example-2x3 module lives on type A1xA1")
     else:
         factors = parse_factors(args.type, args.rank)
@@ -141,16 +140,6 @@ def _resolve_config(args) -> RunConfig:
     )
 
 
-def _module_spec(cfg: RunConfig, rs):
-    if cfg.module == "adjoint":
-        return highest_roots(rs)
-    if cfg.module == "little-adjoint":
-        return (highest_short_root(rs),)
-    if cfg.module == "example-2x3":
-        return ((1, 1), (1, 0))
-    return parse_weight_list(cfg.module, rs.rank)
-
-
 def _resolve_model(cfg: RunConfig) -> Module:
     """Orbit model for the configuration, or the plain module when no model applies."""
     if cfg.module == "example-2x3":
@@ -158,30 +147,18 @@ def _resolve_model(cfg: RunConfig) -> Module:
     if cfg.module == "adjoint" and len(cfg.factors) == 1 and cfg.factors[0][0] == "A":
         return AdjointSlModel(cfg.factors[0][1] + 1)
     rs = build_root_system(cfg.factors)
-    return Module(rs, _module_spec(cfg, rs))
-
-
-def parse_orbit(model, text: str):
-    if isinstance(model, Example2x3Model):
-        name = text.strip().upper().replace("_", "")
-        if name in ("0", "ZERO"):
-            return "0"
-        if name in ("O2", "O3", "O4", "O5"):
-            return name
-        raise CliError(f"unknown orbit {text!r}; expected 0 or O2..O5")
-    try:
-        parts = tuple(
-            int(p) for p in text.replace("+", ",").split(",") if p.strip()
-        )
-        return check_partition(tuple(sorted(parts, reverse=True)), model.n)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    if cfg.module == "adjoint":
+        return Module(rs, highest_roots(rs))
+    if cfg.module == "little-adjoint":
+        return Module(rs, (highest_short_root(rs),))
+    return Module(rs, parse_weight_list(cfg.module, rs.rank))
 
 
 def _arrangement_parts(cfg: RunConfig) -> RegionAnalysis:
     # perfbench pins this builder: a plant at cli.enumerate_regions, spans on vars(cli).
-    rs = build_root_system(cfg.factors)
-    ws = weight_system(rs, _module_spec(cfg, rs))
+    model = _resolve_model(cfg)
+    rs = model.root_system
+    ws = weight_system(rs, model.module_spec)
     form = invariant_form(rs, cfg.scales)
     hps = chamber_hyperplanes(ws, cfg.level)
     regions = enumerate_regions(rs, hps)
@@ -194,7 +171,7 @@ def _arrangement_parts(cfg: RunConfig) -> RegionAnalysis:
 def _figure(cfg: RunConfig, analysis: RegionAnalysis, marks) -> str:
     labels = None
     if cfg.module == "example-2x3":
-        labels = Example2x3Model().region_labels(analysis.subspaces.values())
+        labels = Example2x3Model.region_labels(analysis.subspaces.values())
     return svg.render_arrangement(
         analysis.model.root_system,
         analysis.form,
@@ -240,7 +217,7 @@ def cmd_characteristic(args) -> int:
             "no orbit model for this configuration; supported models: "
             "--module adjoint with --type A<n> (sl_{n+1}), or --module example-2x3"
         )
-    orbit = parse_orbit(model, args.orbit)
+    orbit = model.parse_orbit(args.orbit)
     analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
     ch = characteristic(analysis, orbit, mode=args.mode)
     if ch is None:

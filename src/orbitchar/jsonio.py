@@ -1,7 +1,8 @@
 """Deterministic JSON writers for arrangements and characteristics.
 
 All rational numbers are serialized as lowest-terms strings ("p/q", or just
-"p" for integers); weights are integer arrays; region ids are integers.
+"p" for integers); weights and partitions are integer arrays; region ids
+are integers.
 Documents are dumped deterministically (sorted keys, fixed indentation), so
 identical inputs produce byte-identical files.  The package writes these
 documents and does not read them back.
@@ -77,19 +78,12 @@ def regions_doc(analysis: RegionAnalysis) -> dict:
     }
 
 
-def orbit_json(orbit):
-    """JSON form of an orbit id: partitions as arrays, names as strings."""
-    if isinstance(orbit, tuple):
-        return [int(x) for x in orbit]
-    return str(orbit)
-
-
 def characteristics_doc(analysis: RegionAnalysis, ch: Characteristic) -> dict:
     """Characteristic document; always records both membership sets."""
     meets, dense = m_sets(analysis, ch.orbit)
     return {
         "model": analysis.model.name,
-        "orbit": orbit_json(ch.orbit),
+        "orbit": ch.orbit,
         "mode": ch.mode,
         "point": rat_vec(ch.point),
         "labels": rat_vec(ch.labels),

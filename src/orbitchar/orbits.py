@@ -252,6 +252,11 @@ class OrbitModel(Module, ABC):
     @abstractmethod
     def descriptor(self, orbit) -> str: ...
 
+    @abstractmethod
+    def parse_orbit(self, text: str):
+        """The orbit that a command-line name such as '2,2' or 'O5' gives;
+        ValueError when it names none."""
+
     def check_orbit(self, orbit):
         if orbit not in self.orbit_ids():
             raise ValueError(f"unknown orbit {orbit!r}")
@@ -290,6 +295,14 @@ class AdjointSlModel(OrbitModel):
 
     def descriptor(self, orbit) -> str:
         return "+".join(str(x) for x in orbit)
+
+    def parse_orbit(self, text: str) -> Partition:
+        """Parts separated by ',' or '+', in any order."""
+        try:
+            parts = [int(p) for p in text.replace("+", ",").split(",") if p.strip()]
+        except ValueError:
+            raise ValueError(f"cannot read orbit {text!r} as a partition of {self.n}") from None
+        return check_partition(tuple(sorted(parts, reverse=True)), self.n)
 
 
 _EXAMPLE_POSITIONS: dict[Weight, tuple[int, int]] = {
@@ -332,9 +345,11 @@ class Example2x3Model(OrbitModel):
     columns of M); "O5" (rank M = 1, c outside that span).
     """
 
+    factors = (("A", 1), ("A", 1))
+
     def __init__(self):
         self.name = "example-2x3"
-        super().__init__(build_root_system([("A", 1), ("A", 1)]), ((1, 1), (1, 0)))
+        super().__init__(build_root_system(self.factors), ((1, 1), (1, 0)))
 
     @property
     def zero_orbit(self) -> str:
@@ -357,6 +372,14 @@ class Example2x3Model(OrbitModel):
             "O5": "rank M = 1, c outside im M",
         }
         return names[self.check_orbit(orbit)]
+
+    def parse_orbit(self, text: str) -> str:
+        """An O-label or 0, in any case, underscores ignored; 'zero' is 0."""
+        name = text.strip().upper().replace("_", "")
+        name = "0" if name == "ZERO" else name
+        if name not in self.orbit_ids():
+            raise ValueError(f"unknown orbit {text!r}; expected 0 or O2..O5")
+        return name
 
     def generic_stratum(self, i_r) -> str:
         support = set()
@@ -396,7 +419,8 @@ class Example2x3Model(OrbitModel):
         }
         return reps[self.check_orbit(orbit)]
 
-    def region_labels(self, subspaces) -> dict[int, str]:
+    @staticmethod
+    def region_labels(subspaces) -> dict[int, str]:
         """Conventional Roman labels of the six regions, keyed by region id."""
         out = {}
         for sub in subspaces:

@@ -58,31 +58,26 @@ class _Frame:
         self.wall_dirs = [
             self.to_world((inv_cartan[0][j], inv_cartan[1][j])) for j in range(2)
         ]
-        self._anchors = [(0.0, 0.0)]
 
     def to_world(self, h) -> tuple[float, float]:
         a, b = float(h[0]), float(h[1])
         return (self.l11 * a + self.l21 * b, self.l22 * b)
 
-    def line_normal(self, weight, level) -> tuple[tuple[float, float], float]:
-        """World-plane normal form n.p = c of the pairing hyperplane."""
+    def foot(self, weight, level):
+        """The pairing hyperplane as (p, d): p its point nearest the origin
+        (world), d its direction."""
         f1, f2 = float(weight[0]), float(weight[1])
         # pairing(mu, h) = f.h; with world p = L^T h the normal maps by L^-1
         n1 = f1 / self.l11
         n2 = (f2 - self.l21 * n1) / self.l22
-        return (n1, n2), float(level)
-
-    def add_anchor(self, world_pt):
-        self._anchors.append(world_pt)
-
-    def anchor_hyperplane(self, weight, level):
-        (n1, n2), c = self.line_normal(weight, level)
+        c = float(level)
         nn = n1 * n1 + n2 * n2
-        self.add_anchor((c * n1 / nn, c * n2 / nn))
+        return (c * n1 / nn, c * n2 / nn), (-n2, n1)
 
-    def freeze(self):
-        xs = [p[0] for p in self._anchors]
-        ys = [p[1] for p in self._anchors]
+    def fit(self, anchors):
+        """Fix the box: the anchors' bounding box, padded on every side."""
+        xs = [p[0] for p in anchors]
+        ys = [p[1] for p in anchors]
         span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
         pad = 0.40 * span
         self.x0, self.x1 = min(xs) - pad, max(xs) + pad
@@ -97,52 +92,17 @@ class _Frame:
         sy = HEIGHT - MARGIN - (y - self.y0) * self.scale
         return sx, sy
 
-    def clip_line(self, weight, level):
-        """Endpoints (world) of the pairing hyperplane clipped to the box."""
-        (n1, n2), c = self.line_normal(weight, level)
-        nn = n1 * n1 + n2 * n2
-        px, py = c * n1 / nn, c * n2 / nn
-        dx, dy = -n2, n1
-        ts = []
-        eps = 1e-9
-        for bound, p0, d in (
-            (self.x0, px, dx),
-            (self.x1, px, dx),
-        ):
-            if abs(d) > eps:
-                t = (bound - p0) / d
-                y = py + t * dy
-                if self.y0 - eps <= y <= self.y1 + eps:
-                    ts.append(t)
-        for bound, p0, d in (
-            (self.y0, py, dy),
-            (self.y1, py, dy),
-        ):
-            if abs(d) > eps:
-                t = (bound - p0) / d
-                x = px + t * dx
-                if self.x0 - eps <= x <= self.x1 + eps:
-                    ts.append(t)
-        if not ts:
-            raise ValueError("hyperplane missed the drawing box")
-        lo, hi = min(ts), max(ts)
-        return (px + lo * dx, py + lo * dy), (px + hi * dx, py + hi * dy)
-
-    def wall_end(self, direction) -> tuple[float, float]:
-        """Where the ray from the origin along direction leaves the box."""
-        dx, dy = direction
-        t = math.inf
-        if dx > 1e-12:
-            t = min(t, self.x1 / dx)
-        elif dx < -1e-12:
-            t = min(t, self.x0 / dx)
-        if dy > 1e-12:
-            t = min(t, self.y1 / dy)
-        elif dy < -1e-12:
-            t = min(t, self.y0 / dy)
-        if not math.isfinite(t):
-            raise ValueError("degenerate wall direction")
-        return (t * dx, t * dy)
+    def clip(self, p, d) -> tuple[float, float]:
+        """The span (lo, hi) of t over which p + t d stays in the box."""
+        lo, hi = -math.inf, math.inf
+        box = ((self.x0, self.x1), (self.y0, self.y1))
+        for start, step, (low, high) in zip(p, d, box):
+            if abs(step) > 1e-9:
+                t0, t1 = (low - start) / step, (high - start) / step
+                lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError("line missed the drawing box")
+        return lo, hi
 
 
 def render_arrangement(
@@ -160,17 +120,15 @@ def render_arrangement(
     """
     if rs.rank != 2:
         raise ValueError("SVG rendering requires a rank-2 root system")
-    hyperplanes = list(hyperplanes)
     regions = list(regions)
     marks = list(marks)
     frame = _Frame(rs, form)
-    for r in regions:
-        frame.add_anchor(frame.to_world(r.witness))
-    for point, _ in marks:
-        frame.add_anchor(frame.to_world(point))
-    for hp in hyperplanes:
-        frame.anchor_hyperplane(hp.weight, hp.level)
-    frame.freeze()
+    lines = [frame.foot(hp.weight, hp.level) for hp in hyperplanes]
+    frame.fit(
+        [(0.0, 0.0), *(p for p, _ in lines)]
+        + [frame.to_world(r.witness) for r in regions]
+        + [frame.to_world(point) for point, _ in marks]
+    )
 
     root = ET.Element(
         "svg",
@@ -188,8 +146,10 @@ def render_arrangement(
 
     walls = ET.SubElement(root, "g", {"id": "chamber-walls"})
     ox, oy = frame.to_screen((0.0, 0.0))
-    for direction in frame.wall_dirs:
-        ex, ey = frame.to_screen(frame.wall_end(direction))
+    for dx, dy in frame.wall_dirs:
+        # the origin lies in the box, so the wall leaves it at hi
+        t = frame.clip((0.0, 0.0), (dx, dy))[1]
+        ex, ey = frame.to_screen((t * dx, t * dy))
         ET.SubElement(
             walls,
             "path",
@@ -199,13 +159,13 @@ def render_arrangement(
             },
         )
 
-    lines = ET.SubElement(root, "g", {"id": "hyperplanes"})
-    for hp in hyperplanes:
-        p, q = frame.clip_line(hp.weight, hp.level)
-        sx1, sy1 = frame.to_screen(p)
-        sx2, sy2 = frame.to_screen(q)
+    group = ET.SubElement(root, "g", {"id": "hyperplanes"})
+    for (px, py), (dx, dy) in lines:
+        lo, hi = frame.clip((px, py), (dx, dy))
+        sx1, sy1 = frame.to_screen((px + lo * dx, py + lo * dy))
+        sx2, sy2 = frame.to_screen((px + hi * dx, py + hi * dy))
         ET.SubElement(
-            lines,
+            group,
             "line",
             {
                 "class": "hyperplane",

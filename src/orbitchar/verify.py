@@ -191,7 +191,7 @@ def _named_arrangements() -> dict[str, RegionAnalysis]:
         return Module(rs, (highest_short_root(rs),) if little else highest_roots(rs))
 
     modules = {
-        "example-2x3": Module(build_root_system([("A", 1), ("A", 1)]), ((1, 1), (1, 0))),
+        "example-2x3": Example2x3Model(),
         "A2 adjoint": module([("A", 2)]),
         "A3 adjoint": module([("A", 3)]),
         "B2 little-adjoint": module([("B", 2)], little=True),
@@ -277,7 +277,7 @@ def _feasible_sampler(interior, poly):
     """A draw(rng) of exactly feasible points: step from the interior point
     toward a random target k/100 until the first constraint boundary.
 
-    A draw runs on integers.  Rows are scaled by linalg.integral, which
+    A draw runs on integers.  It reads the rows as integral_rows, which
     changes no ratio gap/drop, and each row's value at the interior point is
     computed once.  draw returns (nums, den, (g, d)): the point nums/den and
     the step g/d, at most 1."""
@@ -285,8 +285,7 @@ def _feasible_sampler(interior, poly):
     lcm = math.lcm(scale, 100)
     inner = [p * (lcm // scale) for p in inner]
     rows = []
-    for normal, bound in poly.rows:
-        *normal, bound = linalg.integral((*normal, bound))[0]
+    for (*normal, bound), _ in poly.integral_rows:
         at_interior = sum(a * p for a, p in zip(normal, inner))
         rows.append((normal, at_interior, at_interior - bound * lcm))
 
@@ -305,10 +304,8 @@ def _feasible_sampler(interior, poly):
 
 def _norm_below(form, value):
     """A test whether the point nums/den has squared norm below value, made
-    on integers: the Gram matrix is scaled by linalg.integral."""
-    dim = len(form.gram)
-    flat, scale = linalg.integral([x for row in form.gram for x in row])
-    gram = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
+    on integers, on the form's integral_gram."""
+    gram, scale = form.integral_gram
     value = Q(value) * scale
 
     def below(nums, den):
@@ -452,8 +449,9 @@ def run_weights() -> list[VerifyRow]:
         nonzero = set(ws.entries)
         shorts = {
             w
-            for w in _all_root_weights(rs)
-            if rs.root_length_sq(w) < 2
+            for root in rs.positive_roots
+            if rs.is_short_root(root)
+            for w in (root, tuple(-x for x in root))
         }
         if nonzero != shorts:
             problems.append(f"{series}{rank}: support != short roots")
@@ -464,12 +462,6 @@ def run_weights() -> list[VerifyRow]:
         "nonzero weights equal the short roots for B2, C3, F4, G2",
     )
     return [sum_row, little_row]
-
-
-def _all_root_weights(rs):
-    return [w for w in rs.positive_roots] + [
-        tuple(-x for x in w) for w in rs.positive_roots
-    ]
 
 
 # -------------------------------------------------------------------- lemma

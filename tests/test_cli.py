@@ -12,7 +12,7 @@ import pytest
 
 import orbitchar
 from orbitchar import cli
-from orbitchar.cli import main, parse_factors, parse_orbit
+from orbitchar.cli import main, parse_factors
 from orbitchar.orbits import AdjointSlModel, Example2x3Model, weighted_dynkin_from_partition
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -37,20 +37,18 @@ def test_parse_factors():
 
 
 def test_parse_orbit():
-    from orbitchar.cli import CliError
-
     adj = AdjointSlModel(4)
-    assert parse_orbit(adj, "2,2") == (2, 2)
-    assert parse_orbit(adj, "1,2,1") == (2, 1, 1)
-    assert parse_orbit(adj, "3+1") == (3, 1)
-    with pytest.raises(CliError):
-        parse_orbit(adj, "3,2")
+    assert adj.parse_orbit("2,2") == (2, 2)
+    assert adj.parse_orbit("1,2,1") == (2, 1, 1)
+    assert adj.parse_orbit("3+1") == (3, 1)
+    with pytest.raises(ValueError):
+        adj.parse_orbit("3,2")
     ex = Example2x3Model()
-    assert parse_orbit(ex, "O3") == "O3"
-    assert parse_orbit(ex, "o_4") == "O4"
-    assert parse_orbit(ex, "0") == "0"
-    with pytest.raises(CliError):
-        parse_orbit(ex, "O7")
+    assert ex.parse_orbit("O3") == "O3"
+    assert ex.parse_orbit("o_4") == "O4"
+    assert ex.parse_orbit("0") == "0"
+    with pytest.raises(ValueError):
+        ex.parse_orbit("O7")
 
 
 def test_regions_command(tmp_path):
@@ -240,6 +238,7 @@ def _no_work(*args, **kwargs):
 def test_error_exits(tmp_path, capsys, monkeypatch):
     assert main(["regions", "--type", "Z9"]) == 1
     assert main(["characteristic", "--type", "A2", "--orbit", "4"]) == 1
+    assert main(["characteristic", "--type", "A3", "--orbit", "2,x"]) == 1
     assert main(["characteristic", "--type", "B2", "--orbit", "2,1"]) == 1
     argv = ["characteristic", "--type", "B2", "--module", "little-adjoint", "--orbit", "2,1"]
     assert main(argv + ["--out", str(tmp_path / "c.json")]) == 1
@@ -288,6 +287,7 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert "checks passed" not in out
     assert err.count("the largest sl_n must be at least 2") == 2
+    assert err.count("error: cannot read orbit '2,x' as a partition of 4") == 1
     assert err.count("requires a rank-2 root system") == 4
     assert err.count("no orbit model") == 2
     assert err.count("unrecognized arguments: --mode dense") == 1

@@ -83,16 +83,6 @@ def test_invalid_series_rank(factors, rank):
         lc.build_root_system(factors)
 
 
-def test_root_fw_coords_are_cartan_rows():
-    rs = lc.build_root_system([("C", 3)])
-    for fw, rc in zip(rs.positive_roots, rs.positive_root_coords):
-        acc = [0] * rs.rank
-        for i, b in enumerate(rc):
-            for j in range(rs.rank):
-                acc[j] += b * rs.cartan[i][j]
-        assert tuple(acc) == fw
-
-
 _WALK_TYPES = _WEIGHT_POOL + [
     [("D", 4)],
     [("D", 5)],
