@@ -4,7 +4,9 @@ All rational numbers are serialized as lowest-terms strings ("p/q", or just
 "p" for integers); weights and partitions are integer arrays; region ids
 are integers.
 Documents are dumped deterministically (sorted keys, fixed indentation), so
-identical inputs produce byte-identical files.  The package writes these
+identical inputs produce byte-identical files: the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)` and a newline, from a writer
+that takes only the values the package writes.  The package writes these
 documents and does not read them back.
 
 Document shapes:
@@ -18,8 +20,8 @@ Document shapes:
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .liecore import RootSystem
 from .orbits import Characteristic, RegionAnalysis, m_sets
@@ -28,8 +30,9 @@ Q = Fraction
 
 
 def rat(x) -> str:
-    """Lowest-terms string form of a rational number."""
-    return str(Q(x))
+    """Lowest-terms string form of a rational number; an int or a Fraction
+    is in lowest terms already."""
+    return str(x) if type(x) in (int, Q) else str(Q(x))
 
 
 def rat_vec(v) -> list[str]:
@@ -37,8 +40,39 @@ def rat_vec(v) -> list[str]:
 
 
 def dump_doc(doc) -> str:
-    """Deterministic JSON text for a document (byte-identical per input)."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text for a document (byte-identical per input):
+    `json.dumps(doc, indent=2, sort_keys=True)` and a newline, for dicts
+    with str keys, lists, tuples, str and int.  Any other value, bool and
+    None included, raises TypeError."""
+    return _text(doc, "\n") + "\n"
+
+
+def _text(value, newline: str) -> str:
+    """The JSON text of value, nested at the indentation that follows
+    newline.  A key that is not a str fails in `_quote` with TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = [_quote(key) + ": " + _text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            parts = map(repr, value)
+        elif kinds == {str}:
+            parts = map(_quote, value)
+        else:
+            parts = [_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
 
 def root_system_doc(rs: RootSystem) -> dict:
@@ -59,7 +93,7 @@ def regions_doc(analysis: RegionAnalysis) -> dict:
                 "signs": r.signs,
                 "witness": rat_vec(r.witness),
                 "closure_ineqs": [
-                    {"normal": [int(x) for x in normal], "bound": rat(bound)}
+                    {"normal": list(map(int, normal)), "bound": rat(bound)}
                     for normal, bound in r.closure_ineqs
                 ],
                 "i_r": [list(w) for w in sorted(sub.i_r)],

@@ -28,8 +28,13 @@ The objective is bounded below by 0, so the run ends optimal.  With fewer
 artificials than rows it still reaches residual 0 exactly when the rows have
 a point, and either answer carries a certificate checked on ints, also
 under python -O: a zero residual gives the basic point X / D, checked
-against every row; a positive one gives a Farkas vector y >= 0, y != 0 with
-y.N = 0 and y.b > 0, read from the final objective row.
+against the rows; a positive one gives a Farkas vector y >= 0, y != 0 with
+y.N = 0 and y.b > 0, read from the final objective row.  A dictionary keeps
+the point it certified and how many of its rows that check covered, and a
+dictionary built from it by adding rows inherits both: if its own phase 1
+ends at that same X / D, the point is checked against the added rows only,
+since the inherited check already covered the others; any other point is
+checked against every row.
 
 A run starts from a dictionary.  The cold start adds every row to the
 dictionary of no rows, whose point is the origin.  A warm start adds rows
@@ -51,6 +56,11 @@ the surplus columns are >= 0 and at the free x pairs 0, which is what makes
 them a Farkas vector; and both certificates are checked against the rows
 of the dictionary itself.
 
+A cold start holds a table of homogenized integral rows that every warm
+start below it shares: `warm_start` integralizes a row the first time the
+table meets it, so in region enumeration each of the 2 H sign rows of H
+hyperplanes is integralized once per enumeration.
+
 `closed_feasible` asks this of the rows themselves, `strict_interior` of
 their homogenization: N x > b has a point exactly when N y - b s >= 1,
 s >= 1 has one (Motzkin's transposition theorem), and then x = y / s.  A
@@ -63,7 +73,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import eliminate, integral
@@ -153,7 +163,11 @@ class Dictionary:
     """A phase-1 dictionary: the integral rows (ints, scale) in tableau
     order, the condensed tableau with its basis and slots, and the
     objective row.  `rows` are the (normal, bound) rows whose homogenization
-    it holds, for `strict_interior` to match against its own."""
+    it holds, for `strict_interior` to match against its own.  `point` is
+    the (X, D) that `_phase1` last certified here or in the dictionary this
+    one was built from, checked against the first `checked` of `irows`;
+    `table` maps a (normal, bound) row to its homogenized integral row, one
+    table per cold start."""
 
     irows: list
     tab: list
@@ -161,6 +175,9 @@ class Dictionary:
     slots: list
     obj: list
     rows: list | None = None
+    point: tuple | None = None
+    checked: int = 0
+    table: dict = field(default_factory=dict)
 
 
 def _add_rows(dic, irows):
@@ -169,7 +186,8 @@ def _add_rows(dic, irows):
     its row.  If dic's point satisfies it (rhs <= 0), it is stored negated
     with its surplus basic; otherwise its artificial is basic and priced
     into the objective.  The artificial indices of dic shift by
-    len(irows)."""
+    len(irows).  The new dictionary shares dic's table and keeps dic's
+    certified point and count: dic's rows are its first rows."""
     n, m, k = len(dic.slots), len(dic.tab), len(irows)
     basis = [b + k if b >= 2 * n + m else b for b in dic.basis]
     xrows = [(row, b) for row, b in zip(dic.tab, dic.basis) if b < 2 * n]
@@ -195,23 +213,36 @@ def _add_rows(dic, irows):
             basis.append(2 * n + 2 * m + k + i)
             # price the artificial out; alpha = obj[n] is multiplied by d
             obj = eliminate(obj, row, n, -row[n])
-    return Dictionary(dic.irows + irows, tab, basis, list(dic.slots), obj)
+    new = Dictionary(dic.irows + irows, tab, basis, list(dic.slots), obj, table=dic.table)
+    new.point, new.checked = dic.point, dic.checked
+    return new
 
 
 def _phase1(dic):
     """Run phase 1 on dic in place: a point X / D with D > 0 checked
-    against every row, or None once the Farkas vector of `_farkas` is
-    checked."""
+    against the rows, or None once the Farkas vector of `_farkas` is
+    checked.  The point is checked against the rows past `dic.checked` if
+    it is `dic.point`, else against every row; then it becomes `dic.point`
+    with every row checked."""
     n = len(dic.slots)
     dic.obj = _run_simplex(dic.tab, dic.basis, dic.slots, dic.obj)
     if dic.obj[-1] != 0:
         _check_farkas(dic.irows, _farkas(dic.obj, dic.basis, dic.slots, dic.irows))
         return None
-    x, d = _phase1_point(dic.tab, dic.basis, n)
-    for ints, _ in dic.irows:
-        if sum(map(operator.mul, ints[:-1], x)) < ints[-1] * d:
+    point = _phase1_point(dic.tab, dic.basis, n)
+    start = dic.checked if point == dic.point else 0
+    _check_point(dic.irows[start:], *point)
+    dic.point, dic.checked = point, len(dic.irows)
+    return point
+
+
+def _check_point(rows, x, d) -> None:
+    """Raise AssertionError unless X / D satisfies each integral row
+    (checked also under python -O); x is one entry shorter than a row, so
+    the products stop before its bound."""
+    for ints, _ in rows:
+        if sum(map(operator.mul, ints, x)) < ints[-1] * d:
             raise AssertionError("phase-1 point violates a row")
-    return x, d
 
 
 def _empty(n):
@@ -293,8 +324,12 @@ def warm_start(parent, row) -> Dictionary:
     """The start for parent's rows and then row: parent, a start of
     `cold_start` or `warm_start` (in region enumeration one that
     `strict_interior` ran to a zero residual), with the homogenized row
-    added."""
-    dic = _add_rows(parent, _homogenized([row], len(parent.slots) - 1))
+    added.  The homogenized row comes from parent's table, which
+    integralizes it the first time it is asked for."""
+    irow = parent.table.get(row)
+    if irow is None:
+        irow = parent.table[row] = _homogenized([row], len(parent.slots) - 1)[0]
+    dic = _add_rows(parent, [irow])
     dic.rows = parent.rows + [row]
     return dic
 

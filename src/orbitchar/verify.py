@@ -17,6 +17,9 @@ Each battery cross-checks part of the pipeline against an independent oracle:
                 subspaces, nilpotency of sampled elements, and the exact
                 generic strata of sl3-sl5 against the Jordan types of
                 random elements, read off the ranks of their powers.
+* catalan    -- adjoint region counts against the W-Catalan number
+                prod (h + e + 1) / (e + 1), from exponents read off the
+                heights of the positive roots.
 
 All randomness is seeded, so every battery is deterministic.
 """
@@ -24,16 +27,19 @@ All randomness is seeded, so every battery is deterministic.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .arrangement import is_saturated
+from .arrangement import chamber_hyperplanes, enumerate_regions, is_saturated
 from .liecore import (
     InvariantForm,
+    RootSystem,
     build_root_system,
     highest_roots,
     highest_short_root,
@@ -601,6 +607,54 @@ def run_lemma() -> list[VerifyRow]:
     return [saturation_row, stability_row, strata_row]
 
 
+# ------------------------------------------------------------------ catalan
+
+CATALAN_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
+# added under ORBITCHAR_LARGE=1: about 2 s more
+CATALAN_LARGE_TYPES = ("A6", "A7", "B5", "E6")
+
+
+def exponents(rs: RootSystem) -> list[int]:
+    """The exponents of a simple root system, largest first: the dual
+    partition of the numbers of positive roots of each height (Kostant
+    1959), so the largest is the Coxeter number minus 1."""
+    per_height = Counter(sum(c) for c in rs.positive_root_coords)
+    counts = [per_height[k] for k in range(1, max(per_height) + 1)]
+    return [sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1)]
+
+
+def w_catalan(rs: RootSystem) -> Q:
+    """The number of dominant regions of the level-2 adjoint arrangement
+    of a simple root system: prod (h + e + 1) / (e + 1) over the exponents
+    e, with h the Coxeter number (Shi 1997; Athanasiadis 2004), as a
+    Fraction, so that exponents that do not give an integer show."""
+    exps = exponents(rs)
+    h = exps[0] + 1
+    return math.prod(Q(h + e + 1, e + 1) for e in exps)
+
+
+def run_catalan(names=CATALAN_TYPES) -> list[VerifyRow]:
+    """Adjoint region counts of simple types against the W-Catalan number."""
+    started = time.perf_counter()
+    problems = []
+    for name in names:
+        rs = build_root_system([(name[0], int(name[1:]))])
+        hps = chamber_hyperplanes(weight_system(rs, highest_roots(rs)))
+        got, want = len(enumerate_regions(rs, hps)), w_catalan(rs)
+        if got != want:
+            problems.append(f"{name}: {got} regions != {want}")
+    passed = (
+        f"adjoint region counts of {', '.join(names)} equal "
+        "prod (h+e+1)/(e+1) over the exponents"
+    )
+    return [_row("catalan adjoint", started, problems, passed)]
+
+
+def _catalan_types() -> tuple[str, ...]:
+    large = os.environ.get("ORBITCHAR_LARGE") == "1"
+    return CATALAN_TYPES + (CATALAN_LARGE_TYPES if large else ())
+
+
 # ------------------------------------------------------------------- driver
 
 
@@ -612,6 +666,7 @@ SUITES = {
     "minnorm": lambda opts: run_minnorm(),
     "weights": lambda opts: run_weights(),
     "lemma": lambda opts: run_lemma(),
+    "catalan": lambda opts: run_catalan(_catalan_types()),
 }
 
 SUITE_ORDER = list(SUITES)

@@ -1,9 +1,10 @@
-"""Acceptance battery: the seven headline checks, one pass/fail line each.
+"""Acceptance battery: the eight headline checks, one pass/fail line each.
 
 Every check runs the full pipeline against an independent oracle at its
 stated tolerance, and its PASS line must read as recorded below.  The Dynkin
 and theorem checks run sl2-sl6; sl7 and sl8 (about 10 s more together) join
-when the environment variable ORBITCHAR_LARGE=1 is set.
+when the environment variable ORBITCHAR_LARGE=1 is set, and A6, A7, B5 and
+E6 join the W-Catalan check (about 2 s more).
 """
 
 import os
@@ -104,3 +105,12 @@ def test_criterion_7_structural_lemma():
         "each, and one of the three attains them",
     ]
     _report("7 (saturation, b-stability, nilpotency, strata)", rows, details)
+
+
+def test_criterion_8_w_catalan_region_counts():
+    rows = verify.run_suites(["catalan"])
+    names = "A1, A2, A3, A4, B2, B3, B4, C3, C4, D4, G2, F4"
+    if os.environ.get("ORBITCHAR_LARGE") == "1":
+        names += ", A6, A7, B5, E6"
+    details = [f"adjoint region counts of {names} equal prod (h+e+1)/(e+1) over the exponents"]
+    _report("8 (adjoint region counts against the W-Catalan number)", rows, details)

@@ -1,6 +1,7 @@
 """Chamber hyperplanes, region enumeration, and region weight supports."""
 
 import gc
+import hashlib
 import os
 import random
 from fractions import Fraction as Q
@@ -387,6 +388,53 @@ def test_enumeration_pivots_and_no_artificial_enters(monkeypatch, factors, modul
     arr.enumerate_regions(rs, arr.chamber_hyperplanes(lc.weight_system(rs, module)))
     assert len(entering) == pivots
     assert all(col < first_artificial for col, first_artificial in entering)
+
+
+def test_each_sign_row_is_integralized_once(monkeypatch):
+    # the root integralizes the rank chamber rows, and the warm starts below
+    # it share one table of sign rows, at most two per hyperplane
+    rows = []
+    integral = ratlp.integral
+
+    def counting(row):
+        rows.append(tuple(row))
+        return integral(row)
+
+    monkeypatch.setattr(ratlp, "integral", counting)
+    rs = lc.build_root_system([("F", 4)])
+    hps = arr.chamber_hyperplanes(_adjoint_ws([("F", 4)]))
+    assert len(arr.enumerate_regions(rs, hps)) == 105
+    assert len(rows) <= 2 * len(hps) + rs.rank + 1
+    assert len(rows) == len(set(rows))
+
+
+def _region_digest(regions):
+    """A short digest of the ids, sign vectors, witnesses and closure rows."""
+    text = "\n".join(
+        f"{r.id} {r.signs} {','.join(map(str, r.witness))} "
+        + ";".join(f"{','.join(map(str, n))}>={b}" for n, b in r.closure_ineqs)
+        for r in regions
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "factors,module,digest",
+    [
+        pytest.param([("A", 4)], "adjoint", "2c4da9382bc2eee7", id="A4-adjoint"),
+        pytest.param([("B", 3)], "adjoint", "a3800ef94c62d767", id="B3-adjoint"),
+        pytest.param([("C", 3)], "adjoint", "6986f22557c72aa2", id="C3-adjoint"),
+        pytest.param([("F", 4)], "adjoint", "51154c5acd207a4f", id="F4-adjoint"),
+        pytest.param([("F", 4)], "little", "cf6484640ea298e3", id="F4-little"),
+    ],
+)
+def test_regions_keep_their_recorded_witnesses_and_rows(factors, module, digest):
+    # recorded from the enumeration that checked every point against every
+    # row and integralized every sign row anew for each LP
+    rs = lc.build_root_system(factors)
+    spec = lc.highest_roots(rs) if module == "adjoint" else [lc.highest_short_root(rs)]
+    hps = arr.chamber_hyperplanes(lc.weight_system(rs, spec))
+    assert _region_digest(arr.enumerate_regions(rs, hps)) == digest
 
 
 def test_warm_witnesses_are_the_same_on_every_run():

@@ -1,10 +1,14 @@
 """Tests for exact JSON serialization and round-trips."""
 
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from orbitchar import jsonio
-from orbitchar.liecore import build_root_system
+from orbitchar.liecore import build_root_system, highest_roots
 from orbitchar.orbits import (
     AdjointSlModel,
     Example2x3Model,
@@ -86,3 +90,83 @@ def test_characteristics_doc_round_trip_partition():
     assert tuple(doc["orbit"]) == ch.orbit == (2, 2)
     assert tuple(Q(x) for x in doc["labels"]) == ch.labels == (0, 2, 0)
     assert set(doc["tilde_m_set"]) <= set(doc["m_set"])
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_dump_matches_json_on_the_recorded_documents(path):
+    text = path.read_text()
+    assert jsonio.dump_doc(json.loads(text)) == _reference(json.loads(text)) == text
+
+
+def test_dump_matches_json_on_the_f4_regions_document():
+    rs = build_root_system([("F", 4)])
+    doc = jsonio.regions_doc(RegionAnalysis.build(Module(rs, highest_roots(rs))))
+    assert len(doc["regions"]) == 105
+    assert jsonio.dump_doc(doc) == _reference(doc)
+
+
+_CHARS = [
+    "a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "λ", "≥", "\U0001d53c"
+]
+
+
+def _random_text(rng, longest):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(longest)))
+
+
+def _random_value(rng, depth, seen):
+    """A random document value; seen counts the kinds drawn."""
+    kind = rng.randrange(7 if depth < 4 else 3)
+    if kind == 0:
+        value = rng.choice([0, -1, 2**70, -(3**50), rng.randint(-1000, 1000)])
+        seen["large int"] += abs(value) > 2**63
+        return value
+    if kind in (1, 2):
+        text = _random_text(rng, 6)
+        seen["escaped str"] += any(c in text for c in '"\\\n\x00\x1f')
+        seen["non-ASCII str"] += any(ord(c) > 127 for c in text)
+        return text
+    if kind == 3:
+        keys = [_random_text(rng, 4) for _ in range(rng.randrange(5))]
+        seen["empty dict"] += not keys
+        return {key: _random_value(rng, depth + 1, seen) for key in keys}
+    items = [_random_value(rng, depth + 1, seen) for _ in range(rng.randrange(5))]
+    seen["empty list"] += not items
+    if kind == 4:
+        items = [rng.randint(-9, 9) for _ in items]
+    seen["tuple"] += kind == 6
+    return tuple(items) if kind == 6 else items
+
+
+def test_dump_matches_json_on_random_documents():
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(
+        ["large int", "escaped str", "non-ASCII str", "empty dict", "empty list", "tuple"], 0
+    )
+    for _ in range(500):
+        doc = _random_value(rng, 0, seen)
+        assert jsonio.dump_doc(doc) == _reference(doc), doc
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, None, 1.5, {"a": [1, None]}, [1, True], {1: "a"}, {"a": 1, 2: "b"}, (0.0,)],
+)
+def test_dump_refuses_what_json_would_write_differently(value):
+    with pytest.raises(TypeError):
+        jsonio.dump_doc(value)
+
+
+def test_rat_keeps_the_terms_it_was_given():
+    assert jsonio.rat(Q(-6, 4)) == "-3/2"
+    assert jsonio.rat(-5) == "-5"
+    assert jsonio.rat("6/8") == "3/4"
+    assert jsonio.rat(True) == "1"

@@ -676,3 +676,71 @@ warm(((1, 1), 0))
         "Farkas combination of the normals is not zero",
         "phase-1 point violates a row",
     ]
+
+
+def _counted_point_checks(monkeypatch):
+    """The number of rows each point check covers, in call order."""
+    checked, check = [], ratlp._check_point
+
+    def counting(rows, x, d):
+        checked.append(len(rows))
+        return check(rows, x, d)
+
+    monkeypatch.setattr(ratlp, "_check_point", counting)
+    return checked
+
+
+def test_a_kept_point_is_checked_against_the_new_row_only(monkeypatch):
+    checked = _counted_point_checks(monkeypatch)
+    root = _solved_quadrant()
+    # the root's point is new: the quadrant and s >= 1
+    assert checked == [3] and root.point == ([1, 1, 1], 1) and root.checked == 3
+    # x + y > 0 holds at (1, 1): no pivot, the root's point, one new row;
+    # and a grandchild below it that keeps the point checks its own row only
+    row = ((1, 1), 0)
+    child = ratlp.warm_start(root, row)
+    assert ratlp.strict_interior(_QUADRANT + [row], 2, child) == (1, 1)
+    low = ((1, -1), -1)
+    grandchild = ratlp.warm_start(child, low)
+    assert ratlp.strict_interior(_QUADRANT + [row, low], 2, grandchild) == (1, 1)
+    assert checked == [3, 1, 1]
+    # x + y > 3 fails at (1, 1): phase 1 moves, and every row is checked
+    row = ((1, 1), 3)
+    moved = ratlp.warm_start(root, row)
+    assert ratlp.strict_interior(_QUADRANT + [row], 2, moved) == (3, 1)
+    assert moved.point != root.point
+    assert checked == [3, 1, 1, 4]
+    # a start built before its parent was solved has no point to keep
+    fresh = ratlp.cold_start(_QUADRANT, 2)
+    early = ratlp.warm_start(fresh, ((1, 1), 0))
+    assert ratlp.strict_interior(_QUADRANT, 2, fresh) == (1, 1)
+    assert ratlp.strict_interior(_QUADRANT + [((1, 1), 0)], 2, early) == (1, 1)
+    assert checked == [3, 1, 1, 4, 3, 4]
+
+
+def test_the_parent_point_planted_on_a_child_it_violates_is_refused(monkeypatch):
+    # x + y > 3 fails at the root's point (1, 1); read that point back as
+    # the child's, and its one unchecked row refuses it
+    root, row = _solved_quadrant(), ((1, 1), 3)
+    planted = root.point
+    monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: planted)
+    with pytest.raises(AssertionError, match="phase-1 point violates a row"):
+        ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row))
+
+
+def test_a_warm_start_shares_its_root_table(monkeypatch):
+    # a sign row is integralized the first time a start below the root asks
+    # for it, and looked up after that
+    root = _solved_quadrant()
+    rows = []
+    integral = ratlp.integral
+    monkeypatch.setattr(ratlp, "integral", lambda row: rows.append(row) or integral(row))
+    row = ((1, 1), Q(1, 2))
+    child = ratlp.warm_start(root, row)
+    again = ratlp.warm_start(root, ((1, 1), Q(1, 2)))
+    grandchild = ratlp.warm_start(child, row)
+    assert len(rows) == 1
+    assert child.table is again.table is grandchild.table is root.table
+    assert child.irows[-1] == again.irows[-1] == ([2, 2, -1, 2], 2)
+    # another root has a table of its own
+    assert ratlp.cold_start(_QUADRANT, 2).table is not root.table

@@ -1,10 +1,11 @@
-"""The integer sampler and norm test behind the minnorm verification battery."""
+"""The integer sampler and norm test behind the minnorm verification battery,
+and the exponents and counts behind the catalan battery."""
 
 import random
 from fractions import Fraction as Q
 
 from orbitchar import verify
-from orbitchar.liecore import norm_sq
+from orbitchar.liecore import build_root_system, norm_sq
 
 
 def _value(normal, point):
@@ -60,3 +61,29 @@ def test_norm_below_agrees_with_norm_sq():
             for bound in (value, value + Q(1, 10**6), value - Q(1, 10**6)):
                 below = verify._norm_below(form, bound)
                 assert below(nums, den) == (value < bound)
+
+
+# the classical exponents of each simple type (Bourbaki, Lie Groups and Lie
+# Algebras, ch. VI, plates I-IX), largest first
+_EXPONENTS = {
+    "A1": [1], "A4": [4, 3, 2, 1], "B3": [5, 3, 1], "C4": [7, 5, 3, 1],
+    "D4": [5, 3, 3, 1], "D5": [7, 5, 4, 3, 1], "G2": [5, 1], "F4": [11, 7, 5, 1],
+    "E6": [11, 8, 7, 5, 4, 1], "E7": [17, 13, 11, 9, 7, 5, 1],
+    "E8": [29, 23, 19, 17, 13, 11, 7, 1],
+}
+
+
+def test_exponents_from_root_heights_are_the_classical_ones():
+    for name, exps in _EXPONENTS.items():
+        rs = build_root_system([(name[0], int(name[1:]))])
+        assert verify.exponents(rs) == exps, name
+    rs = build_root_system([("E", 8)])
+    assert verify.w_catalan(rs) == 25080
+
+
+def test_catalan_battery_reports_a_wrong_count(monkeypatch):
+    enumerate_regions = verify.enumerate_regions
+    monkeypatch.setattr(verify, "enumerate_regions", lambda rs, hps: enumerate_regions(rs, hps)[1:])
+    rows = verify.run_catalan(("B2", "G2"))
+    assert not rows[0].ok
+    assert rows[0].detail == "B2: 5 regions != 6; G2: 7 regions != 8"
