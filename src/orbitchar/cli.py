@@ -250,8 +250,7 @@ def cmd_plot(args) -> int:
             ch = characteristic(analysis, orbit, mode=args.mode)
             if ch is None:
                 continue
-            caption = orbit if isinstance(orbit, str) else model.descriptor(orbit)
-            by_point.setdefault(ch.point, []).append(caption)
+            by_point.setdefault(ch.point, []).append(model.caption(orbit))
     marks = [(point, "=".join(names)) for point, names in sorted(by_point.items())]
     what = f"figure with {len(analysis.hyperplanes)} hyperplanes and {len(marks)} markers"
     _write(args.out or "figure.svg", _figure(cfg, analysis, marks), what)

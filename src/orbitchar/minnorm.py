@@ -6,16 +6,21 @@ characterized by an active row set A and nonnegative multipliers lam with
     2 G a = N_A^T lam,   N_A a = b_A,   N a >= b.
 
 min_norm_point finds it by a dual active-set iteration (Goldfarb & Idnani
-1983): start from the unconstrained minimum 0 and bring in the first
-violated row p.  Each step finds the direction z and the multiplier change
-s of the working system Q z + N_A^T s = p, N_A z = 0 through its Schur
-complement in the active normals: (N_A Q^-1 N_A^T) s = N_A Q^-1 p, then
-z = Q^-1 (p - N_A^T s).  Q^-1 is formed once per form, so a step solves an
-|A|-square system only.  The active normals stay independent (a row enters
-only when p.z != 0), so the system has one solution.  The step is the
-smaller of the full step gap / p.z, which makes p active, and the least
-ratio lam_t / s_t over s_t > 0, which drops row t.  As p.z = z^T Q z, a
-zero z leaves only the drop; with neither step the polyhedron is empty.
+1983): start from the unconstrained minimum 0 and bring in a violated row
+p.  The method leaves the choice open; as in Goldfarb and Idnani's own
+implementation, p is the most violated row: the one with the largest
+v^2 / (n^T Q^-1 n) for v = b - n . a, which is proportional to the squared
+distance, in the form's metric, from the iterate to the row's hyperplane;
+ties go to the lowest index.  Each step finds the direction z and the
+multiplier change s of the working system Q z + N_A^T s = p, N_A z = 0
+through its Schur complement in the active normals:
+(N_A Q^-1 N_A^T) s = N_A Q^-1 p, then z = Q^-1 (p - N_A^T s).  Q^-1 is
+formed once per form, so a step solves an |A|-square system only.  The
+active normals stay independent (a row enters only when p.z != 0), so the
+system has one solution.  The step is the smaller of the full step
+gap / p.z, which makes p active, and the least ratio lam_t / s_t over
+s_t > 0, which drops row t.  As p.z = z^T Q z, a zero z leaves only the
+drop; with neither step the polyhedron is empty.
 
 The iteration is fraction-free.  Each row (normal, bound) is scaled to ints
 by linalg.integral once per polyhedron, Q = 2 G to an integer Hessian H
@@ -28,8 +33,12 @@ iterate and the multipliers share one positive denominator, a = X / D and
 lam = L / D, with X and L integer vectors: row k is violated when
 N_k . X < b_k D, each step gives z and s as ints over one denominator,
 steps are compared by cross-multiplying, and after each step X, L, the
-entering multiplier and D are divided by their gcd.  Only the result is read back as Fraction, and
-its certificate is re-verified, on the same integer rows, before returning.
+entering multiplier and D are divided by their gcd.  The entering rule
+compares v_i^2 q_j > v_j^2 q_i for v = b D - N . X and q = N K N on the
+integral rows; a row's scale c multiplies its v by c and its q by c^2, and
+D multiplies every v alike, so the choice is again the one over Fraction.
+Only the result is read back as Fraction, and its certificate is
+re-verified, on the same integer rows, before returning.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -144,6 +153,31 @@ def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> Non
         raise AssertionError("norm mismatch")
 
 
+def _most_violated(rows, x, d, kinv, q) -> int | None:
+    """The violated integral row k with the largest v_k^2 / q_k, where
+    v_k = b_k D - N_k . X and q_k = N_k K N_k; the lowest index on ties, None
+    when no row is violated.
+
+    Rows are compared by cross-multiplying, v_i^2 q_j > v_j^2 q_i, so a
+    violated zero normal (q = 0) outranks every nonzero one and ends the
+    iteration at the empty exit.  q is filled in lazily: a row's q is formed
+    only once a second violated row competes with it."""
+    best = None
+    for k, (ints, _) in enumerate(rows):
+        v = ints[-1] * d - _dot(ints, x)
+        if v <= 0:
+            continue
+        if best is not None:
+            for t in (best, k):
+                if t not in q:
+                    kt = rows[t][0]
+                    q[t] = _dot(kt, [_dot(row, kt) for row in kinv])
+            if v * v * q[best] <= vb * vb * q[k]:
+                continue
+        best, vb = k, v
+    return best
+
+
 def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     """The unique point of least squared norm in a nonempty polyhedron."""
     n = poly.rank
@@ -154,7 +188,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
         raise ValueError("empty polyhedron")
     # Rows are read as given: a duplicate of an active row or a zero row with
     # bound <= 0 is never violated; a zero row with bound > 0 is never
-    # satisfied and ends in the empty exit.
+    # satisfied, enters first and ends in the empty exit.
     rows = poly.integral_rows
     _, h = form.integral_gram
     # K / kden = H^-1 for the Hessian H = 2 G over h
@@ -164,12 +198,11 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     active: list[int] = []  # row indices into poly.rows
     lam: list[int] = []  # multipliers lam / d of the integral rows and H
     kn: list[list[int]] = []  # K N_t for each active row t
+    q: dict[int, int] = {}  # N_k K N_k, formed when row k first competes
     entering = None
     for _ in range(10000):
         if entering is None:
-            entering = next(
-                (k for k, (ints, _) in enumerate(rows) if _dot(ints, x) < ints[-1] * d), None
-            )
+            entering = _most_violated(rows, x, d, kinv, q)
             if entering is None:
                 break
             u = 0  # its multiplier u / d

@@ -33,6 +33,8 @@ from .arrangement import (
     Hyperplane,
     Region,
     RegionSubspace,
+    _chamber_rows,
+    _sign_row,
     chamber_hyperplanes,
     enumerate_regions,
     region_weights,
@@ -52,6 +54,7 @@ from .liecore import (
 from .minnorm import (
     MinNormResult,
     Polyhedron,
+    _contains,
     combine_union_minima,
     min_norm_point,
 )
@@ -252,6 +255,10 @@ class OrbitModel(Module, ABC):
     @abstractmethod
     def descriptor(self, orbit) -> str: ...
 
+    def caption(self, orbit) -> str:
+        """The orbit's marker caption in a figure: its descriptor."""
+        return self.descriptor(orbit)
+
     @abstractmethod
     def parse_orbit(self, text: str):
         """The orbit that a command-line name such as '2,2' or 'O5' gives;
@@ -373,6 +380,10 @@ class Example2x3Model(OrbitModel):
         }
         return names[self.check_orbit(orbit)]
 
+    def caption(self, orbit) -> str:
+        """An O-label or 0 is its own caption."""
+        return self.check_orbit(orbit)
+
     def parse_orbit(self, text: str) -> str:
         """An O-label or 0, in any case, underscores ignored; 'zero' is 0."""
         name = text.strip().upper().replace("_", "")
@@ -488,6 +499,14 @@ class RegionAnalysis:
         )
 
     @cached_property
+    def _strata_regions(self) -> dict[object, list[int]]:
+        """The region ids of each distinct generic stratum."""
+        out: dict[object, list[int]] = {}
+        for rid, stratum in self.strata.items():
+            out.setdefault(stratum, []).append(rid)
+        return out
+
+    @cached_property
     def _sign_strings(self) -> frozenset[str]:
         return frozenset(r.signs for r in self.regions)
 
@@ -507,6 +526,19 @@ class RegionAnalysis:
             if signs[:k] + flip[sign] + signs[k + 1 :] in self._sign_strings
         ]
 
+    @cached_property
+    def _integral_rows(self) -> tuple[list, list[dict[str, tuple[list[int], int]]]]:
+        """linalg.integral's (ints, c) of the chamber rows, and of the '+'
+        and '-' sign rows of each hyperplane: the rows of every region's
+        closure_ineqs, each integralized once per analysis."""
+
+        def ints(row):
+            return linalg.integral((*row[0], row[1]))
+
+        chamber = [ints(row) for row in _chamber_rows(self.model.root_system)]
+        signed = [{sign: ints(_sign_row(hp, sign)) for sign in "+-"} for hp in self.hyperplanes]
+        return chamber, signed
+
     def region_minimum(self, region_id: int) -> MinNormResult:
         """The minimizer over a region's closure, with its certificate
         (active_set indexes closure_ineqs)."""
@@ -516,13 +548,22 @@ class RegionAnalysis:
             if not (0 <= k < len(self.regions) and self.regions[k].id == region_id):
                 raise ValueError(f"no region with id {region_id}")
             region = self.regions[k]
-            rank = self.model.root_system.rank
+            chamber, signed = self._integral_rows
+            table = chamber + [signed[j][sign] for j, sign in enumerate(region.signs)]
             walls = self._walls(region)
-            rows = [region.closure_ineqs[w] for w in walls]
-            res = min_norm_point(Polyhedron.from_rows(rows, rank), self.form)
-            # The walls cut out a superset of the closure, so their minimizer
-            # is the closure's exactly when it lies in the closure.
-            if not Polyhedron.from_region(region, rank).contains(res.point):
+            poly = Polyhedron.from_rows(
+                [region.closure_ineqs[w] for w in walls], self.model.root_system.rank
+            )
+            # seed the cached integral rows from the analysis's table
+            vars(poly)["integral_rows"] = [table[w] for w in walls]
+            res = min_norm_point(poly, self.form)
+            # The walls cut out a superset of the closure, and verify_kkt
+            # inside min_norm_point has certified the minimizer on them; it is
+            # the closure's minimizer exactly when it also satisfies the
+            # closure rows that are not walls.
+            kept = set(walls)
+            x, d = linalg.integral(res.point)
+            if not _contains([row for w, row in enumerate(table) if w not in kept], x, d):
                 raise AssertionError(
                     f"the minimizer over the walls of region {region_id} leaves its closure"
                 )
@@ -540,11 +581,11 @@ def m_sets(analysis: RegionAnalysis, orbit) -> tuple[frozenset[int], frozenset[i
     model.check_orbit(orbit)
     meets = set()
     dense = set()
-    for rid, stratum in analysis.strata.items():
+    for stratum, rids in analysis._strata_regions.items():
         if model.closure_leq(orbit, stratum):
-            meets.add(rid)
+            meets.update(rids)
         if stratum == orbit:
-            dense.add(rid)
+            dense.update(rids)
     if not dense <= meets:
         raise AssertionError("a dense region does not meet the orbit")
     return frozenset(meets), frozenset(dense)

@@ -155,22 +155,66 @@ def test_dual_iteration_reports_an_empty_polyhedron(rows, rank, monkeypatch):
         mn.min_norm_point(poly, form)
 
 
-def test_blocking_row_is_dropped():
-    # row 0 is the first row violated at the origin, so it enters first;
-    # row 1 then blocks it with z != 0, and the solution drops it
-    poly = mn.Polyhedron.from_rows([((1, 0), 1), ((1, 2), 10)], 2)
-    res = mn.min_norm_point(poly, _diag_form())
-    assert res.point == (2, 4)
-    assert res.active_set == (1,)
+def _count_steps(monkeypatch):
+    """A list that grows by one for each active-set step: each step solves
+    one Schur system."""
+    steps, solve = [], linalg.solve_integral
+    monkeypatch.setattr(linalg, "solve_integral", lambda a, b: steps.append(len(a)) or solve(a, b))
+    return steps
 
 
-def test_dependent_entering_row_drops_the_active_one():
-    # row 1 = 2 * row 0 with a larger bound: its step direction z is 0, so
-    # the only step drops row 0, and row 1 enters alone
-    poly = mn.Polyhedron.from_rows([((1, 0), 1), ((2, 0), 3)], 2)
+def test_blocking_row_is_dropped(monkeypatch):
+    # at (0, 3, 0), after row 0, row 2 is the most violated row (v^2 / |n|^2
+    # is 81 / 9 against 25 / 5 for row 1) and enters; row 1 then blocks it
+    # with z != 0, and the solution drops it: four steps, one of them a drop
+    form = lc.invariant_form(lc.build_root_system([("A", 1)] * 3))
+    poly = mn.Polyhedron.from_rows([((0, 1, 0), 3), ((1, -2, 0), -1), ((2, -2, -1), 3)], 3)
+    steps = _count_steps(monkeypatch)
+    res = mn.min_norm_point(poly, form)
+    assert res.point == (5, 3, 0)
+    assert res.active_set == (0, 1)
+    assert steps == [0, 1, 2, 1]
+
+
+def test_dependent_entering_row_drops_the_active_one(monkeypatch):
+    # rows 1 and 2 are active at (11/2, 1/2) when row 0 enters; its normal
+    # lies in their span, so its step direction z is 0, the only step drops
+    # row 2, and row 0 enters with row 1
+    poly = mn.Polyhedron.from_rows([((-1, -2), -2), ((1, 1), 6), ((1, -1), 5)], 2)
+    steps = _count_steps(monkeypatch)
     res = mn.min_norm_point(poly, _diag_form())
-    assert res.point == (Q(3, 2), 0)
-    assert res.active_set == (1,)
+    assert res.point == (10, -4)
+    assert res.active_set == (1, 0)
+    assert steps == [0, 1, 2, 1]
+
+
+def test_scaling_a_row_leaves_the_entering_choice_unchanged():
+    # at the origin row 1 is the most violated, v^2 / |n|^2 = 4 against 1;
+    # row 0 scaled by 5 has the larger raw gap, 5 against 2, and still
+    # enters second, after row 1 and in the same place in the certificate
+    form = _diag_form()
+    kinv, _ = form.integral_inverse_hessian
+    for c in (1, 5, Q(1, 3)):
+        poly = mn.Polyhedron.from_rows([((c, 0), c), ((0, 1), 2)], 2)
+        assert mn._most_violated(poly.integral_rows, [0, 0], 1, kinv, {}) == 1
+        res = mn.min_norm_point(poly, form)
+        assert (res.point, res.active_set) == ((1, 2), (1, 0))
+        assert res.multipliers == (8, Q(4) / c)
+
+
+def test_a_zero_normal_row_enters_first(monkeypatch):
+    # a violated zero normal outranks every violated row, v^2 / 0; of two,
+    # the lower index enters, and its step is the empty exit at once
+    form = _diag_form()
+    poly = mn.Polyhedron.from_rows([((1, 0), 5), ((0, 0), 1), ((0, 1), 9), ((0, 0), 2)], 2)
+    kinv, _ = form.integral_inverse_hessian
+    assert mn._most_violated(poly.integral_rows, [0, 0], 1, kinv, {}) == 1
+    monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="empty polyhedron"):
+        mn.min_norm_point(poly, form)
+    assert steps == [0]
+    assert _outcome(_fraction_reference, poly, form) == (ValueError, "empty polyhedron")
 
 
 def _random_spd_form(rng, n):
@@ -346,27 +390,36 @@ def _enumeration_reference(poly, form, max_size=None, independent_only=True):
 def _fraction_reference(poly, form):
     """The dual active-set iteration that min_norm_point runs on integer
     rows, step for step over Fraction: the same precheck, entering rule,
-    step rule and empty exit."""
+    step rule and empty exit.  The entering row is the violated one with
+    the largest v^2 / (n^T Q^-1 n), v = b - n . x, for the Hessian Q = 2 G;
+    a violated zero normal ranks above every other, and ties go to the
+    lowest index."""
     n = poly.rank
     if poly.is_empty():
         raise ValueError("empty polyhedron")
     rows = poly.rows
     q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
+    qinv = linalg.inverse(q)
 
     def dot(normal, vec):
         return sum((v * xi for v, xi in zip(normal, vec)), Q(0))
+
+    def rank_key(k):
+        normal, bound = rows[k]
+        nqn = dot(normal, [dot(row, normal) for row in qinv])
+        v = bound - dot(normal, x)
+        return (True, Q(0)) if nqn == 0 else (False, v * v / nqn)
 
     x = [Q(0)] * n
     active, lam = [], []
     entering = None
     for _ in range(10000):
         if entering is None:
-            entering = next(
-                (k for k, (normal, bound) in enumerate(rows) if dot(normal, x) < bound),
-                None,
-            )
-            if entering is None:
+            violated = [k for k, (normal, bound) in enumerate(rows) if dot(normal, x) < bound]
+            if not violated:
                 break
+            # max keeps the first of equal keys: the lowest index
+            entering = max(violated, key=rank_key)
             u = Q(0)
         p_normal, p_bound = rows[entering]
         normals = [rows[k][0] for k in active]

@@ -5,11 +5,12 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from orbitchar import jsonio, linalg, orbits, ratlp, verify
+from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.liecore import (
     build_root_system,
     highest_short_root,
@@ -594,6 +595,59 @@ def test_a_dropped_wall_is_caught(sl4_analysis, monkeypatch):
         fresh.region_minimum(region.id)
 
 
+def test_region_minima_integralize_each_closure_row_once(monkeypatch):
+    # the chamber rows and both sign rows of each hyperplane go to ints once
+    # per analysis, shared by every region's walls and closure check (the
+    # precheck LP integralizes its own rows inside ratlp)
+    analysis = RegionAnalysis.build(AdjointSlModel(4))
+    integral, lengths = linalg.integral, []
+    monkeypatch.setattr(linalg, "integral", lambda v: lengths.append(len(v)) or integral(v))
+    for region in analysis.regions:
+        analysis.region_minimum(region.id)
+    # rank 3: only a row (normal, bound) has four entries
+    assert lengths.count(4) == 3 + 2 * len(analysis.hyperplanes)
+
+
+def _first_violated(rows, x, d, kinv, q):
+    """The earlier entering rule of min_norm_point: the first violated row."""
+    return next(
+        (k for k, (ints, _) in enumerate(rows) if sum(map(int.__mul__, ints, x)) < ints[-1] * d),
+        None,
+    )
+
+
+def _little_g2():
+    rs = build_root_system([("G", 2)])
+    return Module(rs, (highest_short_root(rs),))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*(partial(AdjointSlModel, n) for n in (4, 5, 6)), Example2x3Model, _little_g2],
+    ids=["sl4", "sl5", "sl6", "example-2x3", "G2-little"],
+)
+def test_most_violated_entry_keeps_the_first_violated_minima_in_no_more_steps(model, monkeypatch):
+    # the same dual iteration with the first violated row entering, as it
+    # did before: the minimizer is unique, so points and norms agree on
+    # every region, and the most violated row takes no more steps in total
+    minima, steps = {}, {}
+    solve = linalg.solve_integral
+    for rule in ("most", "first"):
+        with monkeypatch.context() as patch:
+            count = []
+            patch.setattr(linalg, "solve_integral", lambda a, b: count.append(1) or solve(a, b))
+            if rule == "first":
+                patch.setattr(minnorm, "_most_violated", _first_violated)
+            analysis = RegionAnalysis.build(model())
+            minima[rule] = [
+                (res.point, res.norm_sq)
+                for res in map(analysis.region_minimum, (r.id for r in analysis.regions))
+            ]
+            steps[rule] = len(count)
+    assert minima["most"] == minima["first"]
+    assert 0 < steps["most"] <= steps["first"]
+
+
 def test_characteristic_rejects_bad_input(example_analysis):
     with pytest.raises(ValueError):
         characteristic(example_analysis, "O9")
@@ -709,8 +763,7 @@ def test_union_minimum_never_below_member_minima(example_analysis):
 
 @pytest.fixture(scope="module")
 def g2_little_analysis():
-    rs = build_root_system([("G", 2)])
-    return RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
+    return RegionAnalysis.build(_little_g2())
 
 
 def test_module_analysis_matches_recorded_regions(g2_little_analysis):
