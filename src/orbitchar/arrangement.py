@@ -15,6 +15,7 @@ the weights above the level across it, is read off its '+' signs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,17 +63,19 @@ def chamber_hyperplanes(ws: WeightSystem, level=Q(2)) -> list[Hyperplane]:
     """Hyperplanes of module weights that meet the open dominant chamber.
 
     A weight meets the open chamber at positive values exactly when its
-    simple-root coordinate vector has at least one positive entry.
+    simple-root coordinate vector has at least one positive entry.  Entry i
+    is 2 (g_i . mu) / (d l_i) for the form matrix (G, d) and root lengths l,
+    so its sign is that of the integer g_i . mu.
     """
     level = Q(level)
     if level <= 0:
         raise ValueError("level must be positive")
-    rs = ws.root_system
-    keep = []
-    for mu in sorted(ws.entries):
-        if any(c > 0 for c in rs.root_coords(mu)):
-            keep.append(Hyperplane(weight=mu, level=level))
-    return keep
+    form, _ = ws.root_system._form_matrix
+    return [
+        Hyperplane(weight=mu, level=level)
+        for mu in sorted(ws.entries)
+        if any(sum(map(operator.mul, g, mu)) > 0 for g in form)
+    ]
 
 
 def _chamber_rows(rs: RootSystem) -> list[IneqRow]:
@@ -92,11 +95,13 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     system still has an interior point, certified by exact linear
     programming; complete sign vectors yield cells together with witnesses.
 
-    The root is solved cold, from the artificial basis; every candidate
-    below it warm: phase 1 starts from its parent's optimal dictionary with
-    the one new sign row added, and a sign row that holds at the parent's
-    vertex costs no pivot and one row check.  The two sign rows of each
-    hyperplane are built once, and integralized once in the root's table.
+    The root is solved cold, from the artificial basis; every node below
+    it is split by `ratlp.split` into its two children, whose phase 1
+    starts from the node's optimal dictionary with the '+' or '-' row of
+    the next hyperplane added: one read of the node, one substitution and
+    one table lookup per node.  A sign row that holds at the parent's vertex
+    costs no pivot and one row check.  Each '+' row is built once here, and
+    each '-' row once in the root's table, so regions share row objects.
     A complete sign vector keeps the point of its own warm LP as its
     witness, the vertex that phase 1 reaches from the parent's dictionary;
     the depth-first order and Bland's rule fix it.
@@ -105,7 +110,7 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     prefix, grows with the number of regions (adjoint E7, 63 hyperplanes
     and 4,160 regions: about 5 s on a 2-core Xeon VM under CPython 3.11).
     """
-    signed = [(_sign_row(hp, "+"), _sign_row(hp, "-")) for hp in hyperplanes]
+    above = [_sign_row(hp, "+") for hp in hyperplanes]
     base = _chamber_rows(rs)
     root = ratlp.cold_start(base, rs.rank)
     start = ratlp.strict_interior(base, rs.rank, root)
@@ -118,11 +123,10 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     stack = [("", root, start)]
     while stack:
         signs, dic, witness = stack.pop()
-        if len(signs) == len(signed):
+        if len(signs) == len(above):
             found.append((signs, witness, tuple(dic.rows)))
             continue
-        for sign, row in zip("+-", signed[len(signs)]):
-            child = ratlp.warm_start(dic, row)
+        for sign, child in zip("+-", ratlp.split(dic, above[len(signs)])):
             w = ratlp.strict_interior(child.rows, rs.rank, child)
             if w is not None:
                 stack.append((signs + sign, child, w))

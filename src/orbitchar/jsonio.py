@@ -6,8 +6,10 @@ are integers.
 Documents are dumped deterministically (sorted keys, fixed indentation), so
 identical inputs produce byte-identical files: the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)` and a newline, from a writer
-that takes only the values the package writes.  The package writes these
-documents and does not read them back.
+that takes only the values the package writes.  Regions share their
+closure rows, and their documents share one sub-document per distinct row
+and per weight, which the writer renders once per nesting depth.  The
+package writes these documents and does not read them back.
 
 Document shapes:
 
@@ -43,25 +45,29 @@ def dump_doc(doc) -> str:
     """Deterministic JSON text for a document (byte-identical per input):
     `json.dumps(doc, indent=2, sort_keys=True)` and a newline, for dicts
     with str keys, lists, tuples, str and int.  Any other value, bool and
-    None included, raises TypeError."""
-    return _text(doc, "\n") + "\n"
+    None included, raises TypeError.  A shared object is rendered once per depth."""
+    return _text(doc, "\n", {}) + "\n"
 
 
-def _text(value, newline: str) -> str:
+def _text(value, newline: str, seen: dict) -> str:
     """The JSON text of value, nested at the indentation that follows
-    newline.  A key that is not a str fails in `_quote` with TypeError."""
+    newline; seen holds the text of each dict, list or tuple by (id, newline).
+    A key that is not a str fails in `_quote` with TypeError."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         return repr(value)
+    key = (id(value), newline)
+    if key in seen:
+        return seen[key]
     inner = newline + "  "
     if kind is dict:
         if not value:
             return "{}"
-        parts = [_quote(key) + ": " + _text(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if kind is list or kind is tuple:
+        parts = [_quote(k) + ": " + _text(value[k], inner, seen) for k in sorted(value)]
+        text = "{" + inner + ("," + inner).join(parts) + newline + "}"
+    elif kind is list or kind is tuple:
         if not value:
             return "[]"
         kinds = set(map(type, value))
@@ -70,9 +76,12 @@ def _text(value, newline: str) -> str:
         elif kinds == {str}:
             parts = map(_quote, value)
         else:
-            parts = [_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    raise TypeError(f"cannot write a {kind.__name__} as JSON")
+            parts = [_text(item, inner, seen) for item in value]
+        text = "[" + inner + ("," + inner).join(parts) + newline + "]"
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+    seen[key] = text
+    return text
 
 
 def root_system_doc(rs: RootSystem) -> dict:
@@ -83,7 +92,11 @@ def root_system_doc(rs: RootSystem) -> dict:
 
 
 def regions_doc(analysis: RegionAnalysis) -> dict:
-    """Arrangement document: hyperplanes and regions with their subspaces."""
+    """Arrangement document: hyperplanes and regions with their subspaces;
+    one dict per closure-row object and one list per hyperplane weight."""
+    distinct = {id(row): row for r in analysis.regions for row in r.closure_ineqs}
+    rows = {key: {"normal": list(map(int, n)), "bound": rat(b)} for key, (n, b) in distinct.items()}
+    weights = {h.weight: list(h.weight) for h in analysis.hyperplanes}
     region_rows = []
     for r in analysis.regions:
         sub = analysis.subspaces[r.id]
@@ -92,11 +105,8 @@ def regions_doc(analysis: RegionAnalysis) -> dict:
                 "id": r.id,
                 "signs": r.signs,
                 "witness": rat_vec(r.witness),
-                "closure_ineqs": [
-                    {"normal": list(map(int, normal)), "bound": rat(bound)}
-                    for normal, bound in r.closure_ineqs
-                ],
-                "i_r": [list(w) for w in sorted(sub.i_r)],
+                "closure_ineqs": [rows[id(row)] for row in r.closure_ineqs],
+                "i_r": [weights[w] for w in sorted(sub.i_r)],
                 "dim": sub.dimension,
             }
         )

@@ -42,6 +42,9 @@ to a dictionary of other rows, as a constraint is added to an optimal
 dictionary (Chvatal 1983): each new row is taken at the nonbasic columns,
 with every basic x+-_j substituted by its row, and enters by the rule above
 at the dictionary's point; the artificial indices shift by one per row.
+`split` adds a row, and apart its opposite (-normal, -bound), on one read
+of the parent and one substitution, the opposite's being the row's with
+its slot entries negated and its rhs reflected.
 Either way the result is a dictionary of the phase-1 problem of all the
 rows, in the order they were added, with every basic value >= 0, so phase 1
 runs from it unchanged.  A row that holds at an optimal parent's vertex
@@ -56,10 +59,11 @@ the surplus columns are >= 0 and at the free x pairs 0, which is what makes
 them a Farkas vector; and both certificates are checked against the rows
 of the dictionary itself.
 
-A cold start holds a table of homogenized integral rows that every warm
-start below it shares: `warm_start` integralizes a row the first time the
-table meets it, so in region enumeration each of the 2 H sign rows of H
-hyperplanes is integralized once per enumeration.
+A cold start holds a table that every start below it shares: the first
+time a row is asked for, it stores the row's homogenized integral row, its
+opposite and the opposite's.  So region enumeration, which splits each node
+on a hyperplane's '+' row, integralizes each hyperplane once, makes one
+lookup per node, and holds one object per '-' row.
 
 `closed_feasible` asks this of the rows themselves, `strict_interior` of
 their homogenization: N x > b has a point exactly when N y - b s >= 1,
@@ -166,8 +170,8 @@ class Dictionary:
     it holds, for `strict_interior` to match against its own.  `point` is
     the (X, D) that `_phase1` last certified here or in the dictionary this
     one was built from, checked against the first `checked` of `irows`;
-    `table` maps a (normal, bound) row to its homogenized integral row, one
-    table per cold start."""
+    `table` maps a (normal, bound) row to its `_table_entry`, one table per
+    cold start."""
 
     irows: list
     tab: list
@@ -180,21 +184,19 @@ class Dictionary:
     table: dict = field(default_factory=dict)
 
 
-def _add_rows(dic, irows):
-    """A new dictionary: dic's rows and then irows.  A new row is taken at
-    dic's nonbasic columns, with every x+-_j basic in dic substituted by
-    its row.  If dic's point satisfies it (rhs <= 0), it is stored negated
-    with its surplus basic; otherwise its artificial is basic and priced
-    into the objective.  The artificial indices of dic shift by
-    len(irows).  The new dictionary shares dic's table and keeps dic's
-    certified point and count: dic's rows are its first rows."""
-    n, m, k = len(dic.slots), len(dic.tab), len(irows)
-    basis = [b + k if b >= 2 * n + m else b for b in dic.basis]
+def _frame(dic):
+    """dic's basic x-rows and their lcm, for `_substitute`."""
+    n = len(dic.slots)
     xrows = [(row, b) for row, b in zip(dic.tab, dic.basis) if b < 2 * n]
-    lcm = math.lcm(*[row[n] for row, _ in xrows])
-    tab, obj = list(dic.tab), dic.obj
-    for i, (ints, scale) in enumerate(irows):
-        row = [lcm * ints[j] if j < n else 0 for j in dic.slots] + [lcm * scale, lcm * ints[-1]]
+    return xrows, math.lcm(*[row[n] for row, _ in xrows])
+
+
+def _substitute(irows, slots, xrows, lcm):
+    """Each integral row at the nonbasic columns slots, with every basic
+    x+-_j substituted by its row of xrows, times lcm: slot entries, d, rhs."""
+    n, subs = len(slots), []
+    for ints, scale in irows:
+        row = [lcm * ints[j] if j < n else 0 for j in slots] + [lcm * scale, lcm * ints[-1]]
         for other, b in xrows:
             # x_j = +-(rhs - other . slots) / d with d = other[n]
             f = ints[b % n] * (lcm // other[n]) * (1 if b < n else -1)
@@ -202,6 +204,24 @@ def _add_rows(dic, irows):
                 for c in range(n):
                     row[c] -= f * other[c]
                 row[-1] -= f * other[-1]
+        subs.append(row)
+    return subs
+
+
+def _add_rows(dic, irows, frame=None, subs=None):
+    """A new dictionary: dic's rows and then irows, taken at dic's nonbasic
+    columns by `_substitute` on dic's `_frame`, or given as subs on frame.
+    If dic's point satisfies a new row (rhs <= 0), it is stored negated with
+    its surplus basic; otherwise its artificial is basic and priced into the
+    objective.  The new dictionary shares dic's table and keeps dic's
+    certified point and count: dic's rows are its first rows."""
+    n, m, k = len(dic.slots), len(dic.tab), len(irows)
+    xrows, lcm = frame or _frame(dic)
+    if subs is None:
+        subs = _substitute(irows, dic.slots, xrows, lcm)
+    basis = [b + k if b >= 2 * n + m else b for b in dic.basis]
+    tab, obj = list(dic.tab), dic.obj
+    for i, row in enumerate(subs):
         if xrows:
             g = math.gcd(*row)
             row = [v // g for v in row]
@@ -320,27 +340,51 @@ def cold_start(rows, nvars) -> Dictionary:
     return dic
 
 
+def _table_entry(parent, row):
+    """row's entry in parent's table, made the first time it is asked for:
+    its homogenized integral row, its opposite (-normal, -bound) and the
+    opposite's homogenized integral row."""
+    entry = parent.table.get(row)
+    if entry is None:
+        (*ints, c), scale = irow = _homogenized([row], len(parent.slots) - 1)[0]
+        opposite = (tuple(map(operator.neg, row[0])), -row[1])
+        entry = parent.table[row] = (irow, opposite, ([-v for v in ints] + [c], scale))
+    return entry
+
+
 def warm_start(parent, row) -> Dictionary:
     """The start for parent's rows and then row: parent, a start of
-    `cold_start` or `warm_start` (in region enumeration one that
+    `cold_start`, `warm_start` or `split` (in region enumeration one that
     `strict_interior` ran to a zero residual), with the homogenized row
-    added.  The homogenized row comes from parent's table, which
-    integralizes it the first time it is asked for."""
-    irow = parent.table.get(row)
-    if irow is None:
-        irow = parent.table[row] = _homogenized([row], len(parent.slots) - 1)[0]
-    dic = _add_rows(parent, [irow])
+    added.  The homogenized row comes from parent's table."""
+    dic = _add_rows(parent, [_table_entry(parent, row)[0]])
     dic.rows = parent.rows + [row]
     return dic
+
+
+def split(parent, row):
+    """`warm_start(parent, row)` and `warm_start(parent, opposite)` for the
+    opposite (-normal, -bound) from parent's table, on one `_frame`: the
+    opposite's substituted row is row's with the slot entries negated, the
+    same d and rhs 2 lcm c minus row's (both have the bound entry c)."""
+    irow, opposite, orow = _table_entry(parent, row)
+    frame = xrows, lcm = _frame(parent)
+    n = len(parent.slots)
+    (sub,) = _substitute([irow], parent.slots, xrows, lcm)
+    neg = [-v for v in sub[:n]] + [sub[n], 2 * lcm * irow[1] - sub[-1]]
+    above, below = _add_rows(parent, [irow], frame, [sub]), _add_rows(parent, [orow], frame, [neg])
+    above.rows, below.rows = parent.rows + [row], parent.rows + [opposite]
+    return above, below
 
 
 def strict_interior(rows, nvars, start=None):
     """A point satisfying every row strictly, or None: phase 1 on the
     homogenized rows c (normal, -bound | 1) and s >= 1, for each row's
     integral scale c, read back as x = y / s.  Phase 1 runs from `start` in
-    place if given (from `cold_start` or `warm_start` of these rows, else
-    ValueError), from `cold_start(rows, nvars)` otherwise.  Either answer is
-    checked by its certificate, and AssertionError raised if it fails."""
+    place if given (from `cold_start`, `warm_start` or `split` of these
+    rows, else ValueError), from `cold_start(rows, nvars)` otherwise.
+    Either answer is checked by its certificate, and AssertionError raised
+    if it fails."""
     if start is None:
         start = cold_start(rows, nvars)
     elif start.rows != list(rows) or len(start.slots) != nvars + 1:

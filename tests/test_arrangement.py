@@ -11,6 +11,7 @@ import pytest
 from orbitchar import arrangement as arr
 from orbitchar import liecore as lc
 from orbitchar import ratlp
+from orbitchar.verify import _WEIGHT_POOL
 
 
 def _example_ws():
@@ -483,6 +484,39 @@ def test_region_supports_saturated(factors, module):
     for r in regions:
         sub = arr.region_weights(ws, hps, r)
         assert arr.is_saturated(ws, sub.i_r)
+
+
+# the types of tests/test_liecore.py
+_TYPES = _WEIGHT_POOL + [
+    [(s, r)]
+    for s, r in [("A", 5), ("B", 4), ("C", 4), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+] + [[("A", 2), ("B", 2)], [("B", 2), ("G", 2)], [("G", 2), ("A", 3), ("C", 2)]]
+
+
+def _hyperplane_modules():
+    """Adjoint modules of every type, little-adjoint ones of the simple
+    types with two root lengths, the rho module of every type up to rank 3,
+    and example-2x3."""
+    for factors in _TYPES:
+        rs = lc.build_root_system(factors)
+        yield str(factors), lc.weight_system(rs, list(lc.highest_roots(rs)))
+        if len(factors) == 1 and factors[0][0] in "BCFG":
+            yield f"little {factors}", lc.weight_system(rs, [lc.highest_short_root(rs)])
+        if rs.rank <= 3:
+            yield f"rho {factors}", lc.weight_system(rs, [(1,) * rs.rank])
+    yield "example-2x3", _example_ws()
+
+
+@pytest.mark.parametrize("level", [Q(2), Q(3, 2)], ids=str)
+def test_hyperplanes_keep_the_simple_root_coordinate_rule(level):
+    # the integer sign test picks the weights with a positive simple-root
+    # coordinate, in sorted order
+    for name, ws in _hyperplane_modules():
+        rs = ws.root_system
+        want = [mu for mu in sorted(ws.entries) if any(c > 0 for c in rs.root_coords(mu))]
+        hps = arr.chamber_hyperplanes(ws, level)
+        assert [h.weight for h in hps] == want, name
+        assert all(h.level == level for h in hps)
 
 
 def test_little_adjoint_hyperplanes_are_positive_short_roots():

@@ -19,6 +19,11 @@ CASES = [
     (["regions", "--type", "A3", "--level", "3/2"], "regions_A3_level3-2.json", None),
     (["regions", "--type", "B3"], "regions_B3.json", None),
     (
+        ["regions", "--type", "F4", "--module", "little-adjoint"],
+        "regions_F4_little-adjoint.json",
+        None,
+    ),
+    (
         ["regions", "--type", "G2", "--module", "little-adjoint"],
         "regions_G2_little-adjoint.json",
         "regions_G2_little-adjoint.svg",

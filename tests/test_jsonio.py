@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from orbitchar import jsonio
-from orbitchar.liecore import build_root_system, highest_roots
+from orbitchar.liecore import build_root_system, highest_roots, highest_short_root
 from orbitchar.orbits import (
     AdjointSlModel,
     Example2x3Model,
@@ -109,6 +109,31 @@ def test_dump_matches_json_on_the_f4_regions_document():
     rs = build_root_system([("F", 4)])
     doc = jsonio.regions_doc(RegionAnalysis.build(Module(rs, highest_roots(rs))))
     assert len(doc["regions"]) == 105
+    assert jsonio.dump_doc(doc) == _reference(doc)
+
+
+def test_dump_matches_json_on_shared_objects():
+    # one dict and one list object, each several times at one depth and
+    # again at a deeper one
+    row = {"normal": [1, -2, 0], "bound": "3/2"}
+    weight = [2, -1, 0]
+    doc = {
+        "rows": [row, row, weight, row, weight],
+        "deeper": [{"row": row, "again": [row, weight, weight]}, [[weight], row]],
+        "weight": weight,
+    }
+    assert jsonio.dump_doc(doc) == _reference(doc)
+
+
+def test_regions_share_the_documents_of_their_shared_rows():
+    rs = build_root_system([("F", 4)])
+    analysis = RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
+    doc = jsonio.regions_doc(analysis)
+    first, second = analysis.regions[:2]
+    shared = [k for k, row in enumerate(first.closure_ineqs) if row is second.closure_ineqs[k]]
+    assert shared
+    for k in shared:
+        assert doc["regions"][0]["closure_ineqs"][k] is doc["regions"][1]["closure_ineqs"][k]
     assert jsonio.dump_doc(doc) == _reference(doc)
 
 

@@ -744,3 +744,99 @@ def test_a_warm_start_shares_its_root_table(monkeypatch):
     assert child.irows[-1] == again.irows[-1] == ([2, 2, -1, 2], 2)
     # another root has a table of its own
     assert ratlp.cold_start(_QUADRANT, 2).table is not root.table
+
+
+_FIELDS = ("tab", "basis", "slots", "obj", "irows", "rows", "point", "checked")
+
+
+def test_a_split_builds_both_warm_starts_on_random_rows():
+    # walk down random rows: at each node both children of a split equal
+    # the warm starts of the row and of its opposite, field by field, and
+    # one of them, solved or not, is the next node
+    rng = random.Random(2022)
+    seen = {"point": 0, "no point": 0, "x basic": 0}
+    for _ in range(120):
+        rows, n = _seeded_lp(rng)
+        k = rng.randint(0, len(rows) - 1)
+        node = ratlp.cold_start(rows[:k], n)
+        if rng.random() < 0.7:
+            ratlp.strict_interior(node.rows, n, node)
+        for row in rows[k:]:
+            normal, bound = row
+            opposite = (tuple(-v for v in normal), -bound)
+            pair = ratlp.split(node, row)
+            want = (ratlp.warm_start(node, row), ratlp.warm_start(node, opposite))
+            for got, ref in zip(pair, want):
+                for name in _FIELDS:
+                    assert getattr(got, name) == getattr(ref, name), name
+                assert got.table is node.table
+            seen["no point" if node.point is None else "point"] += 1
+            seen["x basic"] += any(b < 2 * (n + 1) for b in node.basis)
+            node = rng.choice(pair)
+            if rng.random() < 0.7:
+                ratlp.strict_interior(node.rows, n, node)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_the_parent_point_planted_on_a_split_child_it_violates_is_refused(monkeypatch):
+    # x + y > 1 is tight at the root's point (1, 1) in the homogenized
+    # rows, and its opposite x + y < 1 fails there: read the root's point
+    # back as the '-' child's, and its one unchecked row refuses it
+    root = _solved_quadrant()
+    above, below = ratlp.split(root, ((1, 1), 1))
+    assert below.rows[-1] == ((-1, -1), -1)
+    planted = root.point
+    monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: planted)
+    assert ratlp.strict_interior(above.rows, 2, above) == (1, 1)
+    with pytest.raises(AssertionError, match="phase-1 point violates a row"):
+        ratlp.strict_interior(below.rows, 2, below)
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        ([-1, -1, 0, -1], "Farkas multipliers not nonnegative and nonzero"),
+        ([0, 0, 0, 0], "Farkas multipliers not nonnegative and nonzero"),
+        ([1, 0, 0, 1], "Farkas combination of the normals is not zero"),
+    ],
+)
+def test_a_tampered_farkas_vector_on_a_split_child_is_refused(monkeypatch, y, message):
+    # x + y < 0, the '-' child of x + y > 0, has no point in the quadrant
+    root = _solved_quadrant()
+    farkas, read = ratlp._farkas, []
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: read.append(farkas(*args)) or read[-1])
+    below = ratlp.split(root, ((1, 1), 0))[1]
+    assert ratlp.strict_interior(below.rows, 2, below) is None
+    assert read == [[1, 1, 0, 1]]
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
+    with pytest.raises(AssertionError, match=message):
+        ratlp.strict_interior(below.rows, 2, ratlp.split(root, ((1, 1), 0))[1])
+
+
+def test_each_enumeration_node_is_substituted_once(monkeypatch):
+    # adjoint sl4: 53 LPs, the root and both children of 26 nodes; each
+    # node substitutes its '+' row alone, and the root's cold start its 3
+    # chamber rows and s >= 1 in one call
+    calls = {"split": 0, "substitute": 0, "rows": 0, "lp": 0}
+    split, substitute, strict_interior = ratlp.split, ratlp._substitute, ratlp.strict_interior
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return split(*args)
+
+    def counted_substitute(irows, *args):
+        calls["substitute"] += 1
+        calls["rows"] += len(irows)
+        return substitute(irows, *args)
+
+    def counted_lp(*args):
+        calls["lp"] += 1
+        return strict_interior(*args)
+
+    monkeypatch.setattr(ratlp, "split", counted_split)
+    monkeypatch.setattr(ratlp, "_substitute", counted_substitute)
+    monkeypatch.setattr(ratlp, "strict_interior", counted_lp)
+    rs = liecore.build_root_system([("A", 3)])
+    ws = liecore.weight_system(rs, list(liecore.highest_roots(rs)))
+    assert len(arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))) == 14
+    assert calls == {"split": 26, "substitute": 26 + 1, "rows": 26 + 4, "lp": 53}
