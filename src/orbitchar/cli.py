@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,64 +113,49 @@ def parse_weight_list(text: str, rank: int):
     return tuple(weights)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration shared by the subcommands."""
+def _resolve(args):
+    """A request's (model, level, scales), its module resolved once.
 
-    factors: list
-    module: str
-    level: Q
-    scales: tuple | None
-
-
-def _resolve_config(args) -> RunConfig:
-    module = args.module
-    if module == "example-2x3":
-        factors = parse_factors(args.type or "A1xA1", args.rank)
-        if tuple(factors) != Example2x3Model.factors:
-            raise CliError("the example-2x3 module lives on type A1xA1")
+    example-2x3 and the adjoint module of one A_n give their orbit models;
+    every other module is a plain Module.
+    """
+    example = args.module == "example-2x3"
+    factors = parse_factors((args.type or "A1xA1") if example else args.type, args.rank)
+    if example and tuple(factors) != Example2x3Model.factors:
+        raise CliError("the example-2x3 module lives on type A1xA1")
+    level = parse_rational(args.level, "--level")
+    scales = parse_scales(args.scales)
+    if example:
+        return Example2x3Model(), level, scales
+    if args.module == "adjoint" and len(factors) == 1 and factors[0][0] == "A":
+        return AdjointSlModel(factors[0][1] + 1), level, scales
+    rs = build_root_system(factors)
+    if args.module == "adjoint":
+        weights = highest_roots(rs)
+    elif args.module == "little-adjoint":
+        weights = (highest_short_root(rs),)
     else:
-        factors = parse_factors(args.type, args.rank)
-    return RunConfig(
-        factors=factors,
-        module=module,
-        level=parse_rational(args.level, "--level"),
-        scales=parse_scales(args.scales),
-    )
+        weights = parse_weight_list(args.module, rs.rank)
+    return Module(rs, weights), level, scales
 
 
-def _resolve_model(cfg: RunConfig) -> Module:
-    """Orbit model for the configuration, or the plain module when no model applies."""
-    if cfg.module == "example-2x3":
-        return Example2x3Model()
-    if cfg.module == "adjoint" and len(cfg.factors) == 1 and cfg.factors[0][0] == "A":
-        return AdjointSlModel(cfg.factors[0][1] + 1)
-    rs = build_root_system(cfg.factors)
-    if cfg.module == "adjoint":
-        return Module(rs, highest_roots(rs))
-    if cfg.module == "little-adjoint":
-        return Module(rs, (highest_short_root(rs),))
-    return Module(rs, parse_weight_list(cfg.module, rs.rank))
-
-
-def _arrangement_parts(cfg: RunConfig) -> RegionAnalysis:
+def _arrangement_parts(model: Module, level: Q, scales) -> RegionAnalysis:
     # perfbench pins this builder: a plant at cli.enumerate_regions, spans on vars(cli).
-    model = _resolve_model(cfg)
     rs = model.root_system
     ws = weight_system(rs, model.module_spec)
-    form = invariant_form(rs, cfg.scales)
-    hps = chamber_hyperplanes(ws, cfg.level)
+    form = invariant_form(rs, scales)
+    hps = chamber_hyperplanes(ws, level)
     regions = enumerate_regions(rs, hps)
     subs = {r.id: region_weights(ws, hps, r) for r in regions}
     return RegionAnalysis(
-        Module(rs, ws.module_spec), ws, form, cfg.level, hps, regions, subs, strata=None
+        Module(rs, ws.module_spec), ws, form, level, hps, regions, subs, strata=None
     )
 
 
-def _figure(cfg: RunConfig, analysis: RegionAnalysis, marks) -> str:
+def _figure(model: Module, analysis: RegionAnalysis, marks) -> str:
     labels = None
-    if cfg.module == "example-2x3":
-        labels = Example2x3Model.region_labels(analysis.subspaces.values())
+    if isinstance(model, Example2x3Model):
+        labels = model.region_labels(analysis.subspaces.values())
     return svg.render_arrangement(
         analysis.model.root_system,
         analysis.form,
@@ -182,9 +166,9 @@ def _figure(cfg: RunConfig, analysis: RegionAnalysis, marks) -> str:
     )
 
 
-def _require_rank_2(cfg: RunConfig, what: str):
-    """Reject a figure request before any work when the rank is not 2."""
-    if sum(n for _, n in cfg.factors) != 2:
+def _require_rank_2(model: Module, what: str):
+    """Reject a figure request before any arrangement work when the rank is not 2."""
+    if model.root_system.rank != 2:
         raise CliError(f"{what} requires a rank-2 root system")
 
 
@@ -194,31 +178,30 @@ def _write(path: str, text: str, what: str):
 
 
 def cmd_regions(args) -> int:
-    cfg = _resolve_config(args)
+    model, level, scales = _resolve(args)
     if args.svg:
-        _require_rank_2(cfg, "--svg")
-    analysis = _arrangement_parts(cfg)
+        _require_rank_2(model, "--svg")
+    analysis = _arrangement_parts(model, level, scales)
     hps, regions = analysis.hyperplanes, analysis.regions
     doc = jsonio.regions_doc(analysis)
     out = args.out or "regions.json"
     _write(out, jsonio.dump_doc(doc), f"{len(hps)} hyperplanes / {len(regions)} regions")
     if args.svg:
-        _write(args.svg, _figure(cfg, analysis, ()), "arrangement figure")
+        _write(args.svg, _figure(model, analysis, ()), "arrangement figure")
     return EXIT_OK
 
 
 def cmd_characteristic(args) -> int:
-    cfg = _resolve_config(args)
+    model, level, scales = _resolve(args)
     if args.svg:
-        _require_rank_2(cfg, "--svg")
-    model = _resolve_model(cfg)
+        _require_rank_2(model, "--svg")
     if not isinstance(model, OrbitModel):
         raise CliError(
             "no orbit model for this configuration; supported models: "
             "--module adjoint with --type A<n> (sl_{n+1}), or --module example-2x3"
         )
     orbit = model.parse_orbit(args.orbit)
-    analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
+    analysis = RegionAnalysis.build(model, level, scales)
     ch = characteristic(analysis, orbit, mode=args.mode)
     if ch is None:
         print(
@@ -232,16 +215,15 @@ def cmd_characteristic(args) -> int:
     labels = ",".join(str(v) for v in ch.labels)
     _write(out, jsonio.dump_doc(doc), f"characteristic with labels ({labels})")
     if args.svg:
-        marks = [(ch.point, model.descriptor(orbit))]
-        _write(args.svg, _figure(cfg, analysis, marks), "arrangement figure")
+        marks = [(ch.point, model.caption(orbit))]
+        _write(args.svg, _figure(model, analysis, marks), "arrangement figure")
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    cfg = _resolve_config(args)
-    _require_rank_2(cfg, "plot")
-    model = _resolve_model(cfg)
-    analysis = RegionAnalysis.build(model, cfg.level, cfg.scales)
+    model, level, scales = _resolve(args)
+    _require_rank_2(model, "plot")
+    analysis = RegionAnalysis.build(model, level, scales)
     by_point = {}
     if isinstance(model, OrbitModel):
         for orbit in model.orbit_ids():
@@ -253,7 +235,7 @@ def cmd_plot(args) -> int:
             by_point.setdefault(ch.point, []).append(model.caption(orbit))
     marks = [(point, "=".join(names)) for point, names in sorted(by_point.items())]
     what = f"figure with {len(analysis.hyperplanes)} hyperplanes and {len(marks)} markers"
-    _write(args.out or "figure.svg", _figure(cfg, analysis, marks), what)
+    _write(args.out or "figure.svg", _figure(model, analysis, marks), what)
     return EXIT_OK
 
 
@@ -362,17 +344,10 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        return args.func(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, RuntimeError) as e:
+    except (CliError, ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

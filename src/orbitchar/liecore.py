@@ -270,10 +270,6 @@ def is_dominant(rs: RootSystem, h) -> bool:
     return all(v >= 0 for v in dynkin_labels(rs, h))
 
 
-def as_point(values) -> Point:
-    return tuple(Q(v) for v in values)
-
-
 @dataclass(frozen=True)
 class InvariantForm:
     """Gram matrix of the invariant form on simple coroots.

@@ -82,10 +82,6 @@ class Polyhedron:
                 raise ValueError("dimension mismatch")
         return cls(rank=rank, rows=tidy)
 
-    @classmethod
-    def from_region(cls, region, rank: int) -> "Polyhedron":
-        return cls.from_rows(region.closure_ineqs, rank)
-
     @cached_property
     def integral_rows(self) -> list[tuple[list[int], int]]:
         """Each row as linalg.integral's (ints, c): ints = c * (normal, bound)."""

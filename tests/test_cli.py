@@ -224,6 +224,27 @@ def test_plot_example_markers(tmp_path):
     assert captions == {"O3", "O2=O4", "O5"}
 
 
+def _mark_labels(path):
+    root = ET.fromstring(path.read_text())
+    return [t.text for t in root.findall(f".//{NS}text") if t.get("class") == "mark-label"]
+
+
+@pytest.mark.parametrize(
+    "argv, orbit, caption",
+    [
+        (["--module", "example-2x3"], "O5", "O5"),
+        (["--type", "A2"], "2,1", AdjointSlModel(3).descriptor((2, 1))),
+    ],
+)
+def test_characteristic_and_plot_caption_a_marker_alike(tmp_path, argv, orbit, caption):
+    fig = tmp_path / "c.svg"
+    char = ["characteristic", *argv, "--orbit", orbit, "--out", str(tmp_path / "c.json")]
+    assert main(char + ["--svg", str(fig)]) == 0
+    assert _mark_labels(fig) == [caption]
+    assert main(["plot", *argv, "--out", str(tmp_path / "p.svg")]) == 0
+    assert caption in _mark_labels(tmp_path / "p.svg")
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--suite", "example"]) == 0
     out = capsys.readouterr().out
@@ -268,6 +289,8 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
         assert main(["plot", "--type", "A3", "--out", str(tmp_path / "p.svg")]) == 1
         argv = ["plot", "--type", "B3", "--module", "little-adjoint"]
         assert main(argv + ["--out", str(tmp_path / "q.svg")]) == 1
+        argv = ["plot", "--type", "A3", "--module", "1,0,0"]
+        assert main(argv + ["--out", str(tmp_path / "w.svg")]) == 1
         # the membership mode belongs to characteristic and plot only
         argv = ["regions", "--type", "A2", "--mode", "dense"]
         assert main(argv + ["--out", str(tmp_path / "m.json")]) == 1
@@ -288,7 +311,7 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert "checks passed" not in out
     assert err.count("the largest sl_n must be at least 2") == 2
     assert err.count("error: cannot read orbit '2,x' as a partition of 4") == 1
-    assert err.count("requires a rank-2 root system") == 4
+    assert err.count("requires a rank-2 root system") == 5
     assert err.count("no orbit model") == 2
     assert err.count("unrecognized arguments: --mode dense") == 1
     assert err.count("unrecognized arguments: --points 5") == 1

@@ -199,13 +199,13 @@ def test_dimension_matches_weyl_formula():
 
 
 def test_pairing_frozen_and_bilinear():
-    assert lc.pairing((1, 0), lc.as_point((2, 4))) == 2
+    assert lc.pairing((1, 0), tuple(Q(v) for v in (2, 4))) == 2
     rng = random.Random(7)
     for _ in range(20):
         mu = tuple(rng.randint(-3, 3) for _ in range(3))
         nu = tuple(rng.randint(-3, 3) for _ in range(3))
-        h = lc.as_point([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
-        g = lc.as_point([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
+        h = tuple(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        g = tuple(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
         q = Q(rng.randint(-9, 9), rng.randint(1, 9))
         both = tuple(a + b for a, b in zip(mu, nu))
         assert lc.pairing(both, h) == lc.pairing(mu, h) + lc.pairing(nu, h)
@@ -217,17 +217,17 @@ def test_pairing_frozen_and_bilinear():
 
 def test_dynkin_labels_frozen():
     a2 = lc.build_root_system([("A", 2)])
-    assert lc.dynkin_labels(a2, lc.as_point((2, 2))) == (2, 2)
+    assert lc.dynkin_labels(a2, tuple(Q(v) for v in (2, 2))) == (2, 2)
     aa = lc.build_root_system([("A", 1), ("A", 1)])
-    assert lc.dynkin_labels(aa, lc.as_point((2, 4))) == (4, 8)
+    assert lc.dynkin_labels(aa, tuple(Q(v) for v in (2, 4))) == (4, 8)
 
 
 def test_dominance_iff_labels_nonnegative():
     rs = lc.build_root_system([("G", 2)])
-    assert lc.dynkin_labels(rs, lc.as_point((3, 5))) == (1, 1)
-    assert lc.is_dominant(rs, lc.as_point((3, 5)))
-    assert not lc.is_dominant(rs, lc.as_point((1, 1)))
-    assert not lc.is_dominant(rs, lc.as_point((-1, 2)))
+    assert lc.dynkin_labels(rs, tuple(Q(v) for v in (3, 5))) == (1, 1)
+    assert lc.is_dominant(rs, tuple(Q(v) for v in (3, 5)))
+    assert not lc.is_dominant(rs, tuple(Q(v) for v in (1, 1)))
+    assert not lc.is_dominant(rs, tuple(Q(v) for v in (-1, 2)))
 
 
 def test_invariant_form_frozen_values():
@@ -300,7 +300,7 @@ def test_factor_scales():
 def test_norm_sq():
     aa = lc.build_root_system([("A", 1), ("A", 1)])
     form = lc.invariant_form(aa)
-    assert lc.norm_sq(form, lc.as_point((2, 4))) == 40
+    assert lc.norm_sq(form, tuple(Q(v) for v in (2, 4))) == 40
 
 
 def test_highest_roots():

@@ -476,7 +476,7 @@ def _regions(factors, scales=None, level=Q(2)):
     hps = ar.chamber_hyperplanes(ws, level)
     regions = ar.enumerate_regions(rs, hps)
     form = lc.invariant_form(rs, scales)
-    return [(mn.Polyhedron.from_region(r, rs.rank), form) for r in regions]
+    return [(mn.Polyhedron.from_rows(r.closure_ineqs, rs.rank), form) for r in regions]
 
 
 @pytest.mark.parametrize(

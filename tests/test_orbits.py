@@ -567,7 +567,7 @@ def test_minimum_over_the_walls_is_certified_on_the_whole_closure(name, request)
     rank = analysis.model.root_system.rank
     for region in analysis.regions:
         res = analysis.region_minimum(region.id)
-        closure = Polyhedron.from_region(region, rank)
+        closure = Polyhedron.from_rows(region.closure_ineqs, rank)
         verify_kkt(closure, analysis.form, res)
         full = min_norm_point(closure, analysis.form)
         assert (res.point, res.norm_sq) == (full.point, full.norm_sq)
