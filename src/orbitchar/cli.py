@@ -46,8 +46,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DENSE_UNDEFINED = 2
 
-_SERIES = set("ABCDEFG")
-
 
 class CliError(Exception):
     """User-facing error: message printed to stderr, exit code 1."""
@@ -58,29 +56,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def parse_factors(type_str: str | None, rank: int | None):
-    """Root-system factors from --type (and --rank for a bare series letter).
-
-    Accepts compact products like "A1xA1" or "A2 x B2", or a bare letter
-    with --rank.
-    """
-    if type_str is None:
-        raise CliError("--type is required for this configuration")
-    text = type_str.replace(" ", "")
-    if text.upper() in _SERIES:
-        if rank is None:
-            raise CliError(f"--type {type_str} needs --rank")
-        return [(text.upper(), rank)]
-    if rank is not None:
-        raise CliError("--rank only applies to a bare series letter like --type A")
+def parse_factors(type_str: str):
+    """Root-system factors from --type: one factor like "A3" or a product
+    like "A1xA1" or "A2 x B2".  build_root_system decides which exist."""
     factors = []
-    for piece in text.replace("X", "x").split("x"):
-        if len(piece) < 2 or piece[0].upper() not in _SERIES:
+    for piece in type_str.replace(" ", "").replace("X", "x").split("x"):
+        rank = piece[1:]
+        if not (rank.isascii() and rank.isdigit()):
             raise CliError(f"cannot parse root-system factor {piece!r}")
-        try:
-            factors.append((piece[0].upper(), int(piece[1:])))
-        except ValueError:
-            raise CliError(f"cannot parse root-system factor {piece!r}") from None
+        factors.append((piece[0].upper(), int(rank)))
     return factors
 
 
@@ -97,17 +81,13 @@ def parse_scales(text: str | None):
     return tuple(parse_rational(p, "--scales entry") for p in text.split(","))
 
 
-def parse_weight_list(text: str, rank: int):
-    """Explicit module weights "1,1;1,0" (semicolon-separated summands)."""
+def parse_weight_list(text: str):
+    """Explicit module weights "1,1;1,0" (semicolon-separated summands);
+    weight_system checks them against the root system."""
     weights = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != rank:
-            raise CliError(
-                f"weight {chunk!r} has {len(parts)} entries, expected {rank}"
-            )
         try:
-            weights.append(tuple(int(p) for p in parts))
+            weights.append(tuple(int(p) for p in chunk.split(",")))
         except ValueError:
             raise CliError(f"cannot parse weight {chunk!r}") from None
     return tuple(weights)
@@ -120,7 +100,9 @@ def _resolve(args):
     every other module is a plain Module.
     """
     example = args.module == "example-2x3"
-    factors = parse_factors((args.type or "A1xA1") if example else args.type, args.rank)
+    if args.type is None and not example:
+        raise CliError("--type is required for this configuration")
+    factors = parse_factors(args.type or "A1xA1")
     if example and tuple(factors) != Example2x3Model.factors:
         raise CliError("the example-2x3 module lives on type A1xA1")
     level = parse_rational(args.level, "--level")
@@ -135,7 +117,7 @@ def _resolve(args):
     elif args.module == "little-adjoint":
         weights = (highest_short_root(rs),)
     else:
-        weights = parse_weight_list(args.module, rs.rank)
+        weights = parse_weight_list(args.module)
     return Module(rs, weights), level, scales
 
 
@@ -276,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--type", help="root system, e.g. A2, B2, A1xA1, or a bare letter with --rank")
-        p.add_argument("--rank", type=int, help="rank for a bare series letter")
+        p.add_argument("--type", help="root system: one factor or a product, e.g. A3, G2, A1xB2")
         p.add_argument(
             "--module",
             default="adjoint",

@@ -66,9 +66,8 @@ def _factor_cartan(series: str, n: int) -> tuple[list[list[int]], list[Q]]:
     if series == "D":
         c = _chain_cartan(n)
         # detach the last node from the chain and hook it onto node n-3
-        if n >= 3:
-            c[n - 2][n - 1] = c[n - 1][n - 2] = 0
-            c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
         return c, [Q(2)] * n
     if series == "E":
         c = _chain_cartan(n)
@@ -341,7 +340,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
 def _check_dominant(rs: RootSystem, lam) -> Weight:
     lam = tuple(int(m) for m in lam)
     if len(lam) != rs.rank:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"weight {lam} has {len(lam)} entries, but the rank is {rs.rank}")
     if any(m < 0 for m in lam):
         raise ValueError(f"{lam} is not dominant")
     return lam

@@ -280,8 +280,6 @@ class AdjointSlModel(OrbitModel):
     # The strata are exact, so seed is ignored; perfbench/workloads.py
     # still passes it.
     def __init__(self, n: int, seed: int = 1):
-        if n < 2:
-            raise ValueError("n must be at least 2")
         self.n = n
         self.name = f"sl{n}-adjoint"
         rs = build_root_system([("A", n - 1)])

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .arrangement import chamber_hyperplanes, enumerate_regions, is_saturated
+from .arrangement import is_saturated
 from .liecore import (
     InvariantForm,
     RootSystem,
@@ -639,8 +639,8 @@ def run_catalan(names=CATALAN_TYPES) -> list[VerifyRow]:
     problems = []
     for name in names:
         rs = build_root_system([(name[0], int(name[1:]))])
-        hps = chamber_hyperplanes(weight_system(rs, highest_roots(rs)))
-        got, want = len(enumerate_regions(rs, hps)), w_catalan(rs)
+        got = len(RegionAnalysis.build(Module(rs, highest_roots(rs))).regions)
+        want = w_catalan(rs)
         if got != want:
             problems.append(f"{name}: {got} regions != {want}")
     passed = (

@@ -19,21 +19,18 @@ NS = "{http://www.w3.org/2000/svg}"
 
 
 def test_parse_factors():
-    assert parse_factors("A2", None) == [("A", 2)]
-    assert parse_factors("A1xA1", None) == [("A", 1), ("A", 1)]
-    assert parse_factors("A1XB2", None) == [("A", 1), ("B", 2)]
-    assert parse_factors("g2", None) == [("G", 2)]
-    assert parse_factors("A", 3) == [("A", 3)]
+    assert parse_factors("A2") == [("A", 2)]
+    assert parse_factors("A1xA1") == [("A", 1), ("A", 1)]
+    assert parse_factors("A1XB2") == [("A", 1), ("B", 2)]
+    assert parse_factors("A2 x B2") == [("A", 2), ("B", 2)]
+    assert parse_factors("g2") == [("G", 2)]
+    # which series and ranks exist is build_root_system's to say
+    assert parse_factors("H3") == [("H", 3)]
     from orbitchar.cli import CliError
 
-    with pytest.raises(CliError):
-        parse_factors("A", None)
-    with pytest.raises(CliError):
-        parse_factors("A2", 2)
-    with pytest.raises(CliError):
-        parse_factors("H3", None)
-    with pytest.raises(CliError):
-        parse_factors(None, None)
+    for text in ("A", "A3x", "2", "Ax3", "A+2", "A1_0", "A\u0663"):
+        with pytest.raises(CliError, match="cannot parse root-system factor"):
+            parse_factors(text)
 
 
 def test_parse_orbit():
@@ -80,7 +77,7 @@ def test_regions_command(tmp_path):
 def test_regions_reruns_are_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    argv = ["regions", "--type", "A", "--rank", "3", "--module", "adjoint"]
+    argv = ["regions", "--type", "A3", "--module", "adjoint"]
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -316,6 +313,57 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert err.count("unrecognized arguments: --mode dense") == 1
     assert err.count("unrecognized arguments: --points 5") == 1
     assert err.count("unrecognized arguments: --seed 3") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--type", "A0"], "error: rank 0 is not valid for series A"),
+        (["--type", "E5"], "error: rank 5 is not valid for series E"),
+        (["--type", "H2"], "error: unknown series 'H'"),
+        (["--type", "A3x"], "error: cannot parse root-system factor ''"),
+        (["--type", "A", "--rank", "3"], "error: unrecognized arguments: --rank 3"),
+        (
+            ["--type", "A2", "--module", "1,0,0"],
+            "error: weight (1, 0, 0) has 3 entries, but the rank is 2",
+        ),
+    ],
+)
+def test_liecore_reports_bad_types_and_weights(tmp_path, capsys, argv, message):
+    out = tmp_path / "r.json"
+    assert main(["regions", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+def test_type_is_required_outside_the_example(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["regions", "--out", str(out)]) == 1
+    message = "error: --type is required for this configuration"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+def _run_script(args, cwd):
+    src = str(Path(orbitchar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "orbitchar", *args]
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_exit_codes_reach_the_shell(tmp_path):
+    run = _run_script(["regions", "--type", "A2"], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "regions.json").exists()
+    run = _run_script(["regions", "--type", "A0", "--out", "a0.json"], tmp_path)
+    assert run.returncode == 1
+    assert run.stderr == "error: rank 0 is not valid for series A\n"
+    argv = ["characteristic", "--module", "example-2x3", "--orbit", "O2", "--mode", "dense"]
+    run = _run_script(argv, tmp_path)
+    assert run.returncode == 2
+    assert "undefined" in run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regions.json"]
 
 
 def test_help_exits_zero(capsys):

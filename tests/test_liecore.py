@@ -83,6 +83,12 @@ def test_invalid_series_rank(factors, rank):
         lc.build_root_system(factors)
 
 
+def test_weight_system_names_a_weight_of_the_wrong_length():
+    rs = lc.build_root_system([("A", 2)])
+    with pytest.raises(ValueError, match=r"^weight \(1, 0, 0\) has 3 entries, but the rank is 2$"):
+        lc.weight_system(rs, [(1, 1), (1, 0, 0)])
+
+
 _WALK_TYPES = _WEIGHT_POOL + [
     [("D", 4)],
     [("D", 5)],

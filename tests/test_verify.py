@@ -4,7 +4,7 @@ and the exponents and counts behind the catalan battery."""
 import random
 from fractions import Fraction as Q
 
-from orbitchar import verify
+from orbitchar import orbits, verify
 from orbitchar.liecore import build_root_system, norm_sq
 
 
@@ -82,8 +82,9 @@ def test_exponents_from_root_heights_are_the_classical_ones():
 
 
 def test_catalan_battery_reports_a_wrong_count(monkeypatch):
-    enumerate_regions = verify.enumerate_regions
-    monkeypatch.setattr(verify, "enumerate_regions", lambda rs, hps: enumerate_regions(rs, hps)[1:])
+    # the battery counts regions with RegionAnalysis.build, which enumerates them in orbits
+    enumerate_regions = orbits.enumerate_regions
+    monkeypatch.setattr(orbits, "enumerate_regions", lambda rs, hps: enumerate_regions(rs, hps)[1:])
     rows = verify.run_catalan(("B2", "G2"))
     assert not rows[0].ok
     assert rows[0].detail == "B2: 5 regions != 6; G2: 7 regions != 8"
