@@ -8,9 +8,10 @@ convex cells, each recorded with an exact interior witness and the
 inequality rows of its closure.
 
 A cell's sign vector states, per hyperplane in canonical order, whether the
-cell lies above ('+', pairing > level) or below ('-').  Cells are sorted by
-sign vector, below before above, and numbered from 1.  A cell's subspace,
-the weights above the level across it, is read off its '+' signs.
+cell lies above ('+', pairing > level) or below ('-').  Cells are numbered
+from 1 in sign-vector order, below before above, the order in which the
+depth-first enumeration reaches them.  A cell's subspace, the weights above
+the level across it, is read off its '+' signs.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     each '-' row once in the root's table, so regions share row objects.
     A complete sign vector keeps the point of its own warm LP as its
     witness, the vertex that phase 1 reaches from the parent's dictionary;
-    the depth-first order and Bland's rule fix it.
+    the depth-first order and Bland's rule fix it.  The '-' child is
+    pushed last, so its subtree is finished first: the leaves arrive in
+    sign-vector order, below before above.
 
     Any number of hyperplanes is accepted; the cost, two LPs per kept
     prefix, grows with the number of regions (adjoint E7, 63 hyperplanes
@@ -130,8 +133,6 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
             w = ratlp.strict_interior(child.rows, rs.rank, child)
             if w is not None:
                 stack.append((signs + sign, child, w))
-    found.sort(key=lambda sw: tuple(0 if ch == "-" else 1 for ch in sw[0]))
-
     return [
         Region(id=k, signs=signs, witness=witness, closure_ineqs=rows)
         for k, (signs, witness, rows) in enumerate(found, start=1)

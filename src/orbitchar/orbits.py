@@ -33,8 +33,6 @@ from .arrangement import (
     Hyperplane,
     Region,
     RegionSubspace,
-    _chamber_rows,
-    _sign_row,
     chamber_hyperplanes,
     enumerate_regions,
     region_weights,
@@ -484,7 +482,7 @@ class RegionAnalysis:
         subspaces = {r.id: region_weights(ws, hps, r) for r in regions}
         strata = None
         if isinstance(model, OrbitModel):
-            strata = {r.id: model.generic_stratum(sorted(subspaces[r.id].i_r)) for r in regions}
+            strata = {r.id: model.generic_stratum(subspaces[r.id].i_r) for r in regions}
         return cls(
             model=model,
             ws=ws,
@@ -525,17 +523,13 @@ class RegionAnalysis:
         ]
 
     @cached_property
-    def _integral_rows(self) -> tuple[list, list[dict[str, tuple[list[int], int]]]]:
-        """linalg.integral's (ints, c) of the chamber rows, and of the '+'
-        and '-' sign rows of each hyperplane: the rows of every region's
-        closure_ineqs, each integralized once per analysis."""
-
-        def ints(row):
-            return linalg.integral((*row[0], row[1]))
-
-        chamber = [ints(row) for row in _chamber_rows(self.model.root_system)]
-        signed = [{sign: ints(_sign_row(hp, sign)) for sign in "+-"} for hp in self.hyperplanes]
-        return chamber, signed
+    def _integral_rows(self) -> dict[int, tuple[list[int], int]]:
+        """linalg.integral's (ints, c) of each distinct closure-row object,
+        keyed by id as `jsonio.regions_doc` keys them: the enumeration
+        shares the chamber rows and both sign rows of each hyperplane across
+        the regions, so each is integralized once per analysis."""
+        distinct = {id(row): row for r in self.regions for row in r.closure_ineqs}
+        return {key: linalg.integral((*n, b)) for key, (n, b) in distinct.items()}
 
     def region_minimum(self, region_id: int) -> MinNormResult:
         """The minimizer over a region's closure, with its certificate
@@ -546,8 +540,8 @@ class RegionAnalysis:
             if not (0 <= k < len(self.regions) and self.regions[k].id == region_id):
                 raise ValueError(f"no region with id {region_id}")
             region = self.regions[k]
-            chamber, signed = self._integral_rows
-            table = chamber + [signed[j][sign] for j, sign in enumerate(region.signs)]
+            ints = self._integral_rows
+            table = [ints[id(row)] for row in region.closure_ineqs]
             walls = self._walls(region)
             poly = Polyhedron.from_rows(
                 [region.closure_ineqs[w] for w in walls], self.model.root_system.rank

@@ -37,14 +37,14 @@ since the inherited check already covered the others; any other point is
 checked against every row.
 
 A run starts from a dictionary.  The cold start adds every row to the
-dictionary of no rows, whose point is the origin.  A warm start adds rows
-to a dictionary of other rows, as a constraint is added to an optimal
-dictionary (Chvatal 1983): each new row is taken at the nonbasic columns,
-with every basic x+-_j substituted by its row, and enters by the rule above
-at the dictionary's point; the artificial indices shift by one per row.
-`split` adds a row, and apart its opposite (-normal, -bound), on one read
-of the parent and one substitution, the opposite's being the row's with
-its slot entries negated and its rhs reflected.
+dictionary of no rows, whose point is the origin.  The warm start, `split`,
+adds a row to a dictionary of other rows, as a constraint is added to an
+optimal dictionary (Chvatal 1983): the row is taken at the nonbasic
+columns, with every basic x+-_j substituted by its row, and enters by the
+rule above at the dictionary's point; the artificial indices shift by one.
+It builds the start for the row's opposite (-normal, -bound) alongside,
+on the same read of the parent and the same substitution: the opposite's
+row is the row's with its slot entries negated and its rhs reflected.
 Either way the result is a dictionary of the phase-1 problem of all the
 rows, in the order they were added, with every basic value >= 0, so phase 1
 runs from it unchanged.  A row that holds at an optimal parent's vertex
@@ -352,19 +352,12 @@ def _table_entry(parent, row):
     return entry
 
 
-def warm_start(parent, row) -> Dictionary:
-    """The start for parent's rows and then row: parent, a start of
-    `cold_start`, `warm_start` or `split` (in region enumeration one that
-    `strict_interior` ran to a zero residual), with the homogenized row
-    added.  The homogenized row comes from parent's table."""
-    dic = _add_rows(parent, [_table_entry(parent, row)[0]])
-    dic.rows = parent.rows + [row]
-    return dic
-
-
 def split(parent, row):
-    """`warm_start(parent, row)` and `warm_start(parent, opposite)` for the
-    opposite (-normal, -bound) from parent's table, on one `_frame`: the
+    """The warm starts for parent's rows and then row, and for parent's rows
+    and then row's opposite (-normal, -bound): parent, a start of
+    `cold_start` or `split` (in region enumeration one that
+    `strict_interior` ran to a zero residual), with the homogenized row or
+    its opposite added, both from parent's table, on one `_frame`.  The
     opposite's substituted row is row's with the slot entries negated, the
     same d and rhs 2 lcm c minus row's (both have the bound entry c)."""
     irow, opposite, orow = _table_entry(parent, row)
@@ -381,8 +374,8 @@ def strict_interior(rows, nvars, start=None):
     """A point satisfying every row strictly, or None: phase 1 on the
     homogenized rows c (normal, -bound | 1) and s >= 1, for each row's
     integral scale c, read back as x = y / s.  Phase 1 runs from `start` in
-    place if given (from `cold_start`, `warm_start` or `split` of these
-    rows, else ValueError), from `cold_start(rows, nvars)` otherwise.
+    place if given (from `cold_start` or from `split`, the warm start, of
+    these rows, else ValueError), from `cold_start(rows, nvars)` otherwise.
     Either answer is checked by its certificate, and AssertionError raised
     if it fails."""
     if start is None:

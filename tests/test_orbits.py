@@ -13,6 +13,7 @@ import pytest
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.liecore import (
     build_root_system,
+    highest_roots,
     highest_short_root,
     invariant_form,
     norm_sq,
@@ -542,6 +543,22 @@ def sl4_analysis():
     return RegionAnalysis.build(AdjointSlModel(4))
 
 
+def _scaled_adjoint_analysis(factors, scales, level):
+    rs = build_root_system(factors)
+    return RegionAnalysis.build(Module(rs, highest_roots(rs)), level, scales)
+
+
+@pytest.fixture(scope="module")
+def g2_scaled_analysis():
+    # at level 7/3 each sign row has a bound of denominator 3
+    return _scaled_adjoint_analysis([("G", 2)], (Q(2, 7),), Q(7, 3))
+
+
+@pytest.fixture(scope="module")
+def a1b2_scaled_analysis():
+    return _scaled_adjoint_analysis([("A", 1), ("B", 2)], (Q(1, 3), Q(5, 2)), Q(5, 3))
+
+
 @pytest.mark.parametrize("name", ["sl4_analysis", "example_analysis", "g2_little_analysis"])
 def test_walls_are_the_irredundant_sign_rows(name, request):
     # oracle: sign row k is a facet exactly when the other rows and the
@@ -561,11 +578,26 @@ def test_walls_are_the_irredundant_sign_rows(name, request):
         assert analysis._walls(region) == list(range(rank)) + facets
 
 
-@pytest.mark.parametrize("name", ["sl4_analysis", "example_analysis", "g2_little_analysis"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "sl4_analysis",
+        "example_analysis",
+        "g2_little_analysis",
+        "g2_scaled_analysis",
+        "a1b2_scaled_analysis",
+    ],
+)
 def test_minimum_over_the_walls_is_certified_on_the_whole_closure(name, request):
     analysis = request.getfixturevalue(name)
     rank = analysis.model.root_system.rank
+    # one integer row per distinct closure-row object: the chamber rows and
+    # both sign rows of each hyperplane
+    ints = analysis._integral_rows
+    assert len(ints) == rank + 2 * len(analysis.hyperplanes)
     for region in analysis.regions:
+        for row in region.closure_ineqs:
+            assert ints[id(row)] == linalg.integral((*row[0], row[1]))
         res = analysis.region_minimum(region.id)
         closure = Polyhedron.from_rows(region.closure_ineqs, rank)
         verify_kkt(closure, analysis.form, res)

@@ -313,8 +313,8 @@ def _entry_counts(monkeypatch):
     counts = {"surplus": 0, "pivots": 0, "artificial": 0}
     add_rows, pivot = ratlp._add_rows, ratlp._pivot
 
-    def counting_add_rows(dic, irows):
-        new = add_rows(dic, irows)
+    def counting_add_rows(dic, irows, *args):
+        new = add_rows(dic, irows, *args)
         n, m = len(new.slots), len(new.tab)
         counts["surplus"] += sum(b < 2 * n + m for b in new.basis[m - len(irows) :])
         return new
@@ -556,7 +556,7 @@ def test_a_warm_child_satisfied_at_its_parent_vertex_takes_no_pivot(monkeypatch)
     # homogenized rows: either row enters with its surplus basic, and the
     # parent's vertex is the answer
     for row in (((1, 1), 0), ((1, 1), 1)):
-        assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row)) == (1, 1)
+        assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.split(root, row)[0]) == (1, 1)
     assert counts == {"surplus": 2, "pivots": 0, "artificial": 0}
 
 
@@ -567,7 +567,7 @@ def test_an_infeasible_warm_child_is_certified(monkeypatch):
     # x + y < 0: the start is optimal with a positive residual; the Motzkin
     # vector is in tableau order (the quadrant, s >= 1, the new row)
     row = ((-1, -1), 0)
-    start = ratlp.warm_start(root, row)
+    start = ratlp.split(root, row)[0]
     assert ratlp.strict_interior(_QUADRANT + [row], 2, start) is None
     assert read == [[1, 1, 0, 1]]
     assert [ints for ints, _ in start.irows] == [
@@ -597,7 +597,7 @@ def test_warm_answers_match_the_cold_ones_on_random_children():
             continue
         for _ in range(3):
             row = rand_row(n)
-            got = ratlp.strict_interior(rows + [row], n, ratlp.warm_start(parent, row))
+            got = ratlp.strict_interior(rows + [row], n, ratlp.split(parent, row)[0])
             assert (got is not None) == (ratlp.strict_interior(rows + [row], n) is not None)
             if got is not None:
                 _assert_strictly_inside(got, rows + [row])
@@ -615,7 +615,7 @@ def test_a_start_of_other_rows_is_refused():
         [_QUADRANT[1], _QUADRANT[0], row],
     ):
         with pytest.raises(ValueError, match="other rows"):
-            ratlp.strict_interior(rows, 2, ratlp.warm_start(root, row))
+            ratlp.strict_interior(rows, 2, ratlp.split(root, row)[0])
     with pytest.raises(ValueError, match="other rows"):
         ratlp.strict_interior(_QUADRANT[:1], 2, root)
     with pytest.raises(ValueError, match="other rows"):
@@ -634,7 +634,7 @@ def test_a_tampered_farkas_vector_from_a_warm_start_is_refused(monkeypatch, y, m
     root, row = _solved_quadrant(), ((-1, -1), 0)
     monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
     with pytest.raises(AssertionError, match=message):
-        ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row))
+        ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.split(root, row)[0])
 
 
 def test_a_tampered_point_from_a_warm_start_is_refused(monkeypatch):
@@ -643,7 +643,7 @@ def test_a_tampered_point_from_a_warm_start_is_refused(monkeypatch):
     for x in ([1, 0, 1], [0, 0, 0]):
         monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: (x, 1))
         with pytest.raises(AssertionError, match="phase-1 point violates a row"):
-            ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row))
+            ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.split(root, row)[0])
 
 
 def test_warm_certificate_checks_run_under_optimize():
@@ -656,7 +656,7 @@ ratlp.strict_interior(quadrant, 2, root)
 
 def warm(row):
     try:
-        ratlp.strict_interior(quadrant + [row], 2, ratlp.warm_start(root, row))
+        ratlp.strict_interior(quadrant + [row], 2, ratlp.split(root, row)[0])
     except AssertionError as exc:
         print(exc)
 
@@ -698,21 +698,21 @@ def test_a_kept_point_is_checked_against_the_new_row_only(monkeypatch):
     # x + y > 0 holds at (1, 1): no pivot, the root's point, one new row;
     # and a grandchild below it that keeps the point checks its own row only
     row = ((1, 1), 0)
-    child = ratlp.warm_start(root, row)
+    child = ratlp.split(root, row)[0]
     assert ratlp.strict_interior(_QUADRANT + [row], 2, child) == (1, 1)
     low = ((1, -1), -1)
-    grandchild = ratlp.warm_start(child, low)
+    grandchild = ratlp.split(child, low)[0]
     assert ratlp.strict_interior(_QUADRANT + [row, low], 2, grandchild) == (1, 1)
     assert checked == [3, 1, 1]
     # x + y > 3 fails at (1, 1): phase 1 moves, and every row is checked
     row = ((1, 1), 3)
-    moved = ratlp.warm_start(root, row)
+    moved = ratlp.split(root, row)[0]
     assert ratlp.strict_interior(_QUADRANT + [row], 2, moved) == (3, 1)
     assert moved.point != root.point
     assert checked == [3, 1, 1, 4]
     # a start built before its parent was solved has no point to keep
     fresh = ratlp.cold_start(_QUADRANT, 2)
-    early = ratlp.warm_start(fresh, ((1, 1), 0))
+    early = ratlp.split(fresh, ((1, 1), 0))[0]
     assert ratlp.strict_interior(_QUADRANT, 2, fresh) == (1, 1)
     assert ratlp.strict_interior(_QUADRANT + [((1, 1), 0)], 2, early) == (1, 1)
     assert checked == [3, 1, 1, 4, 3, 4]
@@ -725,7 +725,7 @@ def test_the_parent_point_planted_on_a_child_it_violates_is_refused(monkeypatch)
     planted = root.point
     monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: planted)
     with pytest.raises(AssertionError, match="phase-1 point violates a row"):
-        ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.warm_start(root, row))
+        ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.split(root, row)[0])
 
 
 def test_a_warm_start_shares_its_root_table(monkeypatch):
@@ -736,9 +736,9 @@ def test_a_warm_start_shares_its_root_table(monkeypatch):
     integral = ratlp.integral
     monkeypatch.setattr(ratlp, "integral", lambda row: rows.append(row) or integral(row))
     row = ((1, 1), Q(1, 2))
-    child = ratlp.warm_start(root, row)
-    again = ratlp.warm_start(root, ((1, 1), Q(1, 2)))
-    grandchild = ratlp.warm_start(child, row)
+    child = ratlp.split(root, row)[0]
+    again = ratlp.split(root, ((1, 1), Q(1, 2)))[0]
+    grandchild = ratlp.split(child, row)[0]
     assert len(rows) == 1
     assert child.table is again.table is grandchild.table is root.table
     assert child.irows[-1] == again.irows[-1] == ([2, 2, -1, 2], 2)
@@ -750,9 +750,10 @@ _FIELDS = ("tab", "basis", "slots", "obj", "irows", "rows", "point", "checked")
 
 
 def test_a_split_builds_both_warm_starts_on_random_rows():
-    # walk down random rows: at each node both children of a split equal
-    # the warm starts of the row and of its opposite, field by field, and
-    # one of them, solved or not, is the next node
+    # walk down random rows: at each node the children of a split on a row
+    # equal those of the split on its opposite, reversed, field by field, so
+    # each child that the negated substitution builds equals the same child
+    # substituted directly; one of them, solved or not, is the next node
     rng = random.Random(2022)
     seen = {"point": 0, "no point": 0, "x basic": 0}
     for _ in range(120):
@@ -765,7 +766,7 @@ def test_a_split_builds_both_warm_starts_on_random_rows():
             normal, bound = row
             opposite = (tuple(-v for v in normal), -bound)
             pair = ratlp.split(node, row)
-            want = (ratlp.warm_start(node, row), ratlp.warm_start(node, opposite))
+            want = ratlp.split(node, opposite)[::-1]
             for got, ref in zip(pair, want):
                 for name in _FIELDS:
                     assert getattr(got, name) == getattr(ref, name), name
