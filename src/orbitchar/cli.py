@@ -227,17 +227,6 @@ def cmd_verify(args) -> int:
     names = args.suite or ["all"]
     if "all" in names:
         names = SUITE_ORDER
-    if "minnorm" in names:
-        # the float reference of the minnorm battery is an optional extra
-        try:
-            import numpy  # noqa: F401
-            import scipy.optimize  # noqa: F401
-        except ImportError as e:
-            missing = (e.name or "numpy or scipy").partition(".")[0]
-            raise CliError(
-                f"the minnorm suite needs {missing}, which is not installed; "
-                "install it with: pip install -e .[verify]"
-            ) from None
     rows = run_suites(names, max_n=args.n)
     for row in rows:
         print(row.format())

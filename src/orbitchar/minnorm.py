@@ -88,7 +88,8 @@ class Polyhedron:
         return [linalg.integral((*normal, bound)) for normal, bound in self.rows]
 
     def is_empty(self) -> bool:
-        return not ratlp.closed_feasible(list(self.rows), self.rank)
+        rows = [(ints[:-1], ints[-1]) for ints, _ in self.integral_rows]
+        return not ratlp.closed_feasible(rows, self.rank)
 
     def contains(self, point) -> bool:
         x, d = linalg.integral(point)

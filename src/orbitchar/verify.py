@@ -21,13 +21,16 @@ Each battery cross-checks part of the pipeline against an independent oracle:
                 prod (h + e + 1) / (e + 1), from exponents read off the
                 heights of the positive roots.
 
-All randomness is seeded, so every battery is deterministic.
+All randomness is seeded, so every battery is deterministic.  Each battery
+takes its sizes from its caller, with the defaults that `orbitchar verify`
+runs; `run_suites(names, max_n=5)` passes max_n, the largest sl_n, to
+dynkin and theorem, and checks for minnorm's optional extra (numpy and
+SciPy) before any battery runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from collections import Counter
@@ -610,8 +613,6 @@ def run_lemma() -> list[VerifyRow]:
 # ------------------------------------------------------------------ catalan
 
 CATALAN_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
-# added under ORBITCHAR_LARGE=1: about 2 s more
-CATALAN_LARGE_TYPES = ("A6", "A7", "B5", "E6")
 
 
 def exponents(rs: RootSystem) -> list[int]:
@@ -650,32 +651,45 @@ def run_catalan(names=CATALAN_TYPES) -> list[VerifyRow]:
     return [_row("catalan adjoint", started, problems, passed)]
 
 
-def _catalan_types() -> tuple[str, ...]:
-    large = os.environ.get("ORBITCHAR_LARGE") == "1"
-    return CATALAN_TYPES + (CATALAN_LARGE_TYPES if large else ())
-
-
 # ------------------------------------------------------------------- driver
 
 
+def _require_float_reference() -> None:
+    """Raise RuntimeError unless numpy and scipy, the optional extra
+    `verify` that the minnorm battery's float reference needs, import."""
+    try:
+        import numpy  # noqa: F401
+        import scipy.optimize  # noqa: F401
+    except ImportError as e:
+        missing = (e.name or "numpy or scipy").partition(".")[0]
+        raise RuntimeError(
+            f"the minnorm suite needs {missing}, which is not installed; "
+            "install it with: pip install -e .[verify]"
+        ) from None
+
+
+# each battery as a function of the largest sl_n of dynkin and theorem
 SUITES = {
-    "example": lambda opts: run_example(),
-    "dynkin": lambda opts: run_dynkin(tuple(range(2, opts.get("max_n", 5) + 1))),
-    "theorem": lambda opts: run_theorem(tuple(range(2, opts.get("max_n", 5) + 1))),
-    "sampling": lambda opts: run_sampling(),
-    "minnorm": lambda opts: run_minnorm(),
-    "weights": lambda opts: run_weights(),
-    "lemma": lambda opts: run_lemma(),
-    "catalan": lambda opts: run_catalan(_catalan_types()),
+    "example": lambda max_n: run_example(),
+    "dynkin": lambda max_n: run_dynkin(tuple(range(2, max_n + 1))),
+    "theorem": lambda max_n: run_theorem(tuple(range(2, max_n + 1))),
+    "sampling": lambda max_n: run_sampling(),
+    "minnorm": lambda max_n: run_minnorm(),
+    "weights": lambda max_n: run_weights(),
+    "lemma": lambda max_n: run_lemma(),
+    "catalan": lambda max_n: run_catalan(),
 }
 
 SUITE_ORDER = list(SUITES)
 
 
-def run_suites(names, **opts) -> list[VerifyRow]:
-    rows = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")
-        rows.extend(SUITES[name](opts))
-    return rows
+def run_suites(names, *, max_n: int = 5) -> list[VerifyRow]:
+    """The rows of the named batteries, in the order named.  Every name and
+    the minnorm battery's optional extra are checked before any battery
+    runs: ValueError names an unknown suite, RuntimeError a missing extra."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITE_ORDER}")
+    if "minnorm" in names:
+        _require_float_reference()
+    return [row for name in names for row in SUITES[name](max_n)]

@@ -107,8 +107,15 @@ def test_criterion_7_structural_lemma():
     _report("7 (saturation, b-stability, nilpotency, strata)", rows, details)
 
 
+def _catalan_types():
+    types = verify.CATALAN_TYPES
+    if os.environ.get("ORBITCHAR_LARGE") == "1":
+        types += ("A6", "A7", "B5", "E6")
+    return types
+
+
 def test_criterion_8_w_catalan_region_counts():
-    rows = verify.run_suites(["catalan"])
+    rows = verify.run_catalan(_catalan_types())
     names = "A1, A2, A3, A4, B2, B3, B4, C3, C4, D4, G2, F4"
     if os.environ.get("ORBITCHAR_LARGE") == "1":
         names += ", A6, A7, B5, E6"

@@ -276,8 +276,10 @@ def _cold_enumeration_reference(rs, hyperplanes):
         if len(signs) == len(hyperplanes):
             found.append((signs, witness, tuple(rows)))
             continue
-        for sign in ("+", "-"):
-            cand = rows + [arr._sign_row(hyperplanes[len(signs)], sign)]
+        hp = hyperplanes[len(signs)]
+        above, below = (hp.weight, hp.level), (tuple(-m for m in hp.weight), -hp.level)
+        for sign, row in (("+", above), ("-", below)):
+            cand = rows + [row]
             w = ratlp.strict_interior(cand, rs.rank)
             if w is not None:
                 stack.append((cand, signs + sign, w))

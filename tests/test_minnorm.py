@@ -104,6 +104,25 @@ def test_empty_rejected():
         mn.min_norm_point(poly, lc.invariant_form(lc.build_root_system([("A", 1)])))
 
 
+def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
+    # the precheck LP gets the rows integral_rows already holds, so ratlp
+    # integralizes no Fraction a second time
+    seen = []
+    integral = mn.ratlp.integral
+
+    def recording(values):
+        seen.extend(values)
+        return integral(values)
+
+    monkeypatch.setattr(mn.ratlp, "integral", recording)
+    rows = [((Q(1, 2), -1), Q(3, 2)), ((Q(-1, 3), 2), Q(-5, 4)), ((1, 1), 0)]
+    poly = mn.Polyhedron.from_rows(rows, 2)
+    assert not poly.is_empty()
+    assert mn.Polyhedron.from_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2).is_empty()
+    assert len(seen) == 21
+    assert not any(isinstance(v, Q) for v in seen)
+
+
 def test_from_rows_keeps_the_entries_as_given():
     poly = mn.Polyhedron.from_rows([([1, 0], 2), ((Q(1, 2), -1), Q(3, 2))], 2)
     assert poly.rows == (((1, 0), 2), ((Q(1, 2), -1), Q(3, 2)))

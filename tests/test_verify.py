@@ -1,9 +1,18 @@
 """The integer sampler and norm test behind the minnorm verification battery,
 and the exponents and counts behind the catalan battery."""
 
+import os
 import random
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
+from pathlib import Path
 
+import pytest
+
+import orbitchar
 from orbitchar import orbits, verify
 from orbitchar.liecore import build_root_system, norm_sq
 
@@ -88,3 +97,56 @@ def test_catalan_battery_reports_a_wrong_count(monkeypatch):
     rows = verify.run_catalan(("B2", "G2"))
     assert not rows[0].ok
     assert rows[0].detail == "B2: 5 regions != 6; G2: 7 regions != 8"
+
+
+def test_run_suites_passes_the_largest_sl_n():
+    rows = verify.run_suites(["dynkin", "example"], max_n=3)
+    assert [r.name for r in rows] == ["dynkin sl2", "dynkin sl3", "example"]
+    assert all(r.ok for r in rows)
+
+
+def test_an_unknown_suite_is_refused_before_any_battery_runs(monkeypatch):
+    monkeypatch.setattr(verify, "run_example", lambda: pytest.fail("a battery ran"))
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites(["example", "nope"])
+
+
+@pytest.mark.parametrize("module", ["numpy", "scipy"])
+def test_minnorm_without_its_extra_is_refused_before_any_battery_runs(tmp_path, module):
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules[{module!r}] = None
+        from orbitchar import verify
+        ran = []
+        verify.run_example = lambda: ran.append("example") or []
+        try:
+            verify.run_suites(["example", "minnorm"])
+        except RuntimeError as e:
+            print(e)
+        print(ran)
+        """
+    )
+    src = str(Path(orbitchar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        f"the minnorm suite needs {module}, which is not installed; "
+        "install it with: pip install -e .[verify]",
+        "[]",
+    ]
+
+
+def test_the_package_reads_no_environment_variable():
+    # sizes and options come from the callers, so that a run is fixed by its arguments
+    package = Path(orbitchar.__file__).resolve().parent
+    readers = [
+        f"{path.name}:{k}"
+        for path in sorted(package.glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"environ|getenv", line)
+    ]
+    assert readers == []
