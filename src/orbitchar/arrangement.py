@@ -16,11 +16,10 @@ the level across it, is read off its '+' signs.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratlp
+from . import linalg, ratlp
 from .liecore import Point, RootSystem, Weight, WeightSystem
 
 Q = Fraction
@@ -71,11 +70,11 @@ def chamber_hyperplanes(ws: WeightSystem, level=Q(2)) -> list[Hyperplane]:
     level = Q(level)
     if level <= 0:
         raise ValueError("level must be positive")
-    form, _ = ws.root_system._form_matrix
+    form, _ = ws.root_system.form_matrix
     return [
         Hyperplane(weight=mu, level=level)
         for mu in sorted(ws.entries)
-        if any(sum(map(operator.mul, g, mu)) > 0 for g in form)
+        if any(linalg.dot(g, mu) > 0 for g in form)
     ]
 
 

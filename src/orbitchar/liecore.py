@@ -126,12 +126,11 @@ class RootSystem:
     root_lengths: tuple[Q, ...]
 
     @cached_property
-    def _form_matrix(self) -> tuple[list[list[int]], int]:
+    def form_matrix(self) -> tuple[list[list[int]], int]:
         """(G, d) with G / d = diag(root_lengths / 2) C^-T: the invariant form
         on fundamental-weight coordinates is (mu, nu) = mu . G nu / d."""
-        m = linalg.inverse(linalg.transpose(self.cartan))
-        ints, d = linalg.integral([l / 2 * x for l, row in zip(self.root_lengths, m) for x in row])
-        return [ints[i : i + self.rank] for i in range(0, len(ints), self.rank)], d
+        rows = zip(self.root_lengths, linalg.inverse(linalg.transpose(self.cartan)))
+        return linalg.integral_matrix([[l / 2 * x for x in row] for l, row in rows])
 
     @cached_property
     def factor_of_node(self) -> tuple[int, ...]:
@@ -142,17 +141,16 @@ class RootSystem:
 
     def root_coords(self, mu) -> tuple[Q, ...]:
         """Simple-root coordinates of a weight (solves C^T b = fw)."""
-        g, d = self._form_matrix
+        g, d = self.form_matrix
         return tuple(
-            2 * sum(x * m for x, m in zip(row, mu)) / (d * l)
+            2 * linalg.dot(row, mu) / (d * l)
             for row, l in zip(g, self.root_lengths)
         )
 
     def weight_form(self, mu, nu) -> Q:
         """Invariant form on weight space, long roots of squared length 2."""
-        g, d = self._form_matrix
-        gnu = (sum(x * n for x, n in zip(row, nu)) for row in g)
-        return Q(sum(m * y for m, y in zip(mu, gnu)), d)
+        g, d = self.form_matrix
+        return Q(linalg.dot(mu, [linalg.dot(row, nu) for row in g]), d)
 
     def reflect_weight(self, mu: Weight, i: int) -> Weight:
         return tuple([m - mu[i] * c for m, c in zip(mu, self.cartan[i])])
@@ -282,20 +280,15 @@ class InvariantForm:
 
     @cached_property
     def integral_gram(self) -> tuple[list[list[int]], int]:
-        """(G, d) with G / d = gram, G of ints (linalg.integral of all entries)."""
-        n = len(self.gram)
-        ints, d = linalg.integral([v for row in self.gram for v in row])
-        return [ints[i : i + n] for i in range(0, len(ints), n)], d
+        """(G, d) with G / d = gram, G of ints (linalg.integral_matrix)."""
+        return linalg.integral_matrix(self.gram)
 
     @cached_property
     def integral_inverse_hessian(self) -> tuple[list[list[int]], int]:
         """(K, k) with K / k the inverse of the integer Hessian H = 2 G of
         (G, d) = integral_gram, K of ints; H / d = 2 gram."""
         g, _ = self.integral_gram
-        n = len(g)
-        inv = linalg.inverse([[2 * v for v in row] for row in g])
-        ints, k = linalg.integral([v for row in inv for v in row])
-        return [ints[i : i + n] for i in range(0, len(ints), n)], k
+        return linalg.integral_matrix(linalg.inverse([[2 * v for v in row] for row in g]))
 
 
 def invariant_form(rs: RootSystem, factor_scales=None) -> InvariantForm:
@@ -318,8 +311,7 @@ def norm_sq(form: InvariantForm, h) -> Q:
     """Squared length of a point under the invariant form."""
     g, d = form.integral_gram
     x, scale = linalg.integral(h)
-    total = sum(xi * sum(map(operator.mul, row, x)) for xi, row in zip(x, g))
-    return Q(total, d * scale * scale)
+    return Q(linalg.dot(x, [linalg.dot(row, x) for row in g]), d * scale * scale)
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:

@@ -11,7 +11,9 @@ entries nor the ratios within a row, so every pivot choice is the one the
 same elimination over Fraction would make, and values are read at the end
 as an entry over its row's pivot.  `solve_integral` returns a solution as
 ints over the LCM of the pivots, for callers that stay on integers (the
-min-norm iteration); `solve` is its Fraction form.
+min-norm iteration); `solve` is its Fraction form.  The certificate checks
+live here too: `satisfies` checks a point X / D against integral rows for
+ratlp, minnorm and orbits, and `check_farkas` ratlp's Farkas vectors.
 """
 
 from __future__ import annotations
@@ -32,6 +34,36 @@ def integral(values):
     return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
+def integral_matrix(m) -> tuple[list[list[int]], int]:
+    """`integral` of all of a matrix's entries, as rows of ints, and the LCM."""
+    ints, scale = integral([v for row in m for v in row])
+    n = len(m[0])
+    return [ints[i : i + n] for i in range(0, len(ints), n)], scale
+
+
+def dot(u, v) -> int:
+    """u . v over the shorter length: a row's ints (normal, bound) and x give normal . x."""
+    return sum(map(operator.mul, u, v))
+
+
+def satisfies(rows, x, d) -> bool:
+    """Whether x / d (d > 0) satisfies each row (ints, scale) of `integral`'s (normal, bound)."""
+    return all(dot(ints, x) >= ints[-1] * d for ints, _ in rows)
+
+
+def check_farkas(rows, y) -> None:
+    """Raise AssertionError unless y >= 0, y != 0, y.N = 0 and y.b > 0 on the
+    rows (ints, scale), a proof that they have no point (also under -O)."""
+    if any(v < 0 for v in y) or not any(y):
+        raise AssertionError("Farkas multipliers not nonnegative and nonzero")
+    used = [(v, ints) for v, (ints, _) in zip(y, rows) if v]
+    combo = [sum(v * ints[j] for v, ints in used) for j in range(len(rows[0][0]))]
+    if any(combo[:-1]):
+        raise AssertionError("Farkas combination of the normals is not zero")
+    if combo[-1] <= 0:
+        raise AssertionError("Farkas combination of the bounds is not positive")
+
+
 def eliminate(r, piv, col, swap=0):
     """r with its col entry cleared by the pivot row piv (piv[col] > 0).
 
@@ -48,7 +80,7 @@ def eliminate(r, piv, col, swap=0):
 def matmul(a, b) -> Matrix:
     """Matrix product in the entries' own arithmetic: ints stay ints."""
     cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def transpose(a) -> Matrix:

@@ -38,7 +38,8 @@ compares v_i^2 q_j > v_j^2 q_i for v = b D - N . X and q = N K N on the
 integral rows; a row's scale c multiplies its v by c and its q by c^2, and
 D multiplies every v alike, so the choice is again the one over Fraction.
 Only the result is read back as Fraction, and its certificate is
-re-verified, on the same integer rows, before returning.
+re-verified, on the same integer rows, before returning; the point check is
+linalg's `satisfies`, and an empty polyhedron is certified by ratlp.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -48,21 +49,15 @@ polyhedra may attain the minimal norm, but at the same point.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg, ratlp
+from .linalg import dot, satisfies
 from .liecore import InvariantForm, Point, norm_sq
 
 Q = Fraction
-
-
-def _dot(u, v) -> int:
-    """The dot product over the shorter length, so an integral row's ints
-    (normal, bound) dotted with a point give normal . point."""
-    return sum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -93,12 +88,7 @@ class Polyhedron:
 
     def contains(self, point) -> bool:
         x, d = linalg.integral(point)
-        return _contains(self.integral_rows, x, d)
-
-
-def _contains(rows, x, d) -> bool:
-    """Whether the point x / d (d > 0) satisfies every integral row."""
-    return all(_dot(ints, x) >= ints[-1] * d for ints, _ in rows)
+        return satisfies(self.integral_rows, x, d)
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,7 @@ def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> Non
     H = 2 G over h, become L / E, once."""
     rows = poly.integral_rows
     x, d = linalg.integral(res.point)
-    if not _contains(rows, x, d):
+    if not satisfies(rows, x, d):
         raise AssertionError("candidate violates a constraint")
     g, h = form.integral_gram
     lams, e = linalg.integral(
@@ -140,11 +130,11 @@ def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> Non
         if lam < 0:
             raise AssertionError("negative multiplier")
         ints, _ = rows[k]
-        if _dot(ints, x) != ints[-1] * d:
+        if dot(ints, x) != ints[-1] * d:
             raise AssertionError("active row not tight")
         combo = [c + lam * v for c, v in zip(combo, ints)]
     # 2 G X / D == combo / E
-    if any(2 * _dot(row, x) * e != c * d for row, c in zip(g, combo)):
+    if any(2 * dot(row, x) * e != c * d for row, c in zip(g, combo)):
         raise AssertionError("stationarity fails")
     if res.norm_sq != norm_sq(form, res.point):
         raise AssertionError("norm mismatch")
@@ -161,14 +151,14 @@ def _most_violated(rows, x, d, kinv, q) -> int | None:
     only once a second violated row competes with it."""
     best = None
     for k, (ints, _) in enumerate(rows):
-        v = ints[-1] * d - _dot(ints, x)
+        v = ints[-1] * d - dot(ints, x)
         if v <= 0:
             continue
         if best is not None:
             for t in (best, k):
                 if t not in q:
                     kt = rows[t][0]
-                    q[t] = _dot(kt, [_dot(row, kt) for row in kinv])
+                    q[t] = dot(kt, [dot(row, kt) for row in kinv])
             if v * v * q[best] <= vb * vb * q[k]:
                 continue
         best, vb = k, v
@@ -204,12 +194,12 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
                 break
             u = 0  # its multiplier u / d
             p, _ = rows[entering]  # p's normal and its bound p[-1]
-            kp = [_dot(row, p) for row in kinv]
+            kp = [dot(row, p) for row in kinv]
         # the working system H z + N_A^T s = p, N_A z = 0 through its Schur
         # complement: (N_A K N_A^T) s = N_A K p, then z = K (p - N_A^T s) / kden
         sol = linalg.solve_integral(
-            [[_dot(rows[t][0], kb) for kb in kn] for t in active],
-            [_dot(kb, p) for kb in kn],
+            [[dot(rows[t][0], kb) for kb in kn] for t in active],
+            [dot(kb, p) for kb in kn],
         )
         if sol is None:
             raise AssertionError("singular working-set system")
@@ -229,14 +219,14 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
         # z / e and s / e: the full step (gap / d) / (pz / e) and each drop
         # ratio (lam_t / d) / (s_t / e) share the factor e / d, so the
         # least of them is found by cross-multiplying gap / pz and lam_t / s_t
-        pz = _dot(p, z)
+        pz = dot(p, z)
         k = None
         for t, st in enumerate(s):
             if st > 0 and (k is None or lam[t] * s[k] < lam[k] * st):
                 k = t
         if k is None and not pz:
             raise ValueError("empty polyhedron")
-        gap = p[-1] * d - _dot(p, x)
+        gap = p[-1] * d - dot(p, x)
         full = pz != 0 and (k is None or gap * s[k] <= lam[k] * pz)
         num, den = (gap, pz) if full else (lam[k], s[k])
         # take the step (num / den) * (e / d) over the new denominator d * den

@@ -52,7 +52,6 @@ from .liecore import (
 from .minnorm import (
     MinNormResult,
     Polyhedron,
-    _contains,
     combine_union_minima,
     min_norm_point,
 )
@@ -125,7 +124,7 @@ def weighted_dynkin_from_partition(parts) -> tuple[int, ...]:
 
 
 @cache
-def _sl_positions(n: int) -> dict[Weight, tuple[int, int]]:
+def sl_positions(n: int) -> dict[Weight, tuple[int, int]]:
     """Matrix position of every sl_n root space, keyed by its weight.
 
     For i < j, e_i - e_j = alpha_i + ... + alpha_{j-1} is +1 at nodes i and
@@ -141,11 +140,11 @@ def _sl_positions(n: int) -> dict[Weight, tuple[int, int]]:
     return out
 
 
-def _sl_position(mu, n: int) -> tuple[int, int]:
+def sl_position(mu, n: int) -> tuple[int, int]:
     """Matrix position of the sl_n root space of weight mu."""
     mu = tuple(mu)
     try:
-        return _sl_positions(n)[mu]
+        return sl_positions(n)[mu]
     except KeyError:
         raise ValueError(f"{mu} is not a root of sl_{n}") from None
 
@@ -167,7 +166,7 @@ def generic_jordan_partition(i_r, n: int) -> Partition:
     -lambda_k; the costs never decrease, so once a path covers one vertex
     every later part is 1.
     """
-    support = {_sl_position(mu, n) for mu in i_r}
+    support = {sl_position(mu, n) for mu in i_r}
     # node 0 is the source, 2v + 1 and 2v + 2 the entry and exit of vertex
     # v, 2n + 1 the sink; arc k and its residual twin k ^ 1 are [head,
     # capacity, cost]
@@ -555,7 +554,7 @@ class RegionAnalysis:
             # closure rows that are not walls.
             kept = set(walls)
             x, d = linalg.integral(res.point)
-            if not _contains([row for w, row in enumerate(table) if w not in kept], x, d):
+            if not linalg.satisfies([row for w, row in enumerate(table) if w not in kept], x, d):
                 raise AssertionError(
                     f"the minimizer over the walls of region {region_id} leaves its closure"
                 )

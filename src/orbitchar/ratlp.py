@@ -26,15 +26,15 @@ pivots are those of the same simplex over Fraction.  Values are rhs over d.
 
 The objective is bounded below by 0, so the run ends optimal.  With fewer
 artificials than rows it still reaches residual 0 exactly when the rows have
-a point, and either answer carries a certificate checked on ints, also
-under python -O: a zero residual gives the basic point X / D, checked
-against the rows; a positive one gives a Farkas vector y >= 0, y != 0 with
-y.N = 0 and y.b > 0, read from the final objective row.  A dictionary keeps
-the point it certified and how many of its rows that check covered, and a
-dictionary built from it by adding rows inherits both: if its own phase 1
-ends at that same X / D, the point is checked against the added rows only,
-since the inherited check already covered the others; any other point is
-checked against every row.
+a point, and either answer carries a certificate that linalg checks on
+ints, also under python -O: a zero residual gives the basic point X / D
+(`satisfies`); a positive one gives a Farkas vector y >= 0, y != 0 with
+y.N = 0 and y.b > 0 (`check_farkas`), read from the final objective row.
+A dictionary keeps the point it certified and how many of its rows that
+check covered, and a dictionary built from it by adding rows inherits both:
+if its own phase 1 ends at that same X / D, the point is checked against
+the added rows only, since the inherited check already covered the others;
+any other point is checked against every row.
 
 A run starts from a dictionary.  The cold start adds every row to the
 dictionary of no rows, whose point is the origin.  The warm start, `split`,
@@ -80,7 +80,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import eliminate, integral
+from .linalg import check_farkas, eliminate, integral, satisfies
 
 Q = Fraction
 
@@ -247,7 +247,7 @@ def _phase1(dic):
     n = len(dic.slots)
     dic.obj = _run_simplex(dic.tab, dic.basis, dic.slots, dic.obj)
     if dic.obj[-1] != 0:
-        _check_farkas(dic.irows, _farkas(dic.obj, dic.basis, dic.slots, dic.irows))
+        check_farkas(dic.irows, _farkas(dic.obj, dic.basis, dic.slots, dic.irows))
         return None
     point = _phase1_point(dic.tab, dic.basis, n)
     start = dic.checked if point == dic.point else 0
@@ -257,12 +257,9 @@ def _phase1(dic):
 
 
 def _check_point(rows, x, d) -> None:
-    """Raise AssertionError unless X / D satisfies each integral row
-    (checked also under python -O); x is one entry shorter than a row, so
-    the products stop before its bound."""
-    for ints, _ in rows:
-        if sum(map(operator.mul, ints, x)) < ints[-1] * d:
-            raise AssertionError("phase-1 point violates a row")
+    """Raise AssertionError unless X / D satisfies each row (also under -O)."""
+    if not satisfies(rows, x, d):
+        raise AssertionError("phase-1 point violates a row")
 
 
 def _empty(n):
@@ -295,20 +292,6 @@ def _farkas(obj, basis, slots, rows):
     scales = [scale for _, scale in rows]
     lcm = math.lcm(*scales)
     return [r * (lcm // c) for r, c in zip(cost, scales)]
-
-
-def _check_farkas(rows, y) -> None:
-    """Raise AssertionError unless y certifies that the rows have no
-    common point (checked also under python -O).  The combination runs over
-    the rows with a nonzero multiplier."""
-    if any(v < 0 for v in y) or not any(y):
-        raise AssertionError("Farkas multipliers not nonnegative and nonzero")
-    used = [(v, ints) for v, (ints, _) in zip(y, rows) if v]
-    combo = [sum(v * ints[j] for v, ints in used) for j in range(len(rows[0][0]))]
-    if any(combo[:-1]):
-        raise AssertionError("Farkas combination of the normals is not zero")
-    if combo[-1] <= 0:
-        raise AssertionError("Farkas combination of the bounds is not positive")
 
 
 def _phase1_point(tab, basis, n):

@@ -23,9 +23,10 @@ Each battery cross-checks part of the pipeline against an independent oracle:
 
 All randomness is seeded, so every battery is deterministic.  Each battery
 takes its sizes from its caller, with the defaults that `orbitchar verify`
-runs; `run_suites(names, max_n=5)` passes max_n, the largest sl_n, to
-dynkin and theorem, and checks for minnorm's optional extra (numpy and
-SciPy) before any battery runs.
+runs, and refuses an empty size with ValueError rather than pass having
+checked nothing; `run_suites(names, max_n=5)` passes max_n, the largest
+sl_n, to dynkin and theorem, and checks it (at least 2) and minnorm's
+optional extra (numpy and SciPy) before any battery runs.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .orbits import (
     Module,
     Partition,
     RegionAnalysis,
-    _sl_position,
-    _sl_positions,
+    sl_position,
+    sl_positions,
     characteristic,
     conjugate_partition,
     dominance_leq,
@@ -149,8 +150,18 @@ def _characteristic_table(n: int):
     return analysis, table
 
 
+def _sizes(sizes, battery: str) -> tuple:
+    """A battery's sizes, refused when there are none: it would pass
+    having checked nothing."""
+    sizes = tuple(sizes)
+    if not sizes:
+        raise ValueError(f"the {battery} battery needs at least one size")
+    return sizes
+
+
 def run_dynkin(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
     """Characteristic labels vs the classical weighted Dynkin diagrams."""
+    ns = _sizes(ns, "dynkin")
     rows = []
     for n in ns:
         started = time.perf_counter()
@@ -170,6 +181,7 @@ def run_dynkin(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
 
 def run_theorem(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
     """Injectivity of the characteristic map and dense/nonempty agreement."""
+    ns = _sizes(ns, "theorem")
     started = time.perf_counter()
     problems = []
     checked = 0
@@ -499,7 +511,7 @@ def sampled_jordan_types(i_r, n: int) -> list[Partition]:
     Each lies at or below the generic type in dominance order, and equals it
     unless its coefficients are a zero of some minor: the oracle for
     orbits.generic_jordan_partition."""
-    support = sorted({_sl_position(mu, n) for mu in i_r})
+    support = sorted({sl_position(mu, n) for mu in i_r})
     types = []
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -538,7 +550,7 @@ def run_lemma() -> list[VerifyRow]:
     for n in (3, 4):
         analysis = arrangements[f"A{n - 1} adjoint"]
         rs = analysis.model.root_system
-        positions = _sl_positions(n)
+        positions = sl_positions(n)
         by_position = {pos: w for w, pos in positions.items()}
         positive = list(rs.positive_roots)
         def unit(pos):
@@ -636,6 +648,7 @@ def w_catalan(rs: RootSystem) -> Q:
 
 def run_catalan(names=CATALAN_TYPES) -> list[VerifyRow]:
     """Adjoint region counts of simple types against the W-Catalan number."""
+    names = _sizes(names, "catalan")
     started = time.perf_counter()
     problems = []
     for name in names:
@@ -684,12 +697,15 @@ SUITE_ORDER = list(SUITES)
 
 
 def run_suites(names, *, max_n: int = 5) -> list[VerifyRow]:
-    """The rows of the named batteries, in the order named.  Every name and
-    the minnorm battery's optional extra are checked before any battery
-    runs: ValueError names an unknown suite, RuntimeError a missing extra."""
+    """The rows of the named batteries, in the order named.  Every name,
+    max_n and the minnorm battery's optional extra are checked before any
+    battery runs: ValueError names an unknown suite or a max_n below 2,
+    RuntimeError a missing extra."""
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITE_ORDER}")
+    if max_n < 2:
+        raise ValueError(f"max_n {max_n}: the largest sl_n must be at least 2")
     if "minnorm" in names:
         _require_float_reference()
     return [row for name in names for row in SUITES[name](max_n)]

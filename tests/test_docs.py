@@ -1,6 +1,8 @@
-"""The README's API table and orbitchar.__all__ name only what exists, and
-the demos run and write the figures the README names."""
+"""The README's API table and orbitchar.__all__ name only what exists, the
+demos run and write the figures the README names, and no module of the
+package reaches for a sibling's private name."""
 
+import ast
 import functools
 import os
 import re
@@ -59,3 +61,45 @@ def test_demos_run_and_write_their_figures(tmp_path):
     figures = {"example_module_regions.svg", "little_adjoint_b2.svg", "little_adjoint_g2.svg"}
     assert figures <= {path.name for path in tmp_path.iterdir()}
     assert all(figure in README.read_text() for figure in figures)
+
+
+def _defined_names(tree):
+    """Every name a module defines, at any depth: its functions, classes,
+    methods and assigned names (imported ones aside)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def sibling_private_names(package):
+    """module: name for each underscore name a module imports or reads as an
+    attribute that it does not define itself but a sibling module does."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined = {module: _defined_names(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and name not in defined[module] and any(
+                    name in theirs for other, theirs in defined.items() if other != module
+                ):
+                    found.add(f"{module}: {name}")
+    return sorted(found)
+
+
+def test_no_module_uses_a_private_name_of_a_sibling():
+    # each certificate check and shared helper has one public home, such as
+    # linalg.satisfies, that its callers import by name
+    package = Path(orbitchar.__file__).resolve().parent
+    assert sibling_private_names(package) == []

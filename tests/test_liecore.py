@@ -442,3 +442,32 @@ def test_root_coords_and_weight_form_against_fraction_reference(factors):
     # the highest root of every factor is long, of squared length 2
     assert max(rs.root_length_sq(r) for r in rs.positive_roots) == 2
     assert all(rs.root_length_sq(theta) == 2 for theta in lc.highest_roots(rs))
+
+
+def _split_block(m):
+    """The scaling of a square rational matrix the form, Gram and inverse
+    Hessian each did by hand before linalg.integral_matrix: one integral of
+    all entries, split back into rows."""
+    n = len(m)
+    ints, scale = linalg.integral([v for row in m for v in row])
+    return [ints[i : i + n] for i in range(0, len(ints), n)], scale
+
+
+# every type this file builds
+_ALL_TYPES = _WALK_TYPES + [[("A", 5)], [("B", 4)], [("C", 4)], [("A", 2), ("B", 2)]]
+
+
+@pytest.mark.parametrize("factors", _ALL_TYPES, ids=str)
+def test_integral_matrices_match_the_split_block(factors):
+    rs = lc.build_root_system(factors)
+    m = linalg.inverse(linalg.transpose(rs.cartan))
+    assert rs.form_matrix == _split_block(
+        [[l / 2 * x for x in row] for l, row in zip(rs.root_lengths, m)]
+    )
+    for scales in (None, [Q(k + 1, k + 3) for k in range(len(factors))]):
+        form = lc.invariant_form(rs, scales)
+        gram = form.integral_gram
+        assert gram == _split_block(form.gram)
+        assert form.integral_inverse_hessian == _split_block(
+            linalg.inverse([[2 * v for v in row] for row in gram[0]])
+        )

@@ -167,3 +167,48 @@ def test_eliminate_returns_primitive_positive_multiple():
         assert factor > 0
         assert [factor * w for w in want] == got
     assert zero_rows > 20
+
+
+def test_dot_runs_over_the_shorter_length():
+    assert linalg.dot([2, -3, 7], [5, 1]) == 7
+    assert linalg.dot([], [1, 2]) == 0
+
+
+def test_satisfies_on_a_tight_row_a_zero_normal_and_a_short_point():
+    # rows (ints, scale) of x - y >= 1/2 and y >= 0, the point (3/2, 1) = (3, 2) / 2
+    rows = [linalg.integral((1, -1, Q(1, 2))), linalg.integral((0, 1, 0))]
+    assert rows == [([2, -2, 1], 2), ([0, 1, 0], 1)]
+    x, d = linalg.integral((Q(3, 2), 1))
+    # the first row is tight: 2 * 3 - 2 * 2 == 1 * 2
+    assert linalg.satisfies(rows, x, d)
+    assert not linalg.satisfies(rows, [3, 3], 2)
+    # a zero normal holds exactly when its bound is at most 0
+    assert linalg.satisfies([([0, 0, 0], 1), ([0, 0, -5], 1)], x, d)
+    assert not linalg.satisfies([([0, 0, 1], 1)], x, d)
+    # the point is one entry shorter than a row: the bound never enters the
+    # product, and x - y >= 1/2 fails at (0, 0)
+    assert not linalg.satisfies(rows, [0, 0], 1)
+    assert linalg.satisfies([], [0, 0], 1)
+
+
+def test_check_farkas_accepts_a_certificate_and_names_each_failure():
+    # x >= 1, -x >= 0, 0 >= -2 and 0 >= 0: y = (1, 1, 0, 0) sums the normals
+    # to 0 and the bounds to 1
+    rows = [([1, 1], 1), ([-1, 0], 1), ([0, -2], 1), ([0, 0], 1)]
+    assert linalg.check_farkas(rows, [1, 1, 0, 0]) is None
+    assert linalg.check_farkas(rows, [2, 2, 0, 3]) is None
+    failures = {
+        "Farkas multipliers not nonnegative and nonzero": [[0, 0, 0, 0], [1, 2, -1, 0]],
+        "Farkas combination of the normals is not zero": [[1, 0, 0, 0], [2, 1, 0, 0]],
+        "Farkas combination of the bounds is not positive": [[0, 0, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]],
+    }
+    for message, ys in failures.items():
+        for y in ys:
+            with pytest.raises(AssertionError, match=f"^{message}$"):
+                linalg.check_farkas(rows, y)
+
+
+def test_integral_matrix_scales_every_entry_by_one_lcm():
+    m = [[Q(1, 2), Q(-2, 3)], [4, Q(0)], [Q(5, 6), 1]]
+    assert linalg.integral_matrix(m) == ([[3, -4], [24, 0], [5, 6]], 6)
+    assert linalg.integral_matrix([[1, 2, 3]]) == ([[1, 2, 3]], 1)

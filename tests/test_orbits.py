@@ -4,6 +4,7 @@ import inspect
 import itertools
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.liecore import (
     build_root_system,
+    dynkin_labels,
     highest_roots,
     highest_short_root,
     invariant_form,
@@ -22,7 +24,6 @@ from orbitchar.liecore import (
 from orbitchar.minnorm import MinNormTieError, Polyhedron, min_norm_point, verify_kkt
 from orbitchar.orbits import (
     _EXAMPLE_POSITIONS,
-    _sl_position,
     AdjointSlModel,
     Example2x3Model,
     Module,
@@ -34,6 +35,7 @@ from orbitchar.orbits import (
     generic_jordan_partition,
     m_sets,
     partitions_of,
+    sl_position,
     weighted_dynkin_from_partition,
 )
 
@@ -192,8 +194,8 @@ def test_sl_position_matches_the_cartan_row_map(n):
     positions = _sl_root_positions(n, build_root_system([("A", n - 1)]))
     assert len(positions) == n * (n - 1)
     for w, pos in positions.items():
-        assert _sl_position(w, n) == pos
-        assert _sl_position(list(w), n) == pos
+        assert sl_position(w, n) == pos
+        assert sl_position(list(w), n) == pos
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -204,7 +206,7 @@ def test_sl_position_refuses_exactly_the_non_roots(n):
         if mu in roots:
             continue
         with pytest.raises(ValueError, match=f"is not a root of sl_{n}"):
-            _sl_position(mu, n)
+            sl_position(mu, n)
         refused += 1
     assert refused == 7 ** (n - 1) - n * (n - 1)
 
@@ -212,7 +214,7 @@ def test_sl_position_refuses_exactly_the_non_roots(n):
 def test_sl_position_refuses_wrong_lengths():
     for mu, n in [((2,), 3), ((2, -1, 0), 3), ((), 2), ((1, 1), 2), ((2, -1), 4)]:
         with pytest.raises(ValueError, match=f"is not a root of sl_{n}"):
-            _sl_position(mu, n)
+            sl_position(mu, n)
 
 
 def test_generic_jordan_seed_determinism():
@@ -788,6 +790,80 @@ def test_union_minimum_never_below_member_minima(example_analysis):
             example_analysis.region_minimum(rid).norm_sq == ch.norm_sq
             for rid in ch.achieving
         )
+
+
+# ------------------------------------------------- adjoint types B, C and D
+
+
+def _classical_diagrams(series, n):
+    """The weighted Dynkin diagrams of the nilpotent orbits of so(2n+1),
+    sp(2n) or so(2n): one per partition in which every even part (B, D) or
+    odd part (C) has even multiplicity, two for a very even D partition.
+    The n largest entries h of the strings d-1, d-3, ..., 1-d of the parts
+    d give the labels h_i - h_{i+1}, and last h_n (B), 2 h_n (C) or
+    h_{n-1} + h_n (D)."""
+    paired = 1 if series == "C" else 0
+    diagrams = []
+    for p in partitions_of(2 * n + (series == "B")):
+        if any(p.count(d) % 2 for d in set(p) if d % 2 == paired):
+            continue
+        h = sorted((v for d in p for v in range(d - 1, -d, -2)), reverse=True)[:n]
+        labels = [h[i] - h[i + 1] for i in range(n - 1)]
+        last = {"B": h[-1], "C": 2 * h[-1], "D": h[-2] + h[-1]}[series]
+        diagrams.append((*labels, last))
+        if series == "D" and all(d % 2 == 0 for d in p):
+            diagrams.append((*labels[:-1], last, labels[-1]))
+    return diagrams
+
+
+def _diagram_failures(series, n):
+    """The classical diagrams of B_n, C_n or D_n, and those that are not the
+    labels of the minimum over the closure of the adjoint region signed '+'
+    exactly where alpha(h) >= 2 for the point h with those labels."""
+    rs = build_root_system([(series, n)])
+    analysis = RegionAnalysis.build(Module(rs, highest_roots(rs)))
+    by_signs = {r.signs: r.id for r in analysis.regions}
+    diagrams = _classical_diagrams(series, n)
+    failures = []
+    for diagram in diagrams:
+        h = linalg.solve(rs.cartan, diagram)
+        signs = "".join(
+            "+" if pairing(hp.weight, h) >= analysis.level else "-" for hp in analysis.hyperplanes
+        )
+        rid = by_signs.get(signs)
+        if rid is None or dynkin_labels(rs, analysis.region_minimum(rid).point) != diagram:
+            failures.append(diagram)
+    return diagrams, failures
+
+
+# the number of nilpotent orbits, a very even D orbit counted twice
+_CLASSICAL_ORBITS = {
+    ("B", 2): 4, ("B", 3): 7, ("B", 4): 13, ("B", 5): 21,
+    ("C", 3): 8, ("C", 4): 14, ("C", 5): 24,
+    ("D", 4): 12, ("D", 5): 16, ("D", 6): 31,
+}
+if os.environ.get("ORBITCHAR_LARGE") == "1":
+    _CLASSICAL_ORBITS.update({("B", 6): 35, ("C", 6): 40, ("D", 7): 43})
+
+
+@pytest.mark.parametrize("factor", _CLASSICAL_ORBITS, ids=lambda f: f"{f[0]}{f[1]}")
+def test_classical_bcd_diagrams_are_adjoint_region_minima(factor):
+    diagrams, failures = _diagram_failures(*factor)
+    assert failures == []
+    assert len(diagrams) == len(set(diagrams)) == _CLASSICAL_ORBITS[factor]
+
+
+def test_classical_bcd_check_catches_a_wrong_minimum(monkeypatch):
+    # doubling every minimum moves every label but those of the zero orbit
+    region_minimum = RegionAnalysis.region_minimum
+
+    def doubled(self, region_id):
+        res = region_minimum(self, region_id)
+        return replace(res, point=tuple(2 * x for x in res.point))
+
+    monkeypatch.setattr(RegionAnalysis, "region_minimum", doubled)
+    diagrams, failures = _diagram_failures("B", 3)
+    assert failures == diagrams[:-1] and not any(diagrams[-1])
 
 
 # ------------------------------------------------------- module without model

@@ -150,3 +150,18 @@ def test_the_package_reads_no_environment_variable():
         if re.search(r"environ|getenv", line)
     ]
     assert readers == []
+
+
+@pytest.mark.parametrize("battery", ["run_dynkin", "run_theorem", "run_catalan"])
+def test_a_battery_refuses_an_empty_size(battery):
+    # an empty size would pass having checked nothing
+    with pytest.raises(ValueError, match="battery needs at least one size"):
+        getattr(verify, battery)(())
+
+
+@pytest.mark.parametrize("max_n", [1, 0, -3])
+def test_run_suites_refuses_a_max_n_below_2_before_any_battery_runs(monkeypatch, max_n):
+    for battery in ("run_dynkin", "run_theorem"):
+        monkeypatch.setattr(verify, battery, lambda ns: pytest.fail("a battery ran"))
+    with pytest.raises(ValueError, match=rf"^max_n {max_n}: the largest sl_n must be at least 2$"):
+        verify.run_suites(["dynkin", "theorem"], max_n=max_n)
