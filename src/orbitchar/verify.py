@@ -242,8 +242,8 @@ def run_sampling() -> list[VerifyRow]:
         rejected = 0
         while tested < 10000 and not problems:
             k = [rng.randint(1, 400) for _ in range(rs.rank)]
-            # zip stops at the rank, so the level column is left out of the dot product
-            gaps = [sum(a * b for a, b in zip(row, k)) - 100 * row[-1] for row in planes]
+            # dot stops at the rank, so the level column is left out of the product
+            gaps = [linalg.dot(row, k) - 100 * row[-1] for row in planes]
             if 0 in gaps:
                 rejected += 1
                 continue
@@ -330,9 +330,7 @@ def _norm_below(form, value):
     value = Q(value) * scale
 
     def below(nums, den):
-        quad = sum(
-            x * sum(g * y for g, y in zip(row, nums)) for x, row in zip(nums, gram)
-        )
+        quad = linalg.dot(nums, [linalg.dot(row, nums) for row in gram])
         return quad * value.denominator < value.numerator * den * den
 
     return below
