@@ -86,10 +86,6 @@ class Polyhedron:
         rows = [(ints[:-1], ints[-1]) for ints, _ in self.integral_rows]
         return not ratlp.closed_feasible(rows, self.rank)
 
-    def contains(self, point) -> bool:
-        x, d = linalg.integral(point)
-        return satisfies(self.integral_rows, x, d)
-
 
 @dataclass(frozen=True)
 class MinNormResult:

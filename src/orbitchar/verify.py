@@ -9,8 +9,8 @@ Each battery cross-checks part of the pipeline against an independent oracle:
 * theorem    -- injectivity of the characteristic map and agreement of the
                 dense and nonempty modes for sl_n.
 * sampling   -- region enumeration against dense random chamber sampling.
-* minnorm    -- exact minimizers against random feasible points and a
-                floating-point reference solver.
+* minnorm    -- exact minimizers against random feasible points and an
+                exact enumeration of candidate active sets.
 * weights    -- weight multiplicity sums against the Weyl dimension formula,
                 and the short-root support of the little adjoint module.
 * lemma      -- saturation of region supports, b-stability of the spanned
@@ -25,12 +25,13 @@ All randomness is seeded, so every battery is deterministic.  Each battery
 takes its sizes from its caller, with the defaults that `orbitchar verify`
 runs, and refuses an empty size with ValueError rather than pass having
 checked nothing; `run_suites(names, max_n=5)` passes max_n, the largest
-sl_n, to dynkin and theorem, and checks it (at least 2) and minnorm's
-optional extra (numpy and SciPy) before any battery runs.
+sl_n, to dynkin and theorem, and checks it (at least 2) before any battery
+runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -47,6 +48,7 @@ from .liecore import (
     build_root_system,
     highest_roots,
     highest_short_root,
+    norm_sq,
     weight_system,
     weyl_dim,
 )
@@ -336,57 +338,46 @@ def _norm_below(form, value):
     return below
 
 
-def _float_reference(poly, form, interior):
-    """Floating-point minimizer: trust-region solve, then a KKT polish on the
-    active set the float solver itself identified.  Independent of the exact
-    solver's computations."""
-    import numpy as np
-    from scipy.optimize import LinearConstraint, minimize
+def enumerated_minimum(poly, form) -> tuple[Q, ...]:
+    """The least-norm point of poly under form by exhaustive active-set
+    enumeration: the reference of the minnorm battery.
 
-    dim = poly.rank
-    gram = np.array([[float(x) for x in row] for row in form.gram])
-    amat = np.array([[float(a) for a in normal] for normal, _ in poly.rows])
-    bvec = np.array([float(b) for _, b in poly.rows])
-    ref = minimize(
-        lambda x: float(x @ gram @ x),
-        np.array([float(v) for v in interior]),
-        jac=lambda x: 2.0 * (gram @ x),
-        hess=lambda x: 2.0 * gram,
-        constraints=[LinearConstraint(amat, bvec, np.full(len(bvec), np.inf))],
-        method="trust-constr",
-        options={"xtol": 1e-12, "gtol": 1e-12, "maxiter": 2000},
-    )
-    if not ref.success:
-        return None
-    x = ref.x
-    best_val = float(x @ gram @ x)
-    best = x
-    for tol in (1e-4, 1e-5, 1e-6, 1e-7):
-        active = np.where(amat @ x - bvec < tol * (1.0 + np.abs(bvec)))[0]
-        m = len(active)
-        kkt = np.zeros((dim + m, dim + m))
-        kkt[:dim, :dim] = 2.0 * gram
-        if m:
-            kkt[:dim, dim:] = -amat[active].T
-            kkt[dim:, :dim] = amat[active]
-        rhs = np.concatenate([np.zeros(dim), bvec[active]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        cand = sol[:dim]
-        if np.all(amat @ cand - bvec >= -1e-9):
-            val = float(cand @ gram @ cand)
-            if val <= best_val + 1e-9:
-                best_val, best = val, cand
-    return best
+    Every subset A of at most rank rows with independent normals gives one
+    solution (a, lam) of the KKT system 2 G a = N_A^T lam, N_A a = b_A.  A
+    point with lam >= 0 that satisfies every row is the minimizer, which is
+    unique, so exactly one distinct point must pass; ValueError otherwise
+    (none passes on an empty polyhedron).  Feasibility and the multiplier
+    signs are checked here over Fraction, independently of min_norm_point
+    and verify_kkt."""
+    n, rows = poly.rank, poly.rows
+    hessian = [[2 * g for g in row] for row in form.gram]
+    points = set()
+    for size in range(min(n, len(rows)) + 1):
+        for subset in itertools.combinations(rows, size):
+            normals = [normal for normal, _ in subset]
+            if linalg.rank(normals) < size:
+                continue
+            kkt = [hessian[i] + [-normal[i] for normal in normals] for i in range(n)]
+            kkt += [list(normal) + [0] * size for normal in normals]
+            sol = linalg.solve(kkt, [0] * n + [bound for _, bound in subset])
+            point = tuple(sol[:n])
+            if all(lam >= 0 for lam in sol[n:]) and all(
+                linalg.dot(normal, point) >= bound for normal, bound in rows
+            ):
+                points.add(point)
+    if len(points) != 1:
+        raise ValueError(f"{len(points)} KKT points, not the one minimizer")
+    return points.pop()
 
 
 def run_minnorm() -> list[VerifyRow]:
-    """Exact minimizers vs feasible sampling and a float reference solver."""
+    """Exact minimizers vs feasible sampling and an exact active-set
+    enumeration."""
     started = time.perf_counter()
     rng = random.Random(DEFAULT_SEED)
     problems = []
-    worst_gap = 0.0
     for k in range(100):
-        dim, interior, poly, form = _random_instance(rng)
+        _, interior, poly, form = _random_instance(rng)
         res = min_norm_point(poly, form)
         verify_kkt(poly, form, res)
         draw = _feasible_sampler(interior, poly)
@@ -396,19 +387,16 @@ def run_minnorm() -> list[VerifyRow]:
             if below(nums, den):
                 problems.append(f"instance {k}: sampled point beats the minimizer")
                 break
-        reference = _float_reference(poly, form, interior)
-        if reference is None:
-            problems.append(f"instance {k}: reference solver failed")
-            continue
-        gap = max(abs(float(v) - x) for v, x in zip(res.point, reference))
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-6:
+        reference = enumerated_minimum(poly, form)
+        if reference != res.point or norm_sq(form, reference) != res.norm_sq:
+            got, want = (", ".join(map(str, p)) for p in (res.point, reference))
             problems.append(
-                f"instance {k}: reference point differs by {gap:.2e} > 1e-6"
+                f"instance {k}: minimizer ({got}) is not the enumerated reference ({want})"
             )
     passed = (
         "100 polyhedra: KKT certified, 1000 feasible samples each "
-        f"never beat the minimizer, float reference within {worst_gap:.1e}"
+        "never beat the minimizer, which is the one KKT point of an exact "
+        "active-set enumeration"
     )
     return [_row("minnorm", started, problems[:4], passed)]
 
@@ -665,20 +653,6 @@ def run_catalan(names=CATALAN_TYPES) -> list[VerifyRow]:
 # ------------------------------------------------------------------- driver
 
 
-def _require_float_reference() -> None:
-    """Raise RuntimeError unless numpy and scipy, the optional extra
-    `verify` that the minnorm battery's float reference needs, import."""
-    try:
-        import numpy  # noqa: F401
-        import scipy.optimize  # noqa: F401
-    except ImportError as e:
-        missing = (e.name or "numpy or scipy").partition(".")[0]
-        raise RuntimeError(
-            f"the minnorm suite needs {missing}, which is not installed; "
-            "install it with: pip install -e .[verify]"
-        ) from None
-
-
 # each battery as a function of the largest sl_n of dynkin and theorem
 SUITES = {
     "example": lambda max_n: run_example(),
@@ -695,15 +669,12 @@ SUITE_ORDER = list(SUITES)
 
 
 def run_suites(names, *, max_n: int = 5) -> list[VerifyRow]:
-    """The rows of the named batteries, in the order named.  Every name,
-    max_n and the minnorm battery's optional extra are checked before any
-    battery runs: ValueError names an unknown suite or a max_n below 2,
-    RuntimeError a missing extra."""
+    """The rows of the named batteries, in the order named.  Every name and
+    max_n are checked before any battery runs: ValueError names an unknown
+    suite or a max_n below 2."""
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITE_ORDER}")
     if max_n < 2:
         raise ValueError(f"max_n {max_n}: the largest sl_n must be at least 2")
-    if "minnorm" in names:
-        _require_float_reference()
     return [row for name in names for row in SUITES[name](max_n)]

@@ -1,0 +1,16 @@
+"""Shared fixtures."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+import orbitchar
+
+
+@pytest.fixture
+def subprocess_env():
+    """The environment for a child Python that must import the package
+    under test: its source directory ahead of any PYTHONPATH already set."""
+    src = str(Path(orbitchar.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,16 +1,13 @@
 """Tests for the command-line interface (run in-process)."""
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
-import orbitchar
 from orbitchar import cli
 from orbitchar.cli import main, parse_factors
 from orbitchar.orbits import AdjointSlModel, Example2x3Model, weighted_dynkin_from_partition
@@ -344,23 +341,20 @@ def test_type_is_required_outside_the_example(tmp_path, capsys):
     assert not out.exists()
 
 
-def _run_script(args, cwd):
-    src = str(Path(orbitchar.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+def _run_script(args, cwd, env):
     argv = [sys.executable, "-m", "orbitchar", *args]
     return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
 
 
-def test_exit_codes_reach_the_shell(tmp_path):
-    run = _run_script(["regions", "--type", "A2"], tmp_path)
+def test_exit_codes_reach_the_shell(tmp_path, subprocess_env):
+    run = _run_script(["regions", "--type", "A2"], tmp_path, subprocess_env)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "regions.json").exists()
-    run = _run_script(["regions", "--type", "A0", "--out", "a0.json"], tmp_path)
+    run = _run_script(["regions", "--type", "A0", "--out", "a0.json"], tmp_path, subprocess_env)
     assert run.returncode == 1
     assert run.stderr == "error: rank 0 is not valid for series A\n"
     argv = ["characteristic", "--module", "example-2x3", "--orbit", "O2", "--mode", "dense"]
-    run = _run_script(argv, tmp_path)
+    run = _run_script(argv, tmp_path, subprocess_env)
     assert run.returncode == 2
     assert "undefined" in run.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["regions.json"]
@@ -371,9 +365,9 @@ def test_help_exits_zero(capsys):
     assert "regions" in capsys.readouterr().out
 
 
-def test_exact_pipeline_imports_neither_numpy_nor_scipy(tmp_path):
+def test_exact_pipeline_imports_neither_numpy_nor_scipy(tmp_path, subprocess_env):
     # Importing scipy.optimize alone costs about 60 MB of RSS and 0.6 s of
-    # setup; only the float cross-check of the minnorm battery may pay for it.
+    # setup; no command, the minnorm battery included, may pay for it.
     script = textwrap.dedent(
         """
         import sys
@@ -384,45 +378,14 @@ def test_exact_pipeline_imports_neither_numpy_nor_scipy(tmp_path):
             ["characteristic", "--module", "example-2x3", "--orbit", "O5", "--svg", "c.svg"],
             ["plot", "--type", "B2", "--module", "little-adjoint", "--out", "p.svg"],
             ["verify", "--suite", "example"],
+            ["verify", "--suite", "minnorm"],
         ):
             assert main(argv) == 0, argv
         print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
         """
     )
-    src = str(Path(orbitchar.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     run = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], cwd=tmp_path, env=subprocess_env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
-
-
-@pytest.mark.parametrize("module", ["numpy", "scipy"])
-def test_minnorm_suite_without_its_float_reference_is_a_cli_error(tmp_path, module):
-    # numpy and scipy are the optional extra `verify`; without them the
-    # minnorm battery stops before any battery runs, the exact ones work
-    script = textwrap.dedent(
-        f"""
-        import sys
-        sys.modules[{module!r}] = None
-        from orbitchar.cli import main
-        print(main(["verify", "--suite", "minnorm"]), main(["verify", "--suite", "all"]))
-        print(main(["verify", "--suite", "example"]))
-        """
-    )
-    src = str(Path(orbitchar.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[0] == "1 1"
-    assert run.stdout.splitlines()[-1] == "0"
-    message = (
-        f"error: the minnorm suite needs {module}, which is not installed; "
-        "install it with: pip install -e .[verify]"
-    )
-    assert run.stderr.splitlines() == [message, message]

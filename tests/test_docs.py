@@ -4,7 +4,6 @@ package reaches for a sibling's private name."""
 
 import ast
 import functools
-import os
 import re
 import subprocess
 import sys
@@ -49,13 +48,12 @@ def test_all_names_resolve():
     assert [name for name in orbitchar.__all__ if not _resolves(name)] == []
 
 
-def test_demos_run_and_write_their_figures(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demos_run_and_write_their_figures(tmp_path, subprocess_env):
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert len(demos) == 3
     for demo in demos:
         run = subprocess.run(
-            [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+            [sys.executable, str(demo)], cwd=tmp_path, env=subprocess_env, capture_output=True, text=True
         )
         assert run.returncode == 0, f"{demo.name}: {run.stderr}"
     figures = {"example_module_regions.svg", "little_adjoint_b2.svg", "little_adjoint_g2.svg"}

@@ -1,12 +1,10 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
 import itertools
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +32,7 @@ def test_corner_point():
     mn.verify_kkt(poly, _diag_form(), res)
 
 
-def test_certificate_check_runs_under_optimize():
+def test_certificate_check_runs_under_optimize(subprocess_env):
     # under python -O assert statements vanish; verify_kkt must still refuse
     # every tampered certificate, with its own message
     script = """
@@ -60,10 +58,8 @@ for change in (
     else:
         print("accepted")
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
     assert out[:5] == [
         "candidate violates a constraint",
@@ -270,14 +266,34 @@ def test_dual_matches_enumeration_on_random_instances():
             continue
         form = _random_spd_form(rng, n)
         fast = mn.min_norm_point(poly, form)
-        slow = _enumeration_reference(poly, form)
-        assert fast.point == slow.point
-        assert fast.norm_sq == slow.norm_sq
+        slow = verify.enumerated_minimum(poly, form)
+        assert fast.point == slow
+        assert fast.norm_sq == lc.norm_sq(form, slow)
         done += 1
 
 
+def _all_subsets_kkt_points(poly, form):
+    """The KKT points of every subset of rows, of any size, dependent
+    normals included (linalg.solve sets free variables to 0): each solution
+    with nonnegative multipliers that satisfies every row."""
+    n, rows = poly.rank, poly.rows
+    points = set()
+    for size in range(len(rows) + 1):
+        for subset in itertools.combinations(rows, size):
+            mat = [[2 * g for g in form.gram[i]] + [-normal[i] for normal, _ in subset] for i in range(n)]
+            mat += [list(normal) + [0] * size for normal, _ in subset]
+            sol = linalg.solve(mat, [0] * n + [bound for _, bound in subset])
+            if sol is None or any(lam < 0 for lam in sol[n:]):
+                continue
+            point = tuple(sol[:n])
+            if all(sum(Q(a) * x for a, x in zip(normal, point)) >= bound for normal, bound in rows):
+                points.add(point)
+    return points
+
+
 def test_rank_bounded_enumeration_loses_nothing():
-    # active sets bigger than the rank and dependent subsets add no minimizer
+    # active sets bigger than the rank and dependent subsets add no KKT point
+    # to the battery's reference, which tries only independent ones
     rng = random.Random(99)
     done = 0
     while done < 15:
@@ -286,12 +302,7 @@ def test_rank_bounded_enumeration_loses_nothing():
         if poly.is_empty():
             continue
         form = _random_spd_form(rng, n)
-        bounded = _enumeration_reference(poly, form)
-        unbounded = _enumeration_reference(
-            poly, form, max_size=len(poly.rows), independent_only=False
-        )
-        assert bounded.point == unbounded.point
-        assert bounded.norm_sq == unbounded.norm_sq
+        assert _all_subsets_kkt_points(poly, form) == {verify.enumerated_minimum(poly, form)}
         done += 1
 
 
@@ -348,62 +359,6 @@ def test_min_over_union_tie_detection():
 def test_min_over_union_requires_input():
     with pytest.raises(ValueError):
         mn.combine_union_minima(mn.min_norm_point(p, _diag_form()) for p in [])
-
-
-def _clean_rows(poly):
-    """Deduplicate rows, dropping vacuous ones; detect trivial emptiness."""
-    seen = {}
-    for k, (normal, bound) in enumerate(poly.rows):
-        if not any(normal):
-            if bound > 0:
-                raise ValueError("empty polyhedron")
-            continue
-        key = (normal, bound)
-        if key not in seen:
-            seen[key] = k
-    return [(k, normal, bound) for (normal, bound), k in seen.items()]
-
-
-def _enumeration_reference(poly, form, max_size=None, independent_only=True):
-    """An independent solver for cross-checks: try candidate active subsets
-    of rows and keep the best point passing the exact certificate.  Subsets
-    go up to max_size rows (the rank by default); independent_only skips
-    subsets with dependent normals."""
-    n = poly.rank
-    rows = _clean_rows(poly)
-    if max_size is None:
-        max_size = n
-    q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
-    best = None
-    for size in range(0, min(max_size, len(rows)) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
-            normals = [rows[t][1] for t in subset]
-            if independent_only and linalg.rank(normals) < size:
-                continue
-            mat = [q[i] + [-normal[i] for normal in normals] for i in range(n)]
-            mat += [list(normal) + [0] * size for normal in normals]
-            rhs = [0] * n + [rows[t][2] for t in subset]
-            sol = linalg.solve(mat, rhs)
-            if sol is None:
-                continue
-            a, mult = sol[:n], sol[n:]
-            if any(l < 0 for l in mult):
-                continue
-            cand = mn.MinNormResult(
-                point=tuple(a),
-                norm_sq=lc.norm_sq(form, tuple(a)),
-                active_set=tuple(rows[t][0] for t in subset),
-                multipliers=tuple(mult),
-            )
-            try:
-                mn.verify_kkt(poly, form, cand)
-            except AssertionError:
-                continue
-            if best is None or cand.norm_sq < best.norm_sq:
-                best = cand
-    if best is None:
-        raise ValueError("no certified point; polyhedron may be empty")
-    return best
 
 
 def _fraction_reference(poly, form):
@@ -535,7 +490,7 @@ def test_inverse_hessian_of_a_scaled_product_has_a_denominator(factors):
 
 def test_inverse_hessian_and_integral_rows_are_formed_once(monkeypatch):
     # one H^-1 per form; one pass of the rows to ints per polyhedron, shared
-    # by min_norm_point, verify_kkt and contains
+    # by min_norm_point, verify_kkt and the point check
     cases = _regions([("A", 3)])
     form = cases[0][1]
     inverse, integral, calls = linalg.inverse, linalg.integral, []
@@ -544,7 +499,7 @@ def test_inverse_hessian_and_integral_rows_are_formed_once(monkeypatch):
     for poly, _ in cases:
         res = mn.min_norm_point(poly, form)
         mn.verify_kkt(poly, form, res)
-        assert poly.contains(res.point)
+        assert linalg.satisfies(poly.integral_rows, *linalg.integral(res.point))
     assert calls.count("inverse") == 1
     # rank 3: only a row (normal, bound) has four entries
     assert calls.count(4) == sum(len(poly.rows) for poly, _ in cases) > 0

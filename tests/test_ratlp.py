@@ -1,12 +1,10 @@
 """The exact phase-1 simplex against hand cases, a floating-point
 reference, the full-tableau simplex it condenses and the slack LP."""
 
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 
@@ -71,8 +69,8 @@ def test_no_rows():
 
 def _scipy_answers(rows, n):
     """Closed feasibility by linprog, and the largest t (capped at 1) with
-    normal.x - t >= bound on every row; numpy and scipy are the optional
-    extra `verify`, so its callers skip without them."""
+    normal.x - t >= bound on every row; numpy and scipy are test-only
+    dependencies, so its callers skip without them."""
     import numpy as np
     from scipy.optimize import linprog
 
@@ -495,7 +493,7 @@ def test_a_tampered_homogenized_point_is_refused(monkeypatch):
             ratlp.strict_interior(rows, 1)
 
 
-def test_certificate_checks_run_under_optimize():
+def test_certificate_checks_run_under_optimize(subprocess_env):
     script = """
 from orbitchar import ratlp
 assert False  # stripped by -O
@@ -524,10 +522,8 @@ try:
 except AssertionError as exc:
     print(exc)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
     assert out[:6] == [
         "Farkas multipliers not nonnegative and nonzero",
@@ -646,7 +642,7 @@ def test_a_tampered_point_from_a_warm_start_is_refused(monkeypatch):
             ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.split(root, row)[0])
 
 
-def test_warm_certificate_checks_run_under_optimize():
+def test_warm_certificate_checks_run_under_optimize(subprocess_env):
     script = """
 from orbitchar import ratlp
 assert False  # stripped by -O
@@ -666,10 +662,8 @@ for y in ([-1, -1, 0, -1], [1, 0, 0, 1]):
 ratlp._phase1_point = lambda tab, basis, n: ([1, 0, 1], 1)
 warm(((1, 1), 0))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
     assert out[:3] == [
         "Farkas multipliers not nonnegative and nonzero",

@@ -1,20 +1,17 @@
 """The integer sampler and norm test behind the minnorm verification battery,
 and the exponents and counts behind the catalan battery."""
 
-import os
 import random
 import re
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
 import orbitchar
-from orbitchar import orbits, verify
-from orbitchar.liecore import build_root_system, norm_sq
+from orbitchar import linalg, orbits, verify
+from orbitchar.liecore import build_root_system, invariant_form, norm_sq
+from orbitchar.minnorm import MinNormResult, Polyhedron
 
 
 def _value(normal, point):
@@ -30,7 +27,7 @@ def test_feasible_samples_are_exact_and_tight_when_cut_short():
         for _ in range(50):
             nums, den, (g, d) = draw(rng)
             point = tuple(Q(x, den) for x in nums)
-            assert poly.contains(point)
+            assert linalg.satisfies(poly.integral_rows, nums, den)
             assert 0 <= Q(g, d) <= 1
             if g < d:
                 cut_short += 1
@@ -72,6 +69,41 @@ def test_norm_below_agrees_with_norm_sq():
                 assert below(nums, den) == (value < bound)
 
 
+def test_the_reference_refuses_a_polyhedron_without_a_kkt_point():
+    # x >= 1 and -x >= 0 meet nowhere, so no candidate active set passes
+    poly = Polyhedron.from_rows([((1,), 1), ((-1,), 0)], 1)
+    form = invariant_form(build_root_system([("A", 1)]))
+    with pytest.raises(ValueError, match="^0 KKT points, not the one minimizer$"):
+        verify.enumerated_minimum(poly, form)
+
+
+def test_a_wrong_minimum_fails_the_battery_on_the_reference(monkeypatch):
+    # the planted minimizer is each instance's interior point, feasible but
+    # not least; the certificate check and the sampler accept anything, so
+    # only the enumerated reference is left to catch it
+    random_instance, interiors = verify._random_instance, []
+
+    def recording(rng):
+        instance = random_instance(rng)
+        interiors.append(instance[1])
+        return instance
+
+    def planted(poly, form):
+        point = interiors[-1]
+        return MinNormResult(point, norm_sq(form, point), (), ())
+
+    monkeypatch.setattr(verify, "_random_instance", recording)
+    monkeypatch.setattr(verify, "min_norm_point", planted)
+    monkeypatch.setattr(verify, "verify_kkt", lambda poly, form, res: None)
+    monkeypatch.setattr(verify, "_norm_below", lambda form, value: lambda nums, den: False)
+    [row] = verify.run_minnorm()
+    assert not row.ok
+    problems = row.detail.split("; ")
+    assert len(problems) == 4
+    pattern = r"instance \d+: minimizer \(.+\) is not the enumerated reference \(.+\)"
+    assert all(re.fullmatch(pattern, p) for p in problems), problems
+
+
 # the classical exponents of each simple type (Bourbaki, Lie Groups and Lie
 # Algebras, ch. VI, plates I-IX), largest first
 _EXPONENTS = {
@@ -109,35 +141,6 @@ def test_an_unknown_suite_is_refused_before_any_battery_runs(monkeypatch):
     monkeypatch.setattr(verify, "run_example", lambda: pytest.fail("a battery ran"))
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         verify.run_suites(["example", "nope"])
-
-
-@pytest.mark.parametrize("module", ["numpy", "scipy"])
-def test_minnorm_without_its_extra_is_refused_before_any_battery_runs(tmp_path, module):
-    script = textwrap.dedent(
-        f"""
-        import sys
-        sys.modules[{module!r}] = None
-        from orbitchar import verify
-        ran = []
-        verify.run_example = lambda: ran.append("example") or []
-        try:
-            verify.run_suites(["example", "minnorm"])
-        except RuntimeError as e:
-            print(e)
-        print(ran)
-        """
-    )
-    src = str(Path(orbitchar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == [
-        f"the minnorm suite needs {module}, which is not installed; "
-        "install it with: pip install -e .[verify]",
-        "[]",
-    ]
 
 
 def test_the_package_reads_no_environment_variable():
