@@ -88,6 +88,11 @@ class VerifyRow:
         return f"{flag}  {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
+def _point(values) -> str:
+    """A tuple of rationals as (4/3, 0) in a report."""
+    return f"({', '.join(map(str, values))})"
+
+
 def _row(name: str, started: float, problems: list[str], passed: str) -> VerifyRow:
     """A row that passes with the given text when there are no problems."""
     return VerifyRow(
@@ -131,7 +136,7 @@ def run_example() -> list[VerifyRow]:
     for orbit, want in expected_points.items():
         ch = characteristic(analysis, orbit, mode="nonempty")
         if ch.point != want:
-            problems.append(f"characteristic of {orbit}: {ch.point} != {want}")
+            problems.append(f"characteristic of {orbit}: {_point(ch.point)} != {_point(want)}")
     passed = "4 hyperplanes, 6 regions, membership sets and characteristics match"
     return [_row("example", started, problems, passed)]
 
@@ -141,7 +146,11 @@ def run_example() -> list[VerifyRow]:
 
 @lru_cache(maxsize=None)
 def _characteristic_table(n: int):
-    """Analysis plus both-mode characteristics for every partition of n."""
+    """Analysis plus both-mode characteristics for every partition of n.
+
+    Each table is kept for the life of the process, so a test that plants a
+    wrong answer beneath it calls _characteristic_table.cache_clear() before
+    the plant and again after it."""
     analysis = RegionAnalysis.build(AdjointSlModel(n))
     table = {}
     for p in partitions_of(n):
@@ -172,10 +181,10 @@ def run_dynkin(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
         for p, (loose, dense) in table.items():
             want = weighted_dynkin_from_partition(p)
             if loose.labels != want:
-                problems.append(f"{p}: nonempty labels {loose.labels} != {want}")
+                problems.append(f"{p}: nonempty labels {_point(loose.labels)} != {_point(want)}")
             if dense is None or dense.labels != want:
-                got = None if dense is None else dense.labels
-                problems.append(f"{p}: dense labels {got} != {want}")
+                got = None if dense is None else _point(dense.labels)
+                problems.append(f"{p}: dense labels {got} != {_point(want)}")
         passed = f"{len(table)} partitions of {n} match the classical diagrams"
         rows.append(_row(f"dynkin sl{n}", started, problems, passed))
     return rows
@@ -194,7 +203,7 @@ def run_theorem(ns=(2, 3, 4, 5)) -> list[VerifyRow]:
             checked += 1
             if loose.point in points:
                 problems.append(
-                    f"sl{n}: {p} and {points[loose.point]} share point {loose.point}"
+                    f"sl{n}: {p} and {points[loose.point]} share point {_point(loose.point)}"
                 )
             points[loose.point] = p
             if dense is None or dense.point != loose.point:
@@ -252,7 +261,7 @@ def run_sampling() -> list[VerifyRow]:
             signs = "".join("+" if g > 0 else "-" for g in gaps)
             if signs not in sign_to_id:
                 h = tuple(linalg.solve(rs.cartan, [Q(x, 100) for x in k]))
-                problems.append(f"point {h} has unlisted sign vector {signs}")
+                problems.append(f"point {_point(h)} has unlisted sign vector {signs}")
                 break
             tested += 1
         passed = (
@@ -272,13 +281,7 @@ def _random_spd_form(rng, dim):
         for j in range(i):
             lower[i][j] = rng.randint(-2, 2)
         lower[i][i] = rng.randint(1, 3)
-    gram = tuple(
-        tuple(
-            Q(sum(lower[i][k] * lower[j][k] for k in range(dim)))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+    gram = tuple(tuple(map(Q, row)) for row in linalg.matmul(lower, linalg.transpose(lower)))
     return InvariantForm(gram=gram, factor_scales=(Q(1),) * dim)
 
 
@@ -291,7 +294,7 @@ def _random_instance(rng):
         if not any(normal):
             normal = tuple(1 if k == 0 else 0 for k in range(dim))
         slack = Q(rng.randint(0, 200), 100)
-        bound = sum(Q(a) * b for a, b in zip(normal, interior)) - slack
+        bound = linalg.dot(normal, interior) - slack
         rows.append((normal, bound))
     return dim, interior, Polyhedron.from_rows(rows, dim), _random_spd_form(rng, dim)
 
@@ -309,14 +312,14 @@ def _feasible_sampler(interior, poly):
     inner = [p * (lcm // scale) for p in inner]
     rows = []
     for (*normal, bound), _ in poly.integral_rows:
-        at_interior = sum(a * p for a, p in zip(normal, inner))
+        at_interior = linalg.dot(normal, inner)
         rows.append((normal, at_interior, at_interior - bound * lcm))
 
     def draw(rng):
         target = [rng.randint(-600, 600) * (lcm // 100) for _ in inner]
         g, d = 1, 1
         for normal, at_interior, gap in rows:
-            drop = at_interior - sum(a * q for a, q in zip(normal, target))
+            drop = at_interior - linalg.dot(normal, target)
             if drop > 0 and gap * d < g * drop:
                 g, d = gap, drop
         nums = [p * d + g * (q - p) for p, q in zip(inner, target)]
@@ -389,9 +392,9 @@ def run_minnorm() -> list[VerifyRow]:
                 break
         reference = enumerated_minimum(poly, form)
         if reference != res.point or norm_sq(form, reference) != res.norm_sq:
-            got, want = (", ".join(map(str, p)) for p in (res.point, reference))
             problems.append(
-                f"instance {k}: minimizer ({got}) is not the enumerated reference ({want})"
+                f"instance {k}: minimizer {_point(res.point)} is not the enumerated "
+                f"reference {_point(reference)}"
             )
     passed = (
         "100 polyhedra: KKT certified, 1000 feasible samples each "

@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the one reading of the large-size switch."""
 
 import os
 from pathlib import Path
@@ -6,6 +6,10 @@ from pathlib import Path
 import pytest
 
 import orbitchar
+
+# ORBITCHAR_LARGE=1 adds the larger sizes to the acceptance, arrangement and
+# orbit tests; test modules read it as `from conftest import LARGE`
+LARGE = os.environ.get("ORBITCHAR_LARGE") == "1"
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ variable ORBITCHAR_LARGE=1 is set, and A6, A7, B5 and E6 join the W-Catalan
 check (about 2 s more).
 """
 
-import os
+from conftest import LARGE
 
 from orbitchar import verify
 
@@ -21,11 +21,7 @@ def _report(criterion: str, rows, details) -> None:
     assert [r.detail for r in rows] == details
 
 
-def _dynkin_ns():
-    ns = [2, 3, 4, 5, 6]
-    if os.environ.get("ORBITCHAR_LARGE") == "1":
-        ns += [7, 8]
-    return tuple(ns)
+_DYNKIN_NS = (2, 3, 4, 5, 6) + ((7, 8) if LARGE else ())
 
 
 _PARTITION_COUNTS = {2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
@@ -42,10 +38,10 @@ def test_criterion_1_example_end_to_end():
 
 
 def test_criterion_2_dynkin_oracle_equivalence():
-    ns = _dynkin_ns()
-    rows = verify.run_dynkin(ns)
+    rows = verify.run_dynkin(_DYNKIN_NS)
     details = [
-        f"{_PARTITION_COUNTS[n]} partitions of {n} match the classical diagrams" for n in ns
+        f"{_PARTITION_COUNTS[n]} partitions of {n} match the classical diagrams"
+        for n in _DYNKIN_NS
     ]
     _report("2 (weighted-Dynkin oracle equivalence)", rows, details)
     sl5 = next(r for r in rows if r.name == "dynkin sl5")
@@ -53,9 +49,8 @@ def test_criterion_2_dynkin_oracle_equivalence():
 
 
 def test_criterion_3_injectivity_and_mode_agreement():
-    ns = _dynkin_ns()
-    rows = verify.run_theorem(ns)
-    orbits = sum(_PARTITION_COUNTS[n] for n in ns)
+    rows = verify.run_theorem(_DYNKIN_NS)
+    orbits = sum(_PARTITION_COUNTS[n] for n in _DYNKIN_NS)
     details = [f"characteristics injective and mode-independent over {orbits} orbits"]
     _report("3 (injectivity and dense/nonempty agreement)", rows, details)
 
@@ -99,17 +94,9 @@ def test_criterion_7_structural_lemma():
     _report("7 (saturation, b-stability, nilpotency, strata)", rows, details)
 
 
-def _catalan_types():
-    types = verify.CATALAN_TYPES
-    if os.environ.get("ORBITCHAR_LARGE") == "1":
-        types += ("A6", "A7", "B5", "E6")
-    return types
-
-
 def test_criterion_8_w_catalan_region_counts():
-    rows = verify.run_catalan(_catalan_types())
-    names = "A1, A2, A3, A4, B2, B3, B4, C3, C4, D4, G2, F4"
-    if os.environ.get("ORBITCHAR_LARGE") == "1":
-        names += ", A6, A7, B5, E6"
+    large = ("A6", "A7", "B5", "E6") if LARGE else ()
+    rows = verify.run_catalan(verify.CATALAN_TYPES + large)
+    names = ", ".join(["A1, A2, A3, A4, B2, B3, B4, C3, C4, D4, G2, F4", *large])
     details = [f"adjoint region counts of {names} equal prod (h+e+1)/(e+1) over the exponents"]
     _report("8 (adjoint region counts against the W-Catalan number)", rows, details)

@@ -2,11 +2,11 @@
 
 import gc
 import hashlib
-import os
 import random
 from fractions import Fraction as Q
 
 import pytest
+from conftest import LARGE
 
 from orbitchar import arrangement as arr
 from orbitchar import liecore as lc
@@ -135,7 +135,7 @@ _IDEALS = {
     "A3": 14, "A5": 132, "A6": 429, "B3": 20, "B4": 70, "B5": 252,
     "C3": 20, "C4": 70, "D4": 50, "D5": 182, "G2": 8, "F4": 105,
 }
-if os.environ.get("ORBITCHAR_LARGE") == "1":
+if LARGE:
     _IDEALS.update({"E6": 833, "A7": 1430})
 
 

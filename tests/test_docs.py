@@ -61,6 +61,23 @@ def test_demos_run_and_write_their_figures(tmp_path, subprocess_env):
     assert all(figure in README.read_text() for figure in figures)
 
 
+def _large_run_files(lines, prefix):
+    """The test files named on the one line that starts with prefix and
+    then ORBITCHAR_LARGE=1, its comment aside."""
+    start = prefix + "ORBITCHAR_LARGE=1"
+    [line] = [line.strip() for line in lines if line.strip().startswith(start)]
+    return re.findall(r"tests/\S+\.py", line.split("#")[0])
+
+
+def test_readme_and_ci_name_the_same_large_run():
+    # read as text: CI installs no YAML parser
+    tests_block = README.read_text().split("## Tests", 1)[1].split("```")[1]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    files = _large_run_files(tests_block.splitlines(), "")
+    assert files and all((ROOT / f).is_file() for f in files)
+    assert _large_run_files(workflow.splitlines(), "run: ") == files
+
+
 def _defined_names(tree):
     """Every name a module defines, at any depth: its functions, classes,
     methods and assigned names (imported ones aside)."""

@@ -2,7 +2,6 @@
 
 import inspect
 import itertools
-import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +9,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from conftest import LARGE
 
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.liecore import (
@@ -235,7 +235,7 @@ def _matches_the_sampled_types(i_r, n) -> bool:
 
 # sl3-sl5 are the `lemma strata` row of the verify battery, which
 # tests/test_acceptance.py runs
-_ORACLE_NS = [2, 6] + ([7, 8] if os.environ.get("ORBITCHAR_LARGE") == "1" else [])
+_ORACLE_NS = [2, 6] + ([7, 8] if LARGE else [])
 
 
 @pytest.mark.parametrize("n", _ORACLE_NS)
@@ -842,7 +842,7 @@ _CLASSICAL_ORBITS = {
     ("C", 3): 8, ("C", 4): 14, ("C", 5): 24,
     ("D", 4): 12, ("D", 5): 16, ("D", 6): 31,
 }
-if os.environ.get("ORBITCHAR_LARGE") == "1":
+if LARGE:
     _CLASSICAL_ORBITS.update({("B", 6): 35, ("C", 6): 40, ("D", 7): 43})
 
 

@@ -1,8 +1,10 @@
 """The integer sampler and norm test behind the minnorm verification battery,
-and the exponents and counts behind the catalan battery."""
+the exponents and counts behind the catalan battery, and a planted wrong
+answer that each battery reports as a FAIL row."""
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 import orbitchar
 from orbitchar import linalg, orbits, verify
-from orbitchar.liecore import build_root_system, invariant_form, norm_sq
+from orbitchar.liecore import build_root_system, highest_roots, invariant_form, norm_sq
 from orbitchar.minnorm import MinNormResult, Polyhedron
 
 
@@ -102,6 +104,131 @@ def test_a_wrong_minimum_fails_the_battery_on_the_reference(monkeypatch):
     assert len(problems) == 4
     pattern = r"instance \d+: minimizer \(.+\) is not the enumerated reference \(.+\)"
     assert all(re.fullmatch(pattern, p) for p in problems), problems
+
+
+def _plant_doubled_characteristic(monkeypatch, when):
+    """verify.characteristic with its point and labels doubled wherever
+    when(orbit, mode) holds."""
+    characteristic = verify.characteristic
+
+    def doubled(analysis, orbit, mode="nonempty"):
+        ch = characteristic(analysis, orbit, mode)
+        if ch is None or not when(orbit, mode):
+            return ch
+        return replace(
+            ch, point=tuple(2 * x for x in ch.point), labels=tuple(2 * x for x in ch.labels)
+        )
+
+    monkeypatch.setattr(verify, "characteristic", doubled)
+
+
+@pytest.fixture
+def fresh_tables():
+    # each sl_n table is kept for the life of the process: one built before
+    # the plant would hide it, and one built under it would stay planted
+    verify._characteristic_table.cache_clear()
+    yield
+    verify._characteristic_table.cache_clear()
+
+
+def test_example_battery_reports_a_wrong_characteristic(monkeypatch):
+    _plant_doubled_characteristic(monkeypatch, lambda orbit, mode: True)
+    [row] = verify.run_example()
+    assert not row.ok
+    assert row.detail == (
+        "characteristic of O2: (4, 0) != (2, 0); characteristic of O3: (2, 2) != (1, 1); "
+        "characteristic of O4: (4, 0) != (2, 0); characteristic of O5: (4, 8) != (2, 4)"
+    )
+
+
+def test_dynkin_battery_reports_wrong_labels(monkeypatch, fresh_tables):
+    _plant_doubled_characteristic(monkeypatch, lambda orbit, mode: mode == "dense")
+    [row] = verify.run_dynkin((3,))
+    assert not row.ok
+    assert row.detail == (
+        "(3,): dense labels (4, 4) != (2, 2); (2, 1): dense labels (2, 2) != (1, 1)"
+    )
+
+
+def test_theorem_battery_reports_a_shared_point(monkeypatch, fresh_tables):
+    # doubled, the subregular orbit's point is the regular orbit's
+    _plant_doubled_characteristic(
+        monkeypatch, lambda orbit, mode: orbit == (2, 1) and mode == "nonempty"
+    )
+    [row] = verify.run_theorem((3,))
+    assert not row.ok
+    assert row.detail == "sl3: (2, 1) and (3,) share point (2, 2); sl3: modes disagree at (2, 1)"
+
+
+def test_sampling_battery_reports_an_unlisted_region(monkeypatch):
+    named_arrangements = verify._named_arrangements
+
+    def one_dropped():
+        arrangements = named_arrangements()
+        analysis = arrangements["A2 adjoint"]
+        arrangements["A2 adjoint"] = replace(analysis, regions=analysis.regions[:-1])
+        return arrangements
+
+    monkeypatch.setattr(verify, "_named_arrangements", one_dropped)
+    rows = verify.run_sampling()
+    assert [r.name for r in rows if not r.ok] == ["sampling A2 adjoint"]
+    assert rows[1].detail == "point (563/150, 529/150) has unlisted sign vector +++"
+
+
+def test_weights_battery_reports_a_wrong_dimension_and_support(monkeypatch):
+    weyl_dim = verify.weyl_dim
+    monkeypatch.setattr(verify, "weyl_dim", lambda rs, lam: weyl_dim(rs, lam) + 1)
+    monkeypatch.setattr(verify, "highest_short_root", lambda rs: highest_roots(rs)[0])
+    dimension_sum, little_adjoint = verify.run_weights()
+    assert not dimension_sum.ok and not little_adjoint.ok
+    problems = dimension_sum.detail.split("; ")
+    assert len(problems) == 20
+    assert problems[0] == "[('A', 2), ('A', 1)] (0, 2, 0): sum 6 != dim 7"
+    sums = [re.fullmatch(r".+: sum (\d+) != dim (\d+)", p).groups() for p in problems]
+    assert all(int(total) + 1 == int(dim) for total, dim in sums)
+    assert little_adjoint.detail == "; ".join(
+        f"{name}: support != short roots" for name in ("B2", "C3", "F4", "G2")
+    )
+
+
+def test_lemma_battery_reports_an_unsaturated_support(monkeypatch):
+    # the top region of A3 adjoint spans every positive root; without the
+    # highest root its support is neither saturated nor b-stable
+    named_arrangements = verify._named_arrangements
+
+    def planted():
+        arrangements = named_arrangements()
+        analysis = arrangements["A3 adjoint"]
+        top = analysis.subspaces[analysis.regions[-1].id]
+        theta = highest_roots(analysis.model.root_system)[0]
+        analysis.subspaces[top.region_id] = replace(top, i_r=top.i_r - {theta})
+        return arrangements
+
+    monkeypatch.setattr(verify, "_named_arrangements", planted)
+    saturation, stability, strata = verify.run_lemma()
+    assert (saturation.ok, stability.ok, strata.ok) == (False, False, True)
+    assert saturation.detail == "A3 adjoint region 14: support not saturated"
+    brackets = [
+        "(-1, 1, 1),(2, -1, 0)",
+        "(2, -1, 0),(-1, 1, 1)",
+        "(0, -1, 2),(1, 1, -1)",
+        "(1, 1, -1),(0, -1, 2)",
+    ]
+    assert stability.detail == "; ".join(
+        f"sl4 region 14: [{pair}] leaves the subspace at (1, 0, 1)" for pair in brackets
+    )
+
+
+def test_lemma_battery_reports_a_wrong_stratum(monkeypatch):
+    # the zero orbit as every stratum: the samples of a nonzero support lie above it
+    monkeypatch.setattr(verify.AdjointSlModel, "generic_stratum", lambda self, i_r: self.zero_orbit)
+    saturation, stability, strata = verify.run_lemma()
+    assert (saturation.ok, stability.ok, strata.ok) == (True, True, False)
+    samples = ["(2, 1), (2, 1), (2, 1)"] * 3 + ["(3,), (3,), (3,)"]
+    assert strata.detail == "; ".join(
+        f"sl3 region {rid}: not every sample of [{types}] lies below (1, 1, 1)"
+        for rid, types in zip((2, 3, 4, 5), samples)
+    )
 
 
 # the classical exponents of each simple type (Bourbaki, Lie Groups and Lie
