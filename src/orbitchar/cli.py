@@ -38,7 +38,6 @@ from .orbits import (
     RegionAnalysis,
     characteristic,
 )
-from .verify import SUITE_ORDER, run_suites
 
 Q = Fraction
 
@@ -159,6 +158,13 @@ def _write(path: str, text: str, what: str):
     print(f"wrote {what} to {path}")
 
 
+def _write_doc(path: str, doc, what: str):
+    """Stream a JSON document to path, so no copy of its text is held."""
+    with open(path, "w") as out:
+        jsonio.write_doc(doc, out)
+    print(f"wrote {what} to {path}")
+
+
 def cmd_regions(args) -> int:
     model, level, scales = _resolve(args)
     if args.svg:
@@ -167,7 +173,7 @@ def cmd_regions(args) -> int:
     hps, regions = analysis.hyperplanes, analysis.regions
     doc = jsonio.regions_doc(analysis)
     out = args.out or "regions.json"
-    _write(out, jsonio.dump_doc(doc), f"{len(hps)} hyperplanes / {len(regions)} regions")
+    _write_doc(out, doc, f"{len(hps)} hyperplanes / {len(regions)} regions")
     if args.svg:
         _write(args.svg, _figure(model, analysis, ()), "arrangement figure")
     return EXIT_OK
@@ -195,7 +201,7 @@ def cmd_characteristic(args) -> int:
     doc = jsonio.characteristics_doc(analysis, ch)
     out = args.out or "characteristics.json"
     labels = ",".join(str(v) for v in ch.labels)
-    _write(out, jsonio.dump_doc(doc), f"characteristic with labels ({labels})")
+    _write_doc(out, doc, f"characteristic with labels ({labels})")
     if args.svg:
         marks = [(ch.point, model.caption(orbit))]
         _write(args.svg, _figure(model, analysis, marks), "arrangement figure")
@@ -222,12 +228,16 @@ def cmd_plot(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the batteries load for this command alone
+    from . import verify
+
     if args.n < 2:
         raise CliError(f"--n {args.n}: the largest sl_n must be at least 2")
     names = args.suite or ["all"]
     if "all" in names:
-        names = SUITE_ORDER
-    rows = run_suites(names, max_n=args.n)
+        # every battery once; an unknown name stays for run_suites to refuse
+        names = [name for name in names if name not in ["all", *verify.SUITES]] + verify.SUITE_ORDER
+    rows = verify.run_suites(names, max_n=args.n)
     for row in rows:
         print(row.format())
     failed = [row for row in rows if not row.ok]
@@ -297,8 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         action="append",
-        choices=SUITE_ORDER + ["all"],
-        help="battery to run (repeatable; default all)",
+        help=(
+            "battery to run: example, dynkin, theorem, sampling, minnorm, weights, "
+            "lemma, catalan or all (repeatable; default all)"
+        ),
     )
     p_verify.add_argument("--n", type=int, default=5, help="largest sl_n for dynkin/theorem")
     p_verify.set_defaults(func=cmd_verify)

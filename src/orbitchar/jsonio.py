@@ -3,13 +3,18 @@
 All rational numbers are serialized as lowest-terms strings ("p/q", or just
 "p" for integers); weights and partitions are integer arrays; region ids
 are integers.
-Documents are dumped deterministically (sorted keys, fixed indentation), so
-identical inputs produce byte-identical files: the bytes of
-`json.dumps(doc, indent=2, sort_keys=True)` and a newline, from a writer
-that takes only the values the package writes.  Regions share their
-closure rows, and their documents share one sub-document per distinct row
-and per weight, which the writer renders once per nesting depth.  The
-package writes these documents and does not read them back.
+Documents are written deterministically (sorted keys, fixed indentation),
+so identical inputs produce byte-identical files: the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)` and a newline, from one writer,
+`write_doc`, that takes only the values the package writes.  It streams:
+the document and its lists go to the file piece by piece, and each deeper
+value is rendered whole, then dropped with its children's texts once it is
+written.  Regions share their closure rows, and their documents share one
+sub-document per distinct row and per weight; the writer keeps the text of
+those shared objects alone, one per nesting depth, so its memory follows
+the distinct rows and weights rather than the file.  `dump_doc` is the same
+writer into a string.  The package writes these documents and does not
+read them back.
 
 Document shapes:
 
@@ -22,6 +27,7 @@ Document shapes:
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -41,12 +47,51 @@ def rat_vec(v) -> list[str]:
     return [rat(x) for x in v]
 
 
+def write_doc(doc, out) -> None:
+    """Write the deterministic JSON text of a document to the text stream
+    out: `json.dumps(doc, indent=2, sort_keys=True)` and a newline, for
+    dicts with str keys, lists, tuples, str and int.  Any other value, bool
+    and None included, raises TypeError.  The document and its lists are
+    written piece by piece; a shared object is rendered once per depth."""
+    _write(doc, "\n", {}, out.write, 2)
+    out.write("\n")
+
+
 def dump_doc(doc) -> str:
-    """Deterministic JSON text for a document (byte-identical per input):
-    `json.dumps(doc, indent=2, sort_keys=True)` and a newline, for dicts
-    with str keys, lists, tuples, str and int.  Any other value, bool and
-    None included, raises TypeError.  A shared object is rendered once per depth."""
-    return _text(doc, "\n", {}) + "\n"
+    """The text that write_doc writes, as a string."""
+    buffer = io.StringIO()
+    write_doc(doc, buffer)
+    return buffer.getvalue()
+
+
+def _write(value, newline: str, seen: dict, write, levels: int) -> None:
+    """Write the text of value through write, streaming the top levels of
+    nested dicts and lists; a streamed item's text and its children's texts
+    leave seen once written, so seen keeps only the texts of objects that
+    several items share."""
+    kind = type(value)
+    if not levels or not value or kind not in (dict, list, tuple):
+        write(_text(value, newline, seen))
+        return
+    inner = newline + "  "
+    if kind is dict:
+        pairs = [(_quote(k) + ": ", value[k]) for k in sorted(value)]
+        opener, closer = "{", "}"
+    else:
+        pairs = [("", item) for item in value]
+        opener, closer = "[", "]"
+    separator = opener + inner
+    for prefix, item in pairs:
+        write(separator + prefix)
+        _write(item, inner, seen, write, levels - 1)
+        separator = "," + inner
+        # the shared rows and weights sit deeper and stay; a later item
+        # that shares this item or a child of it renders it again
+        seen.pop((id(item), inner), None)
+        if type(item) in (dict, list, tuple):
+            for child in item.values() if type(item) is dict else item:
+                seen.pop((id(child), inner + "  "), None)
+    write(newline + closer)
 
 
 def _text(value, newline: str, seen: dict) -> str:

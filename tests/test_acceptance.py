@@ -87,7 +87,7 @@ def test_criterion_7_structural_lemma():
     rows = verify.run_lemma()
     details = [
         "all 32 region supports saturated across 5 arrangements",
-        "306 bracket checks stayed inside their subspaces; 19 sampled elements nilpotent",
+        "227 bracket checks stayed inside their subspaces; 19 sampled elements nilpotent",
         "the exact strata of all 61 regions of sl3-sl5 dominate three random elements "
         "each, and one of the three attains them",
     ]

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from orbitchar import cli
+from orbitchar import cli, verify
 from orbitchar.cli import main, parse_factors
 from orbitchar.orbits import AdjointSlModel, Example2x3Model, weighted_dynkin_from_partition
 
@@ -246,6 +246,28 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
+def _no_battery(max_n):
+    raise AssertionError("a battery ran")
+
+
+def test_verify_refuses_an_unknown_suite_before_any_battery_runs(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "SUITES", {name: _no_battery for name in verify.SUITES})
+    assert main(["verify", "--suite", "nope"]) == 1
+    assert main(["verify", "--suite", "example", "--suite", "nope"]) == 1
+    assert main(["verify", "--suite", "all", "--suite", "nope"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = f"error: unknown suite 'nope'; choose from {verify.SUITE_ORDER}"
+    assert err.splitlines() == [message] * 3
+
+
+def test_suite_help_names_every_battery(capsys):
+    # the parser names the batteries without loading them
+    assert main(["verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(verify.SUITE_ORDER) + " or all (repeatable; default all)" in text
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the arrangement was built before the rank check")
 
@@ -297,7 +319,7 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
     assert main(["characteristic", "--module", "example-2x3", "--type", "A2", "--orbit", "O3"]) == 1
     # verify refuses empty batteries before running any
     with monkeypatch.context() as m:
-        m.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("a battery ran"))
+        m.setattr(verify, "run_suites", lambda *args, **kwargs: pytest.fail("a battery ran"))
         assert main(["verify", "--suite", "dynkin", "--n", "1"]) == 1
         assert main(["verify", "--suite", "theorem", "--n", "0"]) == 1
         assert main(["verify", "--points", "5"]) == 1
@@ -389,3 +411,29 @@ def test_exact_pipeline_imports_neither_numpy_nor_scipy(tmp_path, subprocess_env
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_only_verify_loads_the_batteries(tmp_path, subprocess_env):
+    # compiling verify.py costs about 1 MB of RSS in a process that writes
+    # no bytecode; the pipeline commands leave it unloaded
+    script = textwrap.dedent(
+        """
+        import sys
+        from orbitchar.cli import main
+        for argv in (
+            ["regions", "--type", "A3", "--out", "r.json"],
+            ["regions", "--module", "example-2x3", "--out", "e.json", "--svg", "e.svg"],
+            ["characteristic", "--type", "A3", "--orbit", "2,2", "--out", "c.json"],
+            ["plot", "--type", "B2", "--module", "little-adjoint", "--out", "p.svg"],
+        ):
+            assert main(argv) == 0, argv
+            assert "orbitchar.verify" not in sys.modules, argv
+        assert main(["verify", "--suite", "example"]) == 0
+        print("orbitchar.verify" in sys.modules)
+        """
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=subprocess_env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "True"

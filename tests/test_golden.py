@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitchar import jsonio
 from orbitchar.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -61,3 +62,23 @@ def test_outputs_match_recorded_bytes(tmp_path, argv, out, svg):
     assert main(argv + extra) == 0
     for name in filter(None, (out, svg)):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+JSON_CASES = [case for case in CASES if case[1].endswith(".json")]
+
+
+@pytest.mark.parametrize("argv, out, svg", JSON_CASES, ids=[c[1] for c in JSON_CASES])
+def test_the_streamed_file_is_the_dumped_text(tmp_path, monkeypatch, argv, out, svg):
+    # the command streams its document with write_doc; dump_doc of the same
+    # objects, shared rows and weights included, gives the same bytes
+    docs, write_doc = [], jsonio.write_doc
+
+    def recording(doc, stream):
+        docs.append(doc)
+        write_doc(doc, stream)
+
+    monkeypatch.setattr(jsonio, "write_doc", recording)
+    assert main(argv + ["--out", str(tmp_path / out)]) == 0
+    monkeypatch.undo()
+    [doc] = docs
+    assert (tmp_path / out).read_bytes() == jsonio.dump_doc(doc).encode()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,6 +111,25 @@ def test_dump_matches_json_on_the_f4_regions_document():
     doc = jsonio.regions_doc(RegionAnalysis.build(Module(rs, highest_roots(rs))))
     assert len(doc["regions"]) == 105
     assert jsonio.dump_doc(doc) == _reference(doc)
+
+
+def test_write_doc_keeps_a_small_part_of_the_file(tmp_path):
+    # the A6 adjoint document is 2.63 MB of text; the writer holds the
+    # texts of the shared rows and weights, not the file's
+    rs = build_root_system([("A", 6)])
+    doc = jsonio.regions_doc(RegionAnalysis.build(Module(rs, highest_roots(rs))))
+    path = tmp_path / "regions.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w") as out:
+            jsonio.write_doc(doc, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_600_000
+    assert peak < size / 10, (peak, size)
+    assert path.read_text() == jsonio.dump_doc(doc)
 
 
 def test_dump_matches_json_on_shared_objects():
