@@ -10,7 +10,7 @@ orbit picks up a distinguished minimal-norm point from the regions its
 closure relates to.
 """
 
-from orbitchar import Example2x3Model, RegionAnalysis, characteristic, m_sets
+from orbitchar import Example2x3Model, RegionAnalysis, characteristic, m_sets, region_weights
 from orbitchar.svg import render_arrangement
 
 def pt(values):
@@ -30,11 +30,12 @@ for hp in analysis.hyperplanes:
     print(f"  weight {hp.weight}")
 print()
 
-labels = model.region_labels(analysis.subspaces.values())
+# a region's subspace is spanned by the weights of its '+' hyperplanes
+supports = {r.id: region_weights(analysis.hyperplanes, r) for r in analysis.regions}
+labels = model.region_labels(supports)
 print(f"{len(analysis.regions)} regions (sign per hyperplane, - below / + above):")
 for region in analysis.regions:
-    sub = analysis.subspaces[region.id]
-    support = sorted(sub.i_r)
+    support = sorted(supports[region.id])
     stratum = analysis.strata[region.id]
     print(
         f"  {labels[region.id]:>3}  signs {region.signs}  witness {pt(region.witness)}"

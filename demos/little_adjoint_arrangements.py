@@ -9,7 +9,13 @@ spanned weight set, and renders the two rank-2 pictures.  No orbit model is
 needed: RegionAnalysis.build takes the plain Module.
 """
 
-from orbitchar import Module, RegionAnalysis, build_root_system, highest_short_root
+from orbitchar import (
+    Module,
+    RegionAnalysis,
+    build_root_system,
+    highest_short_root,
+    region_weights,
+)
 from orbitchar.svg import render_arrangement
 
 
@@ -25,9 +31,9 @@ for letter, rank in (("B", 2), ("C", 3), ("G", 2)):
           f" {len(analysis.hyperplanes)} dominant-side hyperplanes,"
           f" {len(analysis.regions)} regions")
     for region in analysis.regions:
-        sub = analysis.subspaces[region.id]
+        i_r = region_weights(analysis.hyperplanes, region)
         print(f"  R{region.id:<2} signs {region.signs}  witness {pt(region.witness)}"
-              f"  spans {len(sub.i_r)} weights")
+              f"  spans {len(i_r)} weights")
     print()
 
     if rs.rank == 2:

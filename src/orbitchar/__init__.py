@@ -12,7 +12,6 @@ diagram.
 from .arrangement import (
     Hyperplane,
     Region,
-    RegionSubspace,
     chamber_hyperplanes,
     enumerate_regions,
     is_saturated,
@@ -71,7 +70,6 @@ __all__ = [
     "Polyhedron",
     "Region",
     "RegionAnalysis",
-    "RegionSubspace",
     "RootSystem",
     "UnionMinResult",
     "WeightSystem",

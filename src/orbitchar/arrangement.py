@@ -50,15 +50,6 @@ class Region:
     closure_ineqs: tuple[IneqRow, ...]
 
 
-@dataclass(frozen=True)
-class RegionSubspace:
-    """Weights of the module strictly above the level across a region."""
-
-    region_id: int
-    i_r: frozenset[Weight]
-    dimension: int
-
-
 def chamber_hyperplanes(ws: WeightSystem, level=Q(2)) -> list[Hyperplane]:
     """Hyperplanes of module weights that meet the open dominant chamber.
 
@@ -132,7 +123,7 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     ]
 
 
-def region_weights(ws: WeightSystem, hyperplanes, region: Region) -> RegionSubspace:
+def region_weights(hyperplanes, region: Region) -> frozenset[Weight]:
     """Module weights lying strictly above the level on the region.
 
     These are the weights of the hyperplanes signed '+' in region.signs.  A
@@ -141,9 +132,7 @@ def region_weights(ws: WeightSystem, hyperplanes, region: Region) -> RegionSubsp
     """
     if len(hyperplanes) != len(region.signs):
         raise ValueError(f"{len(hyperplanes)} hyperplanes for {len(region.signs)} signs")
-    i_r = frozenset(hp.weight for hp, sign in zip(hyperplanes, region.signs) if sign == "+")
-    dim = sum(ws.entries[mu] for mu in i_r)
-    return RegionSubspace(region_id=region.id, i_r=i_r, dimension=dim)
+    return frozenset(hp.weight for hp, sign in zip(hyperplanes, region.signs) if sign == "+")
 
 
 def is_saturated(ws: WeightSystem, weights) -> bool:

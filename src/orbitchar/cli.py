@@ -127,16 +127,14 @@ def _arrangement_parts(model: Module, level: Q, scales) -> RegionAnalysis:
     form = invariant_form(rs, scales)
     hps = chamber_hyperplanes(ws, level)
     regions = enumerate_regions(rs, hps)
-    subs = {r.id: region_weights(ws, hps, r) for r in regions}
-    return RegionAnalysis(
-        Module(rs, ws.module_spec), ws, form, level, hps, regions, subs, strata=None
-    )
+    return RegionAnalysis(Module(rs, ws.module_spec), ws, form, level, hps, regions, strata=None)
 
 
 def _figure(model: Module, analysis: RegionAnalysis, marks) -> str:
     labels = None
     if isinstance(model, Example2x3Model):
-        labels = model.region_labels(analysis.subspaces.values())
+        hps = analysis.hyperplanes
+        labels = model.region_labels({r.id: region_weights(hps, r) for r in analysis.regions})
     return svg.render_arrangement(
         analysis.model.root_system,
         analysis.form,
@@ -170,10 +168,8 @@ def cmd_regions(args) -> int:
     if args.svg:
         _require_rank_2(model, "--svg")
     analysis = _arrangement_parts(model, level, scales)
-    hps, regions = analysis.hyperplanes, analysis.regions
-    doc = jsonio.regions_doc(analysis)
-    out = args.out or "regions.json"
-    _write_doc(out, doc, f"{len(hps)} hyperplanes / {len(regions)} regions")
+    what = f"{len(analysis.hyperplanes)} hyperplanes / {len(analysis.regions)} regions"
+    _write_doc(args.out or "regions.json", jsonio.regions_doc(analysis), what)
     if args.svg:
         _write(args.svg, _figure(model, analysis, ()), "arrangement figure")
     return EXIT_OK

@@ -12,9 +12,10 @@ value is rendered whole, then dropped with its children's texts once it is
 written.  Regions share their closure rows, and their documents share one
 sub-document per distinct row and per weight; the writer keeps the text of
 those shared objects alone, one per nesting depth, so its memory follows
-the distinct rows and weights rather than the file.  `dump_doc` is the same
-writer into a string.  The package writes these documents and does not
-read them back.
+the distinct rows and weights rather than the file.  A regions document is
+made as it is written, one region at a time, so it is written once.
+`dump_doc` is the same writer into a string.  The package writes these
+documents and does not read them back.
 
 Document shapes:
 
@@ -28,9 +29,11 @@ Document shapes:
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
+from .arrangement import region_weights
 from .liecore import RootSystem
 from .orbits import Characteristic, RegionAnalysis, m_sets
 
@@ -50,9 +53,10 @@ def rat_vec(v) -> list[str]:
 def write_doc(doc, out) -> None:
     """Write the deterministic JSON text of a document to the text stream
     out: `json.dumps(doc, indent=2, sort_keys=True)` and a newline, for
-    dicts with str keys, lists, tuples, str and int.  Any other value, bool
-    and None included, raises TypeError.  The document and its lists are
-    written piece by piece; a shared object is rendered once per depth."""
+    dicts with str keys, lists, tuples, str and int, and iterators at the
+    top two levels, written as lists.  Any other value, bool and None
+    included, raises TypeError.  The document and its lists are written
+    piece by piece; a shared object is rendered once per depth."""
     _write(doc, "\n", {}, out.write, 2)
     out.write("\n")
 
@@ -66,11 +70,11 @@ def dump_doc(doc) -> str:
 
 def _write(value, newline: str, seen: dict, write, levels: int) -> None:
     """Write the text of value through write, streaming the top levels of
-    nested dicts and lists; a streamed item's text and its children's texts
-    leave seen once written, so seen keeps only the texts of objects that
-    several items share."""
+    nested dicts, lists and iterators; a streamed item's text and its
+    children's texts leave seen once written, so seen keeps only the texts
+    of objects that several items share."""
     kind = type(value)
-    if not levels or not value or kind not in (dict, list, tuple):
+    if not levels or kind not in (dict, list, tuple) and not isinstance(value, Iterator):
         write(_text(value, newline, seen))
         return
     inner = newline + "  "
@@ -78,7 +82,7 @@ def _write(value, newline: str, seen: dict, write, levels: int) -> None:
         pairs = [(_quote(k) + ": ", value[k]) for k in sorted(value)]
         opener, closer = "{", "}"
     else:
-        pairs = [("", item) for item in value]
+        pairs = (("", item) for item in value)
         opener, closer = "[", "]"
     separator = opener + inner
     for prefix, item in pairs:
@@ -91,13 +95,15 @@ def _write(value, newline: str, seen: dict, write, levels: int) -> None:
         if type(item) in (dict, list, tuple):
             for child in item.values() if type(item) is dict else item:
                 seen.pop((id(child), inner + "  "), None)
-    write(newline + closer)
+    # nothing written: an empty container, on one line as json.dumps has it
+    write(opener + closer if separator[0] == opener else newline + closer)
 
 
 def _text(value, newline: str, seen: dict) -> str:
     """The JSON text of value, nested at the indentation that follows
-    newline; seen holds the text of each dict, list or tuple by (id, newline).
-    A key that is not a str fails in `_quote` with TypeError."""
+    newline; seen holds each dict, list or tuple with its text by (id,
+    newline), so that no later object, such as an iterator's item, takes its
+    id.  A key that is not a str fails in `_quote` with TypeError."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -105,7 +111,7 @@ def _text(value, newline: str, seen: dict) -> str:
         return repr(value)
     key = (id(value), newline)
     if key in seen:
-        return seen[key]
+        return seen[key][1]
     inner = newline + "  "
     if kind is dict:
         if not value:
@@ -125,7 +131,7 @@ def _text(value, newline: str, seen: dict) -> str:
         text = "[" + inner + ("," + inner).join(parts) + newline + "]"
     else:
         raise TypeError(f"cannot write a {kind.__name__} as JSON")
-    seen[key] = text
+    seen[key] = value, text
     return text
 
 
@@ -138,32 +144,30 @@ def root_system_doc(rs: RootSystem) -> dict:
 
 def regions_doc(analysis: RegionAnalysis) -> dict:
     """Arrangement document: hyperplanes and regions with their subspaces;
-    one dict per closure-row object and one list per hyperplane weight."""
+    one dict per closure-row object and one list per hyperplane weight.
+    "regions" is an iterator: each region's document is made when written."""
     distinct = {id(row): row for r in analysis.regions for row in r.closure_ineqs}
     rows = {key: {"normal": list(map(int, n)), "bound": rat(b)} for key, (n, b) in distinct.items()}
-    weights = {h.weight: list(h.weight) for h in analysis.hyperplanes}
-    region_rows = []
-    for r in analysis.regions:
-        sub = analysis.subspaces[r.id]
-        region_rows.append(
-            {
-                "id": r.id,
-                "signs": r.signs,
-                "witness": rat_vec(r.witness),
-                "closure_ineqs": [rows[id(row)] for row in r.closure_ineqs],
-                "i_r": [weights[w] for w in sorted(sub.i_r)],
-                "dim": sub.dimension,
-            }
-        )
+    hps, entries = analysis.hyperplanes, analysis.ws.entries
+    weights = {h.weight: list(h.weight) for h in hps}
+
+    def region(r) -> dict:
+        i_r = sorted(region_weights(hps, r))
+        return {
+            "id": r.id,
+            "signs": r.signs,
+            "witness": rat_vec(r.witness),
+            "closure_ineqs": [rows[id(row)] for row in r.closure_ineqs],
+            "i_r": [weights[w] for w in i_r],
+            "dim": sum(entries[w] for w in i_r),
+        }
+
     return {
         "root_system": root_system_doc(analysis.ws.root_system),
         "module_spec": [list(w) for w in analysis.ws.module_spec],
         "level": rat(analysis.level),
-        "hyperplanes": [
-            {"weight_fw": list(h.weight), "level": rat(h.level)}
-            for h in analysis.hyperplanes
-        ],
-        "regions": region_rows,
+        "hyperplanes": [{"weight_fw": list(h.weight), "level": rat(h.level)} for h in hps],
+        "regions": map(region, analysis.regions),
     }
 
 

@@ -32,7 +32,6 @@ from . import linalg
 from .arrangement import (
     Hyperplane,
     Region,
-    RegionSubspace,
     chamber_hyperplanes,
     enumerate_regions,
     region_weights,
@@ -426,14 +425,15 @@ class Example2x3Model(OrbitModel):
         return reps[self.check_orbit(orbit)]
 
     @staticmethod
-    def region_labels(subspaces) -> dict[int, str]:
-        """Conventional Roman labels of the six regions, keyed by region id."""
+    def region_labels(supports) -> dict[int, str]:
+        """Conventional Roman labels of the six regions, keyed by region id;
+        supports maps each region id to its `region_weights`."""
         out = {}
-        for sub in subspaces:
-            label = _EXAMPLE_LABELS.get(sub.i_r)
+        for rid, i_r in supports.items():
+            label = _EXAMPLE_LABELS.get(i_r)
             if label is None:
                 raise ValueError("unexpected region support")
-            out[sub.region_id] = label
+            out[rid] = label
         return out
 
 
@@ -458,7 +458,8 @@ class Characteristic:
 @dataclass
 class RegionAnalysis:
     """Arrangement of one module and cached minimizers; for an orbit model
-    also the generic stratum of each region (strata is None otherwise)."""
+    also the generic stratum of each region (strata is None otherwise).
+    A region's subspace is `region_weights(hyperplanes, region)`."""
 
     model: Module
     ws: WeightSystem
@@ -466,7 +467,6 @@ class RegionAnalysis:
     level: Q
     hyperplanes: list[Hyperplane]
     regions: list[Region]
-    subspaces: dict[int, RegionSubspace]
     strata: dict[int, object] | None
     _minima: dict[int, MinNormResult] = field(default_factory=dict)
 
@@ -478,10 +478,9 @@ class RegionAnalysis:
         form = invariant_form(rs, factor_scales)
         hps = chamber_hyperplanes(ws, level)
         regions = enumerate_regions(rs, hps)
-        subspaces = {r.id: region_weights(ws, hps, r) for r in regions}
         strata = None
         if isinstance(model, OrbitModel):
-            strata = {r.id: model.generic_stratum(subspaces[r.id].i_r) for r in regions}
+            strata = {r.id: model.generic_stratum(region_weights(hps, r)) for r in regions}
         return cls(
             model=model,
             ws=ws,
@@ -489,7 +488,6 @@ class RegionAnalysis:
             level=level,
             hyperplanes=hps,
             regions=regions,
-            subspaces=subspaces,
             strata=strata,
         )
 

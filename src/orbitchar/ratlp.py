@@ -30,11 +30,12 @@ a point, and either answer carries a certificate that linalg checks on
 ints, also under python -O: a zero residual gives the basic point X / D
 (`satisfies`); a positive one gives a Farkas vector y >= 0, y != 0 with
 y.N = 0 and y.b > 0 (`check_farkas`), read from the final objective row.
-A dictionary keeps the point it certified and how many of its rows that
-check covered, and a dictionary built from it by adding rows inherits both:
-if its own phase 1 ends at that same X / D, the point is checked against
-the added rows only, since the inherited check already covered the others;
-any other point is checked against every row.
+A dictionary keeps the point it certified, how many of its rows that
+check covered and its witness, and a dictionary built from it by adding
+rows inherits all three: if its own phase 1 ends at that same X / D, the
+point is checked against the added rows only, since the inherited check
+already covered the others, and keeps its witness; any other point is
+checked against every row.
 
 A run starts from a dictionary.  The cold start adds every row to the
 dictionary of no rows, whose point is the origin.  The warm start, `split`,
@@ -169,9 +170,10 @@ class Dictionary:
     objective row.  `rows` are the (normal, bound) rows whose homogenization
     it holds, for `strict_interior` to match against its own.  `point` is
     the (X, D) that `_phase1` last certified here or in the dictionary this
-    one was built from, checked against the first `checked` of `irows`;
-    `table` maps a (normal, bound) row to its `_table_entry`, one table per
-    cold start."""
+    one was built from, checked against the first `checked` of `irows`, and
+    `witness` is the tuple `strict_interior` read from that point, once it
+    has; `table` maps a (normal, bound) row to its `_table_entry`, one
+    table per cold start."""
 
     irows: list
     tab: list
@@ -181,6 +183,7 @@ class Dictionary:
     rows: list | None = None
     point: tuple | None = None
     checked: int = 0
+    witness: tuple | None = None
     table: dict = field(default_factory=dict)
 
 
@@ -214,7 +217,7 @@ def _add_rows(dic, irows, frame=None, subs=None):
     If dic's point satisfies a new row (rhs <= 0), it is stored negated with
     its surplus basic; otherwise its artificial is basic and priced into the
     objective.  The new dictionary shares dic's table and keeps dic's
-    certified point and count: dic's rows are its first rows."""
+    certified point, count and witness: dic's rows are its first rows."""
     n, m, k = len(dic.slots), len(dic.tab), len(irows)
     xrows, lcm = frame or _frame(dic)
     if subs is None:
@@ -234,7 +237,7 @@ def _add_rows(dic, irows, frame=None, subs=None):
             # price the artificial out; alpha = obj[n] is multiplied by d
             obj = eliminate(obj, row, n, -row[n])
     new = Dictionary(dic.irows + irows, tab, basis, list(dic.slots), obj, table=dic.table)
-    new.point, new.checked = dic.point, dic.checked
+    new.point, new.checked, new.witness = dic.point, dic.checked, dic.witness
     return new
 
 
@@ -242,16 +245,17 @@ def _phase1(dic):
     """Run phase 1 on dic in place: a point X / D with D > 0 checked
     against the rows, or None once the Farkas vector of `_farkas` is
     checked.  The point is checked against the rows past `dic.checked` if
-    it is `dic.point`, else against every row; then it becomes `dic.point`
-    with every row checked."""
+    it is `dic.point`, else against every row and `dic.witness` is dropped;
+    then it becomes `dic.point` with every row checked."""
     n = len(dic.slots)
     dic.obj = _run_simplex(dic.tab, dic.basis, dic.slots, dic.obj)
     if dic.obj[-1] != 0:
         check_farkas(dic.irows, _farkas(dic.obj, dic.basis, dic.slots, dic.irows))
         return None
     point = _phase1_point(dic.tab, dic.basis, n)
-    start = dic.checked if point == dic.point else 0
-    _check_point(dic.irows[start:], *point)
+    if point != dic.point:
+        dic.checked, dic.witness = 0, None
+    _check_point(dic.irows[dic.checked :], *point)
     dic.point, dic.checked = point, len(dic.irows)
     return point
 
@@ -360,7 +364,8 @@ def strict_interior(rows, nvars, start=None):
     place if given (from `cold_start` or from `split`, the warm start, of
     these rows, else ValueError), from `cold_start(rows, nvars)` otherwise.
     Either answer is checked by its certificate, and AssertionError raised
-    if it fails."""
+    if it fails.  A point kept from the dictionary `start` was built from
+    returns that dictionary's witness, the same tuple."""
     if start is None:
         start = cold_start(rows, nvars)
     elif start.rows != list(rows) or len(start.slots) != nvars + 1:
@@ -368,8 +373,10 @@ def strict_interior(rows, nvars, start=None):
     found = _phase1(start)
     if found is None:
         return None
-    x, _ = found
-    return tuple(Q(v, x[-1]) for v in x[:-1])
+    if start.witness is None:
+        x, _ = found
+        start.witness = tuple(Q(v, x[-1]) for v in x[:-1])
+    return start.witness
 
 
 def closed_feasible(rows, nvars) -> bool:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .arrangement import is_saturated
+from .arrangement import is_saturated, region_weights
 from .liecore import (
     InvariantForm,
     RootSystem,
@@ -119,7 +119,8 @@ def run_example() -> list[VerifyRow]:
         problems.append(f"expected 4 hyperplanes, got {len(analysis.hyperplanes)}")
     if len(analysis.regions) != 6:
         problems.append(f"expected 6 regions, got {len(analysis.regions)}")
-    labels = analysis.model.region_labels(analysis.subspaces.values())
+    hps = analysis.hyperplanes
+    labels = analysis.model.region_labels({r.id: region_weights(hps, r) for r in analysis.regions})
     expected_tilde = {
         "O2": set(),
         "O3": {"II", "III"},
@@ -523,10 +524,10 @@ def run_lemma() -> list[VerifyRow]:
     region_count = 0
     arrangements = _named_arrangements()
     for name, analysis in arrangements.items():
-        for sub in analysis.subspaces.values():
+        for r in analysis.regions:
             region_count += 1
-            if not is_saturated(analysis.ws, sub.i_r):
-                problems.append(f"{name} region {sub.region_id}: support not saturated")
+            if not is_saturated(analysis.ws, region_weights(analysis.hyperplanes, r)):
+                problems.append(f"{name} region {r.id}: support not saturated")
     saturation_row = _row(
         "lemma saturation",
         started,
@@ -552,7 +553,7 @@ def run_lemma() -> list[VerifyRow]:
             return mat
 
         for r in analysis.regions:
-            i_r = analysis.subspaces[r.id].i_r
+            i_r = region_weights(analysis.hyperplanes, r)
             support = {positions[w] for w in i_r}
             # b-stability: bracketing with any positive root vector stays
             # inside; a pair of roots both in the support is checked once
@@ -601,13 +602,14 @@ def run_lemma() -> list[VerifyRow]:
     region_count = 0
     for n in (3, 4, 5):
         analysis = RegionAnalysis.build(AdjointSlModel(n))
-        for rid, exact in analysis.strata.items():
+        for r in analysis.regions:
             region_count += 1
-            samples = sampled_jordan_types(analysis.subspaces[rid].i_r, n)
+            exact = analysis.strata[r.id]
+            samples = sampled_jordan_types(region_weights(analysis.hyperplanes, r), n)
             if not all(dominance_leq(p, exact) for p in samples):
-                problems.append(f"sl{n} region {rid}: not every sample of {samples} lies below {exact}")
+                problems.append(f"sl{n} region {r.id}: not every sample of {samples} lies below {exact}")
             elif exact not in samples:
-                problems.append(f"sl{n} region {rid}: no sample of {samples} reaches {exact}")
+                problems.append(f"sl{n} region {r.id}: no sample of {samples} reaches {exact}")
     strata_row = _row(
         "lemma strata",
         started,

@@ -9,8 +9,10 @@ import pytest
 from conftest import LARGE
 
 from orbitchar import arrangement as arr
+from orbitchar import jsonio
 from orbitchar import liecore as lc
 from orbitchar import ratlp
+from orbitchar.orbits import Module, RegionAnalysis
 from orbitchar.verify import _WEIGHT_POOL
 
 
@@ -22,6 +24,13 @@ def _example_ws():
 def _adjoint_ws(factors):
     rs = lc.build_root_system(factors)
     return lc.weight_system(rs, list(lc.highest_roots(rs)))
+
+
+def _written_regions(ws, hps, regions, level=Q(2)):
+    """The region documents that jsonio writes for this arrangement."""
+    module = Module(ws.root_system, ws.module_spec)
+    analysis = RegionAnalysis(module, ws, None, level, hps, regions, strata=None)
+    return list(jsonio.regions_doc(analysis)["regions"])
 
 
 def test_example_hyperplanes():
@@ -177,15 +186,15 @@ def test_example_region_weight_supports():
     hps = arr.chamber_hyperplanes(ws)
     regions = arr.enumerate_regions(ws.root_system, hps)
     by_signs = {r.signs: r for r in regions}
-    subs = {s: arr.region_weights(ws, hps, r) for s, r in by_signs.items()}
-    assert subs["----"].i_r == frozenset()
-    assert subs["---+"].i_r == {(1, 1)}
-    assert subs["+--+"].i_r == {(1, 1), (-1, 1)}
-    assert subs["-+++"].i_r == {(1, 1), (1, -1), (1, 0)}
-    assert subs["--++"].i_r == {(1, 1), (1, 0)}
-    assert subs["+-++"].i_r == {(1, 1), (-1, 1), (1, 0)}
-    for s in subs.values():
-        assert s.dimension == len(s.i_r)
+    subs = {s: arr.region_weights(hps, r) for s, r in by_signs.items()}
+    assert subs["----"] == frozenset()
+    assert subs["---+"] == {(1, 1)}
+    assert subs["+--+"] == {(1, 1), (-1, 1)}
+    assert subs["-+++"] == {(1, 1), (1, -1), (1, 0)}
+    assert subs["--++"] == {(1, 1), (1, 0)}
+    assert subs["+-++"] == {(1, 1), (-1, 1), (1, 0)}
+    for row in _written_regions(ws, hps, regions):
+        assert row["dim"] == len(subs[row["signs"]])
 
 
 def test_witness_independence_of_i_r():
@@ -209,7 +218,7 @@ def test_witness_independence_of_i_r():
             for normal, bound in r.closure_ineqs:
                 assert lc.pairing(normal, w2) > bound
             assert (
-                arr.region_weights(ws, hps, r).i_r
+                arr.region_weights(hps, r)
                 == frozenset(
                     mu for mu in ws.entries if lc.pairing(mu, w2) > 2
                 )
@@ -253,10 +262,9 @@ def test_region_weights_match_the_witness_pairing(factors, module, level):
     ws = lc.weight_system(rs, module)
     hps = arr.chamber_hyperplanes(ws, level)
     regions = arr.enumerate_regions(rs, hps)
-    for r in regions:
-        sub = arr.region_weights(ws, hps, r)
-        assert sub.region_id == r.id
-        assert (sub.i_r, sub.dimension) == _pairing_reference(ws, r, level)
+    for r, row in zip(regions, _written_regions(ws, hps, regions, level), strict=True):
+        assert row["id"] == r.id
+        assert (arr.region_weights(hps, r), row["dim"]) == _pairing_reference(ws, r, level)
     # some module weights have no hyperplane, so the comparison covers them too
     assert any(mu not in {h.weight for h in hps} for mu in ws.entries)
 
@@ -460,7 +468,7 @@ def test_region_weights_refuse_a_mismatched_hyperplane_list():
     region = arr.enumerate_regions(ws.root_system, hps)[0]
     for wrong in (hps[:-1], hps + hps[:1], []):
         with pytest.raises(ValueError, match="hyperplanes for 4 signs"):
-            arr.region_weights(ws, wrong, region)
+            arr.region_weights(wrong, region)
 
 
 @pytest.mark.parametrize(
@@ -484,8 +492,7 @@ def test_region_supports_saturated(factors, module):
     hps = arr.chamber_hyperplanes(ws)
     regions = arr.enumerate_regions(rs, hps)
     for r in regions:
-        sub = arr.region_weights(ws, hps, r)
-        assert arr.is_saturated(ws, sub.i_r)
+        assert arr.is_saturated(ws, arr.region_weights(hps, r))
 
 
 # the types of tests/test_liecore.py

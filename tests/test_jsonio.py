@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from orbitchar import jsonio
+from orbitchar.arrangement import region_weights
 from orbitchar.liecore import build_root_system, highest_roots, highest_short_root
 from orbitchar.orbits import (
     AdjointSlModel,
@@ -38,7 +39,7 @@ def _example_arrangement():
 
 def test_regions_doc_round_trip():
     analysis = _example_arrangement()
-    hps, regions, subs = analysis.hyperplanes, analysis.regions, analysis.subspaces
+    hps, regions, ws = analysis.hyperplanes, analysis.regions, analysis.ws
     doc = json.loads(jsonio.dump_doc(jsonio.regions_doc(analysis)))
     assert doc["root_system"] == {"factors": [["A", 1], ["A", 1]], "rank": 2}
     assert [tuple(w) for w in doc["module_spec"]] == [(1, 1), (1, 0)]
@@ -53,14 +54,15 @@ def test_regions_doc_round_trip():
         assert tuple(
             (tuple(ineq["normal"]), Q(ineq["bound"])) for ineq in row["closure_ineqs"]
         ) == r.closure_ineqs
-        assert frozenset(tuple(w) for w in row["i_r"]) == subs[r.id].i_r
-        assert row["dim"] == subs[r.id].dimension
+        i_r = region_weights(hps, r)
+        assert frozenset(tuple(w) for w in row["i_r"]) == i_r
+        assert row["dim"] == sum(ws.entries[w] for w in i_r)
 
 
 def test_dump_is_deterministic_and_canonical():
-    doc = jsonio.regions_doc(_example_arrangement())
-    text = jsonio.dump_doc(doc)
-    assert text == jsonio.dump_doc(doc)
+    analysis = _example_arrangement()
+    text = jsonio.dump_doc(jsonio.regions_doc(analysis))
+    assert text == jsonio.dump_doc(jsonio.regions_doc(analysis))
     # a fresh computation serializes to identical bytes
     assert jsonio.dump_doc(jsonio.regions_doc(_example_arrangement())) == text
     # dumping the parsed JSON value reproduces the text exactly
@@ -109,27 +111,31 @@ def test_dump_matches_json_on_the_recorded_documents(path):
 def test_dump_matches_json_on_the_f4_regions_document():
     rs = build_root_system([("F", 4)])
     doc = jsonio.regions_doc(RegionAnalysis.build(Module(rs, highest_roots(rs))))
+    doc["regions"] = list(doc["regions"])
     assert len(doc["regions"]) == 105
     assert jsonio.dump_doc(doc) == _reference(doc)
 
 
 def test_write_doc_keeps_a_small_part_of_the_file(tmp_path):
     # the A6 adjoint document is 2.63 MB of text; the writer holds the
-    # texts of the shared rows and weights, not the file's
+    # texts of the shared rows and weights, not the file's, and the
+    # document makes one region's document at a time
     rs = build_root_system([("A", 6)])
-    doc = jsonio.regions_doc(RegionAnalysis.build(Module(rs, highest_roots(rs))))
+    analysis = RegionAnalysis.build(Module(rs, highest_roots(rs)))
     path = tmp_path / "regions.json"
     tracemalloc.start()
     try:
         with open(path, "w") as out:
-            jsonio.write_doc(doc, out)
+            jsonio.write_doc(jsonio.regions_doc(analysis), out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 2_600_000
     assert peak < size / 10, (peak, size)
-    assert path.read_text() == jsonio.dump_doc(doc)
+    doc = jsonio.regions_doc(analysis)
+    doc["regions"] = list(doc["regions"])
+    assert path.read_text() == jsonio.dump_doc(doc) == _reference(doc)
 
 
 def test_dump_matches_json_on_shared_objects():
@@ -149,6 +155,7 @@ def test_regions_share_the_documents_of_their_shared_rows():
     rs = build_root_system([("F", 4)])
     analysis = RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
     doc = jsonio.regions_doc(analysis)
+    doc["regions"] = list(doc["regions"])
     first, second = analysis.regions[:2]
     shared = [k for k, row in enumerate(first.closure_ineqs) if row is second.closure_ineqs[k]]
     assert shared
@@ -201,9 +208,48 @@ def test_dump_matches_json_on_random_documents():
     assert min(seen.values()) >= 20, seen
 
 
+def test_an_empty_iterator_writes_an_empty_list():
+    assert jsonio.dump_doc(iter(())) == "[]\n"
+    assert jsonio.dump_doc({"a": iter([]), "b": 1}) == _reference({"a": [], "b": 1})
+
+
+_ITEMS = [1, "x", [], {}, [2, "y"], {"k": [3, {"m": "n"}]}, (4,)]
+
+
+def test_an_iterator_at_a_streamed_level_writes_its_list():
+    # at the top level, and as a value and an item one level down
+    for items in (_ITEMS, _ITEMS[:1], _ITEMS[2:]):
+        assert jsonio.dump_doc(iter(items)) == _reference(items)
+        assert jsonio.dump_doc({"a": iter(items)}) == _reference({"a": items})
+        assert jsonio.dump_doc([0, (x for x in items)]) == _reference([0, items])
+    # items made as they are asked for, each freed once written: a later
+    # item's objects may take a freed one's id, and their own text is written
+    def fresh():
+        return ({"a": {"b": [i, [i]]}} for i in range(50))
+
+    assert jsonio.dump_doc(fresh()) == _reference(list(fresh()))
+    assert jsonio.dump_doc({"a": fresh()}) == _reference({"a": list(fresh())})
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("regions_*.json")), ids=lambda p: p.name)
+def test_written_subspaces_are_the_region_weights(path):
+    doc = json.loads(path.read_text())
+    rs = build_root_system([tuple(f) for f in doc["root_system"]["factors"]])
+    module = Module(rs, [tuple(w) for w in doc["module_spec"]])
+    analysis = RegionAnalysis.build(module, Q(doc["level"]))
+    entries = analysis.ws.entries
+    assert len(doc["regions"]) == len(analysis.regions)
+    for row, r in zip(doc["regions"], analysis.regions):
+        assert row["signs"] == r.signs
+        i_r = region_weights(analysis.hyperplanes, r)
+        assert [tuple(w) for w in row["i_r"]] == sorted(i_r)
+        assert row["dim"] == sum(entries[w] for w in i_r)
+
+
 @pytest.mark.parametrize(
     "value",
-    [True, False, None, 1.5, {"a": [1, None]}, [1, True], {1: "a"}, {"a": 1, 2: "b"}, (0.0,)],
+    [True, False, None, 1.5, {"a": [1, None]}, [1, True], {1: "a"}, {"a": 1, 2: "b"}, (0.0,)]
+    + [{1}, frozenset(), b"x", [1, {2}], [frozenset([1])], [b"x"], {"a": [iter([1])]}],
 )
 def test_dump_refuses_what_json_would_write_differently(value):
     with pytest.raises(TypeError):

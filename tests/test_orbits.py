@@ -12,6 +12,7 @@ import pytest
 from conftest import LARGE
 
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
+from orbitchar.arrangement import region_weights
 from orbitchar.liecore import (
     build_root_system,
     dynkin_labels,
@@ -241,8 +242,8 @@ _ORACLE_NS = [2, 6] + ([7, 8] if LARGE else [])
 @pytest.mark.parametrize("n", _ORACLE_NS)
 def test_generic_jordan_matches_the_sampled_types_on_every_region(n):
     analysis = RegionAnalysis.build(AdjointSlModel(n))
-    for rid in analysis.strata:
-        assert _matches_the_sampled_types(sorted(analysis.subspaces[rid].i_r), n), rid
+    for r in analysis.regions:
+        assert _matches_the_sampled_types(sorted(region_weights(analysis.hyperplanes, r)), n), r.id
 
 
 def test_generic_jordan_matches_the_sampled_types_off_b_stable_supports():
@@ -447,9 +448,14 @@ def test_example_non_relations_certified_by_closed_conditions(example_model):
                 assert not example_model.closure_leq(lower, upper)
 
 
+def _labels(analysis):
+    """The example's region labels, from the regions' weight sets."""
+    hps = analysis.hyperplanes
+    return analysis.model.region_labels({r.id: region_weights(hps, r) for r in analysis.regions})
+
+
 def test_example_region_labels(example_analysis):
-    model = example_analysis.model
-    labels = model.region_labels(example_analysis.subspaces.values())
+    labels = _labels(example_analysis)
     by_label = {v: k for k, v in labels.items()}
     assert set(labels.values()) == {"I", "II", "III", "IV", "V", "VI"}
     signs = {r.id: r.signs for r in example_analysis.regions}
@@ -462,7 +468,7 @@ def test_example_region_labels(example_analysis):
 
 
 def test_example_strata_by_label(example_analysis):
-    labels = example_analysis.model.region_labels(example_analysis.subspaces.values())
+    labels = _labels(example_analysis)
     strata = {labels[rid]: s for rid, s in example_analysis.strata.items()}
     assert strata == {
         "I": "0",
@@ -475,7 +481,7 @@ def test_example_strata_by_label(example_analysis):
 
 
 def _label_sets(analysis, orbit):
-    labels = analysis.model.region_labels(analysis.subspaces.values())
+    labels = _labels(analysis)
     meets, dense = m_sets(analysis, orbit)
     return {labels[r] for r in meets}, {labels[r] for r in dense}
 
@@ -520,7 +526,7 @@ def test_example_dense_mode(example_analysis):
 
 def test_example_tie_resolved_at_shared_point(example_analysis):
     # two distinct regions attain the minimum for O4, at the same point
-    labels = example_analysis.model.region_labels(example_analysis.subspaces.values())
+    labels = _labels(example_analysis)
     ch = characteristic(example_analysis, "O4", mode="dense")
     assert {labels[r] for r in ch.achieving} == {"IV", "V"}
     assert ch.point == (2, 0)

@@ -712,6 +712,15 @@ def test_a_kept_point_is_checked_against_the_new_row_only(monkeypatch):
     assert checked == [3, 1, 1, 4, 3, 4]
 
 
+def test_a_warm_child_at_its_parent_vertex_returns_the_parent_witness():
+    root = ratlp.cold_start(_QUADRANT, 2)
+    witness = ratlp.strict_interior(_QUADRANT, 2, root)
+    # x + y > 0 holds at (1, 1): the same tuple; x + y > 3 moves phase 1
+    kept, moved = ((1, 1), 0), ((1, 1), 3)
+    assert ratlp.strict_interior(_QUADRANT + [kept], 2, ratlp.split(root, kept)[0]) is witness
+    assert ratlp.strict_interior(_QUADRANT + [moved], 2, ratlp.split(root, moved)[0]) == (3, 1)
+
+
 def test_the_parent_point_planted_on_a_child_it_violates_is_refused(monkeypatch):
     # x + y > 3 fails at the root's point (1, 1); read that point back as
     # the child's, and its one unchecked row refuses it

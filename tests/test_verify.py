@@ -6,12 +6,14 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction as Q
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import orbitchar
 from orbitchar import linalg, orbits, verify
+from orbitchar.arrangement import region_weights
 from orbitchar.liecore import build_root_system, highest_roots, invariant_form, norm_sq
 from orbitchar.minnorm import MinNormResult, Polyhedron
 
@@ -192,6 +194,12 @@ def test_weights_battery_reports_a_wrong_dimension_and_support(monkeypatch):
     )
 
 
+def _without(top, theta, hyperplanes, region):
+    """region_weights, with theta taken out of the support of region top."""
+    i_r = region_weights(hyperplanes, region)
+    return i_r - {theta} if region is top else i_r
+
+
 def test_lemma_battery_reports_an_unsaturated_support(monkeypatch):
     # the top region of A3 adjoint spans every positive root; without the
     # highest root its support is neither saturated nor b-stable
@@ -200,9 +208,9 @@ def test_lemma_battery_reports_an_unsaturated_support(monkeypatch):
     def planted():
         arrangements = named_arrangements()
         analysis = arrangements["A3 adjoint"]
-        top = analysis.subspaces[analysis.regions[-1].id]
+        top = analysis.regions[-1]
         theta = highest_roots(analysis.model.root_system)[0]
-        analysis.subspaces[top.region_id] = replace(top, i_r=top.i_r - {theta})
+        monkeypatch.setattr(verify, "region_weights", partial(_without, top, theta))
         return arrangements
 
     monkeypatch.setattr(verify, "_named_arrangements", planted)
@@ -224,9 +232,9 @@ def test_lemma_battery_reports_each_unstable_pair_once(monkeypatch):
     def planted():
         arrangements = named_arrangements()
         analysis = arrangements["A2 adjoint"]
-        top = analysis.subspaces[analysis.regions[-1].id]
+        top = analysis.regions[-1]
         theta = highest_roots(analysis.model.root_system)[0]
-        analysis.subspaces[top.region_id] = replace(top, i_r=top.i_r - {theta})
+        monkeypatch.setattr(verify, "region_weights", partial(_without, top, theta))
         return arrangements
 
     monkeypatch.setattr(verify, "_named_arrangements", planted)
