@@ -83,8 +83,9 @@ class Polyhedron:
         return [linalg.integral((*normal, bound)) for normal, bound in self.rows]
 
     def is_empty(self) -> bool:
-        rows = [(ints[:-1], ints[-1]) for ints, _ in self.integral_rows]
-        return not ratlp.closed_feasible(rows, self.rank)
+        """Whether no point satisfies every row, by ratlp's certified
+        precheck on the integral rows."""
+        return not ratlp.closed_feasible(self.integral_rows, self.rank)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,14 @@ linalg's `eliminate`, with the gcd of the full tableau's row, so each
 constraint row holds the full tableau's ints at its stored columns and the
 pivots are those of the same simplex over Fraction.  Values are rhs over d.
 
-The objective is bounded below by 0, so the run ends optimal.  With fewer
-artificials than rows it still reaches residual 0 exactly when the rows have
-a point, and either answer carries a certificate that linalg checks on
-ints, also under python -O: a zero residual gives the basic point X / D
+The objective is bounded below by 0, so every entering column has a
+leaving row, and the run stops as soon as the residual is 0: from there
+every pivot is degenerate, since the entering reduced cost is negative and
+the objective cannot drop below 0, so the step is 0 and the point stays.
+A positive residual runs on to optimality.  With fewer artificials than
+rows phase 1 still reaches residual 0 exactly when the rows have a point,
+and either answer carries a certificate that linalg checks on ints, also
+under python -O: a zero residual gives the basic point X / D
 (`satisfies`); a positive one gives a Farkas vector y >= 0, y != 0 with
 y.N = 0 and y.b > 0 (`check_farkas`), read from the final objective row.
 A dictionary keeps the point it certified, how many of its rows that
@@ -39,8 +43,8 @@ checked against every row.
 
 A run starts from a dictionary.  The cold start adds every row to the
 dictionary of no rows, whose point is the origin.  The warm start, `split`,
-adds a row to a dictionary of other rows, as a constraint is added to an
-optimal dictionary (Chvatal 1983): the row is taken at the nonbasic
+adds a row to a dictionary of other rows, as Chvatal (1983) adds a
+constraint to an optimal dictionary: the row is taken at the nonbasic
 columns, with every basic x+-_j substituted by its row, and enters by the
 rule above at the dictionary's point; the artificial indices shift by one.
 It builds the start for the row's opposite (-normal, -bound) alongside,
@@ -48,17 +52,17 @@ on the same read of the parent and the same substitution: the opposite's
 row is the row's with its slot entries negated and its rhs reflected.
 Either way the result is a dictionary of the phase-1 problem of all the
 rows, in the order they were added, with every basic value >= 0, so phase 1
-runs from it unchanged.  A row that holds at an optimal parent's vertex
-leaves the parent's dictionary optimal: it costs no pivot, and the parent's
-point is the answer.  From a warm start phase 1 can end at another vertex
-than from the cold one; of the warm LPs with a point in the region
-enumeration of the adjoint module, 8 of 143 do on A4, 376 of 1,871 on A6,
-145 of 1,413 on B5 and 41 of 763 on F4.  The certificates do not depend on
-the start: at the end the objective row is the reduced-cost row of the
-final basis, whatever the path, so at a positive residual its entries at
-the surplus columns are >= 0 and at the free x pairs 0, which is what makes
-them a Farkas vector; and both certificates are checked against the rows
-of the dictionary itself.
+runs from it unchanged.  A row that holds at the vertex of a parent at
+residual 0 enters with its surplus basic and keeps the residual 0: it costs
+no pivot, and the parent's point is the answer.  From a warm start phase 1
+can end at another vertex than from the cold one; of the warm LPs with a
+point in the region enumeration of the adjoint module, 8 of 143 do on A4,
+376 of 1,871 on A6, 145 of 1,413 on B5 and 41 of 763 on F4.  The
+certificates do not depend on the start: at a positive residual the run
+ends optimal, and its objective row is the reduced-cost row of the final
+basis, whatever the path, so its entries at the surplus columns are >= 0
+and at the free x pairs 0, which is what makes them a Farkas vector; and
+both certificates are checked against the rows of the dictionary itself.
 
 A cold start holds a table that every start below it shares: the first
 time a row is asked for, it stores the row's homogenized integral row, its
@@ -134,13 +138,15 @@ def _pivot(rows, basis, slots, r, col, obj):
 
 
 def _run_simplex(rows, basis, slots, obj):
-    """Minimize the objective row's cost; returns the optimal row.  The
-    cost is bounded below by 0, so every entering column has a leaving row."""
+    """Minimize the objective row's cost until it is 0 or optimal; returns
+    the final row.  The cost is bounded below by 0, so every entering column
+    has a leaving row, and at cost 0 every further pivot would be degenerate
+    and leave the point where it is."""
     n, m = len(slots), len(rows)
-    while True:
+    while obj[-1]:
         col = _entering(obj, slots)
         if col is None:
-            return obj
+            break
         j, s = _stored(col, n, m)
         c = slots.index(j)
         e = [s * row[c] for row in rows]
@@ -151,6 +157,7 @@ def _run_simplex(rows, basis, slots, obj):
             if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
                 best = i
         obj = _pivot(rows, basis, slots, best, col, obj)
+    return obj
 
 
 def _integral_rows(rows, n):
@@ -272,8 +279,9 @@ def _empty(n):
 
 
 def _feasible_point(rows, n):
-    """Phase 1 from the origin on rows as `_integral_rows` gives them, as
-    `_phase1` answers it."""
+    """Phase 1 from the origin on integral rows (ints, scale) with n + 1
+    entries each, as `_integral_rows` gives them; answered as `_phase1`
+    answers it."""
     return _phase1(_add_rows(_empty(n), rows))
 
 
@@ -380,7 +388,8 @@ def strict_interior(rows, nvars, start=None):
 
 
 def closed_feasible(rows, nvars) -> bool:
-    """Whether the closed system normal.x >= bound has a point; either
-    answer is checked by its certificate, and AssertionError raised if it
-    fails."""
-    return _feasible_point(_integral_rows(rows, nvars), nvars) is not None
+    """Whether the closed system normal.x >= bound has a point, for rows as
+    linalg.integral gives them, (ints, scale) with ints = scale * (normal,
+    bound) and nvars + 1 entries; either answer is checked by its
+    certificate, and AssertionError raised if it fails."""
+    return _feasible_point(rows, nvars) is not None

@@ -12,6 +12,7 @@ from orbitchar import arrangement as arr
 from orbitchar import jsonio
 from orbitchar import liecore as lc
 from orbitchar import ratlp
+from orbitchar.cli import main
 from orbitchar.orbits import Module, RegionAnalysis
 from orbitchar.verify import _WEIGHT_POOL
 
@@ -379,8 +380,8 @@ def test_only_the_root_lp_starts_cold(monkeypatch, factors, module, lps):
 @pytest.mark.parametrize(
     "factors,module,pivots",
     [
-        pytest.param([("A", 4)], "adjoint", 77, id="A4-adjoint"),
-        pytest.param([("F", 4)], "little", 47, id="F4-little"),
+        pytest.param([("A", 4)], "adjoint", 80, id="A4-adjoint"),
+        pytest.param([("F", 4)], "little", 49, id="F4-little"),
     ],
 )
 def test_enumeration_pivots_and_no_artificial_enters(monkeypatch, factors, module, pivots):
@@ -446,6 +447,20 @@ def test_regions_keep_their_recorded_witnesses_and_rows(factors, module, digest)
     spec = lc.highest_roots(rs) if module == "adjoint" else [lc.highest_short_root(rs)]
     hps = arr.chamber_hyperplanes(lc.weight_system(rs, spec))
     assert _region_digest(arr.enumerate_regions(rs, hps)) == digest
+
+
+# sha256 of the bytes `orbitchar regions --type <T>` writes: the enumeration
+# may take other pivots, but not reach other regions, witnesses or rows
+_REGIONS_FILE_SHA256 = {"F4": "c26784dc6d5a8a6d12c79df9fe868124bf560c94d66a8d7b9875b95f0d3aec48"}
+if LARGE:
+    _REGIONS_FILE_SHA256["E6"] = "8489bf4f86a1bff33656fde4c9a654dd7756bd3e9a96d760065a54b0dec485b7"
+
+
+@pytest.mark.parametrize("name", _REGIONS_FILE_SHA256)
+def test_regions_file_keeps_its_recorded_bytes(tmp_path, name):
+    out = tmp_path / "regions.json"
+    assert main(["regions", "--type", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REGIONS_FILE_SHA256[name]
 
 
 def test_warm_witnesses_are_the_same_on_every_run():

@@ -767,7 +767,7 @@ def test_sl5_table_precheck_pivots(monkeypatch):
     for p in partitions_of(5):
         characteristic(analysis, p, mode="nonempty")
         characteristic(analysis, p, mode="dense")
-    assert (len(calls), sum(pivots)) == (42, 238)
+    assert (len(calls), sum(pivots)) == (42, 214)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -55,12 +55,12 @@ def test_strict_interior_quadrant():
 def test_strict_interior_empty_on_antiparallel():
     rows = [((1,), 0), ((-1,), 0)]
     assert ratlp.strict_interior(rows, 1) is None
-    assert ratlp.closed_feasible(rows, 1)
+    assert ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
 
 
 def test_closed_infeasible():
     rows = [((1,), 1), ((-1,), 0)]
-    assert not ratlp.closed_feasible(rows, 1)
+    assert not ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
 
 
 def test_no_rows():
@@ -113,7 +113,7 @@ def test_against_scipy_on_random_instances():
             rows.append((tuple(e), -10))
             rows.append((tuple(-v for v in e), -10))
         closed, t = _scipy_answers(rows, n)
-        assert ratlp.closed_feasible(rows, n) == closed
+        assert ratlp.closed_feasible(ratlp._integral_rows(rows, n), n) == closed
         x = ratlp.strict_interior(rows, n)
         # an exact positive t has a denominator of a few digits at most
         assert (x is not None) == (closed and t > 1e-7)
@@ -145,7 +145,7 @@ def test_against_scipy_on_rational_instances():
                 rows.append((tuple(e), -10))
                 rows.append((tuple(-v for v in e), -10))
         closed, t = _scipy_answers(rows, n)
-        assert ratlp.closed_feasible(rows, n) == closed
+        assert ratlp.closed_feasible(ratlp._integral_rows(rows, n), n) == closed
         x = ratlp.strict_interior(rows, n)
         assert (x is not None) == (closed and t > 1e-7)
         if x is not None:
@@ -307,8 +307,9 @@ def _seeded_lp(rng):
 
 def _entry_counts(monkeypatch):
     """Count the rows that enter a dictionary with their surplus basic, the
-    phase-1 pivots, and the pivots that bring in an artificial column."""
-    counts = {"surplus": 0, "pivots": 0, "artificial": 0}
+    phase-1 pivots, the pivots that bring in an artificial column, and the
+    pivots taken at a zero residual."""
+    counts = {"surplus": 0, "pivots": 0, "artificial": 0, "zero_residual": 0}
     add_rows, pivot = ratlp._add_rows, ratlp._pivot
 
     def counting_add_rows(dic, irows, *args):
@@ -320,6 +321,7 @@ def _entry_counts(monkeypatch):
     def counting_pivot(rows, basis, slots, r, col, obj):
         counts["pivots"] += 1
         counts["artificial"] += col >= 2 * len(slots) + len(rows)
+        counts["zero_residual"] += obj[-1] == 0
         return pivot(rows, basis, slots, r, col, obj)
 
     monkeypatch.setattr(ratlp, "_add_rows", counting_add_rows)
@@ -329,7 +331,8 @@ def _entry_counts(monkeypatch):
 
 def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
     # the phase-1 answer and point on the rows and on their homogenization;
-    # many rows start with their surplus basic, and no artificial enters
+    # many rows start with their surplus basic, no artificial enters, and
+    # phase 1 stops once its residual is 0
     counts = _entry_counts(monkeypatch)
     rng = random.Random(20261018)
     seen = {"closed": 0, "strict": 0, "empty": 0}
@@ -344,6 +347,7 @@ def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
         seen["strict" if x else "closed" if got else "empty"] += 1
     assert min(seen.values()) >= 200, seen
     assert counts["surplus"] >= 100 and counts["artificial"] == 0, counts
+    assert counts["pivots"] > 0 and counts["zero_residual"] == 0, counts
 
 
 def _slack_reference(rows, n):
@@ -407,10 +411,11 @@ def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
     feasible = 0
     for _ in range(2000):
         rows, n = _seeded_lp(rng)
-        got = ratlp.closed_feasible(rows, n)
+        got = ratlp.closed_feasible(ratlp._integral_rows(rows, n), n)
         assert got == (_slack_reference(rows, n) >= 0), rows
         feasible += got
-    assert ratlp.closed_feasible([], 3) and _slack_reference([], 3) >= 0
+    assert ratlp.closed_feasible(ratlp._integral_rows([], 3), 3)
+    assert _slack_reference([], 3) >= 0
     assert kinds["infeasible"] == 2000 - feasible >= 500, kinds
     assert kinds["basic_artificial"] >= 100, kinds
 
@@ -431,9 +436,10 @@ def test_phase1_feasibility_matches_the_slack_lp_on_region_closures(factors):
     closures, n = _adjoint_closures(factors)
     empty = 0
     for k, rows in enumerate(closures):
-        assert ratlp.closed_feasible(rows, n) and _slack_reference(rows, n) >= 0
+        assert ratlp.closed_feasible(ratlp._integral_rows(rows, n), n)
+        assert _slack_reference(rows, n) >= 0
         both = rows + closures[(7 * k + 1) % len(closures)]
-        got = ratlp.closed_feasible(both, n)
+        got = ratlp.closed_feasible(ratlp._integral_rows(both, n), n)
         assert got == (_slack_reference(both, n) >= 0)
         empty += not got
     assert 0 < empty < len(closures)
@@ -453,11 +459,11 @@ _EMPTY_ROWS = [((1,), 1), ((-1,), 0), ((1,), -5), ((-1,), -5)]
     ],
 )
 def test_a_tampered_farkas_vector_is_refused(monkeypatch, y, message):
-    assert not ratlp.closed_feasible(_EMPTY_ROWS, 1)
+    assert not ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1)
     assert ratlp.strict_interior(_EMPTY_ROWS, 1) is None
     monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
     with pytest.raises(AssertionError, match=message):
-        ratlp.closed_feasible(_EMPTY_ROWS, 1)
+        ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1)
     # the Motzkin vector of the homogenized rows has one more entry, for
     # s >= 1; their bounds are the rows' positive scales, so a vector that
     # cancels the normals but not the bounds fails on the s column there
@@ -472,11 +478,11 @@ def test_a_tampered_phase1_point_is_refused(monkeypatch):
     rows = [((1, 0), 1), ((0, 1), Q(1, 2))]
     point, read = ratlp._phase1_point, []
     monkeypatch.setattr(ratlp, "_phase1_point", lambda *args: read.append(point(*args)) or read[-1])
-    assert ratlp.closed_feasible(rows, 2)
+    assert ratlp.closed_feasible(ratlp._integral_rows(rows, 2), 2)
     assert read == [([2, 1], 2)]  # the vertex (1, 1/2)
     monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: ([0] * n, 1))
     with pytest.raises(AssertionError, match="phase-1 point violates a row"):
-        ratlp.closed_feasible(rows, 2)
+        ratlp.closed_feasible(ratlp._integral_rows(rows, 2), 2)
 
 
 def test_a_tampered_homogenized_point_is_refused(monkeypatch):
@@ -502,7 +508,7 @@ farkas = ratlp._farkas
 for y in ([-1, -1, 0, 0], [2, 1, 0, 0], [0, 0, 1, 1]):
     ratlp._farkas = lambda *args: y
     try:
-        ratlp.closed_feasible(rows, 1)
+        ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
     except AssertionError as exc:
         print(exc)
 ratlp._farkas = lambda *args: [2, 1, 0, 0, 0]
@@ -513,7 +519,7 @@ except AssertionError as exc:
 ratlp._farkas = farkas
 ratlp._phase1_point = lambda tab, basis, n: ([0] * n, 1)
 try:
-    ratlp.closed_feasible([((1,), 1)], 1)
+    ratlp.closed_feasible(ratlp._integral_rows([((1,), 1)], 1), 1)
 except AssertionError as exc:
     print(exc)
 ratlp._phase1_point = lambda tab, basis, n: ([1, 1], 1)
@@ -553,7 +559,7 @@ def test_a_warm_child_satisfied_at_its_parent_vertex_takes_no_pivot(monkeypatch)
     # parent's vertex is the answer
     for row in (((1, 1), 0), ((1, 1), 1)):
         assert ratlp.strict_interior(_QUADRANT + [row], 2, ratlp.split(root, row)[0]) == (1, 1)
-    assert counts == {"surplus": 2, "pivots": 0, "artificial": 0}
+    assert counts == {"surplus": 2, "pivots": 0, "artificial": 0, "zero_residual": 0}
 
 
 def test_an_infeasible_warm_child_is_certified(monkeypatch):
