@@ -94,8 +94,7 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     sign-vector order, below before above.
 
     Any number of hyperplanes is accepted; the cost, two LPs per kept
-    prefix, grows with the number of regions (adjoint E7, 63 hyperplanes
-    and 4,160 regions: about 5 s on a 2-core Xeon VM under CPython 3.11).
+    prefix, grows with the number of regions.
     """
     above = [(hp.weight, hp.level) for hp in hyperplanes]
     base = _chamber_rows(rs)

@@ -121,22 +121,24 @@ def _resolve(args):
 
 
 def _arrangement_parts(model: Module, level: Q, scales) -> RegionAnalysis:
-    # perfbench pins this builder: a plant at cli.enumerate_regions, spans on vars(cli).
+    # Builds what RegionAnalysis.build builds.  It stays only for perfbench,
+    # which plants at cli.enumerate_regions and spans names in vars(cli)
+    # (ROADMAP items 1a and 6).
     rs = model.root_system
     ws = weight_system(rs, model.module_spec)
     form = invariant_form(rs, scales)
     hps = chamber_hyperplanes(ws, level)
-    regions = enumerate_regions(rs, hps)
-    return RegionAnalysis(Module(rs, ws.module_spec), ws, form, level, hps, regions, strata=None)
+    return RegionAnalysis(model, ws, form, level, hps, enumerate_regions(rs, hps))
 
 
-def _figure(model: Module, analysis: RegionAnalysis, marks) -> str:
+def _figure(analysis: RegionAnalysis, marks) -> str:
+    model = analysis.model
     labels = None
     if isinstance(model, Example2x3Model):
         hps = analysis.hyperplanes
         labels = model.region_labels({r.id: region_weights(hps, r) for r in analysis.regions})
     return svg.render_arrangement(
-        analysis.model.root_system,
+        model.root_system,
         analysis.form,
         analysis.hyperplanes,
         analysis.regions,
@@ -171,7 +173,7 @@ def cmd_regions(args) -> int:
     what = f"{len(analysis.hyperplanes)} hyperplanes / {len(analysis.regions)} regions"
     _write_doc(args.out or "regions.json", jsonio.regions_doc(analysis), what)
     if args.svg:
-        _write(args.svg, _figure(model, analysis, ()), "arrangement figure")
+        _write(args.svg, _figure(analysis, ()), "arrangement figure")
     return EXIT_OK
 
 
@@ -200,7 +202,7 @@ def cmd_characteristic(args) -> int:
     _write_doc(out, doc, f"characteristic with labels ({labels})")
     if args.svg:
         marks = [(ch.point, model.caption(orbit))]
-        _write(args.svg, _figure(model, analysis, marks), "arrangement figure")
+        _write(args.svg, _figure(analysis, marks), "arrangement figure")
     return EXIT_OK
 
 
@@ -219,7 +221,7 @@ def cmd_plot(args) -> int:
             by_point.setdefault(ch.point, []).append(model.caption(orbit))
     marks = [(point, "=".join(names)) for point, names in sorted(by_point.items())]
     what = f"figure with {len(analysis.hyperplanes)} hyperplanes and {len(marks)} markers"
-    _write(args.out or "figure.svg", _figure(model, analysis, marks), what)
+    _write(args.out or "figure.svg", _figure(analysis, marks), what)
     return EXIT_OK
 
 

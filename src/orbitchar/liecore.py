@@ -269,14 +269,13 @@ def is_dominant(rs: RootSystem, h) -> bool:
 
 @dataclass(frozen=True)
 class InvariantForm:
-    """Gram matrix of the invariant form on simple coroots.
+    """Gram matrix of the invariant form on simple coroots, scales applied.
 
     gram[i][j] = scale(factor of i) * (alpha_i^vee, alpha_j^vee) with long
     roots normalized to squared length 2 inside each factor.
     """
 
     gram: tuple[tuple[Q, ...], ...]
-    factor_scales: tuple[Q, ...]
 
     @cached_property
     def integral_gram(self) -> tuple[list[list[int]], int]:
@@ -304,7 +303,7 @@ def invariant_form(rs: RootSystem, factor_scales=None) -> InvariantForm:
         s = factor_scales[rs.factor_of_node[i]]
         row = [s * 2 * rs.cartan[i][j] / rs.root_lengths[i] for j in range(rs.rank)]
         gram.append(tuple(row))
-    return InvariantForm(gram=tuple(gram), factor_scales=factor_scales)
+    return InvariantForm(gram=tuple(gram))
 
 
 def norm_sq(form: InvariantForm, h) -> Q:

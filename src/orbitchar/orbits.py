@@ -457,9 +457,9 @@ class Characteristic:
 
 @dataclass
 class RegionAnalysis:
-    """Arrangement of one module and cached minimizers; for an orbit model
-    also the generic stratum of each region (strata is None otherwise).
-    A region's subspace is `region_weights(hyperplanes, region)`."""
+    """Arrangement of one module and its cached region minima.  A region's
+    subspace is `region_weights(hyperplanes, region)`; an orbit model also
+    gives each subspace's generic orbit, in `strata`."""
 
     model: Module
     ws: WeightSystem
@@ -467,8 +467,7 @@ class RegionAnalysis:
     level: Q
     hyperplanes: list[Hyperplane]
     regions: list[Region]
-    strata: dict[int, object] | None
-    _minima: dict[int, MinNormResult] = field(default_factory=dict)
+    _minima: dict[int, MinNormResult] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, model: Module, level=Q(2), factor_scales=None) -> "RegionAnalysis":
@@ -477,19 +476,17 @@ class RegionAnalysis:
         ws = weight_system(rs, model.module_spec)
         form = invariant_form(rs, factor_scales)
         hps = chamber_hyperplanes(ws, level)
-        regions = enumerate_regions(rs, hps)
-        strata = None
-        if isinstance(model, OrbitModel):
-            strata = {r.id: model.generic_stratum(region_weights(hps, r)) for r in regions}
-        return cls(
-            model=model,
-            ws=ws,
-            form=form,
-            level=level,
-            hyperplanes=hps,
-            regions=regions,
-            strata=strata,
-        )
+        return cls(model, ws, form, level, hps, enumerate_regions(rs, hps))
+
+    @cached_property
+    def strata(self) -> dict[int, object]:
+        """The generic stratum of each region's subspace, keyed by region id,
+        computed on first use; ValueError when the model has no orbits."""
+        model = self.model
+        if not isinstance(model, OrbitModel):
+            raise ValueError("the analysis has no orbit model, so it has no orbits")
+        hps = self.hyperplanes
+        return {r.id: model.generic_stratum(region_weights(hps, r)) for r in self.regions}
 
     @cached_property
     def _strata_regions(self) -> dict[object, list[int]]:
@@ -563,14 +560,13 @@ class RegionAnalysis:
 def m_sets(analysis: RegionAnalysis, orbit) -> tuple[frozenset[int], frozenset[int]]:
     """Region ids whose subspace meets the orbit, and those generically
     filled by it: the pair (m_set, tilde_m_set), with the second always
-    contained in the first."""
+    contained in the first; ValueError without an orbit model."""
     model = analysis.model
-    if not isinstance(model, OrbitModel):
-        raise ValueError("the analysis has no orbit model, so it has no orbits")
+    by_stratum = analysis._strata_regions
     model.check_orbit(orbit)
     meets = set()
     dense = set()
-    for stratum, rids in analysis._strata_regions.items():
+    for stratum, rids in by_stratum.items():
         if model.closure_leq(orbit, stratum):
             meets.update(rids)
         if stratum == orbit:

@@ -55,9 +55,8 @@ rows, in the order they were added, with every basic value >= 0, so phase 1
 runs from it unchanged.  A row that holds at the vertex of a parent at
 residual 0 enters with its surplus basic and keeps the residual 0: it costs
 no pivot, and the parent's point is the answer.  From a warm start phase 1
-can end at another vertex than from the cold one; of the warm LPs with a
-point in the region enumeration of the adjoint module, 8 of 143 do on A4,
-376 of 1,871 on A6, 145 of 1,413 on B5 and 41 of 763 on F4.  The
+can end at another vertex than from the cold one: 8 of the 143 warm LPs
+with a point in the region enumeration of adjoint A4 do.  The
 certificates do not depend on the start: at a positive residual the run
 ends optimal, and its objective row is the reduced-cost row of the final
 basis, whatever the path, so its entries at the surplus columns are >= 0

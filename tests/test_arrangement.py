@@ -30,7 +30,7 @@ def _adjoint_ws(factors):
 def _written_regions(ws, hps, regions, level=Q(2)):
     """The region documents that jsonio writes for this arrangement."""
     module = Module(ws.root_system, ws.module_spec)
-    analysis = RegionAnalysis(module, ws, None, level, hps, regions, strata=None)
+    analysis = RegionAnalysis(module, ws, None, level, hps, regions)
     return list(jsonio.regions_doc(analysis)["regions"])
 
 

@@ -5,12 +5,22 @@ import subprocess
 import sys
 import textwrap
 import xml.etree.ElementTree as ET
+from fractions import Fraction as Q
+from functools import partial
 
 import pytest
 
 from orbitchar import cli, verify
 from orbitchar.cli import main, parse_factors
-from orbitchar.orbits import AdjointSlModel, Example2x3Model, weighted_dynkin_from_partition
+from orbitchar.liecore import build_root_system, highest_short_root
+from orbitchar.orbits import (
+    AdjointSlModel,
+    Example2x3Model,
+    Module,
+    RegionAnalysis,
+    characteristic,
+    weighted_dynkin_from_partition,
+)
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -346,6 +356,15 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
             ["--type", "A2", "--module", "1,0,0"],
             "error: weight (1, 0, 0) has 3 entries, but the rank is 2",
         ),
+        (["--type", "A2", "--module", "1,x"], "error: cannot parse weight '1,x'"),
+        (["--type", "A2", "--level", "abc"], "error: cannot parse --level 'abc' as a rational"),
+        (["--type", "A2", "--level", "1/0"], "error: cannot parse --level '1/0' as a rational"),
+        (["--type", "A2", "--level", "0"], "error: level must be positive"),
+        (
+            ["--type", "A2", "--scales", "1,x"],
+            "error: cannot parse --scales entry 'x' as a rational",
+        ),
+        (["--type", "A2", "--scales", "-1"], "error: factor scales must be positive"),
     ],
 )
 def test_liecore_reports_bad_types_and_weights(tmp_path, capsys, argv, message):
@@ -353,6 +372,50 @@ def test_liecore_reports_bad_types_and_weights(tmp_path, capsys, argv, message):
     assert main(["regions", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+def _little_g2():
+    rs = build_root_system([("G", 2)])
+    return Module(rs, (highest_short_root(rs),))
+
+
+@pytest.mark.parametrize(
+    "make, level, scales",
+    [
+        (Example2x3Model, Q(2), (Q(1), Q(3, 2))),
+        (partial(AdjointSlModel, 4), Q(2), None),
+        (_little_g2, Q(3), (Q(2),)),
+    ],
+    ids=["example-2x3", "sl4", "G2-little"],
+)
+def test_both_builders_build_one_record(make, level, scales):
+    model = make()
+    analysis = cli._arrangement_parts(model, level, scales)
+    assert analysis == RegionAnalysis.build(model, level, scales)
+    assert analysis.model is model
+
+
+def test_only_characteristic_asks_for_strata(tmp_path, monkeypatch):
+    calls = []
+    generic_stratum = AdjointSlModel.generic_stratum
+
+    def counted(self, i_r):
+        calls.append(i_r)
+        return generic_stratum(self, i_r)
+
+    monkeypatch.setattr(AdjointSlModel, "generic_stratum", counted)
+    assert main(["regions", "--type", "A3", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == []
+    argv = ["characteristic", "--type", "A3", "--orbit", "2,2"]
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == 14  # the regions of sl4, each once
+    calls.clear()
+    model = AdjointSlModel(4)
+    analysis = RegionAnalysis.build(model)
+    for orbit in model.orbit_ids():
+        for mode in ("nonempty", "dense"):
+            characteristic(analysis, orbit, mode)
+    assert len(calls) == len(analysis.regions) == 14
 
 
 def test_type_is_required_outside_the_example(tmp_path, capsys):

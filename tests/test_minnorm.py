@@ -241,9 +241,7 @@ def _random_spd_form(rng, n):
         from orbitchar.linalg import matmul, transpose
 
         g = matmul(l, transpose(l))
-        return lc.InvariantForm(
-            gram=tuple(tuple(row) for row in g), factor_scales=(Q(1),) * 1
-        )
+        return lc.InvariantForm(gram=tuple(tuple(row) for row in g))
 
 
 def _random_poly(rng, n, max_rows=8):
@@ -315,10 +313,7 @@ def test_scale_invariance_of_argmin():
             continue
         form = _random_spd_form(rng, n)
         q = Q(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = lc.InvariantForm(
-            gram=tuple(tuple(q * v for v in row) for row in form.gram),
-            factor_scales=form.factor_scales,
-        )
+        scaled = lc.InvariantForm(gram=tuple(tuple(q * v for v in row) for row in form.gram))
         a = mn.min_norm_point(poly, form)
         b = mn.min_norm_point(poly, scaled)
         assert a.point == b.point
@@ -516,7 +511,7 @@ def _rational_rows(rng, poly, form):
     gram = tuple(
         tuple(d[i] * v * d[j] for j, v in enumerate(row)) for i, row in enumerate(form.gram)
     )
-    return mn.Polyhedron.from_rows(rows, poly.rank), lc.InvariantForm(gram, form.factor_scales)
+    return mn.Polyhedron.from_rows(rows, poly.rank), lc.InvariantForm(gram)
 
 
 def test_integer_iteration_matches_the_fraction_reference_on_random_instances():
@@ -562,7 +557,7 @@ def _rational_spd_form(rng, n):
         for i in range(n)
     ]
     gram = linalg.matmul(l, linalg.transpose(l))
-    return lc.InvariantForm(gram=tuple(map(tuple, gram)), factor_scales=(Q(1),))
+    return lc.InvariantForm(gram=tuple(map(tuple, gram)))
 
 
 def test_integer_iteration_matches_the_fraction_reference_under_rational_forms():

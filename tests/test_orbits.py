@@ -885,7 +885,8 @@ def test_module_analysis_matches_recorded_regions(g2_little_analysis):
     a = g2_little_analysis
     doc = jsonio.regions_doc(a)
     assert jsonio.dump_doc(doc).encode() == path.read_bytes()
-    assert a.strata is None
+    with pytest.raises(ValueError, match="no orbit model"):
+        a.strata
 
 
 def test_module_analysis_has_no_orbits(g2_little_analysis):

@@ -396,6 +396,30 @@ def test_condensed_simplex_matches_the_full_tableau_on_enumerations(monkeypatch,
         assert (got is not None) == (_slack_reference(rows, nvars) > 0)
 
 
+def test_a4_warm_lps_that_end_at_another_vertex(monkeypatch):
+    # the figure in the ratlp docstring: of the warm LPs with a point in the
+    # adjoint A4 enumeration, 8 of 143 end at another vertex than the same
+    # rows solved cold
+    solve, warm = ratlp.strict_interior, []
+
+    def recording(rows, nvars, start=None):
+        cold = start is None or all(
+            b >= 2 * len(start.slots) + len(start.tab) for b in start.basis
+        )
+        got = solve(rows, nvars, start)
+        if not cold and got is not None:
+            warm.append((list(rows), nvars, got))
+        return got
+
+    monkeypatch.setattr(ratlp, "strict_interior", recording)
+    rs = liecore.build_root_system([("A", 4)])
+    ws = liecore.weight_system(rs, liecore.highest_roots(rs))
+    arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
+    monkeypatch.undo()
+    moved = [got for rows, nvars, got in warm if ratlp.strict_interior(rows, nvars) != got]
+    assert (len(moved), len(warm)) == (8, 143)
+
+
 def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
     # every positive residual passes its Farkas check (closed_feasible would
     # raise otherwise); count the read-offs that use a still-basic a_i

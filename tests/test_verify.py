@@ -15,7 +15,8 @@ import orbitchar
 from orbitchar import linalg, orbits, verify
 from orbitchar.arrangement import region_weights
 from orbitchar.liecore import build_root_system, highest_roots, invariant_form, norm_sq
-from orbitchar.minnorm import MinNormResult, Polyhedron
+from orbitchar.cli import main
+from orbitchar.minnorm import MinNormResult, Polyhedron, min_norm_point
 
 
 def _value(normal, point):
@@ -106,6 +107,31 @@ def test_a_wrong_minimum_fails_the_battery_on_the_reference(monkeypatch):
     assert len(problems) == 4 and more == "(96 more)"
     pattern = r"instance \d+: minimizer \(.+\) is not the enumerated reference \(.+\)"
     assert all(re.fullmatch(pattern, p) for p in problems), problems
+
+
+def test_a_failed_certificate_is_its_instances_problem(monkeypatch, capsys):
+    # instance 7's certificate fails; the battery records it and goes on,
+    # and the CLI prints every row before it exits 1
+    calls = []
+
+    def planted(poly, form):
+        calls.append(poly)
+        if len(calls) == 8:
+            raise AssertionError("stationarity fails")
+        return min_norm_point(poly, form)
+
+    monkeypatch.setattr(verify, "min_norm_point", planted)
+    assert main(["verify", "--suite", "minnorm", "--suite", "weights"]) == 1
+    assert len(calls) == 100
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "FAIL  minnorm",
+        "PASS  weights dimension-sum",
+        "PASS  weights little-adjoint",
+    ]
+    detail = "FAIL  minnorm: instance 7: AssertionError: stationarity fails"
+    assert re.fullmatch(re.escape(detail) + r" \(.+s\)", lines[0])
+    assert lines[3:] == ["2/3 checks passed"]
 
 
 def _plant_doubled_characteristic(monkeypatch, when):
