@@ -3,17 +3,19 @@
 Every exact elimination in the package (rank, solve and inverse here, the
 simplex tableau in ratlp) runs on rows of Python ints with one invariant:
 each row equals its true rational row times an unknown positive factor.  A
-rational row enters through `integral`, scaled by the LCM of its
-denominators; `eliminate` clears one entry by a pivot row with a positive
-pivot and divides the result by the gcd of its entries (Bareiss, Math.
-Comp. 22, 1968).  A positive factor changes neither the signs of the
-entries nor the ratios within a row, so every pivot choice is the one the
-same elimination over Fraction would make, and values are read at the end
-as an entry over its row's pivot.  `solve_integral` returns a solution as
-ints over the LCM of the pivots, for callers that stay on integers (the
-min-norm iteration); `solve` is its Fraction form.  The certificate checks
-live here too: `satisfies` checks a point X / D against integral rows for
-ratlp, minnorm and orbits, and `check_farkas` ratlp's Farkas vectors.
+rational row enters through `integral`, which reads each int or Fraction
+once by as_integer_ratio (anything else, a str say, through Fraction) and
+scales the row by the LCM of its denominators; `eliminate` clears one entry
+by a pivot row with a positive pivot and divides the result by the gcd of
+its entries (Bareiss, Math. Comp. 22, 1968).  A positive factor changes
+neither the signs of the entries nor the ratios within a row, so every
+pivot choice is the one the same elimination over Fraction would make, and
+values are read at the end as an entry over its row's pivot.
+`solve_integral` returns a solution as ints over the LCM of the pivots, for
+callers that stay on integers (the min-norm iteration); `solve` is its
+Fraction form.  The certificate checks live here too: `satisfies` checks a
+point X / D against integral rows for ratlp, minnorm and orbits, and
+`check_farkas` ratlp's Farkas vectors.
 """
 
 from __future__ import annotations
@@ -29,9 +31,15 @@ Matrix = list[list[Q]]
 
 def integral(values):
     """The rationals scaled by the LCM of their denominators, as ints, and the LCM."""
-    qs = [v if isinstance(v, (int, Q)) else Q(v) for v in values]
-    scale = math.lcm(*[q.denominator for q in qs])
-    return [q.numerator * (scale // q.denominator) for q in qs], scale
+    nums, dens = [], []
+    for v in values:
+        num, den = (v if isinstance(v, (int, Q)) else Q(v)).as_integer_ratio()
+        nums.append(num)
+        dens.append(den)
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return nums, 1
+    return [num * (scale // den) for num, den in zip(nums, dens)], scale
 
 
 def integral_matrix(m) -> tuple[list[list[int]], int]:

@@ -15,7 +15,11 @@ ties go to the lowest index.  Each step finds the direction z and the
 multiplier change s of the working system Q z + N_A^T s = p, N_A z = 0
 through its Schur complement in the active normals:
 (N_A Q^-1 N_A^T) s = N_A Q^-1 p, then z = Q^-1 (p - N_A^T s).  Q^-1 is
-formed once per form, so a step solves an |A|-square system only.  The
+formed once per form, and the Schur matrix is kept across steps: the
+right side N_A Q^-1 p is formed once per entering row, and is also the
+row and column the matrix gains when p becomes active (Q^-1 is symmetric);
+a dropped row takes its row and column with it.  So a step forms no
+product of two active rows and solves one |A|-square system.  The
 active normals stay independent (a row enters only when p.z != 0), so the
 system has one solution.  The step is the smaller of the full step
 gap / p.z, which makes p active, and the least ratio lam_t / s_t over
@@ -37,9 +41,12 @@ entering multiplier and D are divided by their gcd.  The entering rule
 compares v_i^2 q_j > v_j^2 q_i for v = b D - N . X and q = N K N on the
 integral rows; a row's scale c multiplies its v by c and its q by c^2, and
 D multiplies every v alike, so the choice is again the one over Fraction.
-Only the result is read back as Fraction, and its certificate is
-re-verified, on the same integer rows, before returning; the point check is
-linalg's `satisfies`, and an empty polyhedron is certified by ratlp.
+Only the result is read back as Fraction, its norm as X^T G X / (h D^2)
+from the integral Gram matrix G over h, and its certificate is re-verified
+on the same integer rows before returning: verify_kkt reads the
+multipliers as ints over one denominator and checks stationarity and the
+norm on ints; the point check is linalg's `satisfies`, and an empty
+polyhedron is certified by ratlp.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -55,7 +62,7 @@ from functools import cached_property
 
 from . import linalg, ratlp
 from .linalg import dot, satisfies
-from .liecore import InvariantForm, Point, norm_sq
+from .liecore import InvariantForm, Point
 
 Q = Fraction
 
@@ -111,29 +118,43 @@ def verify_kkt(poly: Polyhedron, form: InvariantForm, res: MinNormResult) -> Non
     """Check the exact optimality certificate; raises AssertionError on
     failure, also under python -O.
 
-    The check runs on the integral rows and Gram matrix: the point becomes
-    X / D and the multipliers, lam * h / c per row for the Hessian
-    H = 2 G over h, become L / E, once."""
-    rows = poly.integral_rows
+    The point must have the polyhedron's rank, and the active set must name
+    distinct rows by their indices, one multiplier each.  The check runs on
+    the integral rows and Gram matrix G over h: the point becomes X / D and
+    the multipliers L / e, so the multiplier lam * h / c_k of active row k
+    (scale c_k) for the Hessian H = 2 G over h is L_k h (C / c_k) / (e C)
+    over C = lcm(c_k).  Stationarity and the norm X^T G X / (h D^2) are
+    checked on these ints."""
+    rows, active = poly.integral_rows, res.active_set
+    if len(res.point) != poly.rank:
+        raise AssertionError("point of the wrong length")
+    if len(active) != len(res.multipliers):
+        raise AssertionError("active set and multipliers differ in length")
+    if any(not 0 <= k < len(rows) for k in active):
+        raise AssertionError("active row index out of range")
+    if len(set(active)) != len(active):
+        raise AssertionError("active row repeated")
     x, d = linalg.integral(res.point)
     if not satisfies(rows, x, d):
         raise AssertionError("candidate violates a constraint")
     g, h = form.integral_gram
-    lams, e = linalg.integral(
-        [Q(lam) * h / rows[k][1] for k, lam in zip(res.active_set, res.multipliers)]
-    )
+    lams, e = linalg.integral(res.multipliers)
+    c = math.lcm(*[rows[k][1] for k in active])
     combo = [0] * poly.rank
-    for k, lam in zip(res.active_set, lams):
+    for k, lam in zip(active, lams):
         if lam < 0:
             raise AssertionError("negative multiplier")
-        ints, _ = rows[k]
+        ints, ck = rows[k]
         if dot(ints, x) != ints[-1] * d:
             raise AssertionError("active row not tight")
-        combo = [c + lam * v for c, v in zip(combo, ints)]
-    # 2 G X / D == combo / E
-    if any(2 * dot(row, x) * e != c * d for row, c in zip(g, combo)):
+        lam *= h * (c // ck)
+        combo = [v + lam * w for v, w in zip(combo, ints)]
+    # 2 G X / D == combo / (e C)
+    gx = [dot(row, x) for row in g]
+    if any(2 * v * e * c != w * d for v, w in zip(gx, combo)):
         raise AssertionError("stationarity fails")
-    if res.norm_sq != norm_sq(form, res.point):
+    [num], den = linalg.integral([res.norm_sq])
+    if num * h * d * d != den * dot(x, gx):
         raise AssertionError("norm mismatch")
 
 
@@ -174,7 +195,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     # bound <= 0 is never violated; a zero row with bound > 0 is never
     # satisfied, enters first and ends in the empty exit.
     rows = poly.integral_rows
-    _, h = form.integral_gram
+    gram, h = form.integral_gram
     # K / kden = H^-1 for the Hessian H = 2 G over h
     kinv, kden = form.integral_inverse_hessian
 
@@ -182,6 +203,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     active: list[int] = []  # row indices into poly.rows
     lam: list[int] = []  # multipliers lam / d of the integral rows and H
     kn: list[list[int]] = []  # K N_t for each active row t
+    schur: list[list[int]] = []  # N_A K N_A^T, a row and column per active row
     q: dict[int, int] = {}  # N_k K N_k, formed when row k first competes
     entering = None
     for _ in range(10000):
@@ -192,12 +214,10 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
             u = 0  # its multiplier u / d
             p, _ = rows[entering]  # p's normal and its bound p[-1]
             kp = [dot(row, p) for row in kinv]
+            kap = [dot(kb, p) for kb in kn]  # N_A K p
         # the working system H z + N_A^T s = p, N_A z = 0 through its Schur
         # complement: (N_A K N_A^T) s = N_A K p, then z = K (p - N_A^T s) / kden
-        sol = linalg.solve_integral(
-            [[dot(rows[t][0], kb) for kb in kn] for t in active],
-            [dot(kb, p) for kb in kn],
-        )
+        sol = linalg.solve_integral(schur, kap)
         if sol is None:
             raise AssertionError("singular working-set system")
         s, e = sol
@@ -238,21 +258,26 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
             u //= g
             d //= g
         if full:
+            # K is symmetric, so p's new column N_A K p is its new row, kap
+            for row, v in zip(schur, kap):
+                row.append(v)
+            schur.append([*kap, dot(p, kp)])
             active.append(entering)
             lam.append(u)
             kn.append(kp)
             entering = None
         else:
-            active.pop(k)
-            lam.pop(k)
-            kn.pop(k)
+            for row in schur:
+                del row[k]
+            for kept in (active, lam, kn, kap, schur):
+                del kept[k]
     else:
         raise RuntimeError("active-set iteration failed to settle")
 
-    point = tuple(Q(xi, d) for xi in x)
     res = MinNormResult(
-        point=point,
-        norm_sq=norm_sq(form, point),
+        point=tuple(Q(xi, d) for xi in x),
+        # X^T G X / (h D^2)
+        norm_sq=Q(dot(x, [dot(row, x) for row in gram]), h * d * d),
         active_set=tuple(active),
         # lam / d was lam * h / c for a row of scale c
         multipliers=tuple(Q(l * rows[t][1], h * d) for t, l in zip(active, lam)),

@@ -7,8 +7,8 @@ import pytest
 
 import orbitchar
 
-# ORBITCHAR_LARGE=1 adds the larger sizes to the acceptance, arrangement and
-# orbit tests; test modules read it as `from conftest import LARGE`
+# ORBITCHAR_LARGE=1 adds the larger sizes to the acceptance, arrangement,
+# min-norm and orbit tests; test modules read it as `from conftest import LARGE`
 LARGE = os.environ.get("ORBITCHAR_LARGE") == "1"
 
 

@@ -143,6 +143,33 @@ def test_integral_scales_by_denominator_lcm():
     assert linalg.integral(()) == ([], 1)
 
 
+def test_integral_matches_a_fraction_reference():
+    # ints, bools, negatives, zeros, Fractions with and without a
+    # denominator, and the str and float inputs that Fraction accepts: the
+    # entries are the values times the lcm of their denominators, all ints
+    cases = [
+        (3, -7, 0),
+        (True, False, 2),
+        (Q(1, 2), Q(-2, 3), Q(4), Q(0), -5),
+        (Q(6, 1), Q(-9, 3), Q(0, 5)),
+        ("1/2", "-3/4", "5", "0.25", " -6 ", 1),
+        (0.5, -1.25, 3.0, 0.0, Q(1, 3)),
+        (),
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        cases.append(tuple(
+            rng.choice([Q(rng.randint(-20, 20), rng.randint(1, 12)), rng.randint(-20, 20)])
+            for _ in range(rng.randint(1, 8))
+        ))
+    for values in cases:
+        qs = [Q(v) for v in values]
+        scale = math.lcm(*[q.denominator for q in qs])
+        ints, got = linalg.integral(values)
+        assert (ints, got) == ([q * scale for q in qs], scale), values
+        assert all(type(v) is int for v in (*ints, got)), values
+
+
 def test_eliminate_returns_primitive_positive_multiple():
     rng = random.Random(14)
     zero_rows = 0

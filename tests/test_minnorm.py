@@ -1,5 +1,6 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
+from conftest import LARGE
 
 from orbitchar import arrangement as ar
 from orbitchar import liecore as lc
@@ -34,39 +36,56 @@ def test_corner_point():
 
 def test_certificate_check_runs_under_optimize(subprocess_env):
     # under python -O assert statements vanish; verify_kkt must still refuse
-    # every tampered certificate, with its own message
+    # every tampered or malformed certificate, with its own message
     script = """
 import dataclasses
 from fractions import Fraction as Q
 from orbitchar import liecore as lc, minnorm as mn
 assert False  # stripped by -O
 form = lc.invariant_form(lc.build_root_system([("A", 1), ("A", 1)]))
-poly = mn.Polyhedron.from_rows([((1, 0), 2), ((-1, 1), 2)], 2)
-res = mn.min_norm_point(poly, form)
-mn.verify_kkt(poly, form, res)
-for change in (
-    {"point": (Q(1), Q(4))},
-    {"multipliers": tuple(-m for m in res.multipliers)},
-    {"point": (Q(3), Q(6))},
-    {"multipliers": tuple(2 * m for m in res.multipliers)},
-    {"norm_sq": res.norm_sq + 1},
+corner = mn.Polyhedron.from_rows([((1, 0), 2), ((-1, 1), 2)], 2)
+# x_1 >= 1 after an inactive row: the minimum (1, 0) has row 1 active, multiplier 4
+wall = mn.Polyhedron.from_rows([((0, 1), -5), ((1, 0), 1)], 2)
+for poly, changes in (
+    (corner, lambda res: (
+        {"point": (Q(1), Q(4))},
+        {"multipliers": tuple(-m for m in res.multipliers)},
+        {"point": (Q(3), Q(6))},
+        {"multipliers": tuple(2 * m for m in res.multipliers)},
+        {"norm_sq": res.norm_sq + 1},
+    )),
+    (wall, lambda res: (
+        {"point": (Q(1),)},
+        {"point": (Q(1), Q(0), Q(0))},
+        {"active_set": (1, 0)},
+        {"active_set": (-1,)},
+        {"active_set": (1, 1), "multipliers": (Q(2), Q(2))},
+    )),
 ):
-    try:
-        mn.verify_kkt(poly, form, dataclasses.replace(res, **change))
-    except AssertionError as exc:
-        print(exc)
-    else:
-        print("accepted")
+    res = mn.min_norm_point(poly, form)
+    mn.verify_kkt(poly, form, res)
+    for change in changes(res):
+        try:
+            mn.verify_kkt(poly, form, dataclasses.replace(res, **change))
+        except AssertionError as exc:
+            print(exc)
+        else:
+            print("accepted")
 """
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
-    assert out[:5] == [
+    assert out[:10] == [
         "candidate violates a constraint",
         "negative multiplier",
         "active row not tight",
         "stationarity fails",
         "norm mismatch",
+        "point of the wrong length",
+        "point of the wrong length",
+        "active set and multipliers differ in length",
+        "active row index out of range",
+        "active row repeated",
     ]
 
 
@@ -447,28 +466,80 @@ def _regions(factors, scales=None, level=Q(2)):
     return [(mn.Polyhedron.from_rows(r.closure_ineqs, rs.rank), form) for r in regions]
 
 
-@pytest.mark.parametrize(
-    "factors, scales, level",
-    [
-        ([("A", 3)], None, Q(2)),
-        ([("A", 4)], None, Q(2)),
-        ([("A", 5)], None, Q(2)),
-        ([("B", 3)], None, Q(2)),
-        ([("C", 3)], None, Q(2)),
-        ([("D", 4)], None, Q(2)),
-        ([("G", 2)], None, Q(2)),
-        ([("A", 1), ("B", 2)], None, Q(2)),
-        # rational bounds and a gram with denominators
-        ([("G", 2)], (Q(2, 7),), Q(7, 3)),
-        ([("A", 1), ("B", 2)], (Q(1, 3), Q(5, 2)), Q(5, 3)),
-        # non-simply-laced products whose H^-1 has a denominator
-        ([("A", 1), ("G", 2)], (Q(1), Q(3, 2)), Q(2)),
-        ([("B", 2), ("G", 2)], (Q(1), Q(3, 2)), Q(2)),
-    ],
-)
+_REGION_CASES = [
+    ([("A", 3)], None, Q(2)),
+    ([("A", 4)], None, Q(2)),
+    ([("A", 5)], None, Q(2)),
+    ([("B", 3)], None, Q(2)),
+    ([("C", 3)], None, Q(2)),
+    ([("D", 4)], None, Q(2)),
+    ([("G", 2)], None, Q(2)),
+    ([("A", 1), ("B", 2)], None, Q(2)),
+    # rational bounds and a gram with denominators
+    ([("G", 2)], (Q(2, 7),), Q(7, 3)),
+    ([("A", 1), ("B", 2)], (Q(1, 3), Q(5, 2)), Q(5, 3)),
+    # non-simply-laced products whose H^-1 has a denominator
+    ([("A", 1), ("G", 2)], (Q(1), Q(3, 2)), Q(2)),
+    ([("B", 2), ("G", 2)], (Q(1), Q(3, 2)), Q(2)),
+]
+if LARGE:
+    # 429, 182 and 105 regions, up to six active rows
+    _REGION_CASES += [(factors, None, Q(2)) for factors in ([("A", 6)], [("D", 5)], [("F", 4)])]
+
+
+@pytest.mark.parametrize("factors, scales, level", _REGION_CASES)
 def test_integer_iteration_matches_the_fraction_reference_on_regions(factors, scales, level):
     for poly, form in _regions(factors, scales, level):
         _assert_matches_reference(poly, form)
+
+
+def _schur_systems(monkeypatch):
+    """Every Schur system (a, b) that min_norm_point hands to solve_integral,
+    as tuples, one list per polyhedron: the sl5 regions, 320 polyhedra of
+    verify._random_instance(Random(8)) and the blocking-row instance."""
+    form3 = lc.invariant_form(lc.build_root_system([("A", 1)] * 3))
+    blocking = mn.Polyhedron.from_rows([((0, 1, 0), 3), ((1, -2, 0), -1), ((2, -2, -1), 3)], 3)
+    rng = random.Random(8)
+    cases = _regions([("A", 4)]) + [verify._random_instance(rng)[2:] for _ in range(320)]
+    systems, solve = [], linalg.solve_integral
+
+    def recording(a, b):
+        systems[-1].append((tuple(map(tuple, a)), tuple(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve_integral", recording)
+    for poly, form in cases + [(blocking, form3)]:
+        systems.append([])
+        try:
+            mn.min_norm_point(poly, form)
+        except ValueError:
+            pass
+    return systems
+
+
+def test_the_kept_schur_matrix_is_the_rebuilt_one(monkeypatch):
+    # the Schur matrix N_A K N_A^T and right side N_A K p are kept across
+    # steps; every system equals the one rebuilt from the active rows at
+    # each step, as recorded (sha256 of the systems' repr) before they were kept
+    systems = _schur_systems(monkeypatch)
+    assert hashlib.sha256(repr(systems).encode()).hexdigest() == (
+        "f8a291228c361035627a3cd4fb3a288e5c983ddd268dbc189b13d02e6724d7f9"
+    )
+
+    def without(system, k):
+        a, b = system
+        return tuple(row[:k] + row[k + 1:] for row in a[:k] + a[k + 1:]), b[:k] + b[k + 1:]
+
+    # a drop is a step to a system one row smaller, with the same p; at
+    # least one drops an active row other than the last
+    inner = 0
+    for steps in systems:
+        for before, after in zip(steps, steps[1:]):
+            if len(after[1]) == len(before[1]) - 1:
+                dropped = [k for k in range(len(after[1]) + 1) if without(before, k) == after]
+                assert dropped
+                inner += dropped[-1] != len(after[1])
+    assert inner > 0
 
 
 @pytest.mark.parametrize("factors", [[("A", 1), ("G", 2)], [("B", 2), ("G", 2)]], ids=str)
