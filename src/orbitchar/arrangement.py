@@ -4,8 +4,8 @@ Every nonzero weight mu of the module that takes positive values somewhere
 on the open dominant chamber contributes the affine hyperplane
 {h : mu(h) = level} (level 2 by default).  The complement of the union of
 these hyperplanes inside the open chamber splits into finitely many open
-convex cells, each recorded with an exact interior witness and the
-inequality rows of its closure.
+convex cells, each recorded with its sign vector and an exact interior
+witness.
 
 A cell's sign vector states, per hyperplane in canonical order, whether the
 cell lies above ('+', pairing > level) or below ('-').  Cells are numbered
@@ -39,15 +39,12 @@ class Hyperplane:
 class Region:
     """An open cell of the arrangement inside the open dominant chamber.
 
-    closure_ineqs lists rows (normal, bound) with the closure equal to
-    {a : normal . a >= bound}; normals are in fundamental-weight coordinates
-    so they pair with coroot coordinates by the dot product.
-    """
+    Its closure rows are the chamber rows of `sign_rows` and then `by_sign`
+    of its signs."""
 
     id: int
     signs: str
     witness: Point
-    closure_ineqs: tuple[IneqRow, ...]
 
 
 def chamber_hyperplanes(ws: WeightSystem, level=Q(2)) -> list[Hyperplane]:
@@ -69,8 +66,19 @@ def chamber_hyperplanes(ws: WeightSystem, level=Q(2)) -> list[Hyperplane]:
     ]
 
 
-def _chamber_rows(rs: RootSystem) -> list[IneqRow]:
-    return [(tuple(row), Q(0)) for row in rs.cartan]
+def sign_rows(rs: RootSystem, hyperplanes) -> tuple[list[IneqRow], ...]:
+    """The chamber rows, each hyperplane's row above, (weight, level), and
+    its row below, (-weight, -level): rows (normal, bound) of closures
+    {a : normal . a >= bound}, normals in fundamental-weight coordinates so
+    that they pair with coroot coordinates by the dot product."""
+    above = [(hp.weight, hp.level) for hp in hyperplanes]
+    below = [(tuple(-m for m in w), -b) for w, b in above]
+    return [(tuple(row), Q(0)) for row in rs.cartan], above, below
+
+
+def by_sign(signs: str, above: list, below: list) -> list:
+    """Each hyperplane's entry of above where signs has '+', of below where '-'."""
+    return [a if sign == "+" else b for sign, a, b in zip(signs, above, below)]
 
 
 def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
@@ -85,8 +93,9 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     starts from the node's optimal dictionary with the '+' or '-' row of
     the next hyperplane added: one read of the node, one substitution and
     one table lookup per node.  A sign row that holds at the parent's vertex
-    costs no pivot and one row check.  Each '+' row is built once here, and
-    each '-' row once in the root's table, so regions share row objects.
+    costs no pivot and one row check.  Each '+' row is integralized once,
+    with its '-' row, in the root's table.  A region keeps its signs, which
+    name its closure rows.
     A complete sign vector keeps the point of its own warm LP as its
     witness, the vertex that phase 1 reaches from the parent's dictionary;
     the depth-first order and Bland's rule fix it.  The '-' child is
@@ -96,13 +105,12 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     Any number of hyperplanes is accepted; the cost, two LPs per kept
     prefix, grows with the number of regions.
     """
-    above = [(hp.weight, hp.level) for hp in hyperplanes]
-    base = _chamber_rows(rs)
+    base, above, _ = sign_rows(rs, hyperplanes)
     root = ratlp.cold_start(base, rs.rank)
     start = ratlp.strict_interior(base, rs.rank, root)
     if start is None:
         raise RuntimeError("the open dominant chamber has no interior point")
-    found: list[tuple[str, Point, tuple[IneqRow, ...]]] = []
+    found: list[tuple[str, Point]] = []
     # An explicit stack, with no closure that refers to itself, so that
     # dictionaries are freed by reference counting, not by a gc cycle pass;
     # each dictionary holds its node's rows.
@@ -110,16 +118,13 @@ def enumerate_regions(rs: RootSystem, hyperplanes) -> list[Region]:
     while stack:
         signs, dic, witness = stack.pop()
         if len(signs) == len(above):
-            found.append((signs, witness, tuple(dic.rows)))
+            found.append((signs, witness))
             continue
         for sign, child in zip("+-", ratlp.split(dic, above[len(signs)])):
             w = ratlp.strict_interior(child.rows, rs.rank, child)
             if w is not None:
                 stack.append((signs + sign, child, w))
-    return [
-        Region(id=k, signs=signs, witness=witness, closure_ineqs=rows)
-        for k, (signs, witness, rows) in enumerate(found, start=1)
-    ]
+    return [Region(k, signs, witness) for k, (signs, witness) in enumerate(found, start=1)]
 
 
 def region_weights(hyperplanes, region: Region) -> frozenset[Weight]:

@@ -8,12 +8,13 @@ so identical inputs produce byte-identical files: the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)` and a newline, from one writer,
 `write_doc`, that takes only the values the package writes.  It streams:
 the document and its lists go to the file piece by piece, and each deeper
-value is rendered whole, then dropped with its children's texts once it is
-written.  Regions share their closure rows, and their documents share one
-sub-document per distinct row and per weight; the writer keeps the text of
-those shared objects alone, one per nesting depth, so its memory follows
-the distinct rows and weights rather than the file.  A regions document is
-made as it is written, one region at a time, so it is written once.
+value is rendered whole.  A region's closure rows are picked by its signs
+from one row per place in `sign_rows`, so the region documents share one
+row document per place and one list per hyperplane weight; these shared
+objects are marked, and each keeps its own text at each indentation, so the
+writer's memory follows the distinct rows and weights rather than the file.
+A regions document is made as it is written, one region at a time, so it is
+written once.
 `dump_doc` is the same writer into a string.  The package writes these
 documents and does not read them back.
 
@@ -33,7 +34,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arrangement import region_weights
+from .arrangement import by_sign, region_weights, sign_rows
 from .liecore import RootSystem
 from .orbits import Characteristic, RegionAnalysis, m_sets
 
@@ -50,14 +51,23 @@ def rat_vec(v) -> list[str]:
     return [rat(x) for x in v]
 
 
+class _SharedDict(dict):
+    """A dict that several places of a document hold: `_text` keeps its text
+    at each indentation in the object's own attributes, keyed by newline."""
+
+
+class _SharedList(list):
+    """A list that several places of a document hold, as `_SharedDict`."""
+
+
 def write_doc(doc, out) -> None:
     """Write the deterministic JSON text of a document to the text stream
     out: `json.dumps(doc, indent=2, sort_keys=True)` and a newline, for
     dicts with str keys, lists, tuples, str and int, and iterators at the
     top two levels, written as lists.  Any other value, bool and None
     included, raises TypeError.  The document and its lists are written
-    piece by piece; a shared object is rendered once per depth."""
-    _write(doc, "\n", {}, out.write, 2)
+    piece by piece; a marked shared object is rendered once per indentation."""
+    _write(doc, "\n", out.write, 2)
     out.write("\n")
 
 
@@ -68,14 +78,12 @@ def dump_doc(doc) -> str:
     return buffer.getvalue()
 
 
-def _write(value, newline: str, seen: dict, write, levels: int) -> None:
+def _write(value, newline: str, write, levels: int) -> None:
     """Write the text of value through write, streaming the top levels of
-    nested dicts, lists and iterators; a streamed item's text and its
-    children's texts leave seen once written, so seen keeps only the texts
-    of objects that several items share."""
+    nested dicts, lists and iterators."""
     kind = type(value)
     if not levels or kind not in (dict, list, tuple) and not isinstance(value, Iterator):
-        write(_text(value, newline, seen))
+        write(_text(value, newline))
         return
     inner = newline + "  "
     if kind is dict:
@@ -87,38 +95,31 @@ def _write(value, newline: str, seen: dict, write, levels: int) -> None:
     separator = opener + inner
     for prefix, item in pairs:
         write(separator + prefix)
-        _write(item, inner, seen, write, levels - 1)
+        _write(item, inner, write, levels - 1)
         separator = "," + inner
-        # the shared rows and weights sit deeper and stay; a later item
-        # that shares this item or a child of it renders it again
-        seen.pop((id(item), inner), None)
-        if type(item) in (dict, list, tuple):
-            for child in item.values() if type(item) is dict else item:
-                seen.pop((id(child), inner + "  "), None)
     # nothing written: an empty container, on one line as json.dumps has it
     write(opener + closer if separator[0] == opener else newline + closer)
 
 
-def _text(value, newline: str, seen: dict) -> str:
+def _text(value, newline: str) -> str:
     """The JSON text of value, nested at the indentation that follows
-    newline; seen holds each dict, list or tuple with its text by (id,
-    newline), so that no later object, such as an iterator's item, takes its
-    id.  A key that is not a str fails in `_quote` with TypeError."""
+    newline; a `_SharedDict` or `_SharedList` keeps its text by newline.  A
+    key that is not a str fails in `_quote` with TypeError."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         return repr(value)
-    key = (id(value), newline)
-    if key in seen:
-        return seen[key][1]
+    texts = vars(value) if kind is _SharedDict or kind is _SharedList else None
+    if texts and newline in texts:
+        return texts[newline]
     inner = newline + "  "
-    if kind is dict:
+    if kind is dict or kind is _SharedDict:
         if not value:
             return "{}"
-        parts = [_quote(k) + ": " + _text(value[k], inner, seen) for k in sorted(value)]
+        parts = [_quote(k) + ": " + _text(value[k], inner) for k in sorted(value)]
         text = "{" + inner + ("," + inner).join(parts) + newline + "}"
-    elif kind is list or kind is tuple:
+    elif kind is list or kind is tuple or kind is _SharedList:
         if not value:
             return "[]"
         kinds = set(map(type, value))
@@ -127,11 +128,12 @@ def _text(value, newline: str, seen: dict) -> str:
         elif kinds == {str}:
             parts = map(_quote, value)
         else:
-            parts = [_text(item, inner, seen) for item in value]
+            parts = [_text(item, inner) for item in value]
         text = "[" + inner + ("," + inner).join(parts) + newline + "]"
     else:
         raise TypeError(f"cannot write a {kind.__name__} as JSON")
-    seen[key] = value, text
+    if texts is not None:
+        texts[newline] = text
     return text
 
 
@@ -144,12 +146,15 @@ def root_system_doc(rs: RootSystem) -> dict:
 
 def regions_doc(analysis: RegionAnalysis) -> dict:
     """Arrangement document: hyperplanes and regions with their subspaces;
-    one dict per closure-row object and one list per hyperplane weight.
-    "regions" is an iterator: each region's document is made when written."""
-    distinct = {id(row): row for r in analysis.regions for row in r.closure_ineqs}
-    rows = {key: {"normal": list(map(int, n)), "bound": rat(b)} for key, (n, b) in distinct.items()}
+    one row document per place in `sign_rows` and one list per hyperplane
+    weight, each marked as shared.  "regions" is an iterator: each region's
+    document is made when written."""
     hps, entries = analysis.hyperplanes, analysis.ws.entries
-    weights = {h.weight: list(h.weight) for h in hps}
+    chamber, above, below = (
+        [_SharedDict({"normal": list(map(int, n)), "bound": rat(b)}) for n, b in part]
+        for part in sign_rows(analysis.ws.root_system, hps)
+    )
+    weights = {h.weight: _SharedList(h.weight) for h in hps}
 
     def region(r) -> dict:
         i_r = sorted(region_weights(hps, r))
@@ -157,7 +162,7 @@ def regions_doc(analysis: RegionAnalysis) -> dict:
             "id": r.id,
             "signs": r.signs,
             "witness": rat_vec(r.witness),
-            "closure_ineqs": [rows[id(row)] for row in r.closure_ineqs],
+            "closure_ineqs": chamber + by_sign(r.signs, above, below),
             "i_r": [weights[w] for w in i_r],
             "dim": sum(entries[w] for w in i_r),
         }

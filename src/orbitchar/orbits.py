@@ -32,9 +32,11 @@ from . import linalg
 from .arrangement import (
     Hyperplane,
     Region,
+    by_sign,
     chamber_hyperplanes,
     enumerate_regions,
     region_weights,
+    sign_rows,
 )
 from .liecore import (
     InvariantForm,
@@ -458,8 +460,9 @@ class Characteristic:
 @dataclass
 class RegionAnalysis:
     """Arrangement of one module and its cached region minima.  A region's
-    subspace is `region_weights(hyperplanes, region)`; an orbit model also
-    gives each subspace's generic orbit, in `strata`."""
+    subspace is `region_weights(hyperplanes, region)`, and its closure rows
+    are the chamber rows of `sign_rows` and then `by_sign` of its signs; an
+    orbit model also gives each subspace's generic orbit, in `strata`."""
 
     model: Module
     ws: WeightSystem
@@ -501,8 +504,8 @@ class RegionAnalysis:
         return frozenset(r.signs for r in self.regions)
 
     def _walls(self, region: Region) -> list[int]:
-        """Indices into region.closure_ineqs of the chamber rows and of the
-        sign rows that are facets of the region.
+        """Indices into the region's closure rows of the chamber rows and of
+        the sign rows that are facets of the region.
 
         Sign row k is a facet exactly when flipping sign k names another
         region: the segment between the two witnesses stays in the open
@@ -517,29 +520,28 @@ class RegionAnalysis:
         ]
 
     @cached_property
-    def _integral_rows(self) -> dict[int, tuple[list[int], int]]:
-        """linalg.integral's (ints, c) of each distinct closure-row object,
-        keyed by id as `jsonio.regions_doc` keys them: the enumeration
-        shares the chamber rows and both sign rows of each hyperplane across
-        the regions, so each is integralized once per analysis."""
-        distinct = {id(row): row for r in self.regions for row in r.closure_ineqs}
-        return {key: linalg.integral((*n, b)) for key, (n, b) in distinct.items()}
+    def _sign_rows(self) -> tuple[tuple[list, ...], tuple[list, ...]]:
+        """`sign_rows` of the arrangement, and linalg.integral's (ints, c)
+        of each of its rows at the same place: each row is integralized
+        once per analysis."""
+        rows = sign_rows(self.model.root_system, self.hyperplanes)
+        return rows, tuple([linalg.integral((*n, b)) for n, b in part] for part in rows)
 
     def region_minimum(self, region_id: int) -> MinNormResult:
         """The minimizer over a region's closure, with its certificate
-        (active_set indexes closure_ineqs)."""
+        (active_set indexes the closure rows: the chamber rows, then one
+        row per sign)."""
         if region_id not in self._minima:
             # enumerate_regions numbers the regions 1..N in list order
             k = region_id - 1
             if not (0 <= k < len(self.regions) and self.regions[k].id == region_id):
                 raise ValueError(f"no region with id {region_id}")
             region = self.regions[k]
-            ints = self._integral_rows
-            table = [ints[id(row)] for row in region.closure_ineqs]
+            (chamber, above, below), (ichamber, iabove, ibelow) = self._sign_rows
+            rows = chamber + by_sign(region.signs, above, below)
+            table = ichamber + by_sign(region.signs, iabove, ibelow)
             walls = self._walls(region)
-            poly = Polyhedron.from_rows(
-                [region.closure_ineqs[w] for w in walls], self.model.root_system.rank
-            )
+            poly = Polyhedron.from_rows([rows[w] for w in walls], self.model.root_system.rank)
             # seed the cached integral rows from the analysis's table
             vars(poly)["integral_rows"] = [table[w] for w in walls]
             res = min_norm_point(poly, self.form)

@@ -66,8 +66,8 @@ both certificates are checked against the rows of the dictionary itself.
 A cold start holds a table that every start below it shares: the first
 time a row is asked for, it stores the row's homogenized integral row, its
 opposite and the opposite's.  So region enumeration, which splits each node
-on a hyperplane's '+' row, integralizes each hyperplane once, makes one
-lookup per node, and holds one object per '-' row.
+on a hyperplane's '+' row, integralizes each hyperplane once and makes one
+lookup per node.
 
 `closed_feasible` asks this of the rows themselves, `strict_interior` of
 their homogenization: N x > b has a point exactly when N y - b s >= 1,

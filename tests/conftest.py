@@ -1,4 +1,5 @@
-"""Shared fixtures, and the one reading of the large-size switch."""
+"""Shared fixtures, the one reading of the large-size switch, and the
+closure rows of regions."""
 
 import os
 from pathlib import Path
@@ -6,10 +7,19 @@ from pathlib import Path
 import pytest
 
 import orbitchar
+from orbitchar.arrangement import by_sign, sign_rows
 
 # ORBITCHAR_LARGE=1 adds the larger sizes to the acceptance, arrangement,
 # min-norm and orbit tests; test modules read it as `from conftest import LARGE`
 LARGE = os.environ.get("ORBITCHAR_LARGE") == "1"
+
+
+def closure_rows(rs, hyperplanes, regions):
+    """Each region's closure rows (normal, bound) as a tuple: the chamber
+    rows of `sign_rows`, then each hyperplane's row picked by the region's
+    sign, one row object per place across the regions."""
+    chamber, above, below = sign_rows(rs, hyperplanes)
+    return [tuple(chamber + by_sign(r.signs, above, below)) for r in regions]
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import LARGE
+from conftest import LARGE, closure_rows
 
 from orbitchar import arrangement as arr
 from orbitchar import jsonio
@@ -59,9 +59,10 @@ def test_example_regions_count_and_signs():
 
 def test_example_witnesses_strictly_inside():
     ws = _example_ws()
-    regions = arr.enumerate_regions(ws.root_system, arr.chamber_hyperplanes(ws))
-    for r in regions:
-        for normal, bound in r.closure_ineqs:
+    hps = arr.chamber_hyperplanes(ws)
+    regions = arr.enumerate_regions(ws.root_system, hps)
+    for r, rows in zip(regions, closure_rows(ws.root_system, hps, regions)):
+        for normal, bound in rows:
             assert lc.pairing(normal, r.witness) > bound
 
 
@@ -205,18 +206,18 @@ def test_witness_independence_of_i_r():
         hps = arr.chamber_hyperplanes(ws)
         regions = arr.enumerate_regions(rs, hps)
         rng = random.Random(5)
-        for r in regions:
+        for r, rows in zip(regions, closure_rows(rs, hps, regions)):
             w = r.witness
             direction = [Q(rng.randint(-5, 5), 7) for _ in range(rs.rank)]
             # largest step keeping all closure rows strict, capped at 1
             tmax = Q(1)
-            for normal, bound in r.closure_ineqs:
+            for normal, bound in rows:
                 dv = lc.pairing(normal, direction)
                 if dv < 0:
                     slack = lc.pairing(normal, w) - bound
                     tmax = min(tmax, slack / (-dv) / 2)
             w2 = tuple(a + tmax * d for a, d in zip(w, direction))
-            for normal, bound in r.closure_ineqs:
+            for normal, bound in rows:
                 assert lc.pairing(normal, w2) > bound
             assert (
                 arr.region_weights(hps, r)
@@ -276,8 +277,9 @@ _WARM_WITNESSES_MOVE = [([("A", 4)], "adjoint"), ([("A", 5)], "adjoint"), ([("A"
 
 def _cold_enumeration_reference(rs, hyperplanes):
     """The depth-first enumeration with every LP solved from the artificial
-    basis, as before inner nodes started from their parent's dictionary."""
-    base = arr._chamber_rows(rs)
+    basis, as before inner nodes started from their parent's dictionary:
+    the regions, and the rows of each region's last LP."""
+    base = [(tuple(row), Q(0)) for row in rs.cartan]
     found = []
     stack = [(base, "", ratlp.strict_interior(base, rs.rank))]
     while stack:
@@ -293,10 +295,11 @@ def _cold_enumeration_reference(rs, hyperplanes):
             if w is not None:
                 stack.append((cand, signs + sign, w))
     found.sort(key=lambda sw: tuple(0 if ch == "-" else 1 for ch in sw[0]))
-    return [
-        arr.Region(id=k, signs=signs, witness=witness, closure_ineqs=rows)
-        for k, (signs, witness, rows) in enumerate(found, start=1)
+    regions = [
+        arr.Region(id=k, signs=signs, witness=witness)
+        for k, (signs, witness, _) in enumerate(found, start=1)
     ]
+    return regions, [rows for _, _, rows in found]
 
 
 @pytest.mark.parametrize(
@@ -331,15 +334,16 @@ def test_warm_inner_nodes_keep_the_cold_enumeration(factors, module, level):
         module = [lc.highest_short_root(rs)]
     hps = arr.chamber_hyperplanes(lc.weight_system(rs, module), level)
     got = arr.enumerate_regions(rs, hps)
-    cold = _cold_enumeration_reference(rs, hps)
-    assert [(r.id, r.signs, r.closure_ineqs) for r in got] == [
-        (r.id, r.signs, r.closure_ineqs) for r in cold
+    cold, cold_rows = _cold_enumeration_reference(rs, hps)
+    got_rows = closure_rows(rs, hps, got)
+    assert [(r.id, r.signs, rows) for r, rows in zip(got, got_rows)] == [
+        (r.id, r.signs, rows) for r, rows in zip(cold, cold_rows)
     ]
     if not witnesses_move:
         assert got == cold
-    for r in got:
+    for r, rows in zip(got, got_rows):
         assert all(type(x) is Q for x in r.witness)
-        for normal, bound in r.closure_ineqs:
+        for normal, bound in rows:
             assert sum(Q(v) * x for v, x in zip(normal, r.witness)) > bound
         for hp, sign in zip(hps, r.signs):
             value = lc.pairing(hp.weight, r.witness)
@@ -420,12 +424,12 @@ def test_each_sign_row_is_integralized_once(monkeypatch):
     assert len(rows) == len(set(rows))
 
 
-def _region_digest(regions):
+def _region_digest(regions, rows):
     """A short digest of the ids, sign vectors, witnesses and closure rows."""
     text = "\n".join(
         f"{r.id} {r.signs} {','.join(map(str, r.witness))} "
-        + ";".join(f"{','.join(map(str, n))}>={b}" for n, b in r.closure_ineqs)
-        for r in regions
+        + ";".join(f"{','.join(map(str, n))}>={b}" for n, b in closure)
+        for r, closure in zip(regions, rows)
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -446,7 +450,8 @@ def test_regions_keep_their_recorded_witnesses_and_rows(factors, module, digest)
     rs = lc.build_root_system(factors)
     spec = lc.highest_roots(rs) if module == "adjoint" else [lc.highest_short_root(rs)]
     hps = arr.chamber_hyperplanes(lc.weight_system(rs, spec))
-    assert _region_digest(arr.enumerate_regions(rs, hps)) == digest
+    regions = arr.enumerate_regions(rs, hps)
+    assert _region_digest(regions, closure_rows(rs, hps, regions)) == digest
 
 
 # sha256 of the bytes `orbitchar regions --type <T>` writes: the enumeration
@@ -454,6 +459,7 @@ def test_regions_keep_their_recorded_witnesses_and_rows(factors, module, digest)
 _REGIONS_FILE_SHA256 = {"F4": "c26784dc6d5a8a6d12c79df9fe868124bf560c94d66a8d7b9875b95f0d3aec48"}
 if LARGE:
     _REGIONS_FILE_SHA256["E6"] = "8489bf4f86a1bff33656fde4c9a654dd7756bd3e9a96d760065a54b0dec485b7"
+    _REGIONS_FILE_SHA256["E7"] = "8d035981f1f268aa4dfb39170c509c037af8a22c9748a422f6123663c931b2b1"
 
 
 @pytest.mark.parametrize("name", _REGIONS_FILE_SHA256)
@@ -473,8 +479,9 @@ def test_warm_witnesses_are_the_same_on_every_run():
 def test_no_hyperplanes_one_region_at_the_chamber_witness():
     rs = lc.build_root_system([("B", 2)])
     (region,) = arr.enumerate_regions(rs, [])
-    assert region == _cold_enumeration_reference(rs, [])[0]
-    assert region.signs == "" and region.closure_ineqs == tuple(arr._chamber_rows(rs))
+    cold, (cold_rows,) = _cold_enumeration_reference(rs, [])
+    assert region == cold[0]
+    assert region.signs == "" and closure_rows(rs, [], [region]) == [cold_rows]
 
 
 def test_region_weights_refuse_a_mismatched_hyperplane_list():

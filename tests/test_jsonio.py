@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import closure_rows
 
 from orbitchar import jsonio
 from orbitchar.arrangement import region_weights
@@ -48,12 +49,13 @@ def test_regions_doc_round_trip():
         (h.weight, h.level) for h in hps
     ]
     assert [row["id"] for row in doc["regions"]] == [r.id for r in regions]
-    for row, r in zip(doc["regions"], regions):
+    closures = closure_rows(ws.root_system, hps, regions)
+    for row, r, closure in zip(doc["regions"], regions, closures):
         assert row["signs"] == r.signs
         assert tuple(Q(x) for x in row["witness"]) == r.witness
         assert tuple(
             (tuple(ineq["normal"]), Q(ineq["bound"])) for ineq in row["closure_ineqs"]
-        ) == r.closure_ineqs
+        ) == closure
         i_r = region_weights(hps, r)
         assert frozenset(tuple(w) for w in row["i_r"]) == i_r
         assert row["dim"] == sum(ws.entries[w] for w in i_r)
@@ -149,6 +151,11 @@ def test_dump_matches_json_on_shared_objects():
         "weight": weight,
     }
     assert jsonio.dump_doc(doc) == _reference(doc)
+    # a marked dict and a marked list keep one text per indentation
+    row, weight = jsonio._SharedDict(row), jsonio._SharedList(weight)
+    doc = {"rows": [row, weight, row], "deeper": [[row, weight], {"w": weight}], "weight": weight}
+    assert jsonio.dump_doc(doc) == _reference(doc)
+    assert jsonio.dump_doc(doc) == _reference(doc)
 
 
 def test_regions_share_the_documents_of_their_shared_rows():
@@ -156,12 +163,19 @@ def test_regions_share_the_documents_of_their_shared_rows():
     analysis = RegionAnalysis.build(Module(rs, (highest_short_root(rs),)))
     doc = jsonio.regions_doc(analysis)
     doc["regions"] = list(doc["regions"])
-    first, second = analysis.regions[:2]
-    shared = [k for k, row in enumerate(first.closure_ineqs) if row is second.closure_ineqs[k]]
+    first, second = closure_rows(rs, analysis.hyperplanes, analysis.regions[:2])
+    shared = [k for k, row in enumerate(first) if row is second[k]]
     assert shared
     for k in shared:
         assert doc["regions"][0]["closure_ineqs"][k] is doc["regions"][1]["closure_ineqs"][k]
     assert jsonio.dump_doc(doc) == _reference(doc)
+    # the marks on the shared rows and weights keep texts, not change them
+    text = jsonio.dump_doc(doc)
+    for region in doc["regions"]:
+        assert all(type(row) is jsonio._SharedDict for row in region["closure_ineqs"])
+        region["closure_ineqs"] = [dict(row) for row in region["closure_ineqs"]]
+        region["i_r"] = [list(w) for w in region["i_r"]]
+    assert jsonio.dump_doc(doc) == text
 
 
 _CHARS = [

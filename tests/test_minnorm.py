@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
-from conftest import LARGE
+from conftest import LARGE, closure_rows
 
 from orbitchar import arrangement as ar
 from orbitchar import liecore as lc
@@ -463,7 +463,7 @@ def _regions(factors, scales=None, level=Q(2)):
     hps = ar.chamber_hyperplanes(ws, level)
     regions = ar.enumerate_regions(rs, hps)
     form = lc.invariant_form(rs, scales)
-    return [(mn.Polyhedron.from_rows(r.closure_ineqs, rs.rank), form) for r in regions]
+    return [(mn.Polyhedron.from_rows(rows, rs.rank), form) for rows in closure_rows(rs, hps, regions)]
 
 
 _REGION_CASES = [

@@ -9,7 +9,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from conftest import LARGE
+from conftest import LARGE, closure_rows
 
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.arrangement import region_weights
@@ -573,8 +573,9 @@ def test_walls_are_the_irredundant_sign_rows(name, request):
     # reversed row k still have a strict interior point (an exact LP each)
     analysis = request.getfixturevalue(name)
     rank = analysis.model.root_system.rank
-    for region in analysis.regions:
-        rows = list(region.closure_ineqs)
+    closures = closure_rows(analysis.model.root_system, analysis.hyperplanes, analysis.regions)
+    for region, closure in zip(analysis.regions, closures):
+        rows = list(closure)
         facets = [
             k
             for k in range(rank, len(rows))
@@ -599,15 +600,17 @@ def test_walls_are_the_irredundant_sign_rows(name, request):
 def test_minimum_over_the_walls_is_certified_on_the_whole_closure(name, request):
     analysis = request.getfixturevalue(name)
     rank = analysis.model.root_system.rank
-    # one integer row per distinct closure-row object: the chamber rows and
-    # both sign rows of each hyperplane
-    ints = analysis._integral_rows
-    assert len(ints) == rank + 2 * len(analysis.hyperplanes)
-    for region in analysis.regions:
-        for row in region.closure_ineqs:
-            assert ints[id(row)] == linalg.integral((*row[0], row[1]))
+    # one integer row per place in sign_rows: the chamber rows and both
+    # sign rows of each hyperplane
+    places, ints = analysis._sign_rows
+    assert sum(map(len, ints)) == rank + 2 * len(analysis.hyperplanes)
+    for part, ipart in zip(places, ints, strict=True):
+        for row, irow in zip(part, ipart, strict=True):
+            assert irow == linalg.integral((*row[0], row[1]))
+    closures = closure_rows(analysis.model.root_system, analysis.hyperplanes, analysis.regions)
+    for region, rows in zip(analysis.regions, closures):
         res = analysis.region_minimum(region.id)
-        closure = Polyhedron.from_rows(region.closure_ineqs, rank)
+        closure = Polyhedron.from_rows(rows, rank)
         verify_kkt(closure, analysis.form, res)
         full = min_norm_point(closure, analysis.form)
         assert (res.point, res.norm_sq) == (full.point, full.norm_sq)

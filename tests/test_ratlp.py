@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
+from conftest import closure_rows
 
 from orbitchar import arrangement, liecore, ratlp
 from orbitchar.linalg import eliminate, integral
@@ -447,8 +448,9 @@ def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
 def _adjoint_closures(factors):
     rs = liecore.build_root_system(factors)
     ws = liecore.weight_system(rs, liecore.highest_roots(rs))
-    regions = arrangement.enumerate_regions(rs, arrangement.chamber_hyperplanes(ws))
-    return [list(r.closure_ineqs) for r in regions], rs.rank
+    hps = arrangement.chamber_hyperplanes(ws)
+    regions = arrangement.enumerate_regions(rs, hps)
+    return [list(rows) for rows in closure_rows(rs, hps, regions)], rs.rank
 
 
 @pytest.mark.parametrize(
