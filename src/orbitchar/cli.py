@@ -101,7 +101,7 @@ def _resolve(args):
     example = args.module == "example-2x3"
     if args.type is None and not example:
         raise CliError("--type is required for this configuration")
-    factors = parse_factors(args.type or "A1xA1")
+    factors = parse_factors("A1xA1" if args.type is None else args.type)
     if example and tuple(factors) != Example2x3Model.factors:
         raise CliError("the example-2x3 module lives on type A1xA1")
     level = parse_rational(args.level, "--level")

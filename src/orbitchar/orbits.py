@@ -7,8 +7,9 @@ and answers which orbit is dense in the span of a saturated weight set (the
 generic stratum).  Two models are provided:
 
 * AdjointSlModel: the adjoint module of sl_n.  Orbits are partitions of n
-  ordered by dominance; the generic stratum of a weight support is the path
-  partition of its support digraph (Gansner 1981), computed exactly.
+  ordered by dominance; the generic stratum of a weight support is the
+  path_partition of its support digraph in gl_n (Gansner 1981), computed
+  exactly; jordan_type reads the type of one nilpotent matrix.
 * Example2x3Model: 2 x 3 matrices [[m, n, x], [p, q, y]] under the pair of
   rank-2 special linear groups acting by row operations on the left and on
   the first two columns on the right.  The five orbits are classified by
@@ -151,41 +152,43 @@ def sl_position(mu, n: int) -> tuple[int, int]:
 
 
 def generic_jordan_partition(i_r, n: int) -> Partition:
-    """Jordan type of a generic element of the span of the given sl_n roots.
+    """Jordan type of a generic element of the span of the given sl_n roots."""
+    return path_partition({sl_position(mu, n) for mu in i_r}, n)
 
-    Each root's matrix position (i, j) is read off its weight and is an arc
-    i -> j of the support digraph on {0, ..., n-1}.  A support with a
-    directed cycle holds non-nilpotent elements and raises ValueError.  For
-    an acyclic one the generic type is its path partition: lambda_1 + ... +
-    lambda_k is the largest number of vertices that k vertex-disjoint
-    directed paths cover (Gansner, SIAM J. Alg. Disc. Meth. 2, 1981).  On a
-    b-stable support paths are chains, and this is the Greene-Kleitman
-    partition.
+
+def path_partition(arcs, n: int) -> Partition:
+    """Jordan type of a generic matrix of gl_n supported on the arcs (i, j).
+
+    The arcs are a digraph on {0, ..., n-1}.  One with a directed cycle
+    supports non-nilpotent matrices and raises ValueError.  For an acyclic
+    one the generic type is its path partition: lambda_1 + ... + lambda_k is
+    the largest number of vertices that k vertex-disjoint directed paths
+    cover (Gansner, SIAM J. Alg. Disc. Meth. 2, 1981).  On a b-stable
+    support paths are chains, and this is the Greene-Kleitman partition.
 
     The k-th successive shortest augmenting path of the split-vertex network
     (cost -1 on each vertex arc, 0 elsewhere, every capacity 1) costs
     -lambda_k; the costs never decrease, so once a path covers one vertex
     every later part is 1.
     """
-    support = {sl_position(mu, n) for mu in i_r}
     # node 0 is the source, 2v + 1 and 2v + 2 the entry and exit of vertex
-    # v, 2n + 1 the sink; arc k and its residual twin k ^ 1 are [head,
+    # v, 2n + 1 the sink; net[k] and its residual twin net[k ^ 1] are [head,
     # capacity, cost]
     size = 2 * n + 2
-    arcs: list[list[int]] = []
+    net: list[list[int]] = []
     out: list[list[int]] = [[] for _ in range(size)]
 
     def add(u, v, cost):
-        out[u].append(len(arcs))
-        arcs.append([v, 1, cost])
-        out[v].append(len(arcs))
-        arcs.append([u, 0, -cost])
+        out[u].append(len(net))
+        net.append([v, 1, cost])
+        out[v].append(len(net))
+        net.append([u, 0, -cost])
 
     for v in range(n):
         add(0, 2 * v + 1, 0)
         add(2 * v + 1, 2 * v + 2, -1)
         add(2 * v + 2, size - 1, 0)
-    for i, j in sorted(support):
+    for i, j in sorted(arcs):
         add(2 * i + 2, 2 * j + 1, 0)
     parts: list[int] = []
     while True:
@@ -204,7 +207,7 @@ def generic_jordan_partition(i_r, n: int) -> Partition:
                 if du == unreached:
                     continue
                 for k in out[u]:
-                    v, cap, cost = arcs[k]
+                    v, cap, cost = net[k]
                     if cap and du + cost < dist[v]:
                         dist[v] = du + cost
                         via[v] = k
@@ -212,16 +215,32 @@ def generic_jordan_partition(i_r, n: int) -> Partition:
             if not changed:
                 break
         else:
-            raise ValueError(f"the support {sorted(support)} has a directed cycle, so it is not nilpotent")
+            raise ValueError(f"the support {sorted(arcs)} has a directed cycle, so it is not nilpotent")
         if -dist[-1] <= 1:
             return tuple(parts) + (1,) * (n - sum(parts))
         parts.append(-dist[-1])
         v = size - 1
         while v:
             k = via[v]
-            arcs[k][1] -= 1
-            arcs[k ^ 1][1] += 1
-            v = arcs[k ^ 1][0]
+            net[k][1] -= 1
+            net[k ^ 1][1] += 1
+            v = net[k ^ 1][0]
+
+
+def jordan_type(mat) -> Partition:
+    """Jordan type of a nilpotent matrix: its conjugate's k-th part is rank
+    A^(k-1) - rank A^k.  ValueError if the matrix is not square, or if its
+    powers stop losing rank short of 0, so that it is not nilpotent."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError(f"a matrix of {n} rows of lengths {[len(row) for row in mat]} is not square")
+    ranks, power = [n], mat
+    while ranks[-1]:
+        ranks.append(linalg.rank(power))
+        if ranks[-1] == ranks[-2]:
+            raise ValueError("the matrix is not nilpotent")
+        power = linalg.matmul(power, mat)
+    return conjugate_partition(tuple(a - b for a, b in zip(ranks, ranks[1:])))
 
 
 class Module:

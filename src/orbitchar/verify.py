@@ -16,7 +16,7 @@ Each battery cross-checks part of the pipeline against an independent oracle:
 * lemma      -- saturation of region supports, b-stability of the spanned
                 subspaces, nilpotency of sampled elements, and the exact
                 generic strata of sl3-sl5 against the Jordan types of
-                random elements, read off the ranks of their powers.
+                random elements, by orbits.jordan_type.
 * catalan    -- adjoint region counts against the W-Catalan number
                 prod (h + e + 1) / (e + 1), from exponents read off the
                 heights of the positive roots.
@@ -62,8 +62,8 @@ from .orbits import (
     sl_position,
     sl_positions,
     characteristic,
-    conjugate_partition,
     dominance_leq,
+    jordan_type,
     m_sets,
     partitions_of,
     weighted_dynkin_from_partition,
@@ -488,20 +488,12 @@ def run_weights() -> list[VerifyRow]:
 # -------------------------------------------------------------------- lemma
 
 
-def _jordan_partition_of(mat: list[list[int]], n: int) -> Partition:
-    """Jordan type of a nilpotent integer matrix from the ranks of its powers."""
-    ranks = [n]
-    power = mat
-    while True:
-        r = linalg.rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = linalg.matmul(power, mat)
-        if len(ranks) > n + 1:
-            raise ValueError("matrix is not nilpotent")
-    conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
-    return conjugate_partition(conj)
+def _random_element(support, n: int, rng) -> list[list[int]]:
+    """An n x n matrix with draws from 1..100 on the sorted support, 0 elsewhere."""
+    mat = [[0] * n for _ in range(n)]
+    for i, j in sorted(support):
+        mat[i][j] = rng.randint(1, 100)
+    return mat
 
 
 def sampled_jordan_types(i_r, n: int) -> list[Partition]:
@@ -511,15 +503,8 @@ def sampled_jordan_types(i_r, n: int) -> list[Partition]:
     Each lies at or below the generic type in dominance order, and equals it
     unless its coefficients are a zero of some minor: the oracle for
     orbits.generic_jordan_partition."""
-    support = sorted({sl_position(mu, n) for mu in i_r})
-    types = []
-    for seed in (1, 2, 3):
-        rng = random.Random(seed)
-        mat = [[0] * n for _ in range(n)]
-        for i, j in support:
-            mat[i][j] = rng.randint(1, 100)
-        types.append(_jordan_partition_of(mat, n))
-    return types
+    support = {sl_position(mu, n) for mu in i_r}
+    return [jordan_type(_random_element(support, n, random.Random(seed))) for seed in (1, 2, 3)]
 
 
 def run_lemma() -> list[VerifyRow]:
@@ -549,10 +534,9 @@ def run_lemma() -> list[VerifyRow]:
     rng = random.Random(DEFAULT_SEED)
     for n in (3, 4):
         analysis = arrangements[f"A{n - 1} adjoint"]
-        rs = analysis.model.root_system
         positions = sl_positions(n)
         by_position = {pos: w for w, pos in positions.items()}
-        positive = list(rs.positive_roots)
+        positive = analysis.model.root_system.positive_roots
         def unit(pos):
             mat = [[0] * n for _ in range(n)]
             mat[pos[0]][pos[1]] = 1
@@ -586,13 +570,9 @@ def run_lemma() -> list[VerifyRow]:
                                 )
                     stable_checks += 1
             # nilpotency of a random element supported on the region
-            mat = [[0] * n for _ in range(n)]
-            for (i, j) in sorted(support):
-                mat[i][j] = rng.randint(1, 100)
-            power = mat
-            for _ in range(n - 1):
-                power = linalg.matmul(power, mat)
-            if any(any(row) for row in power):
+            try:
+                jordan_type(_random_element(support, n, rng))
+            except ValueError:
                 problems.append(f"sl{n} region {r.id}: sampled element not nilpotent")
             nilpotent_checks += 1
     stability_row = _row(

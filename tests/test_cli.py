@@ -365,6 +365,7 @@ def test_error_exits(tmp_path, capsys, monkeypatch):
             "error: cannot parse --scales entry 'x' as a rational",
         ),
         (["--type", "A2", "--scales", "-1"], "error: factor scales must be positive"),
+        (["--type", ""], "error: cannot parse root-system factor ''"),
     ],
 )
 def test_liecore_reports_bad_types_and_weights(tmp_path, capsys, argv, message):

@@ -34,8 +34,10 @@ from orbitchar.orbits import (
     conjugate_partition,
     dominance_leq,
     generic_jordan_partition,
+    jordan_type,
     m_sets,
     partitions_of,
+    path_partition,
     sl_position,
     weighted_dynkin_from_partition,
 )
@@ -280,6 +282,35 @@ def test_generic_jordan_rejects_a_cyclic_support():
     # (0, 1), (1, 2) and (2, 0) in sl3
     with pytest.raises(ValueError, match="directed cycle"):
         generic_jordan_partition([(2, -1), (-1, 2), (-1, -1)], 3)
+
+
+def test_path_partition_of_planted_arcs():
+    # the star and its transitive closure from the off-b-stable test above,
+    # as arcs rather than roots
+    star = {(0, 2), (1, 2), (2, 3), (2, 4)}
+    assert path_partition(star, 5) == (3, 1, 1)
+    assert path_partition(star | {(0, 3), (0, 4), (1, 3), (1, 4)}, 5) == (3, 2)
+    assert path_partition(set(), 2) == (1, 1)
+    with pytest.raises(ValueError, match="directed cycle"):
+        path_partition({(0, 1), (1, 2), (2, 0)}, 3)
+    # a diagonal entry is a loop, and no generic matrix on it is nilpotent
+    with pytest.raises(ValueError, match="directed cycle"):
+        path_partition({(1, 1)}, 2)
+
+
+def test_jordan_type_of_planted_matrices():
+    # the size is read off the matrix: one 2 x 2 block
+    assert jordan_type([[0, 1], [0, 0]]) == (2,)
+    assert jordan_type([[0] * 3 for _ in range(3)]) == (1, 1, 1)
+    assert jordan_type([]) == ()
+    # blocks of sizes 1 and 3, with the 3-block's chain 0 -> 2 -> 3
+    assert jordan_type([[0, 0, 7, 0], [0, 0, 0, 0], [0, 0, 0, -2], [0, 0, 0, 0]]) == (3, 1)
+    for mat in ([[0, 1], [1, 0]], [[5]], [[1, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type(mat)
+    for mat in ([[0, 1, 0], [0, 0, 1]], [[0, 1], [0]]):
+        with pytest.raises(ValueError, match="not square"):
+            jordan_type(mat)
 
 
 def test_the_pipeline_makes_no_random_draw(monkeypatch):
