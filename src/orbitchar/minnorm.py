@@ -45,8 +45,9 @@ Only the result is read back as Fraction, its norm as X^T G X / (h D^2)
 from the integral Gram matrix G over h, and its certificate is re-verified
 on the same integer rows before returning: verify_kkt reads the
 multipliers as ints over one denominator and checks stationarity and the
-norm on ints; the point check is linalg's `satisfies`, and an empty
-polyhedron is certified by ratlp.
+norm on ints; the point check is linalg's `satisfies`.  Emptiness is
+decided first by ratlp's certified precheck: a polyhedron's witness point,
+if it satisfies every row, certifies it nonempty with no simplex.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -56,7 +57,7 @@ polyhedra may attain the minimal norm, but at the same point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -71,18 +72,22 @@ Q = Fraction
 class Polyhedron:
     """{a : normal . a >= bound for every row}, in a fixed ambient rank.
 
-    Each row keeps its entries as given, ints or Fractions."""
+    Each row keeps its entries as given, ints or Fractions.  `witness`, a
+    point thought to lie in it, is the start `is_empty` gives ratlp."""
 
     rank: int
     rows: tuple[tuple[tuple[int | Q, ...], int | Q], ...]
+    witness: Point | None = field(default=None, compare=False)
 
     @classmethod
-    def from_rows(cls, rows, rank: int) -> "Polyhedron":
+    def from_rows(cls, rows, rank: int, witness=None) -> "Polyhedron":
         tidy = tuple((tuple(normal), bound) for normal, bound in rows)
         for normal, _ in tidy:
             if len(normal) != rank:
                 raise ValueError("dimension mismatch")
-        return cls(rank=rank, rows=tidy)
+        if witness is not None and len(witness) != rank:
+            raise ValueError("dimension mismatch")
+        return cls(rank=rank, rows=tidy, witness=None if witness is None else tuple(witness))
 
     @cached_property
     def integral_rows(self) -> list[tuple[list[int], int]]:
@@ -91,8 +96,8 @@ class Polyhedron:
 
     def is_empty(self) -> bool:
         """Whether no point satisfies every row, by ratlp's certified
-        precheck on the integral rows."""
-        return not ratlp.closed_feasible(self.integral_rows, self.rank)
+        precheck on the integral rows, started at the witness if any."""
+        return not ratlp.closed_feasible(self.integral_rows, self.rank, self.witness)
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     n = poly.rank
     if len(form.gram) != n:
         raise ValueError("dimension mismatch")
-    # perfbench/test_smoke.py pins this precheck LP through its (53, 14) counts.
+    # perfbench/test_smoke.py pins this precheck call through its (53, 14) counts.
     if poly.is_empty():
         raise ValueError("empty polyhedron")
     # Rows are read as given: a duplicate of an active row or a zero row with

@@ -74,7 +74,10 @@ their homogenization: N x > b has a point exactly when N y - b s >= 1,
 s >= 1 has one (Motzkin's transposition theorem), and then x = y / s.  A
 point of the homogenized rows satisfies every row of N x > b with slack at
 least 1 / s, and a Farkas vector of them is a Motzkin certificate that
-N x > b has no point.
+N x > b has no point.  A start point given to `closed_feasible` (a region
+minimum gives its region's witness) that satisfies every row, checked by
+`satisfies`, is its "yes" certificate with no simplex; any other start is
+ignored, and phase 1 runs from the origin.
 """
 
 from __future__ import annotations
@@ -386,9 +389,16 @@ def strict_interior(rows, nvars, start=None):
     return start.witness
 
 
-def closed_feasible(rows, nvars) -> bool:
+def closed_feasible(rows, nvars, start=None) -> bool:
     """Whether the closed system normal.x >= bound has a point, for rows as
     linalg.integral gives them, (ints, scale) with ints = scale * (normal,
     bound) and nvars + 1 entries; either answer is checked by its
-    certificate, and AssertionError raised if it fails."""
+    certificate, and AssertionError raised if it fails.  A start of nvars
+    rationals (else ValueError) that satisfies every row answers "yes" with
+    no simplex; one that fails a row leaves phase 1 to run from the origin."""
+    if start is not None:
+        if len(start) != nvars:
+            raise ValueError("dimension mismatch")
+        if satisfies(rows, *integral(start)):
+            return True
     return _feasible_point(rows, nvars) is not None

@@ -1,5 +1,6 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -14,7 +15,7 @@ from orbitchar import arrangement as ar
 from orbitchar import liecore as lc
 from orbitchar import linalg
 from orbitchar import minnorm as mn
-from orbitchar import verify
+from orbitchar import orbits, verify
 
 
 def _diag_form():
@@ -135,6 +136,47 @@ def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
     assert not poly.is_empty()
     assert mn.Polyhedron.from_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2).is_empty()
     assert seen == []
+
+
+def test_a_witness_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mn.Polyhedron.from_rows([((1, 0), 2)], 2, (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mn.Polyhedron(2, (((1, 0), 2),), (1,)).is_empty()
+
+
+def test_a_witness_answers_the_precheck_and_a_bad_one_is_not_trusted(monkeypatch):
+    # the corner polyhedron with its witness inside, outside, and with a
+    # row added that empties it; the witness takes no part in equality
+    rows = [((1, 0), 2), ((-1, 1), 2)]
+    feasible_point, phase1 = mn.ratlp._feasible_point, []
+    monkeypatch.setattr(mn.ratlp, "_feasible_point", lambda *args: phase1.append(1) or feasible_point(*args))
+    inside = mn.Polyhedron.from_rows(rows, 2, [Q(2), Q(9, 2)])
+    assert inside == mn.Polyhedron.from_rows(rows, 2) and inside.witness == (2, Q(9, 2))
+    assert mn.min_norm_point(inside, _diag_form()).point == (2, 4)
+    assert phase1 == []
+    assert mn.min_norm_point(mn.Polyhedron.from_rows(rows, 2, (0, 0)), _diag_form()).point == (2, 4)
+    assert phase1 == [1]
+    empty = mn.Polyhedron.from_rows(rows + [((0, -1), -3)], 2, (2, 4))
+    with pytest.raises(ValueError, match="empty polyhedron"):
+        mn.min_norm_point(empty, _diag_form())
+    assert phase1 == [1, 1]
+
+
+def test_a_region_witness_planted_outside_its_walls_leaves_its_minimum(monkeypatch):
+    # each sl4 region's witness negated fails the chamber rows: the
+    # precheck runs phase 1 for it, and the minimum is the one its true
+    # witness gives
+    model = orbits.AdjointSlModel(4)
+    truth, planted = orbits.RegionAnalysis.build(model), orbits.RegionAnalysis.build(model)
+    monkeypatch.setattr(
+        planted, "regions", [dataclasses.replace(r, witness=tuple(-v for v in r.witness)) for r in planted.regions]
+    )
+    feasible_point, phase1 = mn.ratlp._feasible_point, []
+    monkeypatch.setattr(mn.ratlp, "_feasible_point", lambda *args: phase1.append(1) or feasible_point(*args))
+    for region in truth.regions:
+        assert planted.region_minimum(region.id) == truth.region_minimum(region.id)
+    assert len(phase1) == len(truth.regions) == 14
 
 
 def test_from_rows_keeps_the_entries_as_given():

@@ -778,30 +778,37 @@ def test_adjoint_labels_match_classical_diagrams(n):
 
 def test_sl5_table_precheck_pivots(monkeypatch):
     # the feasibility precheck before each of the 42 region minima of the
-    # sl5 table: a closure row that holds at the origin, such as a chamber
-    # row, enters with its surplus basic and costs no pivot
-    closed_feasible, pivot = ratlp.closed_feasible, ratlp._pivot
-    calls, pivots, inside = [], [], [False]
+    # sl5 table is answered by the region's witness, checked on ints: no
+    # phase 1 runs and no pivot is taken
+    closed_feasible, pivot, feasible_point = ratlp.closed_feasible, ratlp._pivot, ratlp._feasible_point
+    calls, pivots, phase1 = [], [], []
 
-    def recording_closed_feasible(rows, nvars):
-        calls.append(rows)
-        inside[0] = True
-        try:
-            return closed_feasible(rows, nvars)
-        finally:
-            inside[0] = False
+    def recording_closed_feasible(rows, nvars, start=None):
+        calls.append((rows, nvars, start))
+        return closed_feasible(rows, nvars, start)
+
+    def counting_feasible_point(rows, n):
+        phase1.append(rows)
+        return feasible_point(rows, n)
 
     def counting_pivot(*args):
-        pivots.append(inside[0])
+        pivots.append(True)
         return pivot(*args)
 
     monkeypatch.setattr(ratlp, "closed_feasible", recording_closed_feasible)
-    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
     analysis = RegionAnalysis.build(AdjointSlModel(5))
+    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
+    monkeypatch.setattr(ratlp, "_feasible_point", counting_feasible_point)
     for p in partitions_of(5):
         characteristic(analysis, p, mode="nonempty")
         characteristic(analysis, p, mode="dense")
-    assert (len(calls), sum(pivots)) == (42, 214)
+    assert (len(calls), len(pivots), len(phase1)) == (42, 0, 0)
+    assert all(start is not None for _, _, start in calls)
+    # the same 42 wall systems asked cold: a closure row that holds at the
+    # origin, such as a chamber row, enters with its surplus basic and costs
+    # no pivot
+    assert all(closed_feasible(rows, nvars) for rows, nvars, _ in calls)
+    assert (len(phase1), len(pivots)) == (42, 214)
 
 
 @pytest.mark.parametrize("n", [3, 4])

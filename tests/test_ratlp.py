@@ -525,6 +525,42 @@ def test_a_tampered_homogenized_point_is_refused(monkeypatch):
             ratlp.strict_interior(rows, 1)
 
 
+def test_a_start_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1, (0, 0))
+
+
+def test_a_start_outside_an_empty_system_is_answered_by_its_farkas_check(monkeypatch):
+    rows = ratlp._integral_rows(_EMPTY_ROWS, 1)
+    assert not ratlp.closed_feasible(rows, 1, (1,))
+    monkeypatch.setattr(ratlp, "_farkas", lambda *args: [2, 1, 0, 0])
+    with pytest.raises(AssertionError, match="Farkas combination of the normals is not zero"):
+        ratlp.closed_feasible(rows, 1, (1,))
+
+
+def test_a_start_outside_a_nonempty_system_runs_phase1(monkeypatch):
+    # x >= 1 and y >= 1/2: the start (1, 0) fails the second row, so phase 1
+    # runs from the origin and pivots as it does with no start
+    rows = ratlp._integral_rows([((1, 0), 1), ((0, 1), Q(1, 2))], 2)
+    counts = _entry_counts(monkeypatch)
+    assert ratlp.closed_feasible(rows, 2)
+    cold = dict(counts)
+    assert cold["pivots"] > 0
+    assert ratlp.closed_feasible(rows, 2, (1, 0))
+    assert counts == {key: 2 * v for key, v in cold.items()}
+
+
+def test_a_start_inside_takes_no_pivot(monkeypatch):
+    # a start that satisfies every row, tight rows included, is the answer:
+    # no dictionary is built and no pivot is taken
+    rows = ratlp._integral_rows([((1, 0), 1), ((0, 1), Q(1, 2)), ((-1, -1), -5)], 2)
+    counts = _entry_counts(monkeypatch)
+    monkeypatch.setattr(ratlp, "_feasible_point", None)
+    for start in ((1, Q(1, 2)), (Q(5, 2), Q(5, 2)), (2, 1)):
+        assert ratlp.closed_feasible(rows, 2, start)
+    assert counts == {"surplus": 0, "pivots": 0, "artificial": 0, "zero_residual": 0}
+
+
 def test_certificate_checks_run_under_optimize(subprocess_env):
     script = """
 from orbitchar import ratlp
@@ -553,17 +589,25 @@ try:
     ratlp.strict_interior([((1,), 1)], 1)
 except AssertionError as exc:
     print(exc)
+# a start that satisfies every row answers with no phase 1; one outside an
+# empty system is not trusted, and phase 1 answers
+feasible_point, ratlp._feasible_point = ratlp._feasible_point, None
+print(ratlp.closed_feasible(ratlp._integral_rows([((1,), 1)], 1), 1, (1,)))
+ratlp._feasible_point = feasible_point
+print(ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1, (0,)))
 """
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
-    assert out[:6] == [
+    assert out[:8] == [
         "Farkas multipliers not nonnegative and nonzero",
         "Farkas combination of the normals is not zero",
         "Farkas combination of the bounds is not positive",
         "Farkas combination of the normals is not zero",
         "phase-1 point violates a row",
         "phase-1 point violates a row",
+        "True",
+        "False",
     ]
 
 
