@@ -45,9 +45,10 @@ Only the result is read back as Fraction, its norm as X^T G X / (h D^2)
 from the integral Gram matrix G over h, and its certificate is re-verified
 on the same integer rows before returning: verify_kkt reads the
 multipliers as ints over one denominator and checks stationarity and the
-norm on ints; the point check is linalg's `satisfies`.  Emptiness is
-decided first by ratlp's certified precheck: a polyhedron's witness point,
-if it satisfies every row, certifies it nonempty with no simplex.
+norm on ints; the point check is linalg's `satisfies`.  One ratlp
+closed_feasible call then settles emptiness: a minimizer is its start and
+answers on ints with no simplex; at the empty exit phase 1 runs, and its
+checked Farkas vector certifies the polyhedron empty.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -57,7 +58,7 @@ polyhedra may attain the minimal norm, but at the same point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -72,22 +73,18 @@ Q = Fraction
 class Polyhedron:
     """{a : normal . a >= bound for every row}, in a fixed ambient rank.
 
-    Each row keeps its entries as given, ints or Fractions.  `witness`, a
-    point thought to lie in it, is the start `is_empty` gives ratlp."""
+    Each row keeps its entries as given, ints or Fractions."""
 
     rank: int
     rows: tuple[tuple[tuple[int | Q, ...], int | Q], ...]
-    witness: Point | None = field(default=None, compare=False)
 
     @classmethod
-    def from_rows(cls, rows, rank: int, witness=None) -> "Polyhedron":
+    def from_rows(cls, rows, rank: int) -> "Polyhedron":
         tidy = tuple((tuple(normal), bound) for normal, bound in rows)
         for normal, _ in tidy:
             if len(normal) != rank:
                 raise ValueError("dimension mismatch")
-        if witness is not None and len(witness) != rank:
-            raise ValueError("dimension mismatch")
-        return cls(rank=rank, rows=tidy, witness=None if witness is None else tuple(witness))
+        return cls(rank=rank, rows=tidy)
 
     @cached_property
     def integral_rows(self) -> list[tuple[list[int], int]]:
@@ -95,9 +92,9 @@ class Polyhedron:
         return [linalg.integral((*normal, bound)) for normal, bound in self.rows]
 
     def is_empty(self) -> bool:
-        """Whether no point satisfies every row, by ratlp's certified
-        precheck on the integral rows, started at the witness if any."""
-        return not ratlp.closed_feasible(self.integral_rows, self.rank, self.witness)
+        """Whether no point satisfies every row, by phase 1 from the origin
+        on the integral rows, with its answer checked by its certificate."""
+        return not ratlp.closed_feasible(self.integral_rows, self.rank)
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,10 @@ def _most_violated(rows, x, d, kinv, q) -> int | None:
 
 
 def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
-    """The unique point of least squared norm in a nonempty polyhedron."""
+    """The unique point of least squared norm; ValueError if poly is empty."""
     n = poly.rank
     if len(form.gram) != n:
         raise ValueError("dimension mismatch")
-    # perfbench/test_smoke.py pins this precheck call through its (53, 14) counts.
-    if poly.is_empty():
-        raise ValueError("empty polyhedron")
     # Rows are read as given: a duplicate of an active row or a zero row with
     # bound <= 0 is never violated; a zero row with bound > 0 is never
     # satisfied, enters first and ends in the empty exit.
@@ -210,7 +204,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     kn: list[list[int]] = []  # K N_t for each active row t
     schur: list[list[int]] = []  # N_A K N_A^T, a row and column per active row
     q: dict[int, int] = {}  # N_k K N_k, formed when row k first competes
-    entering = None
+    entering, empty = None, False
     for _ in range(10000):
         if entering is None:
             entering = _most_violated(rows, x, d, kinv, q)
@@ -247,7 +241,8 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
             if st > 0 and (k is None or lam[t] * s[k] < lam[k] * st):
                 k = t
         if k is None and not pz:
-            raise ValueError("empty polyhedron")
+            empty = True
+            break
         gap = p[-1] * d - dot(p, x)
         full = pz != 0 and (k is None or gap * s[k] <= lam[k] * pz)
         num, den = (gap, pz) if full else (lam[k], s[k])
@@ -279,8 +274,14 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     else:
         raise RuntimeError("active-set iteration failed to settle")
 
+    point = None if empty else tuple(Q(xi, d) for xi in x)
+    # perfbench/test_smoke.py pins this call through its (53, 14) counts.
+    if not ratlp.closed_feasible(rows, n, point):
+        raise ValueError("empty polyhedron")
+    if empty:
+        raise AssertionError("empty exit on a nonempty polyhedron")
     res = MinNormResult(
-        point=tuple(Q(xi, d) for xi in x),
+        point=point,
         # X^T G X / (h D^2)
         norm_sq=Q(dot(x, [dot(row, x) for row in gram]), h * d * d),
         active_set=tuple(active),

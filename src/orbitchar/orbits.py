@@ -549,8 +549,8 @@ class RegionAnalysis:
     def region_minimum(self, region_id: int) -> MinNormResult:
         """The minimizer over a region's closure, with its certificate
         (active_set indexes the closure rows: the chamber rows, then one
-        row per sign).  The walls' polyhedron carries the region's witness,
-        which satisfies every wall, so its emptiness precheck runs no simplex."""
+        row per sign).  The walls hold the region, so min_norm_point ends at
+        their minimizer, which answers its emptiness check with no simplex."""
         if region_id not in self._minima:
             # enumerate_regions numbers the regions 1..N in list order
             k = region_id - 1
@@ -561,7 +561,7 @@ class RegionAnalysis:
             rows = chamber + by_sign(region.signs, above, below)
             table = ichamber + by_sign(region.signs, iabove, ibelow)
             walls = self._walls(region)
-            poly = Polyhedron.from_rows([rows[w] for w in walls], self.model.root_system.rank, region.witness)
+            poly = Polyhedron.from_rows([rows[w] for w in walls], self.model.root_system.rank)
             # seed the cached integral rows from the analysis's table
             vars(poly)["integral_rows"] = [table[w] for w in walls]
             res = min_norm_point(poly, self.form)

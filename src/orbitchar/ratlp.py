@@ -74,8 +74,8 @@ their homogenization: N x > b has a point exactly when N y - b s >= 1,
 s >= 1 has one (Motzkin's transposition theorem), and then x = y / s.  A
 point of the homogenized rows satisfies every row of N x > b with slack at
 least 1 / s, and a Farkas vector of them is a Motzkin certificate that
-N x > b has no point.  A start point given to `closed_feasible` (a region
-minimum gives its region's witness) that satisfies every row, checked by
+N x > b has no point.  A start point given to `closed_feasible`
+(min_norm_point gives its minimizer) that satisfies every row, checked by
 `satisfies`, is its "yes" certificate with no simplex; any other start is
 ignored, and phase 1 runs from the origin.
 """

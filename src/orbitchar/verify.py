@@ -10,7 +10,8 @@ Each battery cross-checks part of the pipeline against an independent oracle:
                 dense and nonempty modes for sl_n.
 * sampling   -- region enumeration against dense random chamber sampling.
 * minnorm    -- exact minimizers against random feasible points and an
-                exact enumeration of candidate active sets.
+                exact enumeration of candidate active sets; planted empty
+                polyhedra refused by both.
 * weights    -- weight multiplicity sums against the Weyl dimension formula,
                 and the short-root support of the little adjoint module.
 * lemma      -- saturation of region supports, b-stability of the spanned
@@ -304,6 +305,18 @@ def _random_instance(rng):
     return dim, interior, Polyhedron.from_rows(rows, dim), _random_spd_form(rng, dim)
 
 
+def _planted_empty(rng):
+    """A _random_instance with the contradictory rows mu.a >= b and
+    mu.a <= b - 1 inserted at random places: (polyhedron, form)."""
+    _, _, poly, form = _random_instance(rng)
+    mu = tuple(rng.randint(-3, 3) for _ in range(poly.rank))
+    b = Q(rng.randint(-300, 300), 100)
+    rows = list(poly.rows)
+    for row in ((mu, b), (tuple(-m for m in mu), 1 - b)):
+        rows.insert(rng.randint(0, len(rows)), row)
+    return Polyhedron.from_rows(rows, poly.rank), form
+
+
 def _feasible_sampler(interior, poly):
     """A draw(rng) of exactly feasible points: step from the interior point
     toward a random target k/100 until the first constraint boundary.
@@ -380,9 +393,9 @@ def enumerated_minimum(poly, form) -> tuple[Q, ...]:
 
 def run_minnorm() -> list[VerifyRow]:
     """Exact minimizers vs feasible sampling and an exact active-set
-    enumeration.  A failed certificate or reference (AssertionError,
-    ValueError or RuntimeError) is its instance's problem, and the next
-    instance runs."""
+    enumeration, then planted empty polyhedra that both must refuse.  A
+    failed certificate or reference (AssertionError, ValueError or
+    RuntimeError) is its instance's problem, and the next instance runs."""
     started = time.perf_counter()
     rng = random.Random(DEFAULT_SEED)
     problems = []
@@ -407,10 +420,23 @@ def run_minnorm() -> list[VerifyRow]:
                 f"instance {k}: minimizer {_point(res.point)} is not the enumerated "
                 f"reference {_point(reference)}"
             )
+    refusals = (
+        (min_norm_point, "empty polyhedron"),
+        (enumerated_minimum, "0 KKT points, not the one minimizer"),
+    )
+    for k in range(100, 120):
+        poly, form = _planted_empty(rng)
+        for solve, want in refusals:
+            try:
+                got = solve(poly, form)
+            except (AssertionError, ValueError, RuntimeError) as e:
+                got = e
+            if type(got) is not ValueError or str(got) != want:
+                problems.append(f"instance {k}: planted empty, {solve.__name__} gave {got!r}")
     passed = (
         "100 polyhedra: KKT certified, 1000 feasible samples each "
         "never beat the minimizer, which is the one KKT point of an exact "
-        "active-set enumeration"
+        "active-set enumeration; 20 planted empty: refused, with no KKT point"
     )
     return [_row("minnorm", started, problems, passed)]
 

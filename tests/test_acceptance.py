@@ -69,7 +69,8 @@ def test_criterion_5_minnorm_oracle():
     rows = verify.run_minnorm()
     details = [
         "100 polyhedra: KKT certified, 1000 feasible samples each never beat "
-        "the minimizer, which is the one KKT point of an exact active-set enumeration"
+        "the minimizer, which is the one KKT point of an exact active-set enumeration; "
+        "20 planted empty: refused, with no KKT point"
     ]
     _report("5 (min-norm vs sampling and exact enumeration)", rows, details)
 

@@ -1,6 +1,5 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -121,7 +120,7 @@ def test_empty_rejected():
 
 
 def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
-    # the precheck LP takes the rows integral_rows already holds as they
+    # is_empty's LP takes the rows integral_rows already holds as they
     # are, so ratlp integralizes nothing a second time
     seen = []
     integral = mn.ratlp.integral
@@ -138,45 +137,51 @@ def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
     assert seen == []
 
 
-def test_a_witness_of_the_wrong_length_is_refused():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mn.Polyhedron.from_rows([((1, 0), 2)], 2, (1, 2, 3))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mn.Polyhedron(2, (((1, 0), 2),), (1,)).is_empty()
+def _count_calls(monkeypatch):
+    """The start of each ratlp.closed_feasible call and the number of
+    phase-1 runs, as lists that grow as min_norm_point runs."""
+    starts, phase1 = [], []
+    closed_feasible, feasible_point = mn.ratlp.closed_feasible, mn.ratlp._feasible_point
 
+    def recording(rows, n, start=None):
+        starts.append(start)
+        return closed_feasible(rows, n, start)
 
-def test_a_witness_answers_the_precheck_and_a_bad_one_is_not_trusted(monkeypatch):
-    # the corner polyhedron with its witness inside, outside, and with a
-    # row added that empties it; the witness takes no part in equality
-    rows = [((1, 0), 2), ((-1, 1), 2)]
-    feasible_point, phase1 = mn.ratlp._feasible_point, []
+    monkeypatch.setattr(mn.ratlp, "closed_feasible", recording)
     monkeypatch.setattr(mn.ratlp, "_feasible_point", lambda *args: phase1.append(1) or feasible_point(*args))
-    inside = mn.Polyhedron.from_rows(rows, 2, [Q(2), Q(9, 2)])
-    assert inside == mn.Polyhedron.from_rows(rows, 2) and inside.witness == (2, Q(9, 2))
-    assert mn.min_norm_point(inside, _diag_form()).point == (2, 4)
+    return starts, phase1
+
+
+def test_a_minimizer_answers_the_emptiness_check_with_no_phase1(monkeypatch):
+    # one closed_feasible call per minimum, started at the minimizer, which
+    # satisfies every row: random feasible polyhedra and every sl4 region
+    rng = random.Random(38)
+    starts, phase1 = _count_calls(monkeypatch)
+    points = []
+    for _ in range(60):
+        _, _, poly, form = verify._random_instance(rng)
+        points.append(mn.min_norm_point(poly, form).point)
+    analysis = orbits.RegionAnalysis.build(orbits.AdjointSlModel(4))
+    points += [analysis.region_minimum(region.id).point for region in analysis.regions]
+    assert len(points) == 60 + 14
+    assert starts == points
     assert phase1 == []
-    assert mn.min_norm_point(mn.Polyhedron.from_rows(rows, 2, (0, 0)), _diag_form()).point == (2, 4)
-    assert phase1 == [1]
-    empty = mn.Polyhedron.from_rows(rows + [((0, -1), -3)], 2, (2, 4))
-    with pytest.raises(ValueError, match="empty polyhedron"):
-        mn.min_norm_point(empty, _diag_form())
-    assert phase1 == [1, 1]
 
 
-def test_a_region_witness_planted_outside_its_walls_leaves_its_minimum(monkeypatch):
-    # each sl4 region's witness negated fails the chamber rows: the
-    # precheck runs phase 1 for it, and the minimum is the one its true
-    # witness gives
-    model = orbits.AdjointSlModel(4)
-    truth, planted = orbits.RegionAnalysis.build(model), orbits.RegionAnalysis.build(model)
-    monkeypatch.setattr(
-        planted, "regions", [dataclasses.replace(r, witness=tuple(-v for v in r.witness)) for r in planted.regions]
-    )
-    feasible_point, phase1 = mn.ratlp._feasible_point, []
-    monkeypatch.setattr(mn.ratlp, "_feasible_point", lambda *args: phase1.append(1) or feasible_point(*args))
-    for region in truth.regions:
-        assert planted.region_minimum(region.id) == truth.region_minimum(region.id)
-    assert len(phase1) == len(truth.regions) == 14
+def test_a_false_empty_exit_is_refused(monkeypatch):
+    # row 0, (0, 0) >= 0, is never violated; entered at the origin anyway it
+    # has z = 0 and no drop, the empty exit, and phase 1 then finds a point:
+    # AssertionError, not ValueError
+    poly = mn.Polyhedron.from_rows([((0, 0), 0), ((1, 0), 2), ((-1, 1), 2)], 2)
+    assert mn.min_norm_point(poly, _diag_form()).point == (2, 4)
+    most_violated = mn._most_violated
+
+    def planted(rows, x, *rest):
+        return 0 if not any(x) else most_violated(rows, x, *rest)
+
+    monkeypatch.setattr(mn, "_most_violated", planted)
+    with pytest.raises(AssertionError, match="^empty exit on a nonempty polyhedron$"):
+        mn.min_norm_point(poly, _diag_form())
 
 
 def test_from_rows_keeps_the_entries_as_given():
@@ -221,11 +226,10 @@ def test_duplicate_and_vacuous_rows_change_nothing():
         ([((1,), 1), ((-1,), 0)], 1),  # the entering normal is minus an active one
     ],
 )
-def test_dual_iteration_reports_an_empty_polyhedron(rows, rank, monkeypatch):
-    # with the precheck LP bypassed, the iteration itself finds no step
+def test_dual_iteration_reports_an_empty_polyhedron(rows, rank):
+    # the iteration itself finds no step, and phase 1 then certifies it
     poly = mn.Polyhedron.from_rows(rows, rank)
     form = lc.invariant_form(lc.build_root_system([("A", 1)] * rank))
-    monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
     with pytest.raises(ValueError, match="empty polyhedron"):
         mn.min_norm_point(poly, form)
 
@@ -284,7 +288,6 @@ def test_a_zero_normal_row_enters_first(monkeypatch):
     poly = mn.Polyhedron.from_rows([((1, 0), 5), ((0, 0), 1), ((0, 1), 9), ((0, 0), 2)], 2)
     kinv, _ = form.integral_inverse_hessian
     assert mn._most_violated(poly.integral_rows, [0, 0], 1, kinv, {}) == 1
-    monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
     steps = _count_steps(monkeypatch)
     with pytest.raises(ValueError, match="empty polyhedron"):
         mn.min_norm_point(poly, form)
@@ -418,14 +421,12 @@ def test_min_over_union_requires_input():
 
 def _fraction_reference(poly, form):
     """The dual active-set iteration that min_norm_point runs on integer
-    rows, step for step over Fraction: the same precheck, entering rule,
-    step rule and empty exit.  The entering row is the violated one with
-    the largest v^2 / (n^T Q^-1 n), v = b - n . x, for the Hessian Q = 2 G;
-    a violated zero normal ranks above every other, and ties go to the
-    lowest index."""
+    rows, step for step over Fraction: the same entering rule, step rule
+    and empty exit, with no phase 1 after it.  The entering row is the
+    violated one with the largest v^2 / (n^T Q^-1 n), v = b - n . x, for the
+    Hessian Q = 2 G; a violated zero normal ranks above every other, and ties
+    go to the lowest index."""
     n = poly.rank
-    if poly.is_empty():
-        raise ValueError("empty polyhedron")
     rows = poly.rows
     q = [[2 * form.gram[i][j] for j in range(n)] for i in range(n)]
     qinv = linalg.inverse(q)
@@ -641,24 +642,15 @@ def test_integer_iteration_matches_the_fraction_reference_on_random_instances():
 
 
 def test_integer_iteration_matches_the_fraction_reference_on_empty_instances(monkeypatch):
-    # a feasible instance plus the contradictory rows mu.a >= b, mu.a <= b - 1;
-    # the second pass bypasses the precheck LP, so the iteration's own empty
-    # exit answers
+    # a feasible instance plus the contradictory rows mu.a >= b, mu.a <= b - 1:
+    # both iterations reach their own empty exit, and after the integer one
+    # phase 1 runs once from the origin, its Farkas vector checked
     rng = random.Random(21)
-    cases = []
-    for _ in range(60):
-        _, _, poly, form = verify._random_instance(rng)
-        mu = tuple(rng.randint(-3, 3) for _ in range(poly.rank))
-        b = Q(rng.randint(-300, 300), 100)
-        rows = list(poly.rows)
-        for row in ((mu, b), (tuple(-m for m in mu), 1 - b)):
-            rows.insert(rng.randint(0, len(rows)), row)
-        cases.append((mn.Polyhedron.from_rows(rows, poly.rank), form))
-    for poly, form in cases:
+    cases = [verify._planted_empty(rng) for _ in range(60)]
+    starts, phase1 = _count_calls(monkeypatch)
+    for k, (poly, form) in enumerate(cases, start=1):
         assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")
-    monkeypatch.setattr(mn.Polyhedron, "is_empty", lambda self: False)
-    for poly, form in cases:
-        assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")
+        assert starts == [None] * k and len(phase1) == k
 
 
 def _rational_spd_form(rng, n):

@@ -611,6 +611,29 @@ print(ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1, (0,)))
     ]
 
 
+def test_a_false_empty_exit_is_refused_under_optimize(subprocess_env):
+    # min_norm_point's loop driven to its empty exit on the corner polyhedron,
+    # which has a point: phase 1 finds it, and the refusal survives -O
+    script = """
+from orbitchar import liecore as lc, minnorm as mn
+assert False  # stripped by -O
+form = lc.invariant_form(lc.build_root_system([("A", 1), ("A", 1)]))
+poly = mn.Polyhedron.from_rows([((0, 0), 0), ((1, 0), 2), ((-1, 1), 2)], 2)
+most_violated = mn._most_violated
+mn._most_violated = lambda rows, x, *args: 0 if not any(x) else most_violated(rows, x, *args)
+try:
+    mn.min_norm_point(poly, form)
+except ValueError as exc:
+    print("ValueError", exc)
+except AssertionError as exc:
+    print("AssertionError", exc)
+"""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "AssertionError empty exit on a nonempty polyhedron\n"
+
+
 # the positive quadrant; its cold vertex is (1, 1)
 _QUADRANT = [((1, 0), 0), ((0, 1), 0)]
 

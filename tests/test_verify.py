@@ -104,7 +104,9 @@ def test_a_wrong_minimum_fails_the_battery_on_the_reference(monkeypatch):
     [row] = verify.run_minnorm()
     assert not row.ok
     *problems, more = row.detail.split("; ")
-    assert len(problems) == 4 and more == "(96 more)"
+    # the 100 feasible instances, then 20 planted empty ones that the
+    # planted minimizer does not refuse
+    assert len(problems) == 4 and more == "(116 more)"
     pattern = r"instance \d+: minimizer \(.+\) is not the enumerated reference \(.+\)"
     assert all(re.fullmatch(pattern, p) for p in problems), problems
 
@@ -122,7 +124,7 @@ def test_a_failed_certificate_is_its_instances_problem(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "min_norm_point", planted)
     assert main(["verify", "--suite", "minnorm", "--suite", "weights"]) == 1
-    assert len(calls) == 100
+    assert len(calls) == 120
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:3]] == [
         "FAIL  minnorm",
