@@ -24,7 +24,9 @@ active normals stay independent (a row enters only when p.z != 0), so the
 system has one solution.  The step is the smaller of the full step
 gap / p.z, which makes p active, and the least ratio lam_t / s_t over
 s_t > 0, which drops row t.  As p.z = z^T Q z, a zero z leaves only the
-drop; with neither step the polyhedron is empty.
+drop.  With neither step, N_A^T s = p and s <= 0, so y = (1 at p, -s_t at
+each active row t) is a Farkas vector: y.N = 0, and y.b > 0 as the active
+rows are tight at the iterate and p is violated there.
 
 The iteration is fraction-free.  Each row (normal, bound) is scaled to ints
 by linalg.integral once per polyhedron, Q = 2 G to an integer Hessian H
@@ -45,10 +47,9 @@ Only the result is read back as Fraction, its norm as X^T G X / (h D^2)
 from the integral Gram matrix G over h, and its certificate is re-verified
 on the same integer rows before returning: verify_kkt reads the
 multipliers as ints over one denominator and checks stationarity and the
-norm on ints; the point check is linalg's `satisfies`.  One ratlp
-closed_feasible call then settles emptiness: a minimizer is its start and
-answers on ints with no simplex; at the empty exit phase 1 runs, and its
-checked Farkas vector certifies the polyhedron empty.
+norm on ints; the point check is linalg's `satisfies`, as in the one ratlp
+closed_feasible call on the minimizer.  At the empty exit check_farkas
+checks y (times the denominator of s) on the integral rows: no phase 1.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -90,11 +91,6 @@ class Polyhedron:
     def integral_rows(self) -> list[tuple[list[int], int]]:
         """Each row as linalg.integral's (ints, c): ints = c * (normal, bound)."""
         return [linalg.integral((*normal, bound)) for normal, bound in self.rows]
-
-    def is_empty(self) -> bool:
-        """Whether no point satisfies every row, by phase 1 from the origin
-        on the integral rows, with its answer checked by its certificate."""
-        return not ratlp.closed_feasible(self.integral_rows, self.rank)
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,8 @@ def _most_violated(rows, x, d, kinv, q) -> int | None:
 
 
 def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
-    """The unique point of least squared norm; ValueError if poly is empty."""
+    """The unique point of least squared norm; ValueError if poly is empty,
+    certified by the loop's own Farkas vector with no phase 1."""
     n = poly.rank
     if len(form.gram) != n:
         raise ValueError("dimension mismatch")
@@ -204,7 +201,7 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     kn: list[list[int]] = []  # K N_t for each active row t
     schur: list[list[int]] = []  # N_A K N_A^T, a row and column per active row
     q: dict[int, int] = {}  # N_k K N_k, formed when row k first competes
-    entering, empty = None, False
+    entering = None
     for _ in range(10000):
         if entering is None:
             entering = _most_violated(rows, x, d, kinv, q)
@@ -241,8 +238,13 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
             if st > 0 and (k is None or lam[t] * s[k] < lam[k] * st):
                 k = t
         if k is None and not pz:
-            empty = True
-            break
+            # the docstring's Farkas vector, on p and the active rows
+            y = [e, *(-st for st in s)]
+            try:
+                linalg.check_farkas([rows[t] for t in (entering, *active)], y)
+            except AssertionError as exc:
+                raise AssertionError("empty exit on a nonempty polyhedron") from exc
+            raise ValueError("empty polyhedron")
         gap = p[-1] * d - dot(p, x)
         full = pz != 0 and (k is None or gap * s[k] <= lam[k] * pz)
         num, den = (gap, pz) if full else (lam[k], s[k])
@@ -274,12 +276,10 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
     else:
         raise RuntimeError("active-set iteration failed to settle")
 
-    point = None if empty else tuple(Q(xi, d) for xi in x)
+    point = tuple(Q(xi, d) for xi in x)
     # perfbench/test_smoke.py pins this call through its (53, 14) counts.
     if not ratlp.closed_feasible(rows, n, point):
-        raise ValueError("empty polyhedron")
-    if empty:
-        raise AssertionError("empty exit on a nonempty polyhedron")
+        raise AssertionError("a minimizer of an empty polyhedron")
     res = MinNormResult(
         point=point,
         # X^T G X / (h D^2)

@@ -112,16 +112,22 @@ def test_a2_far_cell():
     assert sorted(zip(res.active_set, res.multipliers)) == [(0, 4), (1, 4)]
 
 
+def _is_empty(poly):
+    """Whether no point satisfies every row, by ratlp's phase 1 on the
+    integral rows, apart from min_norm_point."""
+    return not mn.ratlp.closed_feasible(poly.integral_rows, poly.rank)
+
+
 def test_empty_rejected():
     poly = mn.Polyhedron.from_rows([((1,), 1), ((-1,), 0)], 1)
-    assert poly.is_empty()
+    assert _is_empty(poly)
     with pytest.raises(ValueError):
         mn.min_norm_point(poly, lc.invariant_form(lc.build_root_system([("A", 1)])))
 
 
 def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
-    # is_empty's LP takes the rows integral_rows already holds as they
-    # are, so ratlp integralizes nothing a second time
+    # phase 1 takes the rows integral_rows already holds as they are, so
+    # ratlp integralizes nothing a second time
     seen = []
     integral = mn.ratlp.integral
 
@@ -132,8 +138,8 @@ def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
     monkeypatch.setattr(mn.ratlp, "integral", recording)
     rows = [((Q(1, 2), -1), Q(3, 2)), ((Q(-1, 3), 2), Q(-5, 4)), ((1, 1), 0)]
     poly = mn.Polyhedron.from_rows(rows, 2)
-    assert not poly.is_empty()
-    assert mn.Polyhedron.from_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2).is_empty()
+    assert not _is_empty(poly)
+    assert _is_empty(mn.Polyhedron.from_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2))
     assert seen == []
 
 
@@ -170,8 +176,8 @@ def test_a_minimizer_answers_the_emptiness_check_with_no_phase1(monkeypatch):
 
 def test_a_false_empty_exit_is_refused(monkeypatch):
     # row 0, (0, 0) >= 0, is never violated; entered at the origin anyway it
-    # has z = 0 and no drop, the empty exit, and phase 1 then finds a point:
-    # AssertionError, not ValueError
+    # has z = 0 and no drop, the empty exit, and its Farkas vector, on row 0
+    # alone, has y.b = 0 and fails its check: AssertionError, not ValueError
     poly = mn.Polyhedron.from_rows([((0, 0), 0), ((1, 0), 2), ((-1, 1), 2)], 2)
     assert mn.min_norm_point(poly, _diag_form()).point == (2, 4)
     most_violated = mn._most_violated
@@ -226,12 +232,43 @@ def test_duplicate_and_vacuous_rows_change_nothing():
         ([((1,), 1), ((-1,), 0)], 1),  # the entering normal is minus an active one
     ],
 )
-def test_dual_iteration_reports_an_empty_polyhedron(rows, rank):
-    # the iteration itself finds no step, and phase 1 then certifies it
+def test_dual_iteration_reports_an_empty_polyhedron(monkeypatch, rows, rank):
+    # the iteration itself finds no step and certifies the polyhedron empty
+    # by its own Farkas vector, with no phase 1
     poly = mn.Polyhedron.from_rows(rows, rank)
     form = lc.invariant_form(lc.build_root_system([("A", 1)] * rank))
+    starts, phase1 = _count_calls(monkeypatch)
     with pytest.raises(ValueError, match="empty polyhedron"):
         mn.min_norm_point(poly, form)
+    assert starts == [] and phase1 == []
+
+
+def test_a_tampered_empty_exit_certificate_is_refused(monkeypatch):
+    # the empty exit's Farkas vector, with the sign of one nonzero entry
+    # flipped before its check: AssertionError, not ValueError
+    rng = random.Random(39)
+    cases = [verify._planted_empty(rng) for _ in range(10)]
+    cases += [
+        (mn.Polyhedron.from_rows([((1, 0), 1), ((0, 0), 1)], 2), _diag_form()),
+        (mn.Polyhedron.from_rows([((1,), 1), ((-1,), 0)], 1), lc.invariant_form(lc.build_root_system([("A", 1)]))),
+    ]
+    check_farkas, seen = linalg.check_farkas, []
+
+    def flipped(rows, y):
+        t = next(t for t, v in enumerate(y) if v)
+        seen.append((rows, y))
+        check_farkas(rows, [*y[:t], -y[t], *y[t + 1 :]])
+
+    monkeypatch.setattr(mn.linalg, "check_farkas", flipped)
+    starts, phase1 = _count_calls(monkeypatch)
+    for k, (poly, form) in enumerate(cases, start=1):
+        with pytest.raises(AssertionError, match="^empty exit on a nonempty polyhedron$"):
+            mn.min_norm_point(poly, form)
+        assert len(seen) == k
+        rows, y = seen[-1]
+        assert all(row in poly.integral_rows for row in rows)
+        check_farkas(rows, y)
+    assert starts == [] and phase1 == []
 
 
 def _count_steps(monkeypatch):
@@ -323,7 +360,7 @@ def test_dual_matches_enumeration_on_random_instances():
     while done < 40:
         n = rng.randint(1, 3)
         poly = _random_poly(rng, n)
-        if poly.is_empty():
+        if _is_empty(poly):
             continue
         form = _random_spd_form(rng, n)
         fast = mn.min_norm_point(poly, form)
@@ -360,7 +397,7 @@ def test_rank_bounded_enumeration_loses_nothing():
     while done < 15:
         n = rng.randint(1, 3)
         poly = _random_poly(rng, n, max_rows=5)
-        if poly.is_empty():
+        if _is_empty(poly):
             continue
         form = _random_spd_form(rng, n)
         assert _all_subsets_kkt_points(poly, form) == {verify.enumerated_minimum(poly, form)}
@@ -373,7 +410,7 @@ def test_scale_invariance_of_argmin():
     while done < 20:
         n = rng.randint(1, 3)
         poly = _random_poly(rng, n)
-        if poly.is_empty():
+        if _is_empty(poly):
             continue
         form = _random_spd_form(rng, n)
         q = Q(rng.randint(1, 9), rng.randint(1, 9))
@@ -643,14 +680,16 @@ def test_integer_iteration_matches_the_fraction_reference_on_random_instances():
 
 def test_integer_iteration_matches_the_fraction_reference_on_empty_instances(monkeypatch):
     # a feasible instance plus the contradictory rows mu.a >= b, mu.a <= b - 1:
-    # both iterations reach their own empty exit, and after the integer one
-    # phase 1 runs once from the origin, its Farkas vector checked
+    # both iterations reach their own empty exit, which the integer one
+    # certifies by its own Farkas vector, with no closed_feasible call and
+    # no phase 1; phase 1 on its own finds no point either
     rng = random.Random(21)
     cases = [verify._planted_empty(rng) for _ in range(60)]
+    assert all(mn.ratlp._feasible_point(poly.integral_rows, poly.rank) is None for poly, _ in cases)
     starts, phase1 = _count_calls(monkeypatch)
-    for k, (poly, form) in enumerate(cases, start=1):
+    for poly, form in cases:
         assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")
-        assert starts == [None] * k and len(phase1) == k
+    assert starts == [] and phase1 == []
 
 
 def _rational_spd_form(rng, n):

@@ -613,7 +613,8 @@ print(ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1, (0,)))
 
 def test_a_false_empty_exit_is_refused_under_optimize(subprocess_env):
     # min_norm_point's loop driven to its empty exit on the corner polyhedron,
-    # which has a point: phase 1 finds it, and the refusal survives -O
+    # which has a point: the exit's Farkas vector fails its check, and the
+    # refusal survives -O
     script = """
 from orbitchar import liecore as lc, minnorm as mn
 assert False  # stripped by -O
