@@ -20,7 +20,6 @@ scale per factor rescales the factor's block.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -259,8 +258,11 @@ def pairing(mu, h) -> Q:
 
 
 def dynkin_labels(rs: RootSystem, h) -> tuple[Q, ...]:
-    """Values of the simple roots on a point, C a."""
-    return tuple(sum(map(operator.mul, row, h), Q(0)) for row in rs.cartan)
+    """Values of the simple roots on a point, C a, exactly: C_i . X / D for the
+    point read once as ints, (X, D) = linalg.integral(h); a float entry goes
+    through Fraction there, so a float point gets exact labels, not floats."""
+    x, d = linalg.integral(h)
+    return tuple(Q(linalg.dot(row, x), d) for row in rs.cartan)
 
 
 def is_dominant(rs: RootSystem, h) -> bool:

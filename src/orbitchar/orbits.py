@@ -25,9 +25,10 @@ labels generalize the classical weighted Dynkin diagram.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
 
 from . import linalg
 from .arrangement import (
@@ -96,17 +97,9 @@ def dominance_leq(p: Partition, q: Partition) -> bool:
     """Whether p is below q in the dominance order on partitions of one n."""
     if sum(p) != sum(q):
         raise ValueError("partitions of different totals are incomparable")
-    pp, qq = list(p), list(q)
-    size = max(len(pp), len(qq))
-    pp += [0] * (size - len(pp))
-    qq += [0] * (size - len(qq))
-    a = b = 0
-    for x, y in zip(pp, qq):
-        a += x
-        b += y
-        if a > b:
-            return False
-    return True
+    # past the shorter one's end its partial sums stay at n and the other's
+    # only climb to n, so zip may stop there
+    return all(a <= b for a, b in zip(accumulate(p), accumulate(q)))
 
 
 def weighted_dynkin_from_partition(parts) -> tuple[int, ...]:
@@ -299,6 +292,7 @@ class AdjointSlModel(OrbitModel):
     def __init__(self, n: int, seed: int = 1):
         self.n = n
         self.name = f"sl{n}-adjoint"
+        self._orbit_ids = tuple(partitions_of(n))
         rs = build_root_system([("A", n - 1)])
         super().__init__(rs, highest_roots(rs))
 
@@ -307,7 +301,7 @@ class AdjointSlModel(OrbitModel):
         return (1,) * self.n
 
     def orbit_ids(self) -> tuple[Partition, ...]:
-        return tuple(partitions_of(self.n))
+        return self._orbit_ids
 
     def generic_stratum(self, i_r) -> Partition:
         return generic_jordan_partition(i_r, self.n)
@@ -575,7 +569,8 @@ class RegionAnalysis:
                 raise AssertionError(
                     f"the minimizer over the walls of region {region_id} leaves its closure"
                 )
-            self._minima[region_id] = replace(res, active_set=tuple(walls[t] for t in res.active_set))
+            active = tuple(walls[t] for t in res.active_set)
+            self._minima[region_id] = MinNormResult(res.point, res.norm_sq, active, res.multipliers)
         return self._minima[region_id]
 
 

@@ -1,7 +1,8 @@
-"""Shared fixtures, the one reading of the large-size switch, and the
-closure rows of regions."""
+"""Shared fixtures, the one reading of the large-size switch, the closure
+rows of regions and the reference Dynkin labels."""
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,12 @@ def closure_rows(rs, hyperplanes, regions):
     sign, one row object per place across the regions."""
     chamber, above, below = sign_rows(rs, hyperplanes)
     return [tuple(chamber + by_sign(r.signs, above, below)) for r in regions]
+
+
+def fraction_labels(rs, h):
+    """C a as a Fraction sum of products per Cartan row, one product and one
+    addition per entry: the reference for liecore.dynkin_labels."""
+    return tuple(sum((c * a for c, a in zip(row, h)), Fraction(0)) for row in rs.cartan)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from conftest import fraction_labels
 
 from orbitchar import liecore as lc
 from orbitchar import linalg
@@ -226,6 +227,37 @@ def test_dynkin_labels_frozen():
     assert lc.dynkin_labels(a2, tuple(Q(v) for v in (2, 2))) == (2, 2)
     aa = lc.build_root_system([("A", 1), ("A", 1)])
     assert lc.dynkin_labels(aa, tuple(Q(v) for v in (2, 4))) == (4, 8)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[("A", 4)], [("B", 3)], [("C", 3)], [("G", 2)], [("F", 4)], [("A", 1), ("A", 1)]],
+    ids=["A4", "B3", "C3", "G2", "F4", "A1xA1"],
+)
+def test_dynkin_labels_match_the_fraction_sum(factors):
+    # one Fraction per label from the point read once as ints; int, Fraction
+    # and mixed points, zero and negative entries included
+    rs = lc.build_root_system(factors)
+    rng = random.Random(40)
+    n = rs.rank
+    points = [(0,) * n, tuple(-k - 1 for k in range(n)), tuple(Q(-k, 3) for k in range(n))]
+    for _ in range(25):
+        ints = tuple(rng.randint(-9, 9) for _ in range(n))
+        fracs = tuple(Q(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+        points += [ints, fracs, tuple(rng.choice(pair) for pair in zip(ints, fracs))]
+    for h in points:
+        labels = lc.dynkin_labels(rs, h)
+        assert labels == fraction_labels(rs, h), h
+        assert all(type(v) is Q for v in labels), h
+
+
+def test_dynkin_labels_of_a_float_point_are_exact():
+    # a float entry goes through Fraction, so the labels are the exact
+    # values of the binary floats, not float sums
+    a2 = lc.build_root_system([("A", 2)])
+    labels = lc.dynkin_labels(a2, (0.1, 0.5))
+    assert labels == (2 * Q(0.1) - Q(1, 2), 1 - Q(0.1))
+    assert all(type(v) is Q for v in labels)
 
 
 def test_dominance_iff_labels_nonnegative():

@@ -125,24 +125,6 @@ def test_empty_rejected():
         mn.min_norm_point(poly, lc.invariant_form(lc.build_root_system([("A", 1)])))
 
 
-def test_emptiness_precheck_takes_the_integral_rows(monkeypatch):
-    # phase 1 takes the rows integral_rows already holds as they are, so
-    # ratlp integralizes nothing a second time
-    seen = []
-    integral = mn.ratlp.integral
-
-    def recording(values):
-        seen.extend(values)
-        return integral(values)
-
-    monkeypatch.setattr(mn.ratlp, "integral", recording)
-    rows = [((Q(1, 2), -1), Q(3, 2)), ((Q(-1, 3), 2), Q(-5, 4)), ((1, 1), 0)]
-    poly = mn.Polyhedron.from_rows(rows, 2)
-    assert not _is_empty(poly)
-    assert _is_empty(mn.Polyhedron.from_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2))
-    assert seen == []
-
-
 def _count_calls(monkeypatch):
     """The start of each ratlp.closed_feasible call and the number of
     phase-1 runs, as lists that grow as min_norm_point runs."""

@@ -1,5 +1,6 @@
 """Tests for orbit models and the characteristic computation."""
 
+import hashlib
 import inspect
 import itertools
 import random
@@ -9,7 +10,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from conftest import LARGE, closure_rows
+from conftest import LARGE, closure_rows, fraction_labels
 
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.arrangement import region_weights
@@ -81,6 +82,16 @@ def test_dominance_order():
             assert dominance_leq(p, q) == dominance_leq(
                 conjugate_partition(q), conjugate_partition(p)
             )
+
+
+def test_dominance_order_is_the_partial_sum_order():
+    # p <= q when each partial sum of p is at most q's, slices past the end
+    # of the shorter partition adding nothing
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            for q in partitions_of(n):
+                expected = all(sum(p[:k]) <= sum(q[:k]) for k in range(1, n + 1))
+                assert dominance_leq(p, q) == expected, (p, q)
 
 
 def test_check_partition_rejects():
@@ -647,6 +658,20 @@ def test_minimum_over_the_walls_is_certified_on_the_whole_closure(name, request)
         assert (res.point, res.norm_sq) == (full.point, full.norm_sq)
 
 
+def test_region_minimum_carries_the_walls_minimizer_to_closure_rows(sl4_analysis):
+    # region_minimum is min_norm_point over the walls, its active set read
+    # as closure rows (the chamber rows, then by_sign's rows)
+    rs = sl4_analysis.model.root_system
+    closures = closure_rows(rs, sl4_analysis.hyperplanes, sl4_analysis.regions)
+    for region, rows in zip(sl4_analysis.regions, closures):
+        walls = sl4_analysis._walls(region)
+        res = min_norm_point(Polyhedron.from_rows([rows[w] for w in walls], rs.rank), sl4_analysis.form)
+        got = sl4_analysis.region_minimum(region.id)
+        active = tuple(walls[t] for t in res.active_set)
+        assert got == minnorm.MinNormResult(res.point, res.norm_sq, active, res.multipliers)
+        verify_kkt(Polyhedron.from_rows(rows, rs.rank), sl4_analysis.form, got)
+
+
 def test_a_dropped_wall_is_caught(sl4_analysis, monkeypatch):
     # drop a sign row that carries a positive multiplier at the minimizer:
     # the walls left have a shorter minimizer, which leaves the closure
@@ -743,6 +768,41 @@ def test_adjoint_model_basics():
         AdjointSlModel(1)
     with pytest.raises(ValueError):
         characteristic(RegionAnalysis.build(model), (2, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_ids_are_built_once(n):
+    # one stored tuple per model, equal to the partitions of n
+    model = AdjointSlModel(n)
+    ids = model.orbit_ids()
+    assert type(ids) is tuple and ids is model.orbit_ids()
+    assert ids == tuple(partitions_of(n))
+
+
+def test_check_orbit_refuses_what_is_no_partition_of_n():
+    model = AdjointSlModel(5)
+    assert model.check_orbit((2, 2, 1)) == (2, 2, 1)
+    for orbit in [(2, 2, 2), (1, 2, 2)]:
+        with pytest.raises(ValueError, match="unknown orbit"):
+            model.check_orbit(orbit)
+
+
+def test_characteristics_keep_their_labels_and_records():
+    # every sl3-sl6 and example-2x3 characteristic in both modes: its labels
+    # are the Fraction sums of its point, and the records hash to the value
+    # recorded from the Fraction-sum labels
+    digest = hashlib.sha256()
+    for model in [AdjointSlModel(n) for n in (3, 4, 5, 6)] + [Example2x3Model()]:
+        analysis = RegionAnalysis.build(model)
+        for orbit in model.orbit_ids():
+            for mode in ("nonempty", "dense"):
+                ch = characteristic(analysis, orbit, mode)
+                digest.update(repr(ch).encode())
+                if ch is None:
+                    continue
+                assert ch.labels == fraction_labels(model.root_system, ch.point), (model.name, orbit)
+                assert all(type(v) is Q for v in ch.labels)
+    assert digest.hexdigest() == "19a99ea1f28ddccbeb9f7f34e6283842386274d78d590e15c63c2e8c49ce6de1"
 
 
 def test_adjoint_sl2_characteristics():

@@ -64,6 +64,24 @@ def test_closed_infeasible():
     assert not ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
 
 
+def test_closed_feasible_takes_the_integral_rows_as_given(monkeypatch):
+    # phase 1 takes the (ints, scale) rows as they are, so ratlp
+    # integralizes nothing a second time, on a feasible and an empty system
+    rows = [((Q(1, 2), -1), Q(3, 2)), ((Q(-1, 3), 2), Q(-5, 4)), ((1, 1), 0)]
+    feasible = ratlp._integral_rows(rows, 2)
+    empty = ratlp._integral_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2)
+    seen = []
+
+    def recording(values):
+        seen.extend(values)
+        return integral(values)
+
+    monkeypatch.setattr(ratlp, "integral", recording)
+    assert ratlp.closed_feasible(feasible, 2)
+    assert not ratlp.closed_feasible(empty, 2)
+    assert seen == []
+
+
 def test_no_rows():
     assert ratlp.strict_interior([], 2) is not None
 
