@@ -262,6 +262,8 @@ def dynkin_labels(rs: RootSystem, h) -> tuple[Q, ...]:
     point read once as ints, (X, D) = linalg.integral(h); a float entry goes
     through Fraction there, so a float point gets exact labels, not floats."""
     x, d = linalg.integral(h)
+    if len(x) != rs.rank:
+        raise ValueError("dimension mismatch")
     return tuple(Q(linalg.dot(row, x), d) for row in rs.cartan)
 
 
@@ -312,6 +314,8 @@ def norm_sq(form: InvariantForm, h) -> Q:
     """Squared length of a point under the invariant form."""
     g, d = form.integral_gram
     x, scale = linalg.integral(h)
+    if len(x) != len(g):
+        raise ValueError("dimension mismatch")
     return Q(linalg.dot(x, [linalg.dot(row, x) for row in g]), d * scale * scale)
 
 

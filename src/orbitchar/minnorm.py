@@ -5,9 +5,10 @@ characterized by an active row set A and nonnegative multipliers lam with
 
     2 G a = N_A^T lam,   N_A a = b_A,   N a >= b.
 
-min_norm_point finds it by a dual active-set iteration (Goldfarb & Idnani
-1983): start from the unconstrained minimum 0 and bring in a violated row
-p.  The method leaves the choice open; as in Goldfarb and Idnani's own
+dual_loop finds it by a dual active-set iteration (Goldfarb & Idnani
+1983): start from a dual-feasible state, such as the unconstrained minimum
+0 or the minimizer over some of the rows, and bring in a violated row p.
+The method leaves the choice open; as in Goldfarb and Idnani's own
 implementation, p is the most violated row: the one with the largest
 v^2 / (n^T Q^-1 n) for v = b - n . a, which is proportional to the squared
 distance, in the form's metric, from the iterate to the row's hyperplane;
@@ -50,6 +51,8 @@ multipliers as ints over one denominator and checks stationarity and the
 norm on ints; the point check is linalg's `satisfies`, as in the one ratlp
 closed_feasible call on the minimizer.  At the empty exit check_farkas
 checks y (times the denominator of s) on the integral rows: no phase 1.
+dual_loop never changes its start, so states may be shared; min_norm_point
+never trusts its start, since those checks pass only at the minimizer.
 
 combine_union_minima takes the least of per-polyhedron minima over a union
 and requires the minimizing point to be unique across all of them: several
@@ -59,9 +62,11 @@ polyhedra may attain the minimal norm, but at the same point.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg, ratlp
 from .linalg import dot, satisfies
@@ -181,25 +186,41 @@ def _most_violated(rows, x, d, kinv, q) -> int | None:
     return best
 
 
-def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
-    """The unique point of least squared norm; ValueError if poly is empty,
-    certified by the loop's own Farkas vector with no phase 1."""
-    n = poly.rank
-    if len(form.gram) != n:
-        raise ValueError("dimension mismatch")
+class DualState(NamedTuple):
+    """The dual loop's iterate X / D, active rows (indices into its rows),
+    multipliers L / D, columns K N_t and Schur matrix N_A K N_A^T.  dual_loop
+    copies a start's lists before it changes them, so states may be shared."""
+
+    x: Sequence[int]
+    d: int
+    active: Sequence[int]
+    lam: Sequence[int]
+    kn: Sequence[Sequence[int]]
+    schur: Sequence[Sequence[int]]
+
+    @classmethod
+    def origin(cls, rank: int) -> "DualState":
+        return cls((0,) * rank, 1, (), (), (), ())
+
+
+def dual_loop(rows, form: InvariantForm, start: DualState | None) -> DualState:
+    """The end state of the dual iteration on integral rows, linalg.integral's
+    (ints, c), from a dual-feasible start or, for None, the origin;
+    ValueError at the certified empty exit."""
     # Rows are read as given: a duplicate of an active row or a zero row with
     # bound <= 0 is never violated; a zero row with bound > 0 is never
     # satisfied, enters first and ends in the empty exit.
-    rows = poly.integral_rows
-    gram, h = form.integral_gram
     # K / kden = H^-1 for the Hessian H = 2 G over h
     kinv, kden = form.integral_inverse_hessian
 
-    x, d = [0] * n, 1  # the iterate x / d
-    active: list[int] = []  # row indices into poly.rows
-    lam: list[int] = []  # multipliers lam / d of the integral rows and H
-    kn: list[list[int]] = []  # K N_t for each active row t
-    schur: list[list[int]] = []  # N_A K N_A^T, a row and column per active row
+    # the iterate x / d; the active rows, indices into rows; their
+    # multipliers lam / d for the integral rows and H; K N_t for each active
+    # row t; and N_A K N_A^T, a row and column per active row
+    if start is None:
+        x, d, active, lam, kn, schur = [0] * len(kinv), 1, [], [], [], []
+    else:
+        x, d, active, lam, kn = start.x, start.d, list(start.active), list(start.lam), list(start.kn)
+        schur = [list(row) for row in start.schur]
     q: dict[int, int] = {}  # N_k K N_k, formed when row k first competes
     entering = None
     for _ in range(10000):
@@ -275,11 +296,25 @@ def min_norm_point(poly: Polyhedron, form: InvariantForm) -> MinNormResult:
                 del kept[k]
     else:
         raise RuntimeError("active-set iteration failed to settle")
+    return DualState(x, d, active, lam, kn, schur)
 
+
+def min_norm_point(poly: Polyhedron, form: InvariantForm, start: DualState | None = None) -> MinNormResult:
+    """The unique point of least squared norm; ValueError if poly is empty,
+    certified by the loop's own Farkas vector with no phase 1.  The loop
+    starts at start, a state over poly's rows, or at the origin."""
+    n = poly.rank
+    if len(form.gram) != n:
+        raise ValueError("dimension mismatch")
+    rows = poly.integral_rows
+    if start is not None and (len(start.x) != n or any(not 0 <= k < len(rows) for k in start.active)):
+        raise ValueError("start outside the polyhedron's rows or rank")
+    x, d, active, lam, _, _ = dual_loop(rows, form, start)
     point = tuple(Q(xi, d) for xi in x)
     # perfbench/test_smoke.py pins this call through its (53, 14) counts.
     if not ratlp.closed_feasible(rows, n, point):
         raise AssertionError("a minimizer of an empty polyhedron")
+    gram, h = form.integral_gram
     res = MinNormResult(
         point=point,
         # X^T G X / (h D^2)

@@ -25,6 +25,7 @@ labels generalize the classical weighted Dynkin diagram.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -53,9 +54,11 @@ from .liecore import (
     weight_system,
 )
 from .minnorm import (
+    DualState,
     MinNormResult,
     Polyhedron,
     combine_union_minima,
+    dual_loop,
     min_norm_point,
 )
 
@@ -162,7 +165,9 @@ def path_partition(arcs, n: int) -> Partition:
     The k-th successive shortest augmenting path of the split-vertex network
     (cost -1 on each vertex arc, 0 elsewhere, every capacity 1) costs
     -lambda_k; the costs never decrease, so once a path covers one vertex
-    every later part is 1.
+    every later part is 1, and once at most one vertex is left uncovered no
+    path is searched for.  A directed cycle of the support is a negative
+    cycle that the first search reaches.
     """
     # node 0 is the source, 2v + 1 and 2v + 2 the entry and exit of vertex
     # v, 2n + 1 the sink; net[k] and its residual twin net[k ^ 1] are [head,
@@ -185,33 +190,29 @@ def path_partition(arcs, n: int) -> Partition:
         add(2 * i + 2, 2 * j + 1, 0)
     parts: list[int] = []
     while True:
-        # Bellman-Ford.  Every cycle of the network is negative and comes
-        # from a cycle of the support, and an augmentation along a shortest
-        # path makes none, so relaxing still after size - 1 passes means
-        # the support has a cycle.  Path costs lie strictly between -size
-        # and size, so size marks a node not reached.
-        unreached = size
-        dist = [0] + [unreached] * (size - 1)
-        via = [0] * size
-        for _ in range(size):
-            changed = False
-            for u in range(size):
-                du = dist[u]
-                if du == unreached:
-                    continue
-                for k in out[u]:
-                    v, cap, cost = net[k]
-                    if cap and du + cost < dist[v]:
-                        dist[v] = du + cost
-                        via[v] = k
-                        changed = True
-            if not changed:
-                break
-        else:
-            raise ValueError(f"the support {sorted(arcs)} has a directed cycle, so it is not nilpotent")
-        if -dist[-1] <= 1:
+        # Bellman-Ford on a queue of the nodes whose distance dropped.  Every
+        # cycle of the network is negative and comes from a cycle of the
+        # support, and an augmentation along a shortest path makes none.  A
+        # node is queued at most once in each of size passes without one, so
+        # one queued more than size times means the support has a cycle.
+        # Path costs lie strictly between -size and size: size is unreached.
+        dist, via, queued = [0] + [size] * (size - 1), [0] * size, [0] * size
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            queued[u] += 1
+            if queued[u] > size:
+                raise ValueError(f"the support {sorted(arcs)} has a directed cycle, so it is not nilpotent")
+            for k in out[u]:
+                v, cap, cost = net[k]
+                if cap and dist[u] + cost < dist[v]:
+                    dist[v], via[v] = dist[u] + cost, k
+                    if v not in queue:
+                        queue.append(v)
+        if -dist[-1] > 1:
+            parts.append(-dist[-1])
+        if -dist[-1] <= 1 or sum(parts) >= n - 1:
             return tuple(parts) + (1,) * (n - sum(parts))
-        parts.append(-dist[-1])
         v = size - 1
         while v:
             k = via[v]
@@ -475,7 +476,9 @@ class RegionAnalysis:
     """Arrangement of one module and its cached region minima.  A region's
     subspace is `region_weights(hyperplanes, region)`, and its closure rows
     are the chamber rows of `sign_rows` and then `by_sign` of its signs; an
-    orbit model also gives each subspace's generic orbit, in `strata`."""
+    orbit model also gives each subspace's generic orbit, in `strata`.
+    Region minima are resumed down the sign tree (region_minimum), and a
+    node's dual-loop state is kept only where a walk resumed the loop."""
 
     model: Module
     ws: WeightSystem
@@ -513,26 +516,6 @@ class RegionAnalysis:
         return out
 
     @cached_property
-    def _sign_strings(self) -> frozenset[str]:
-        return frozenset(r.signs for r in self.regions)
-
-    def _walls(self, region: Region) -> list[int]:
-        """Indices into the region's closure rows of the chamber rows and of
-        the sign rows that are facets of the region.
-
-        Sign row k is a facet exactly when flipping sign k names another
-        region: the segment between the two witnesses stays in the open
-        chamber and crosses hyperplane k alone."""
-        rank = self.model.root_system.rank
-        signs = region.signs
-        flip = {"+": "-", "-": "+"}
-        return list(range(rank)) + [
-            rank + k
-            for k, sign in enumerate(signs)
-            if signs[:k] + flip[sign] + signs[k + 1 :] in self._sign_strings
-        ]
-
-    @cached_property
     def _sign_rows(self) -> tuple[tuple[list, ...], tuple[list, ...]]:
         """`sign_rows` of the arrangement, and linalg.integral's (ints, c)
         of each of its rows at the same place: each row is integralized
@@ -540,37 +523,42 @@ class RegionAnalysis:
         rows = sign_rows(self.model.root_system, self.hyperplanes)
         return rows, tuple([linalg.integral((*n, b)) for n, b in part] for part in rows)
 
+    @cached_property
+    def _states(self) -> dict[str, DualState]:
+        """The loop's end state at the root "" and where a walk resumed it."""
+        return {"": DualState.origin(self.model.root_system.rank)}
+
     def region_minimum(self, region_id: int) -> MinNormResult:
         """The minimizer over a region's closure, with its certificate
         (active_set indexes the closure rows: the chamber rows, then one
-        row per sign).  The walls hold the region, so min_norm_point ends at
-        their minimizer, which answers its emptiness check with no simplex."""
+        row per sign).  From the deepest sign prefix with a state, each sign
+        row is checked at the minimizer, and a violated one resumes the loop
+        on the prefix's rows; the leaf's min_norm_point call starts at its
+        parent's state and certifies the minimum on the whole closure."""
         if region_id not in self._minima:
             # enumerate_regions numbers the regions 1..N in list order
             k = region_id - 1
             if not (0 <= k < len(self.regions) and self.regions[k].id == region_id):
                 raise ValueError(f"no region with id {region_id}")
-            region = self.regions[k]
+            signs = self.regions[k].signs
+            rank = self.model.root_system.rank
             (chamber, above, below), (ichamber, iabove, ibelow) = self._sign_rows
-            rows = chamber + by_sign(region.signs, above, below)
-            table = ichamber + by_sign(region.signs, iabove, ibelow)
-            walls = self._walls(region)
-            poly = Polyhedron.from_rows([rows[w] for w in walls], self.model.root_system.rank)
-            # seed the cached integral rows from the analysis's table
-            vars(poly)["integral_rows"] = [table[w] for w in walls]
-            res = min_norm_point(poly, self.form)
-            # The walls cut out a superset of the closure, and verify_kkt
-            # inside min_norm_point has certified the minimizer on them; it is
-            # the closure's minimizer exactly when it also satisfies the
-            # closure rows that are not walls.
-            kept = set(walls)
-            x, d = linalg.integral(res.point)
-            if not linalg.satisfies([row for w, row in enumerate(table) if w not in kept], x, d):
-                raise AssertionError(
-                    f"the minimizer over the walls of region {region_id} leaves its closure"
-                )
-            active = tuple(walls[t] for t in res.active_set)
-            self._minima[region_id] = MinNormResult(res.point, res.norm_sq, active, res.multipliers)
+            table = ichamber + by_sign(signs, iabove, ibelow)
+            states = self._states
+            depth = max(len(signs) - 1, 0)
+            while signs[:depth] not in states:
+                depth -= 1
+            state = states[signs[:depth]]
+            for k in range(rank + depth, len(table) - 1):
+                ints, _ = table[k]
+                if linalg.dot(ints, state.x) < ints[-1] * state.d:
+                    state = dual_loop(table[: k + 1], self.form, state)
+                    states[signs[: k + 1 - rank]] = state
+            # sign_rows' normals are tuples of the rank's length; seed the
+            # cached integral rows from the analysis's table
+            poly = Polyhedron(rank, tuple(chamber + by_sign(signs, above, below)))
+            vars(poly)["integral_rows"] = table
+            self._minima[region_id] = min_norm_point(poly, self.form, start=state)
         return self._minima[region_id]
 
 

@@ -1,5 +1,5 @@
 """Shared fixtures, the one reading of the large-size switch, the closure
-rows of regions and the reference Dynkin labels."""
+rows and walls of regions and the reference Dynkin labels."""
 
 import os
 from fractions import Fraction
@@ -21,6 +21,25 @@ def closure_rows(rs, hyperplanes, regions):
     sign, one row object per place across the regions."""
     chamber, above, below = sign_rows(rs, hyperplanes)
     return [tuple(chamber + by_sign(r.signs, above, below)) for r in regions]
+
+
+def walls(analysis, region):
+    """Indices into the region's closure rows of the chamber rows and of
+    the sign rows that are facets of the region: the rows over which
+    region minima were once taken.
+
+    Sign row k is a facet exactly when flipping sign k names another
+    region: the segment between the two witnesses stays in the open
+    chamber and crosses hyperplane k alone."""
+    rank = analysis.model.root_system.rank
+    named = {r.signs for r in analysis.regions}
+    signs = region.signs
+    flip = {"+": "-", "-": "+"}
+    return list(range(rank)) + [
+        rank + k
+        for k, sign in enumerate(signs)
+        if signs[:k] + flip[sign] + signs[k + 1 :] in named
+    ]
 
 
 def fraction_labels(rs, h):

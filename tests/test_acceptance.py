@@ -2,9 +2,9 @@
 
 Every check runs the full pipeline against an independent oracle, and its
 PASS line must read as recorded below.  The Dynkin and theorem checks run
-sl2-sl6; sl7 and sl8 (about 10 s more together) join when the environment
-variable ORBITCHAR_LARGE=1 is set, and A6, A7, B5 and E6 join the W-Catalan
-check (about 2 s more).
+sl2-sl6; sl7, sl8 and sl9 (about 6 s more together) join when the
+environment variable ORBITCHAR_LARGE=1 is set, and A6, A7, B5 and E6 join
+the W-Catalan check (about 2 s more).
 """
 
 from conftest import LARGE
@@ -21,10 +21,10 @@ def _report(criterion: str, rows, details) -> None:
     assert [r.detail for r in rows] == details
 
 
-_DYNKIN_NS = (2, 3, 4, 5, 6) + ((7, 8) if LARGE else ())
+_DYNKIN_NS = (2, 3, 4, 5, 6) + ((7, 8, 9) if LARGE else ())
 
 
-_PARTITION_COUNTS = {2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
+_PARTITION_COUNTS = {2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30}
 
 
 def test_criterion_1_example_end_to_end():

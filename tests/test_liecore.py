@@ -268,6 +268,25 @@ def test_dominance_iff_labels_nonnegative():
     assert not lc.is_dominant(rs, tuple(Q(v) for v in (-1, 2)))
 
 
+@pytest.mark.parametrize("factors", [[("A", 2)], [("A", 1), ("A", 1)]], ids=["A2", "A1xA1"])
+def test_point_functions_refuse_a_point_of_the_wrong_length(factors):
+    # a rank-2 point has two entries: a short or a long one is refused, as
+    # pairing refuses it, and is not read over the shorter length
+    rs = lc.build_root_system(factors)
+    form = lc.invariant_form(rs)
+    for h in [(1,), (Q(1, 2),), (1, 2, 3), (0, 0, 0)]:
+        for call in (
+            lambda: lc.dynkin_labels(rs, h),
+            lambda: lc.is_dominant(rs, h),
+            lambda: lc.norm_sq(form, h),
+            lambda: lc.pairing((1, 1), h),
+        ):
+            with pytest.raises(ValueError, match="^dimension mismatch$"):
+                call()
+    assert lc.dynkin_labels(rs, (1, 2)) == tuple(lc.pairing(row, (1, 2)) for row in rs.cartan)
+    assert lc.is_dominant(rs, (1, 2)) and lc.norm_sq(form, (0, 0)) == 0
+
+
 def test_invariant_form_frozen_values():
     aa = lc.build_root_system([("A", 1), ("A", 1)])
     assert lc.invariant_form(aa).gram == ((2, 0), (0, 2))

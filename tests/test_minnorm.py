@@ -1,5 +1,6 @@
 """Exact minimum-norm points: frozen cases, certificates, and cross-checks."""
 
+import copy
 import hashlib
 import itertools
 import random
@@ -402,6 +403,110 @@ def test_scale_invariance_of_argmin():
         assert a.point == b.point
         assert b.norm_sq == q * a.norm_sq
         done += 1
+
+
+def _sign_tree(n):
+    """The form of the sl_n adjoint arrangement, and every node of its sign
+    tree below the root, parents first: (prefix, the polyhedron of the
+    chamber rows and the prefix's sign rows)."""
+    rs = lc.build_root_system([("A", n - 1)])
+    hps = ar.chamber_hyperplanes(lc.weight_system(rs, lc.highest_roots(rs)))
+    chamber, above, below = ar.sign_rows(rs, hps)
+    prefixes = {r.signs[:k] for r in ar.enumerate_regions(rs, hps) for k in range(1, len(hps) + 1)}
+    nodes = [
+        (prefix, mn.Polyhedron.from_rows(chamber + ar.by_sign(prefix, above, below), rs.rank))
+        for prefix in sorted(prefixes, key=lambda prefix: (len(prefix), prefix))
+    ]
+    return lc.invariant_form(rs), nodes
+
+
+def _parent_states(form, nodes):
+    """Each node with its parent's end state, the state that the walk down
+    the tree resumes it from."""
+    states = {"": mn.DualState.origin(len(form.gram))}
+    for prefix, poly in nodes:
+        yield poly, states[prefix[:-1]]
+        states[prefix] = mn.dual_loop(poly.integral_rows, form, states[prefix[:-1]])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a_child_resumed_from_its_parent_is_its_cold_minimum(n):
+    # every node of the sign tree, resumed from its parent's end state: the
+    # cold call's point and norm, a certificate on the node's own rows, and
+    # the shared start left as it was
+    form, nodes = _sign_tree(n)
+    for poly, start in _parent_states(form, nodes):
+        kept = copy.deepcopy(start)
+        res = mn.min_norm_point(poly, form, start=start)
+        cold = mn.min_norm_point(poly, form)
+        assert (res.point, res.norm_sq) == (cold.point, cold.norm_sq)
+        mn.verify_kkt(poly, form, res)
+        assert start == kept
+
+
+def test_a_child_resumed_on_random_instances_is_its_cold_minimum():
+    # each random instance grown one row at a time, every child resumed
+    # from the end state of its parent, the rows before its last
+    rng = random.Random(41)
+    for _ in range(120):
+        _, _, poly, form = verify._random_instance(rng)
+        state = mn.DualState.origin(poly.rank)
+        for k in range(1, len(poly.rows) + 1):
+            child = mn.Polyhedron.from_rows(poly.rows[:k], poly.rank)
+            res = mn.min_norm_point(child, form, start=state)
+            cold = mn.min_norm_point(child, form)
+            assert (res.point, res.norm_sq) == (cold.point, cold.norm_sq)
+            mn.verify_kkt(child, form, res)
+            state = mn.dual_loop(child.integral_rows, form, state)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_child_whose_row_holds_takes_no_step(n, monkeypatch):
+    # a node whose last row holds at its parent's minimizer solves no Schur
+    # system; one whose row is violated solves at least one
+    form, nodes = _sign_tree(n)
+    steps = _count_steps(monkeypatch)
+    held = 0
+    for poly, start in _parent_states(form, nodes):
+        steps.clear()
+        res = mn.min_norm_point(poly, form, start=start)
+        holds = linalg.satisfies(poly.integral_rows[-1:], start.x, start.d)
+        held += holds
+        assert (steps == []) == holds
+        assert holds <= (res.active_set == tuple(start.active))
+    assert 0 < held < len(nodes)
+
+
+def test_a_tampered_start_is_refused():
+    # the corner's end state with its multiplier negated, or its point moved
+    # to (3, 6), which holds every row: no step is taken, and verify_kkt
+    # refuses the result
+    form = _diag_form()
+    poly = mn.Polyhedron.from_rows([((1, 0), 2), ((-1, 1), 2)], 2)
+    state = mn.dual_loop(poly.integral_rows, form, mn.DualState.origin(2))
+    assert mn.min_norm_point(poly, form, start=state).point == (2, 4)
+    for tampered, message in (
+        (state._replace(lam=tuple(-v for v in state.lam)), "negative multiplier"),
+        (state._replace(x=(3 * state.d, 6 * state.d)), "active row not tight"),
+    ):
+        with pytest.raises(AssertionError, match=message):
+            mn.min_norm_point(poly, form, start=tampered)
+
+
+def test_a_start_outside_the_polyhedron_is_refused():
+    # a row index past the polyhedron's rows or below 0, or a point of
+    # another rank
+    form = _diag_form()
+    poly = mn.Polyhedron.from_rows([((1, 0), 2), ((-1, 1), 2)], 2)
+    state = mn.dual_loop(poly.integral_rows, form, mn.DualState.origin(2))
+    for tampered in (
+        state._replace(active=(0, 2)),
+        state._replace(active=(-1, 1)),
+        state._replace(x=(*state.x, 0)),
+        state._replace(x=state.x[:1]),
+    ):
+        with pytest.raises(ValueError, match="^start outside the polyhedron's rows or rank$"):
+            mn.min_norm_point(poly, form, start=tampered)
 
 
 def test_min_over_union_frozen_example():

@@ -10,7 +10,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from conftest import LARGE, closure_rows, fraction_labels
+from conftest import LARGE, closure_rows, fraction_labels, walls
 
 from orbitchar import jsonio, linalg, minnorm, orbits, ratlp, verify
 from orbitchar.arrangement import region_weights
@@ -307,6 +307,86 @@ def test_path_partition_of_planted_arcs():
     # a diagonal entry is a loop, and no generic matrix on it is nilpotent
     with pytest.raises(ValueError, match="directed cycle"):
         path_partition({(1, 1)}, 2)
+
+
+def _bellman_ford_path_partition(arcs, n):
+    """path_partition with each shortest path found by size full passes of
+    Bellman-Ford over every node: the reference for its queued form."""
+    size = 2 * n + 2
+    net, out = [], [[] for _ in range(size)]
+
+    def add(u, v, cost):
+        out[u].append(len(net))
+        net.append([v, 1, cost])
+        out[v].append(len(net))
+        net.append([u, 0, -cost])
+
+    for v in range(n):
+        add(0, 2 * v + 1, 0)
+        add(2 * v + 1, 2 * v + 2, -1)
+        add(2 * v + 2, size - 1, 0)
+    for i, j in sorted(arcs):
+        add(2 * i + 2, 2 * j + 1, 0)
+    parts = []
+    while True:
+        dist, via = [0] + [size] * (size - 1), [0] * size
+        for _ in range(size):
+            changed = False
+            for u in range(size):
+                if dist[u] == size:
+                    continue
+                for k in out[u]:
+                    v, cap, cost = net[k]
+                    if cap and dist[u] + cost < dist[v]:
+                        dist[v], via[v], changed = dist[u] + cost, k, True
+            if not changed:
+                break
+        else:
+            raise ValueError(f"the support {sorted(arcs)} has a directed cycle, so it is not nilpotent")
+        if -dist[-1] <= 1:
+            return tuple(parts) + (1,) * (n - sum(parts))
+        parts.append(-dist[-1])
+        v = size - 1
+        while v:
+            k = via[v]
+            net[k][1] -= 1
+            net[k ^ 1][1] += 1
+            v = net[k ^ 1][0]
+
+
+def _path_outcome(solve, arcs, n):
+    try:
+        return solve(arcs, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_queued_path_partition_matches_bellman_ford_on_region_supports(n):
+    analysis = RegionAnalysis.build(AdjointSlModel(n))
+    for r in analysis.regions:
+        arcs = {sl_position(mu, n) for mu in region_weights(analysis.hyperplanes, r)}
+        assert path_partition(arcs, n) == _bellman_ford_path_partition(arcs, n), r.id
+
+
+def test_queued_path_partition_matches_bellman_ford_on_random_digraphs():
+    # acyclic digraphs (arcs forward along a random order) and digraphs with
+    # arcs in any direction, loops among them: the same partition, or the
+    # same directed-cycle error
+    rng = random.Random(41)
+    acyclic = cyclic = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        order = rng.sample(range(n), n)
+        if rng.random() < 0.5:
+            arcs = {(order[a], order[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
+        else:
+            arcs = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.15}
+        got = _path_outcome(path_partition, arcs, n)
+        assert got == _path_outcome(_bellman_ford_path_partition, arcs, n), (n, sorted(arcs))
+        cyclic += isinstance(got, str)
+        acyclic += not isinstance(got, str)
+    assert acyclic > 200 and cyclic > 100
 
 
 def test_jordan_type_of_planted_matrices():
@@ -626,7 +706,7 @@ def test_walls_are_the_irredundant_sign_rows(name, request):
             )
             is not None
         ]
-        assert analysis._walls(region) == list(range(rank)) + facets
+        assert walls(analysis, region) == list(range(rank)) + facets
 
 
 @pytest.mark.parametrize(
@@ -658,40 +738,48 @@ def test_minimum_over_the_walls_is_certified_on_the_whole_closure(name, request)
         assert (res.point, res.norm_sq) == (full.point, full.norm_sq)
 
 
-def test_region_minimum_carries_the_walls_minimizer_to_closure_rows(sl4_analysis):
-    # region_minimum is min_norm_point over the walls, its active set read
-    # as closure rows (the chamber rows, then by_sign's rows)
-    rs = sl4_analysis.model.root_system
-    closures = closure_rows(rs, sl4_analysis.hyperplanes, sl4_analysis.regions)
-    for region, rows in zip(sl4_analysis.regions, closures):
-        walls = sl4_analysis._walls(region)
-        res = min_norm_point(Polyhedron.from_rows([rows[w] for w in walls], rs.rank), sl4_analysis.form)
-        got = sl4_analysis.region_minimum(region.id)
-        active = tuple(walls[t] for t in res.active_set)
-        assert got == minnorm.MinNormResult(res.point, res.norm_sq, active, res.multipliers)
-        verify_kkt(Polyhedron.from_rows(rows, rs.rank), sl4_analysis.form, got)
+def test_region_minimum_carries_the_walls_minimizer_to_closure_rows(request):
+    # the minimum over the walls alone, as region minima were once taken,
+    # is the minimum over the closure: region_minimum, resumed down the
+    # sign tree, gives its point and norm, and its certificate holds on the
+    # closure rows (active sets may differ where tight rows are redundant)
+    for name in ("sl4_analysis", "example_analysis", "g2_little_analysis"):
+        analysis = request.getfixturevalue(name)
+        rs = analysis.model.root_system
+        closures = closure_rows(rs, analysis.hyperplanes, analysis.regions)
+        for region, rows in zip(analysis.regions, closures):
+            kept = [rows[w] for w in walls(analysis, region)]
+            res = min_norm_point(Polyhedron.from_rows(kept, rs.rank), analysis.form)
+            got = analysis.region_minimum(region.id)
+            assert (got.point, got.norm_sq) == (res.point, res.norm_sq), (name, region.id)
+            verify_kkt(Polyhedron.from_rows(rows, rs.rank), analysis.form, got)
 
 
-def test_a_dropped_wall_is_caught(sl4_analysis, monkeypatch):
-    # drop a sign row that carries a positive multiplier at the minimizer:
-    # the walls left have a shorter minimizer, which leaves the closure
-    rank = sl4_analysis.model.root_system.rank
-    region, wall = next(
-        (region, k)
-        for region in sl4_analysis.regions
-        for res in [sl4_analysis.region_minimum(region.id)]
-        for k, lam in zip(res.active_set, res.multipliers)
-        if k >= rank and lam > 0
+def test_a_tampered_node_state_is_caught_at_the_leaf():
+    # a region whose last sign row holds at its parent node's minimizer:
+    # its leaf takes no step from the parent's state, so a planted bad
+    # state there reaches the leaf's certificate and fails it
+    analysis = RegionAnalysis.build(AdjointSlModel(4))
+    for region in analysis.regions:
+        analysis.region_minimum(region.id)
+    states = analysis._states
+    region, state = next(
+        (region, states[region.signs[:-1]])
+        for region in analysis.regions
+        if region.signs[:-1] in states
+        and any(states[region.signs[:-1]].lam)
+        and analysis.region_minimum(region.id).active_set == tuple(states[region.signs[:-1]].active)
     )
-    fresh = RegionAnalysis.build(AdjointSlModel(4))
-    honest = RegionAnalysis._walls
-    monkeypatch.setattr(
-        RegionAnalysis,
-        "_walls",
-        lambda self, r: [w for w in honest(self, r) if (r.id, w) != (region.id, wall)],
-    )
-    with pytest.raises(AssertionError, match=f"region {region.id} leaves its closure"):
-        fresh.region_minimum(region.id)
+    honest = analysis._minima.pop(region.id)
+    for lam, message in (
+        (tuple(-v for v in state.lam), "negative multiplier"),
+        ((0,) * len(state.lam), "stationarity fails"),
+    ):
+        states[region.signs[:-1]] = state._replace(lam=lam)
+        with pytest.raises(AssertionError, match=message):
+            analysis.region_minimum(region.id)
+    states[region.signs[:-1]] = state
+    assert analysis.region_minimum(region.id) == honest
 
 
 def test_region_minima_integralize_each_closure_row_once(monkeypatch):
@@ -864,11 +952,11 @@ def test_sl5_table_precheck_pivots(monkeypatch):
         characteristic(analysis, p, mode="dense")
     assert (len(calls), len(pivots), len(phase1)) == (42, 0, 0)
     assert all(start is not None for _, _, start in calls)
-    # the same 42 wall systems asked cold: a closure row that holds at the
-    # origin, such as a chamber row, enters with its surplus basic and costs
-    # no pivot
+    # the same 42 closure systems asked cold: a closure row that holds at
+    # the origin, such as a chamber row, enters with its surplus basic and
+    # costs no pivot
     assert all(closed_feasible(rows, nvars) for rows, nvars, _ in calls)
-    assert (len(phase1), len(pivots)) == (42, 214)
+    assert (len(phase1), len(pivots)) == (42, 376)
 
 
 @pytest.mark.parametrize("n", [3, 4])
