@@ -143,6 +143,8 @@ def is_saturated(ws: WeightSystem, weights) -> bool:
     """Whether a weight set absorbs addition of positive roots inside the module."""
     rs = ws.root_system
     weights = set(weights)
+    if any(len(mu) != rs.rank for mu in weights):
+        raise ValueError("dimension mismatch")
     for mu in weights:
         for gamma in rs.positive_roots:
             up = tuple(m + g for m, g in zip(mu, gamma))

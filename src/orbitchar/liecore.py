@@ -140,6 +140,8 @@ class RootSystem:
 
     def root_coords(self, mu) -> tuple[Q, ...]:
         """Simple-root coordinates of a weight (solves C^T b = fw)."""
+        if len(mu) != self.rank:
+            raise ValueError("dimension mismatch")
         g, d = self.form_matrix
         return tuple(
             2 * linalg.dot(row, mu) / (d * l)
@@ -148,10 +150,14 @@ class RootSystem:
 
     def weight_form(self, mu, nu) -> Q:
         """Invariant form on weight space, long roots of squared length 2."""
+        if len(mu) != self.rank or len(nu) != self.rank:
+            raise ValueError("dimension mismatch")
         g, d = self.form_matrix
         return Q(linalg.dot(mu, [linalg.dot(row, nu) for row in g]), d)
 
     def reflect_weight(self, mu: Weight, i: int) -> Weight:
+        if len(mu) != self.rank:
+            raise ValueError("dimension mismatch")
         return tuple([m - mu[i] * c for m, c in zip(mu, self.cartan[i])])
 
     def dominant_rep(self, mu) -> Weight:

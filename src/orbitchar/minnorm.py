@@ -49,8 +49,8 @@ from the integral Gram matrix G over h, and its certificate is re-verified
 on the same integer rows before returning: verify_kkt reads the
 multipliers as ints over one denominator and checks stationarity and the
 norm on ints; the point check is linalg's `satisfies`, as in the one ratlp
-closed_feasible call on the minimizer.  At the empty exit check_farkas
-checks y (times the denominator of s) on the integral rows: no phase 1.
+closed_feasible row check on the minimizer.  At the empty exit check_farkas
+checks y (times the denominator of s) on the integral rows: no LP.
 dual_loop never changes its start, so states may be shared; min_norm_point
 never trusts its start, since those checks pass only at the minimizer.
 
@@ -301,8 +301,9 @@ def dual_loop(rows, form: InvariantForm, start: DualState | None) -> DualState:
 
 def min_norm_point(poly: Polyhedron, form: InvariantForm, start: DualState | None = None) -> MinNormResult:
     """The unique point of least squared norm; ValueError if poly is empty,
-    certified by the loop's own Farkas vector with no phase 1.  The loop
-    starts at start, a state over poly's rows, or at the origin."""
+    certified by the loop's own Farkas vector.  The loop starts at start, a
+    state over poly's rows, or at the origin; its minimizer passes the row
+    check `ratlp.closed_feasible` and then `verify_kkt`, with no LP."""
     n = poly.rank
     if len(form.gram) != n:
         raise ValueError("dimension mismatch")

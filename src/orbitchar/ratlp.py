@@ -1,18 +1,27 @@
-"""Exact rational feasibility by phase 1 of the simplex on a condensed
-fraction-free dictionary.
+"""Exact rational strict feasibility by phase 1 of the simplex on a
+condensed fraction-free dictionary.
 
-Systems are stated as rows normal.x >= bound with x free.  Phase 1 runs on
-x = x+ - x-, a surplus s_i per row and an artificial a_i per row that the
-start point violates, and minimizes the sum of the artificials.  A row
-enters by its value at the current point: if the point satisfies it (tight
-included), its surplus is basic and it needs no artificial; otherwise its
-artificial is basic, with a_i = -s_i, and is priced into the objective.
-Either way its rhs is >= 0.  An artificial that leaves the basis is dropped
-and never enters again (Bertsimas & Tsitsiklis, Introduction to Linear
-Optimization, 1997, section 3.5; Chvatal, Linear Programming, 1983, ch. 8).
-So Bland's rule ranks the columns x+, x-, s: the first with a negative
-reduced cost enters, the least ratio (by cross-multiplying) leaves, ties go
-to the least basis index.
+`strict_interior` asks whether N x > b has a point through its
+homogenization: N x > b has a point exactly when N y - b s >= 1, s >= 1 has
+one (Motzkin's transposition theorem), and then x = y / s.  A point of the
+homogenized rows satisfies every row of N x > b with slack at least 1 / s,
+and a Farkas vector of them is a Motzkin certificate that N x > b has no
+point.  Phase 1 runs on the dictionaries of `cold_start` and `split` only,
+which hold these homogenized rows; a closed system is answered only by a
+point its caller brings (`closed_feasible`, a row check by `satisfies`).
+
+Phase 1 takes rows normal.x >= bound with x free, and runs on x = x+ - x-, a
+surplus s_i per row and an artificial a_i per row that the start point
+violates, and minimizes the sum of the artificials.  A row enters by its
+value at the current point: if the point satisfies it (tight included), its
+surplus is basic and it needs no artificial; otherwise its artificial is
+basic, with a_i = -s_i, and is priced into the objective.  Either way its
+rhs is >= 0.  An artificial that leaves the basis is dropped and never
+enters again (Bertsimas & Tsitsiklis, Introduction to Linear Optimization,
+1997, section 3.5; Chvatal, Linear Programming, 1983, ch. 8).  So Bland's
+rule ranks the columns x+, x-, s: the first with a negative reduced cost
+enters, the least ratio (by cross-multiplying) leaves, ties go to the least
+basis index.
 
 Row operations keep x-_j = -x+_j and a_i = -s_i, so a row stores n + 2 ints:
 its entries at the n nonbasic pairs' columns x+_j or s_i (its slots), its
@@ -68,16 +77,6 @@ time a row is asked for, it stores the row's homogenized integral row, its
 opposite and the opposite's.  So region enumeration, which splits each node
 on a hyperplane's '+' row, integralizes each hyperplane once and makes one
 lookup per node.
-
-`closed_feasible` asks this of the rows themselves, `strict_interior` of
-their homogenization: N x > b has a point exactly when N y - b s >= 1,
-s >= 1 has one (Motzkin's transposition theorem), and then x = y / s.  A
-point of the homogenized rows satisfies every row of N x > b with slack at
-least 1 / s, and a Farkas vector of them is a Motzkin certificate that
-N x > b has no point.  A start point given to `closed_feasible` (a
-minimizer of min_norm_point, whose empty exit makes no call) that
-satisfies every row, checked by `satisfies`, is its "yes" certificate with
-no simplex; any other start is ignored, and phase 1 runs from the origin.
 """
 
 from __future__ import annotations
@@ -280,13 +279,6 @@ def _empty(n):
     return Dictionary([], [], [], list(range(n)), [0] * n + [1, 0])
 
 
-def _feasible_point(rows, n):
-    """Phase 1 from the origin on integral rows (ints, scale) with n + 1
-    entries each, as `_integral_rows` gives them; answered as `_phase1`
-    answers it."""
-    return _phase1(_add_rows(_empty(n), rows))
-
-
 def _farkas(obj, basis, slots, rows):
     """y >= 0 with y.N = 0 and y.b > 0 on the integral rows, read from an
     optimal phase-1 objective row with a positive residual, as ints times
@@ -389,16 +381,13 @@ def strict_interior(rows, nvars, start=None):
     return start.witness
 
 
-def closed_feasible(rows, nvars, start=None) -> bool:
-    """Whether the closed system normal.x >= bound has a point, for rows as
-    linalg.integral gives them, (ints, scale) with ints = scale * (normal,
-    bound) and nvars + 1 entries; either answer is checked by its
-    certificate, and AssertionError raised if it fails.  A start of nvars
-    rationals (else ValueError) that satisfies every row answers "yes" with
-    no simplex; one that fails a row leaves phase 1 to run from the origin."""
-    if start is not None:
-        if len(start) != nvars:
-            raise ValueError("dimension mismatch")
-        if satisfies(rows, *integral(start)):
-            return True
-    return _feasible_point(rows, nvars) is not None
+def closed_feasible(rows, nvars, start) -> bool:
+    """Whether start, nvars rationals (else ValueError), satisfies every row
+    normal.x >= bound, for rows as linalg.integral gives them: (ints, scale)
+    with nvars + 1 ints each.  A row check by `satisfies`, no simplex: False
+    means the start fails a row, not that the system is empty.  Kept only
+    because perfbench traces and pins the call, until ROADMAP item 4
+    deletes it after item 1a."""
+    if len(start) != nvars:
+        raise ValueError("dimension mismatch")
+    return satisfies(rows, *integral(start))

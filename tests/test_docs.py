@@ -1,6 +1,7 @@
 """The README's API table and orbitchar.__all__ name only what exists, the
 demos run and write the figures the README names, and no module of the
-package reaches for a sibling's private name."""
+package reaches for a sibling's private name or states a check as an
+assert statement."""
 
 import ast
 import functools
@@ -118,3 +119,16 @@ def test_no_module_uses_a_private_name_of_a_sibling():
     # linalg.satisfies, that its callers import by name
     package = Path(orbitchar.__file__).resolve().parent
     assert sibling_private_names(package) == []
+
+
+def test_no_module_states_a_check_as_an_assert_statement():
+    # every certificate raises AssertionError explicitly, so python -O,
+    # which strips assert statements, strips none of them
+    package = Path(orbitchar.__file__).resolve().parent
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -8,6 +8,7 @@ import pytest
 from conftest import fraction_labels
 
 from orbitchar import liecore as lc
+from orbitchar.arrangement import is_saturated
 from orbitchar import linalg
 from orbitchar.verify import _WEIGHT_POOL
 
@@ -270,21 +271,30 @@ def test_dominance_iff_labels_nonnegative():
 
 @pytest.mark.parametrize("factors", [[("A", 2)], [("A", 1), ("A", 1)]], ids=["A2", "A1xA1"])
 def test_point_functions_refuse_a_point_of_the_wrong_length(factors):
-    # a rank-2 point has two entries: a short or a long one is refused, as
-    # pairing refuses it, and is not read over the shorter length
+    # a rank-2 point or weight has two entries: a short or a long one is
+    # refused, as pairing refuses it, and is not read over the shorter length
     rs = lc.build_root_system(factors)
     form = lc.invariant_form(rs)
+    ws = lc.weight_system(rs, lc.highest_roots(rs))
     for h in [(1,), (Q(1, 2),), (1, 2, 3), (0, 0, 0)]:
         for call in (
             lambda: lc.dynkin_labels(rs, h),
             lambda: lc.is_dominant(rs, h),
             lambda: lc.norm_sq(form, h),
             lambda: lc.pairing((1, 1), h),
+            lambda: rs.root_coords(h),
+            lambda: rs.weight_form(h, (1, 1)),
+            lambda: rs.weight_form((1, 1), h),
+            lambda: rs.reflect_weight(h, 0),
+            lambda: is_saturated(ws, [(0, 0), h]),
         ):
             with pytest.raises(ValueError, match="^dimension mismatch$"):
                 call()
     assert lc.dynkin_labels(rs, (1, 2)) == tuple(lc.pairing(row, (1, 2)) for row in rs.cartan)
     assert lc.is_dominant(rs, (1, 2)) and lc.norm_sq(form, (0, 0)) == 0
+    root, coords = rs.positive_roots[-1], rs.positive_root_coords[-1]
+    assert rs.root_coords(root) == coords and rs.weight_form(root, root) == 2
+    assert rs.reflect_weight(root, 0) != root and is_saturated(ws, ws.entries)
 
 
 def test_invariant_form_frozen_values():

@@ -114,9 +114,17 @@ def test_a2_far_cell():
 
 
 def _is_empty(poly):
-    """Whether no point satisfies every row, by ratlp's phase 1 on the
-    integral rows, apart from min_norm_point."""
-    return not mn.ratlp.closed_feasible(poly.integral_rows, poly.rank)
+    """Whether no point satisfies every row, by the refusal of
+    verify.enumerated_minimum, which shares no code with the dual loop,
+    under the identity form."""
+    n = poly.rank
+    identity = lc.InvariantForm(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    try:
+        verify.enumerated_minimum(poly, identity)
+    except ValueError as exc:
+        assert str(exc) == "0 KKT points, not the one minimizer"
+        return True
+    return False
 
 
 def test_empty_rejected():
@@ -130,27 +138,28 @@ def _count_calls(monkeypatch):
     """The start of each ratlp.closed_feasible call and the number of
     phase-1 runs, as lists that grow as min_norm_point runs."""
     starts, phase1 = [], []
-    closed_feasible, feasible_point = mn.ratlp.closed_feasible, mn.ratlp._feasible_point
+    closed_feasible, run_phase1 = mn.ratlp.closed_feasible, mn.ratlp._phase1
 
-    def recording(rows, n, start=None):
+    def recording(rows, n, start):
         starts.append(start)
         return closed_feasible(rows, n, start)
 
     monkeypatch.setattr(mn.ratlp, "closed_feasible", recording)
-    monkeypatch.setattr(mn.ratlp, "_feasible_point", lambda *args: phase1.append(1) or feasible_point(*args))
+    monkeypatch.setattr(mn.ratlp, "_phase1", lambda dic: phase1.append(1) or run_phase1(dic))
     return starts, phase1
 
 
 def test_a_minimizer_answers_the_emptiness_check_with_no_phase1(monkeypatch):
     # one closed_feasible call per minimum, started at the minimizer, which
     # satisfies every row: random feasible polyhedra and every sl4 region
+    # (built first: its region enumeration runs phase 1 on strict systems)
     rng = random.Random(38)
+    analysis = orbits.RegionAnalysis.build(orbits.AdjointSlModel(4))
     starts, phase1 = _count_calls(monkeypatch)
     points = []
     for _ in range(60):
         _, _, poly, form = verify._random_instance(rng)
         points.append(mn.min_norm_point(poly, form).point)
-    analysis = orbits.RegionAnalysis.build(orbits.AdjointSlModel(4))
     points += [analysis.region_minimum(region.id).point for region in analysis.regions]
     assert len(points) == 60 + 14
     assert starts == points
@@ -769,10 +778,10 @@ def test_integer_iteration_matches_the_fraction_reference_on_empty_instances(mon
     # a feasible instance plus the contradictory rows mu.a >= b, mu.a <= b - 1:
     # both iterations reach their own empty exit, which the integer one
     # certifies by its own Farkas vector, with no closed_feasible call and
-    # no phase 1; phase 1 on its own finds no point either
+    # no phase 1; the exhaustive enumeration finds no KKT point either
     rng = random.Random(21)
     cases = [verify._planted_empty(rng) for _ in range(60)]
-    assert all(mn.ratlp._feasible_point(poly.integral_rows, poly.rank) is None for poly, _ in cases)
+    assert all(_is_empty(poly) for poly, _ in cases)
     starts, phase1 = _count_calls(monkeypatch)
     for poly, form in cases:
         assert _assert_matches_reference(poly, form) == (ValueError, "empty polyhedron")

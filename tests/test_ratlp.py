@@ -1,5 +1,6 @@
-"""The exact phase-1 simplex against hand cases, a floating-point
-reference, the full-tableau simplex it condenses and the slack LP."""
+"""The exact phase-1 simplex on strict systems against hand cases, a
+floating-point reference, the full-tableau simplex it condenses and the
+slack LP, and closed_feasible's row check of a given point."""
 
 import random
 import subprocess
@@ -13,37 +14,23 @@ from orbitchar import arrangement, liecore, ratlp
 from orbitchar.linalg import eliminate, integral
 
 
-def _closed_point(rows, n):
-    """The phase-1 point of the closed system as Fractions, or None."""
-    found = ratlp._feasible_point(ratlp._integral_rows(rows, n), n)
-    return None if found is None else tuple(Q(v, found[1]) for v in found[0])
-
-
 def test_infeasible():
-    # x >= 1 and x <= 0: the homogenized system has no point either
+    # x > 1 and x < 0
     rows = [((1,), 1), ((-1,), 0)]
-    assert _closed_point(rows, 1) is None
     assert ratlp.strict_interior(rows, 1) is None
 
 
 def test_free_variables():
-    # x >= -7/2 holds at the origin, which phase 1 keeps; x <= -7/2 does
-    # not, and phase 1 meets its bound through x-; the strict points are
-    # read back as y / s from the homogenized rows
-    rows = [((1,), Q(-7, 2))]
-    assert _closed_point(rows, 1) == (0,)
-    assert ratlp.strict_interior(rows, 1) == (Q(-5, 2),)
-    rows = [((-1,), Q(7, 2))]
-    assert _closed_point(rows, 1) == (Q(-7, 2),)
-    assert ratlp.strict_interior(rows, 1) == (Q(-9, 2),)
+    # x > -7/2 and x < -7/2: the strict points are read back as y / s from
+    # the homogenized rows, the second through y-
+    assert ratlp.strict_interior([((1,), Q(-7, 2))], 1) == (Q(-5, 2),)
+    assert ratlp.strict_interior([((-1,), Q(7, 2))], 1) == (Q(-9, 2),)
 
 
 def test_equality_pair():
-    # x >= 2 and x <= 2: in one of the two row orders phase 1 ends with an
-    # artificial basic at zero; the closed system is the point 2, the
-    # strict one is empty
+    # x >= 2 and x <= 2 meet at the point 2, so x > 2 and x < 2 have no
+    # point, in either row order
     for rows in ([((1,), 2), ((-1,), -2)], [((-1,), -2), ((1,), 2)]):
-        assert _closed_point(rows, 1) == (2,)
         assert ratlp.strict_interior(rows, 1) is None
 
 
@@ -56,47 +43,23 @@ def test_strict_interior_quadrant():
 def test_strict_interior_empty_on_antiparallel():
     rows = [((1,), 0), ((-1,), 0)]
     assert ratlp.strict_interior(rows, 1) is None
-    assert ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
-
-
-def test_closed_infeasible():
-    rows = [((1,), 1), ((-1,), 0)]
-    assert not ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
-
-
-def test_closed_feasible_takes_the_integral_rows_as_given(monkeypatch):
-    # phase 1 takes the (ints, scale) rows as they are, so ratlp
-    # integralizes nothing a second time, on a feasible and an empty system
-    rows = [((Q(1, 2), -1), Q(3, 2)), ((Q(-1, 3), 2), Q(-5, 4)), ((1, 1), 0)]
-    feasible = ratlp._integral_rows(rows, 2)
-    empty = ratlp._integral_rows(rows + [((Q(-1, 2), 1), Q(-1))], 2)
-    seen = []
-
-    def recording(values):
-        seen.extend(values)
-        return integral(values)
-
-    monkeypatch.setattr(ratlp, "integral", recording)
-    assert ratlp.closed_feasible(feasible, 2)
-    assert not ratlp.closed_feasible(empty, 2)
-    assert seen == []
+    # the closed rows hold at the origin
+    assert ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1, (0,))
 
 
 def test_no_rows():
     assert ratlp.strict_interior([], 2) is not None
 
 
-def _scipy_answers(rows, n):
-    """Closed feasibility by linprog, and the largest t (capped at 1) with
-    normal.x - t >= bound on every row; numpy and scipy are test-only
-    dependencies, so its callers skip without them."""
+def _scipy_slack(rows, n):
+    """The largest t (capped at 1) with normal.x - t >= bound on every row,
+    by linprog; numpy and scipy are test-only dependencies, so its callers
+    skip without them."""
     import numpy as np
     from scipy.optimize import linprog
 
     a_ub = np.array([[-float(v) for v in normal] for normal, _ in rows])
     b_ub = np.array([-float(b) for _, b in rows])
-    closed = linprog(c=[0.0] * n, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n)
-    assert closed.status in (0, 2)
     slack = linprog(
         c=[0.0] * n + [-1.0],
         A_ub=np.hstack([a_ub, np.ones((len(rows), 1))]),
@@ -104,7 +67,7 @@ def _scipy_answers(rows, n):
         bounds=[(None, None)] * n + [(None, 1)],
     )
     assert slack.status == 0
-    return closed.status == 0, -slack.fun
+    return -slack.fun
 
 
 def _assert_strictly_inside(x, rows):
@@ -131,11 +94,9 @@ def test_against_scipy_on_random_instances():
             e[j] = 1
             rows.append((tuple(e), -10))
             rows.append((tuple(-v for v in e), -10))
-        closed, t = _scipy_answers(rows, n)
-        assert ratlp.closed_feasible(ratlp._integral_rows(rows, n), n) == closed
         x = ratlp.strict_interior(rows, n)
         # an exact positive t has a denominator of a few digits at most
-        assert (x is not None) == (closed and t > 1e-7)
+        assert (x is not None) == (_scipy_slack(rows, n) > 1e-7)
         if x is not None:
             _assert_strictly_inside(x, rows)
             strict += 1
@@ -163,26 +124,22 @@ def test_against_scipy_on_rational_instances():
                 e[j] = 1
                 rows.append((tuple(e), -10))
                 rows.append((tuple(-v for v in e), -10))
-        closed, t = _scipy_answers(rows, n)
-        assert ratlp.closed_feasible(ratlp._integral_rows(rows, n), n) == closed
         x = ratlp.strict_interior(rows, n)
-        assert (x is not None) == (closed and t > 1e-7)
+        assert (x is not None) == (_scipy_slack(rows, n) > 1e-7)
         if x is not None:
             _assert_strictly_inside(x, rows)
-        seen[closed] += 1
+        seen[x is not None] += 1
     assert min(seen.values()) >= 5, seen
 
 
 def test_degenerate_ties_break_on_basis_index():
-    # y >= 1 stated twice, as 2y >= 2 and y >= 1, ties the ratio test of
-    # phase 1 on the rows and on their homogenization; every row is
-    # violated at the origin, so each starts with its artificial basic;
-    # the least basis index decides the vertex
+    # y > 1 stated twice, as 2y > 2 and y > 1, ties the ratio test of
+    # phase 1 on the homogenized rows; every row is violated at the origin,
+    # so each starts with its artificial basic; the least basis index
+    # decides the vertex
     rows = [((0, 2), 2), ((1, 1), 2), ((-1, 1), 2), ((0, 1), 1)]
-    assert _closed_point(rows, 2) == (0, 2) == _reference_closed_point(rows, 2)
     assert ratlp.strict_interior(rows, 2) == (0, 3) == _reference_strict_point(rows, 2)
     rows = [((0, 2, 2), 2), ((0, 1, 1), 1), ((2, 1, 0), 1)]
-    assert _closed_point(rows, 3) == (0, 1, 0) == _reference_closed_point(rows, 3)
     x = ratlp.strict_interior(rows, 3)
     assert x == (0, 2, 0) == _reference_strict_point(rows, 3)
     assert all(type(xi) is Q for xi in x)
@@ -255,20 +212,15 @@ def _basic_point(tab, basis, nvars):
     return tuple(x[j] - x[nvars + j] for j in range(nvars))
 
 
-def _reference_closed_point(rows, nvars):
-    found = _full_tableau_phase1(rows, nvars)
-    return None if found is None else _basic_point(*found, nvars)
-
-
-def _homogenized(rows, nvars):
-    """normal.y - bound.s >= 1 for every row, and s >= 1."""
-    out = [((*normal, -Q(bound)), 1) for normal, bound in rows]
-    return out + [((0,) * nvars + (1,), 1)]
-
-
 def _reference_strict_point(rows, nvars):
-    y = _reference_closed_point(_homogenized(rows, nvars), nvars + 1)
-    return None if y is None else tuple(v / y[-1] for v in y[:-1])
+    """The dense phase-1 point of normal.y - bound.s >= 1 for every row and
+    s >= 1, read back as y / s, or None."""
+    homogenized = [((*normal, -Q(bound)), 1) for normal, bound in rows]
+    found = _full_tableau_phase1(homogenized + [((0,) * nvars + (1,), 1)], nvars + 1)
+    if found is None:
+        return None
+    y = _basic_point(*found, nvars + 1)
+    return tuple(v / y[-1] for v in y[:-1])
 
 
 def _full_tableau_reference(objective, rows, nvars):
@@ -349,30 +301,47 @@ def _entry_counts(monkeypatch):
 
 
 def test_condensed_simplex_matches_the_full_tableau(monkeypatch):
-    # the phase-1 answer and point on the rows and on their homogenization;
-    # many rows start with their surplus basic, no artificial enters, and
-    # phase 1 stops once its residual is 0
-    counts = _entry_counts(monkeypatch)
+    # the strict system of each seeded LP: the point of the dense phase 1
+    # on its homogenization, read back as y / s; the yes or no of the slack
+    # LP; and for each no a Farkas vector that passes its check, read off
+    # with a still-basic artificial or with a multiplier from a nonbasic
+    # surplus
+    farkas, check_farkas = ratlp._farkas, ratlp.check_farkas
+    kinds = {"infeasible": 0, "checked": 0, "basic_artificial": 0, "nonbasic_surplus": 0}
+
+    def counting_farkas(obj, basis, slots, rows):
+        n, m = len(slots), len(rows)
+        kinds["infeasible"] += 1
+        kinds["basic_artificial"] += any(b >= 2 * n + m for b in basis)
+        kinds["nonbasic_surplus"] += any(obj[c] for c, j in enumerate(slots) if j >= n)
+        return farkas(obj, basis, slots, rows)
+
+    def counting_check(rows, y):
+        check_farkas(rows, y)
+        kinds["checked"] += 1
+
+    monkeypatch.setattr(ratlp, "_farkas", counting_farkas)
+    monkeypatch.setattr(ratlp, "check_farkas", counting_check)
     rng = random.Random(20261018)
-    seen = {"closed": 0, "strict": 0, "empty": 0}
+    feasible = 0
     for _ in range(2000):
         rows, n = _seeded_lp(rng)
-        got = _closed_point(rows, n)
-        assert got == _reference_closed_point(rows, n), rows
         x = ratlp.strict_interior(rows, n)
         assert x == _reference_strict_point(rows, n), rows
+        assert (x is not None) == (_slack_reference(rows, n) > 0), rows
         if x is not None:
             assert all(type(xi) is Q for xi in x)
-        seen["strict" if x else "closed" if got else "empty"] += 1
-    assert min(seen.values()) >= 200, seen
-    assert counts["surplus"] >= 100 and counts["artificial"] == 0, counts
-    assert counts["pivots"] > 0 and counts["zero_residual"] == 0, counts
+            feasible += 1
+    assert ratlp.strict_interior([], 3) is not None and _slack_reference([], 3) == 1
+    assert kinds["infeasible"] == kinds["checked"] == 2000 - feasible >= 500, kinds
+    assert feasible >= 200, feasible
+    assert kinds["basic_artificial"] >= 100 and kinds["nonbasic_surplus"] >= 100, kinds
 
 
 def _slack_reference(rows, n):
     """The uniform-slack LP: the largest t (capped at 1) with normal.x - t
-    >= bound on every row, by the dense two-phase simplex; t >= 0 decides
-    the closed system, t > 0 the strict one."""
+    >= bound on every row, by the dense two-phase simplex; t > 0 decides the
+    strict system."""
     ext = [(tuple(normal) + (-1,), bound) for normal, bound in rows]
     ext.append(((0,) * n + (-1,), Q(-1)))
     status, t, _ = _full_tableau_reference((0,) * n + (1,), ext, n + 1)
@@ -439,30 +408,6 @@ def test_a4_warm_lps_that_end_at_another_vertex(monkeypatch):
     assert (len(moved), len(warm)) == (8, 143)
 
 
-def test_phase1_feasibility_matches_the_slack_lp(monkeypatch):
-    # every positive residual passes its Farkas check (closed_feasible would
-    # raise otherwise); count the read-offs that use a still-basic a_i
-    farkas, kinds = ratlp._farkas, {"infeasible": 0, "basic_artificial": 0}
-
-    def counting(obj, basis, slots, rows):
-        kinds["infeasible"] += 1
-        kinds["basic_artificial"] += any(b >= 2 * len(slots) + len(rows) for b in basis)
-        return farkas(obj, basis, slots, rows)
-
-    monkeypatch.setattr(ratlp, "_farkas", counting)
-    rng = random.Random(20261018)
-    feasible = 0
-    for _ in range(2000):
-        rows, n = _seeded_lp(rng)
-        got = ratlp.closed_feasible(ratlp._integral_rows(rows, n), n)
-        assert got == (_slack_reference(rows, n) >= 0), rows
-        feasible += got
-    assert ratlp.closed_feasible(ratlp._integral_rows([], 3), 3)
-    assert _slack_reference([], 3) >= 0
-    assert kinds["infeasible"] == 2000 - feasible >= 500, kinds
-    assert kinds["basic_artificial"] >= 100, kinds
-
-
 def _adjoint_closures(factors):
     rs = liecore.build_root_system(factors)
     ws = liecore.weight_system(rs, liecore.highest_roots(rs))
@@ -475,18 +420,17 @@ def _adjoint_closures(factors):
     "factors", [[("A", 3)], [("A", 4)], [("A", 5)], [("B", 3)], [("G", 2)]], ids=str
 )
 def test_phase1_feasibility_matches_the_slack_lp_on_region_closures(factors):
-    # each closure is nonempty; the union of the rows of two closures is
-    # empty unless they share a face
+    # the strict system of each closure is its open region, which has a
+    # point; two distinct regions do not meet, so the union of the rows of
+    # two distinct closures has none
     closures, n = _adjoint_closures(factors)
-    empty = 0
     for k, rows in enumerate(closures):
-        assert ratlp.closed_feasible(ratlp._integral_rows(rows, n), n)
-        assert _slack_reference(rows, n) >= 0
-        both = rows + closures[(7 * k + 1) % len(closures)]
-        got = ratlp.closed_feasible(ratlp._integral_rows(both, n), n)
-        assert got == (_slack_reference(both, n) >= 0)
-        empty += not got
-    assert 0 < empty < len(closures)
+        assert ratlp.strict_interior(rows, n) is not None
+        assert _slack_reference(rows, n) > 0
+        other = (7 * k + 1) % len(closures)
+        both = rows + closures[other]
+        got = ratlp.strict_interior(both, n)
+        assert (got is not None) == (other == k) == (_slack_reference(both, n) > 0)
 
 
 # x >= 1 and x <= 0, plus the slack rows x >= -5 and x <= 5
@@ -503,11 +447,7 @@ _EMPTY_ROWS = [((1,), 1), ((-1,), 0), ((1,), -5), ((-1,), -5)]
     ],
 )
 def test_a_tampered_farkas_vector_is_refused(monkeypatch, y, message):
-    assert not ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1)
     assert ratlp.strict_interior(_EMPTY_ROWS, 1) is None
-    monkeypatch.setattr(ratlp, "_farkas", lambda *args: y)
-    with pytest.raises(AssertionError, match=message):
-        ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1)
     # the Motzkin vector of the homogenized rows has one more entry, for
     # s >= 1; their bounds are the rows' positive scales, so a vector that
     # cancels the normals but not the bounds fails on the s column there
@@ -516,17 +456,6 @@ def test_a_tampered_farkas_vector_is_refused(monkeypatch, y, message):
     monkeypatch.setattr(ratlp, "_farkas", lambda *args: y + [0])
     with pytest.raises(AssertionError, match=message):
         ratlp.strict_interior(_EMPTY_ROWS, 1)
-
-
-def test_a_tampered_phase1_point_is_refused(monkeypatch):
-    rows = [((1, 0), 1), ((0, 1), Q(1, 2))]
-    point, read = ratlp._phase1_point, []
-    monkeypatch.setattr(ratlp, "_phase1_point", lambda *args: read.append(point(*args)) or read[-1])
-    assert ratlp.closed_feasible(ratlp._integral_rows(rows, 2), 2)
-    assert read == [([2, 1], 2)]  # the vertex (1, 1/2)
-    monkeypatch.setattr(ratlp, "_phase1_point", lambda tab, basis, n: ([0] * n, 1))
-    with pytest.raises(AssertionError, match="phase-1 point violates a row"):
-        ratlp.closed_feasible(ratlp._integral_rows(rows, 2), 2)
 
 
 def test_a_tampered_homogenized_point_is_refused(monkeypatch):
@@ -548,24 +477,17 @@ def test_a_start_of_the_wrong_length_is_refused():
         ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1, (0, 0))
 
 
-def test_a_start_outside_an_empty_system_is_answered_by_its_farkas_check(monkeypatch):
-    rows = ratlp._integral_rows(_EMPTY_ROWS, 1)
-    assert not ratlp.closed_feasible(rows, 1, (1,))
-    monkeypatch.setattr(ratlp, "_farkas", lambda *args: [2, 1, 0, 0])
-    with pytest.raises(AssertionError, match="Farkas combination of the normals is not zero"):
-        ratlp.closed_feasible(rows, 1, (1,))
-
-
-def test_a_start_outside_a_nonempty_system_runs_phase1(monkeypatch):
-    # x >= 1 and y >= 1/2: the start (1, 0) fails the second row, so phase 1
-    # runs from the origin and pivots as it does with no start
-    rows = ratlp._integral_rows([((1, 0), 1), ((0, 1), Q(1, 2))], 2)
+def test_a_start_that_fails_a_row_answers_false(monkeypatch):
+    # x >= 1 and y >= 1/2, and the empty x >= 1, x <= 0: a start that fails
+    # a row answers False with no dictionary and no phase 1, whether the
+    # system has a point or not
     counts = _entry_counts(monkeypatch)
-    assert ratlp.closed_feasible(rows, 2)
-    cold = dict(counts)
-    assert cold["pivots"] > 0
-    assert ratlp.closed_feasible(rows, 2, (1, 0))
-    assert counts == {key: 2 * v for key, v in cold.items()}
+    monkeypatch.setattr(ratlp, "_phase1", None)
+    rows = ratlp._integral_rows([((1, 0), 1), ((0, 1), Q(1, 2))], 2)
+    for start in ((1, 0), (0, 1), (Q(1, 2), Q(1, 2))):
+        assert not ratlp.closed_feasible(rows, 2, start)
+    assert not ratlp.closed_feasible(ratlp._integral_rows(_EMPTY_ROWS, 1), 1, (1,))
+    assert counts == {"surplus": 0, "pivots": 0, "artificial": 0, "zero_residual": 0}
 
 
 def test_a_start_inside_takes_no_pivot(monkeypatch):
@@ -573,7 +495,7 @@ def test_a_start_inside_takes_no_pivot(monkeypatch):
     # no dictionary is built and no pivot is taken
     rows = ratlp._integral_rows([((1, 0), 1), ((0, 1), Q(1, 2)), ((-1, -1), -5)], 2)
     counts = _entry_counts(monkeypatch)
-    monkeypatch.setattr(ratlp, "_feasible_point", None)
+    monkeypatch.setattr(ratlp, "_phase1", None)
     for start in ((1, Q(1, 2)), (Q(5, 2), Q(5, 2)), (2, 1)):
         assert ratlp.closed_feasible(rows, 2, start)
     assert counts == {"surplus": 0, "pivots": 0, "artificial": 0, "zero_residual": 0}
@@ -585,44 +507,28 @@ from orbitchar import ratlp
 assert False  # stripped by -O
 rows = [((1,), 1), ((-1,), 0), ((1,), -5), ((-1,), -5)]
 farkas = ratlp._farkas
-for y in ([-1, -1, 0, 0], [2, 1, 0, 0], [0, 0, 1, 1]):
+for y in ([-1, -1, 0, 0, 0], [2, 1, 0, 0, 0]):
     ratlp._farkas = lambda *args: y
     try:
-        ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1)
+        ratlp.strict_interior(rows, 1)
     except AssertionError as exc:
         print(exc)
-ratlp._farkas = lambda *args: [2, 1, 0, 0, 0]
-try:
-    ratlp.strict_interior(rows, 1)
-except AssertionError as exc:
-    print(exc)
 ratlp._farkas = farkas
-ratlp._phase1_point = lambda tab, basis, n: ([0] * n, 1)
-try:
-    ratlp.closed_feasible(ratlp._integral_rows([((1,), 1)], 1), 1)
-except AssertionError as exc:
-    print(exc)
 ratlp._phase1_point = lambda tab, basis, n: ([1, 1], 1)
 try:
     ratlp.strict_interior([((1,), 1)], 1)
 except AssertionError as exc:
     print(exc)
-# a start that satisfies every row answers with no phase 1; one outside an
-# empty system is not trusted, and phase 1 answers
-feasible_point, ratlp._feasible_point = ratlp._feasible_point, None
+# a start is answered by its row check: True inside, False outside
 print(ratlp.closed_feasible(ratlp._integral_rows([((1,), 1)], 1), 1, (1,)))
-ratlp._feasible_point = feasible_point
 print(ratlp.closed_feasible(ratlp._integral_rows(rows, 1), 1, (0,)))
 """
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=subprocess_env, capture_output=True, text=True, check=True
     ).stdout.split("\n")
-    assert out[:8] == [
+    assert out[:5] == [
         "Farkas multipliers not nonnegative and nonzero",
         "Farkas combination of the normals is not zero",
-        "Farkas combination of the bounds is not positive",
-        "Farkas combination of the normals is not zero",
-        "phase-1 point violates a row",
         "phase-1 point violates a row",
         "True",
         "False",
@@ -694,9 +600,13 @@ def test_an_infeasible_warm_child_is_certified(monkeypatch):
     assert ratlp.strict_interior(_QUADRANT + [row], 2) is None
 
 
-def test_warm_answers_match_the_cold_ones_on_random_children():
+def test_warm_answers_match_the_cold_ones_on_random_children(monkeypatch):
     # a random parent, solved cold, and random children of it: the same yes
-    # or no as from the artificial basis, and a yes point strictly inside
+    # or no as from the artificial basis, and a yes point strictly inside;
+    # many child rows enter with their surplus basic (a cold start has none
+    # that does), no artificial enters, and phase 1 stops once its residual
+    # is 0
+    counts = _entry_counts(monkeypatch)
     rng = random.Random(1318)
 
     def rand_row(n):
@@ -717,6 +627,8 @@ def test_warm_answers_match_the_cold_ones_on_random_children():
                 _assert_strictly_inside(got, rows + [row])
             seen[got is not None] += 1
     assert min(seen.values()) >= 50, seen
+    assert counts["surplus"] >= 100 and counts["artificial"] == 0, counts
+    assert counts["pivots"] > 0 and counts["zero_residual"] == 0, counts
 
 
 def test_a_start_of_other_rows_is_refused():
