@@ -9,7 +9,9 @@ generic stratum).  Two models are provided:
 * AdjointSlModel: the adjoint module of sl_n.  Orbits are partitions of n
   ordered by dominance; the generic stratum of a weight support is the
   path_partition of its support digraph in gl_n (Gansner 1981), computed
-  exactly; jordan_type reads the type of one nilpotent matrix.
+  exactly: a region's support is an upper set, whose Greene-Kleitman
+  partition an interval greedy reads off, and any other digraph goes
+  through min-cost flow; jordan_type reads the type of one nilpotent matrix.
 * Example2x3Model: 2 x 3 matrices [[m, n, x], [p, q, y]] under the pair of
   rank-2 special linear groups acting by row operations on the left and on
   the first two columns on the right.  The five orbits are classified by
@@ -155,20 +157,92 @@ def generic_jordan_partition(i_r, n: int) -> Partition:
 def path_partition(arcs, n: int) -> Partition:
     """Jordan type of a generic matrix of gl_n supported on the arcs (i, j).
 
-    The arcs are a digraph on {0, ..., n-1}.  One with a directed cycle
-    supports non-nilpotent matrices and raises ValueError.  For an acyclic
-    one the generic type is its path partition: lambda_1 + ... + lambda_k is
-    the largest number of vertices that k vertex-disjoint directed paths
-    cover (Gansner, SIAM J. Alg. Disc. Meth. 2, 1981).  On a b-stable
-    support paths are chains, and this is the Greene-Kleitman partition.
+    The arcs are a digraph on {0, ..., n-1}: ValueError refuses n < 0 and
+    names an arc with an end outside it.  One with a directed cycle supports
+    non-nilpotent matrices and raises ValueError.  For an acyclic one the
+    generic type is its path partition: lambda_1 + ... + lambda_k is the
+    largest number of vertices that k vertex-disjoint directed paths cover
+    (Gansner, SIAM J. Alg. Disc. Meth. 2, 1981).  On a b-stable support
+    paths are chains, and this is the Greene-Kleitman partition (Greene and
+    Kleitman, JCTA 20, 1976).
+
+    An upper set (every arc above the diagonal, and (i, j) an arc makes
+    (i - 1, j) and (i, j + 1) arcs), such as the support of every
+    AdjointSlModel region, is read off intervals with no network.  With
+    first[i] the least j of an arc (i, j), or n, i < j in the poset exactly
+    when j >= first[i]; so two vertices are comparable exactly when their
+    intervals [i, first[i]) are disjoint, and lambda_1 + ... + lambda_k is
+    the size of the largest family of intervals that covers no point more
+    than k times.  Going through the intervals by right end, which is index
+    order since first is nondecreasing, and taking each one whose left end
+    fewer than k taken ones cover finds such a family (Yannakakis and
+    Gavril, IPL 24, 1987): O(n) per part.  Any other support, cycles among them, goes through
+    min-cost flow (_flow_parts); the input chooses the path.  On either the
+    parts never increase, so once one is at most 1 every later part is 1,
+    and once at most one vertex is left uncovered no part is searched for.
+    """
+    arcs = tuple(arcs)  # read twice: by the scan, and by the flow if it runs
+    ends = _upper_set_ends(arcs, n)
+    search = _flow_parts(arcs, n) if ends is None else _interval_parts(ends)
+    parts: list[int] = []
+    while True:
+        part = next(search)
+        if part > 1:
+            parts.append(part)
+        if part <= 1 or sum(parts) >= n - 1:
+            return tuple(parts) + (1,) * (n - sum(parts))
+
+
+def _upper_set_ends(arcs, n: int) -> list[int] | None:
+    """first[i], the least j of an arc (i, j) or n if row i has none, for
+    each vertex i when the arcs are an upper set, and None otherwise.
+
+    They are one exactly when every arc lies above the diagonal, row i
+    holds all n - first[i] positions from first[i] on, and first is
+    nondecreasing.  ValueError for n < 0 or an arc with an end outside
+    0..n-1: both paths of path_partition pass this scan."""
+    if n < 0:
+        raise ValueError(f"a digraph cannot have {n} vertices")
+    first, count, above = [n] * n, 0, True
+    for arc in arcs:
+        i, j = arc
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"the arc {arc} has an end outside the vertices 0..{n - 1}")
+        if i >= j:
+            above = False
+        elif j < first[i]:
+            first[i] = j
+        count += 1
+    if above and count == sum(n - f for f in first) and all(a <= b for a, b in zip(first, first[1:])):
+        return first
+    return None
+
+
+def _interval_parts(ends):
+    """lambda_1, lambda_2, ... of an upper set from its ends first[i], by
+    path_partition's interval greedy: the k-th pass takes vertex i when
+    fewer than k taken intervals cover i."""
+    covered = 0
+    # lambda_(n+1) is 0, so path_partition stops by then
+    for k in range(1, len(ends) + 2):
+        # taken ends are nondecreasing: those from lo on still cover i
+        taken, lo = [], 0
+        for i, end in enumerate(ends):
+            while lo < len(taken) and taken[lo] <= i:
+                lo += 1
+            if len(taken) - lo < k:
+                taken.append(end)
+        yield len(taken) - covered
+        covered = len(taken)
+
+
+def _flow_parts(arcs, n: int):
+    """lambda_1, lambda_2, ... of any support by min-cost flow.
 
     The k-th successive shortest augmenting path of the split-vertex network
     (cost -1 on each vertex arc, 0 elsewhere, every capacity 1) costs
-    -lambda_k; the costs never decrease, so once a path covers one vertex
-    every later part is 1, and once at most one vertex is left uncovered no
-    path is searched for.  A directed cycle of the support is a negative
-    cycle that the first search reaches.
-    """
+    -lambda_k.  A directed cycle of the support is a negative cycle that the
+    first search reaches."""
     # node 0 is the source, 2v + 1 and 2v + 2 the entry and exit of vertex
     # v, 2n + 1 the sink; net[k] and its residual twin net[k ^ 1] are [head,
     # capacity, cost]
@@ -188,7 +262,6 @@ def path_partition(arcs, n: int) -> Partition:
         add(2 * v + 2, size - 1, 0)
     for i, j in sorted(arcs):
         add(2 * i + 2, 2 * j + 1, 0)
-    parts: list[int] = []
     while True:
         # Bellman-Ford on a queue of the nodes whose distance dropped.  Every
         # cycle of the network is negative and comes from a cycle of the
@@ -209,10 +282,7 @@ def path_partition(arcs, n: int) -> Partition:
                     dist[v], via[v] = dist[u] + cost, k
                     if v not in queue:
                         queue.append(v)
-        if -dist[-1] > 1:
-            parts.append(-dist[-1])
-        if -dist[-1] <= 1 or sum(parts) >= n - 1:
-            return tuple(parts) + (1,) * (n - sum(parts))
+        yield -dist[-1]
         v = size - 1
         while v:
             k = via[v]
@@ -285,7 +355,10 @@ class AdjointSlModel(OrbitModel):
     """Nilpotent orbits of sl_n acting on itself; orbits are partitions of n.
 
     The generic stratum of a support is its exact path partition
-    (generic_jordan_partition); no random element is drawn.
+    (generic_jordan_partition); no random element is drawn.  Every region's
+    support is an upper set of positions, since h dominant and mu(h) > level
+    give (mu + alpha)(h) > level for each simple root alpha, so its stratum
+    comes from path_partition's interval greedy, with no flow network.
     """
 
     # The strata are exact, so seed is ignored; perfbench/workloads.py

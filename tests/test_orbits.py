@@ -300,6 +300,8 @@ def test_path_partition_of_planted_arcs():
     # as arcs rather than roots
     star = {(0, 2), (1, 2), (2, 3), (2, 4)}
     assert path_partition(star, 5) == (3, 1, 1)
+    # the arcs are read twice, by the upper-set scan and by the flow
+    assert path_partition(iter(star), 5) == (3, 1, 1)
     assert path_partition(star | {(0, 3), (0, 4), (1, 3), (1, 4)}, 5) == (3, 2)
     assert path_partition(set(), 2) == (1, 1)
     with pytest.raises(ValueError, match="directed cycle"):
@@ -363,6 +365,8 @@ def _path_outcome(solve, arcs, n):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_queued_path_partition_matches_bellman_ford_on_region_supports(n):
+    # region supports are upper sets and take path_partition's interval
+    # branch, not the flow; the random digraphs test below covers the flow
     analysis = RegionAnalysis.build(AdjointSlModel(n))
     for r in analysis.regions:
         arcs = {sl_position(mu, n) for mu in region_weights(analysis.hyperplanes, r)}
@@ -387,6 +391,76 @@ def test_queued_path_partition_matches_bellman_ford_on_random_digraphs():
         cyclic += isinstance(got, str)
         acyclic += not isinstance(got, str)
     assert acyclic > 200 and cyclic > 100
+
+
+def _upper_sets(n):
+    """Every upper set of arcs on n vertices: each row i holds the positions
+    from some first[i] > i on (none when first[i] = n), and first is
+    nondecreasing; one per Dyck path, so Catalan(n) of them."""
+
+    def firsts(i, least):
+        if i == n:
+            yield ()
+            return
+        for f in range(max(least, i + 1), n + 1):
+            yield from ((f,) + rest for rest in firsts(i + 1, f))
+
+    return [{(i, j) for i, f in enumerate(first) for j in range(f, n)} for first in firsts(0, 0)]
+
+
+def _is_upper_set(arcs, n):
+    """Arcs above the diagonal, closed under moving up and right."""
+    return all(0 <= i < j < n for i, j in arcs) and all(
+        (i == 0 or (i - 1, j) in arcs) and (j == n - 1 or (i, j + 1) in arcs) for i, j in arcs
+    )
+
+
+_CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
+
+
+@pytest.mark.parametrize("n", range(1, 10 if LARGE else 9))
+def test_path_partition_of_upper_sets_matches_bellman_ford(n):
+    # every upper set takes the interval branch; its near misses, which are
+    # no upper sets, take the flow: one corner arc removed, one arc below
+    # the diagonal added, a loop, a 3-cycle
+    sets = _upper_sets(n)
+    assert len({frozenset(arcs) for arcs in sets}) == len(sets) == _CATALAN[n]
+    rng = random.Random(43 + n)
+    for arcs in sets:
+        assert _is_upper_set(arcs, n) and orbits._upper_set_ends(arcs, n) is not None, sorted(arcs)
+        assert path_partition(arcs, n) == _bellman_ford_path_partition(arcs, n), sorted(arcs)
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        k = rng.randrange(n)
+        near = [arcs - {(0, n - 1)}, arcs | {(j, i)}, arcs | {(k, k)}]
+        if n > 2:
+            near.append(arcs | {(0, 1), (1, 2), (2, 0)})
+        for miss in near:
+            if miss != arcs and not _is_upper_set(miss, n):
+                assert orbits._upper_set_ends(miss, n) is None, sorted(miss)
+            got = _path_outcome(path_partition, miss, n)
+            assert got == _path_outcome(_bellman_ford_path_partition, miss, n), sorted(miss)
+
+
+@pytest.mark.parametrize("n", range(3, 9 if LARGE else 8))
+def test_region_supports_are_upper_sets(n):
+    # the precondition of path_partition's interval branch on real regions:
+    # with h dominant, mu(h) > level gives (mu + alpha)(h) > level for each
+    # simple root alpha, so every '+' position moves up and right
+    analysis = RegionAnalysis.build(AdjointSlModel(n))
+    for r in analysis.regions:
+        arcs = {sl_position(mu, n) for mu in region_weights(analysis.hyperplanes, r)}
+        assert _is_upper_set(arcs, n), r.id
+        assert orbits._upper_set_ends(arcs, n) is not None, r.id
+
+
+def test_path_partition_refuses_vertices_that_do_not_exist():
+    # a negative vertex would index the flow network from its end
+    for arc in [(-1, 1), (2, -3), (0, 5)]:
+        with pytest.raises(ValueError, match=rf"the arc \({arc[0]}, {arc[1]}\) has an end outside"):
+            path_partition({arc}, 3)
+    with pytest.raises(ValueError, match="cannot have -1 vertices"):
+        path_partition(set(), -1)
+    assert path_partition(set(), 0) == ()
 
 
 def test_jordan_type_of_planted_matrices():
